@@ -16,88 +16,39 @@ import (
 	"log"
 	"os"
 	"os/signal"
-	"strings"
 	"time"
 
-	"safeweb/internal/broker"
-	"safeweb/internal/journal"
-	"safeweb/internal/maindb"
 	"safeweb/internal/mdt"
 )
 
 func main() {
+	cfg := mdt.DeployConfig{Logf: log.Printf}
 	httpAddr := flag.String("http", "127.0.0.1:8080", "frontend listen address")
-	patients := flag.Int("patients", 500, "synthetic registry size")
-	seed := flag.Int64("seed", 2026, "registry generation seed")
-	password := flag.String("password", "", "account password (random default)")
-	networkBroker := flag.Bool("network-broker", false, "run units over the STOMP network broker")
-	publishWindow := flag.Int("publish-window", 0,
-		"receipt-confirmed publishes in flight per unit (with -network-broker; 0 = fire-and-forget)")
-	overflow := flag.String("overflow", "block",
-		"slow-consumer overflow policy for broker sessions (with -network-broker): block, drop-newest, drop-oldest or disconnect")
-	writeQueue := flag.Int("write-queue", 0,
-		"per-session delivery queue length in frames (with -network-broker; 0 = default 128)")
-	writeTimeout := flag.Duration("write-timeout", 0,
-		"per-flush write deadline for broker sessions (with -network-broker; 0 = unbounded)")
-	subscribeCredit := flag.Int("subscribe-credit", 0,
-		"per-subscription delivery window in messages, replenished as units complete callbacks (with -network-broker; 0 = no credit flow control)")
-	durable := flag.String("durable", "",
-		"comma-separated topic patterns the broker journals for replay and resume (with -network-broker; requires -journal-dir)")
-	journalDir := flag.String("journal-dir", "",
-		"directory for the durable topic journals (with -durable)")
-	retentionAge := flag.Duration("journal-retention-age", 0,
-		"delete journal segments whose newest record is older than this (with -durable; 0 = unbounded)")
-	retentionBytes := flag.Int64("journal-retention-bytes", 0,
-		"per-topic journal byte budget, oldest segments deleted first (with -durable; 0 = unbounded)")
-	journalSync := flag.String("journal-sync", "never",
-		"journal fsync policy (with -durable): never, batch or always")
+	flag.IntVar(&cfg.Registry.Patients, "patients", 500, "synthetic registry size")
+	flag.Int64Var(&cfg.Registry.Seed, "seed", 2026, "registry generation seed")
+	flag.StringVar(&cfg.Password, "password", "", "account password (random default)")
 	importEvery := flag.Duration("import-every", 0, "periodic re-import interval (0 = import once)")
+	resolve := mdt.BindBrokerFlags(flag.CommandLine, &cfg)
 	flag.Parse()
 
-	policy, err := broker.ParseOverflowPolicy(*overflow)
-	if err != nil {
+	if err := resolve(); err != nil {
 		fmt.Fprintln(os.Stderr, "mdt-portal:", err)
 		os.Exit(2)
 	}
-	syncPolicy, err := journal.ParseSyncPolicy(*journalSync)
-	if err != nil {
-		fmt.Fprintln(os.Stderr, "mdt-portal:", err)
-		os.Exit(2)
-	}
-	var durableTopics []string
-	if *durable != "" {
-		durableTopics = strings.Split(*durable, ",")
-	}
-	cfg := mdt.DeployConfig{
-		Registry:              maindb.Config{Seed: *seed, Patients: *patients},
-		Password:              *password,
-		NetworkBroker:         *networkBroker,
-		PublishWindow:         *publishWindow,
-		Overflow:              policy,
-		WriteQueueLen:         *writeQueue,
-		WriteTimeout:          *writeTimeout,
-		SubscribeCredit:       *subscribeCredit,
-		Durable:               durableTopics,
-		JournalDir:            *journalDir,
-		JournalRetentionAge:   *retentionAge,
-		JournalRetentionBytes: *retentionBytes,
-		JournalSync:           syncPolicy,
-		Logf:                  log.Printf,
-	}
-	if err := run(cfg, *httpAddr, *patients, *importEvery); err != nil {
+	if err := run(cfg, *httpAddr, *importEvery); err != nil {
 		fmt.Fprintln(os.Stderr, "mdt-portal:", err)
 		os.Exit(1)
 	}
 }
 
-func run(cfg mdt.DeployConfig, httpAddr string, patients int, importEvery time.Duration) error {
+func run(cfg mdt.DeployConfig, httpAddr string, importEvery time.Duration) error {
 	d, err := mdt.Deploy(cfg)
 	if err != nil {
 		return err
 	}
 	defer d.Stop()
 
-	log.Printf("importing %d patients through the backend pipeline", patients)
+	log.Printf("importing %d patients through the backend pipeline", cfg.Registry.Patients)
 	if err := d.ImportAll(); err != nil {
 		return err
 	}
@@ -138,7 +89,7 @@ func run(cfg mdt.DeployConfig, httpAddr string, patients int, importEvery time.D
 		log.Printf("broker front: %d deliveries dropped, %d overflow drops, %d slow-consumer evictions, queue high-water %d, %d credit stalls, %d unhandled frames",
 			bs.DroppedDeliveries, bs.OverflowDrops, bs.SlowConsumerEvictions, bs.QueueHighWater,
 			bs.CreditStalls, bs.UnhandledFrames)
-		if len(cfg.Durable) > 0 {
+		if len(cfg.Server.Durable) > 0 {
 			log.Printf("durable topics: %d journal appends (%d failed), %d replay deliveries, %d filtered by clearance",
 				bs.DurableAppends, bs.JournalAppendErrors, bs.ReplayDeliveries, bs.ReplayFiltered)
 			log.Printf("journal retention: %d acked segments compacted, %d retention deletes, %d clamped resumes",

@@ -169,19 +169,23 @@ func runTCB(root string) error {
 		return err
 	}
 	tw := tabwriter.NewWriter(os.Stdout, 2, 4, 2, ' ', 0)
-	fmt.Fprintln(tw, "package\ttrusted\tsource LOC\ttest LOC")
+	fmt.Fprintln(tw, "package\trole\tsource LOC\ttest LOC")
 	for _, p := range sum.Packages {
-		trusted := ""
-		if p.Trusted {
-			trusted = "yes"
+		role := ""
+		switch {
+		case p.Trusted:
+			role = "trusted"
+		case p.Tooling:
+			role = "tooling"
 		}
-		fmt.Fprintf(tw, "%s\t%s\t%d\t%d\n", p.Package, trusted, p.Lines, p.TestLines)
+		fmt.Fprintf(tw, "%s\t%s\t%d\t%d\n", p.Package, role, p.Lines, p.TestLines)
 	}
 	if err := tw.Flush(); err != nil {
 		return err
 	}
 	fmt.Printf("\ntrusted (audited once): %d LOC — paper: taint lib 1943 + engine 1908\n", sum.TrustedLines)
 	fmt.Printf("untrusted application code (protected by the safety net): %d LOC — paper: 2841 of the MDT app\n", sum.UntrustedLines)
+	fmt.Printf("development tooling (benchmarks, analyzers, fault injection): %d LOC\n", sum.ToolingLines)
 	fmt.Printf("test code: %d LOC\n", sum.TestLines)
 	return nil
 }

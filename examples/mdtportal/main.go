@@ -22,94 +22,31 @@ import (
 	"net/http"
 	"os"
 	"os/signal"
-	"strings"
-	"time"
 
-	"safeweb/internal/broker"
-	"safeweb/internal/journal"
 	"safeweb/internal/maindb"
 	"safeweb/internal/mdt"
 )
 
 func main() {
-	patients := flag.Int("patients", 200, "number of synthetic patients")
+	cfg := mdt.DeployConfig{Registry: maindb.Config{Seed: 2026}}
+	flag.IntVar(&cfg.Registry.Patients, "patients", 200, "number of synthetic patients")
 	serve := flag.Bool("serve", false, "keep serving after the walkthrough")
-	networkBroker := flag.Bool("network-broker", false, "run units over the STOMP network broker")
-	publishWindow := flag.Int("publish-window", 0,
-		"receipt-confirmed publishes in flight per unit (with -network-broker; 0 = fire-and-forget)")
-	overflow := flag.String("overflow", "block",
-		"slow-consumer overflow policy for broker sessions (with -network-broker): block, drop-newest, drop-oldest or disconnect")
-	writeQueue := flag.Int("write-queue", 0,
-		"per-session delivery queue length in frames (with -network-broker; 0 = default 128)")
-	writeTimeout := flag.Duration("write-timeout", 0,
-		"per-flush write deadline for broker sessions (with -network-broker; 0 = unbounded)")
-	subscribeCredit := flag.Int("subscribe-credit", 0,
-		"per-subscription delivery window in messages, replenished as units complete callbacks (with -network-broker; 0 = no credit flow control)")
-	durable := flag.String("durable", "",
-		"comma-separated topic patterns the broker journals for replay and resume (with -network-broker; requires -journal-dir)")
-	journalDir := flag.String("journal-dir", "",
-		"directory for the durable topic journals (with -durable)")
-	retentionAge := flag.Duration("journal-retention-age", 0,
-		"delete journal segments whose newest record is older than this (with -durable; 0 = unbounded)")
-	retentionBytes := flag.Int64("journal-retention-bytes", 0,
-		"per-topic journal byte budget, oldest segments deleted first (with -durable; 0 = unbounded)")
-	journalSync := flag.String("journal-sync", "never",
-		"journal fsync policy (with -durable): never, batch or always")
+	resolve := mdt.BindBrokerFlags(flag.CommandLine, &cfg)
 	flag.Parse()
 
-	policy, err := broker.ParseOverflowPolicy(*overflow)
-	if err != nil {
+	if err := resolve(); err != nil {
 		fmt.Fprintln(os.Stderr, "mdtportal:", err)
 		os.Exit(2)
 	}
-	syncPolicy, err := journal.ParseSyncPolicy(*journalSync)
-	if err != nil {
-		fmt.Fprintln(os.Stderr, "mdtportal:", err)
-		os.Exit(2)
-	}
-	var durableTopics []string
-	if *durable != "" {
-		durableTopics = strings.Split(*durable, ",")
-	}
-	if err := run(*patients, *serve, *networkBroker, *publishWindow, policy,
-		*writeQueue, *writeTimeout, *subscribeCredit, durableTopics, *journalDir,
-		*retentionAge, *retentionBytes, syncPolicy); err != nil {
+	if err := run(cfg, *serve); err != nil {
 		fmt.Fprintln(os.Stderr, "mdtportal:", err)
 		os.Exit(1)
 	}
 }
 
-func run(patients int, serve bool, networkBroker bool, publishWindow int,
-	overflow broker.OverflowPolicy, writeQueue int, writeTimeout time.Duration, subscribeCredit int,
-	durable []string, journalDir string,
-	retentionAge time.Duration, retentionBytes int64, journalSync journal.SyncPolicy) error {
-	fmt.Printf("deploying MDT portal (%d patients, network broker: %v)\n", patients, networkBroker)
-	d, err := mdt.Deploy(mdt.DeployConfig{
-		Registry:      maindb.Config{Seed: 2026, Patients: patients},
-		NetworkBroker: networkBroker,
-		// Units publish through the broker's windowed async fast path
-		// when enabled: pipelined receipt-confirmed SENDs instead of
-		// fire-and-forget, with Flush/Close as the delivery barrier.
-		PublishWindow: publishWindow,
-		// Slow-consumer protection for the broker front: bounded
-		// per-session delivery queues with an explicit overflow policy
-		// and an optional per-flush write deadline; credit adds proactive
-		// per-subscription delivery windows replenished as the engine
-		// completes callbacks.
-		Overflow:        overflow,
-		WriteQueueLen:   writeQueue,
-		WriteTimeout:    writeTimeout,
-		SubscribeCredit: subscribeCredit,
-		// Durable topics journal the listed patterns to disk so consumers
-		// can replay and resume them with offset/group subscriptions; the
-		// retention windows bound the journals and the sync policy trades
-		// power-loss durability against append latency.
-		Durable:               durable,
-		JournalDir:            journalDir,
-		JournalRetentionAge:   retentionAge,
-		JournalRetentionBytes: retentionBytes,
-		JournalSync:           journalSync,
-	})
+func run(cfg mdt.DeployConfig, serve bool) error {
+	fmt.Printf("deploying MDT portal (%d patients, network broker: %v)\n", cfg.Registry.Patients, cfg.NetworkBroker)
+	d, err := mdt.Deploy(cfg)
 	if err != nil {
 		return err
 	}

@@ -1,8 +1,6 @@
 package bench
 
 import (
-	"bufio"
-	"bytes"
 	"encoding/json"
 	"fmt"
 	"time"
@@ -11,7 +9,6 @@ import (
 	"safeweb/internal/engine"
 	"safeweb/internal/event"
 	"safeweb/internal/label"
-	"safeweb/internal/stomp"
 )
 
 // Backend experiment principals.
@@ -290,7 +287,7 @@ type BackendBreakdown struct {
 // MeasureBackendBreakdown runs E5. Processing is measured as the
 // label-free pipeline latency; serialisation and label management are
 // measured on the exact wire operations the pipeline performs per event
-// (two hops: marshal + frame write + frame read + unmarshal each), and
+// (two hops: SEND image + encode + view decode + unmarshal each), and
 // label management additionally includes the broker's clearance checks.
 func MeasureBackendBreakdown(w Workload) (BackendBreakdown, error) {
 	w = w.withDefaults()
@@ -310,27 +307,11 @@ func MeasureBackendBreakdown(w Workload) (BackendBreakdown, error) {
 	ev.Body = append([]byte(nil), benchBody...)
 	const hops = 2
 	iters := w.Requests
+	hop := newWireHop()
 	start := time.Now()
 	for i := 0; i < iters; i++ {
 		for h := 0; h < hops; h++ {
-			headers, body, err := event.MarshalHeaders(ev)
-			if err != nil {
-				return out, err
-			}
-			f := stomp.NewFrame(stomp.CmdSend)
-			for k, v := range headers {
-				f.SetHeader(k, v)
-			}
-			f.Body = body
-			var buf bytes.Buffer
-			if err := stomp.WriteFrame(&buf, f); err != nil {
-				return out, err
-			}
-			back, err := stomp.ReadFrame(bufio.NewReader(&buf))
-			if err != nil {
-				return out, err
-			}
-			if _, err := event.UnmarshalHeaders(back.Headers, back.Body); err != nil {
+			if ev, err = hop(ev); err != nil {
 				return out, err
 			}
 		}

@@ -1,6 +1,7 @@
 package bench
 
 import (
+	"strings"
 	"testing"
 
 	"safeweb/internal/webfront"
@@ -95,16 +96,13 @@ func TestBackendBreakdownShape(t *testing.T) {
 	if bb.Processing <= 0 || bb.Serialisation <= 0 || bb.LabelManagement <= 0 {
 		t.Errorf("non-positive phases: %+v", bb)
 	}
-	// Fig. 5 ordering: processing dominates serialisation, which
-	// dominates label management. At this test's tiny workload the two
-	// smaller phases sit within a few microseconds of each other, so the
-	// ordering assertions carry a 2x noise allowance; the paper-sized
-	// runs (cmd/safeweb-bench) show the clean ordering.
+	// Fig. 5 ordering: processing dominates serialisation (with a 2x
+	// noise allowance at this test's tiny workload). The paper's second
+	// ordering — serialisation above label management — is not asserted:
+	// the stage now times the codec production runs (SEND image + view
+	// decode), which costs less than the label work measured beside it.
 	if bb.Serialisation > 2*bb.Processing {
 		t.Errorf("serialisation (%v) far exceeds processing (%v)", bb.Serialisation, bb.Processing)
-	}
-	if bb.LabelManagement > 2*bb.Serialisation {
-		t.Errorf("label management (%v) far exceeds serialisation (%v)", bb.LabelManagement, bb.Serialisation)
 	}
 }
 
@@ -137,6 +135,15 @@ func TestCountLOC(t *testing.T) {
 		if pkgs[i].Package == "internal/bench" {
 			found = &pkgs[i]
 		}
+		// Third-party and fixture code is not SafeWeb source.
+		for _, part := range strings.Split(pkgs[i].Package, "/") {
+			if part == "vendor" || part == "testdata" {
+				t.Errorf("counted %s: vendor/ and testdata/ must be skipped", pkgs[i].Package)
+			}
+		}
+		if pkgs[i].Trusted && pkgs[i].Tooling {
+			t.Errorf("%s is both trusted and tooling", pkgs[i].Package)
+		}
 	}
 	if found == nil {
 		t.Fatal("internal/bench not found")
@@ -144,8 +151,8 @@ func TestCountLOC(t *testing.T) {
 	if found.Lines < 100 || found.TestLines < 50 {
 		t.Errorf("implausible counts: %+v", found)
 	}
-	if found.Trusted {
-		t.Error("bench should not be trusted")
+	if found.Trusted || !found.Tooling {
+		t.Errorf("bench should be tooling, not trusted: %+v", found)
 	}
 
 	sum, err := Summarise("../..")
@@ -155,7 +162,7 @@ func TestCountLOC(t *testing.T) {
 	if sum.TrustedLines < 1000 {
 		t.Errorf("trusted lines = %d, implausibly small", sum.TrustedLines)
 	}
-	if sum.UntrustedLines <= 0 || sum.TestLines <= 0 {
+	if sum.UntrustedLines <= 0 || sum.ToolingLines <= 0 || sum.TestLines <= 0 {
 		t.Errorf("summary: %+v", sum)
 	}
 }

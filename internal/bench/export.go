@@ -1,7 +1,6 @@
 package bench
 
 import (
-	"bufio"
 	"bytes"
 	"fmt"
 
@@ -34,36 +33,48 @@ func (p *Pipeline) Publish(seq int, tracking bool) error {
 // Stop tears the pipeline down.
 func (p *Pipeline) Stop() { p.p.stop() }
 
-// StompRoundTripForBench encodes and decodes a representative labelled
-// event n times through the full wire path (event → headers → frame →
-// bytes → frame → event); it returns the first error.
-func StompRoundTripForBench(n int) error {
-	ev := event.New("/bench", map[string]string{"seq": "1"}, benchLabels()...)
-	ev.Body = append([]byte(nil), benchBody...)
-	for i := 0; i < n; i++ {
-		headers, body, err := event.MarshalHeaders(ev)
+// newWireHop returns a function carrying an event across one networked
+// hop the way production does — the event's SEND image, EncodeSendImage,
+// DecodeView, UnmarshalView — over one connection's worth of reused codec
+// state. It returns the event the far side builds: a fresh event, so
+// feeding it to the next hop encodes a new image, as a relay's republish
+// does.
+func newWireHop() func(*event.Event) (*event.Event, error) {
+	var buf bytes.Buffer
+	var enc stomp.Encoder
+	var cache event.DecodeCache
+	dec := stomp.NewDecoder(&buf)
+	return func(ev *event.Event) (*event.Event, error) {
+		img, err := ev.SendImage()
 		if err != nil {
-			return err
+			return nil, err
 		}
-		f := stomp.NewFrame(stomp.CmdSend)
-		for k, v := range headers {
-			f.SetHeader(k, v)
+		if err := enc.EncodeSendImage(&buf, img, ""); err != nil {
+			return nil, err
 		}
-		f.Body = body
-		var buf bytes.Buffer
-		if err := stomp.WriteFrame(&buf, f); err != nil {
-			return err
-		}
-		back, err := stomp.ReadFrame(bufio.NewReader(&buf))
+		v, err := dec.DecodeView()
 		if err != nil {
-			return err
+			return nil, err
 		}
-		if _, err := event.UnmarshalHeaders(back.Headers, back.Body); err != nil {
-			return err
-		}
+		return event.UnmarshalView(&v.Headers, v.Body, &cache)
 	}
+}
+
+// StompRoundTripForBench carries a representative labelled event across n
+// wire hops (event → SEND image → bytes → frame view → event); it returns
+// the first error.
+func StompRoundTripForBench(n int) error {
 	if n < 0 {
 		return fmt.Errorf("bench: negative iteration count")
+	}
+	ev := event.New("/bench", map[string]string{"seq": "1"}, benchLabels()...)
+	ev.Body = append([]byte(nil), benchBody...)
+	hop := newWireHop()
+	for i := 0; i < n; i++ {
+		var err error
+		if ev, err = hop(ev); err != nil {
+			return err
+		}
 	}
 	return nil
 }

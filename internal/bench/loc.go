@@ -19,9 +19,13 @@ type PackageLOC struct {
 	// TestLines counts _test.go lines the same way.
 	TestLines int
 	// Trusted marks packages in SafeWeb's trusted codebase (§5.2): the
-	// components a security audit must cover. Everything else is
-	// application code whose bugs SafeWeb contains.
+	// components a security audit must cover.
 	Trusted bool
+	// Tooling marks development tooling — benchmarks, analyzers, fault
+	// injection: code that never runs in a deployment, so it is neither
+	// audited nor protected. Everything else is application code whose
+	// bugs SafeWeb contains.
+	Tooling bool
 }
 
 // trustedPackages mirrors §5.2's trusted codebase: the taint tracking
@@ -35,6 +39,7 @@ var trustedPackages = map[string]bool{
 	"internal/selector":   true,
 	"internal/stomp":      true,
 	"internal/broker":     true,
+	"internal/journal":    true, // broker substrate: replay clearance trusts the label header it persists
 	"internal/engine":     true,
 	"internal/jail":       true,
 	"internal/taint":      true,
@@ -47,9 +52,27 @@ var trustedPackages = map[string]bool{
 	"internal/federation": true, // asserts labels across instance boundaries
 }
 
+// toolingPackages are the development-tooling trees (each entry covers
+// its subpackages): the repo benchmark and the paper harness, the
+// safeweb-vet analyzers and their driver, and the fault-injection net.
+var toolingPackages = []string{
+	"benchmark", "internal/bench", "internal/lint", "internal/faultnet",
+	"cmd/safeweb-vet", "cmd/safeweb-bench",
+}
+
+func isTooling(pkg string) bool {
+	for _, t := range toolingPackages {
+		if pkg == t || strings.HasPrefix(pkg, t+"/") {
+			return true
+		}
+	}
+	return false
+}
+
 // CountLOC walks the repository rooted at root and returns per-package
-// line counts (E7). Vendor-less, stdlib-only repositories make this a
-// simple walk.
+// line counts (E7). Third-party code under vendor/ and analyzer fixtures
+// under testdata/ are not SafeWeb source and are skipped, as the go tool
+// skips them.
 func CountLOC(root string) ([]PackageLOC, error) {
 	perPkg := make(map[string]*PackageLOC)
 	err := filepath.WalkDir(root, func(path string, d os.DirEntry, err error) error {
@@ -58,7 +81,7 @@ func CountLOC(root string) ([]PackageLOC, error) {
 		}
 		if d.IsDir() {
 			name := d.Name()
-			if strings.HasPrefix(name, ".") && path != root {
+			if path != root && (strings.HasPrefix(name, ".") || name == "vendor" || name == "testdata") {
 				return filepath.SkipDir
 			}
 			return nil
@@ -76,7 +99,7 @@ func CountLOC(root string) ([]PackageLOC, error) {
 		}
 		pkg, ok := perPkg[rel]
 		if !ok {
-			pkg = &PackageLOC{Package: rel, Trusted: trustedPackages[rel]}
+			pkg = &PackageLOC{Package: rel, Trusted: trustedPackages[rel], Tooling: isTooling(rel)}
 			perPkg[rel] = pkg
 		}
 		lines, err := countGoLines(path)
@@ -148,6 +171,9 @@ type TCBSummary struct {
 	// UntrustedLines is application code protected by the safety net
 	// (paper: 2841 LOC of the MDT app needing no further audit).
 	UntrustedLines int
+	// ToolingLines is development tooling (benchmarks, analyzers, fault
+	// injection), which the paper's accounting has no counterpart for.
+	ToolingLines int
 	// TestLines counts all test code.
 	TestLines int
 	// Packages is the per-package detail.
@@ -163,9 +189,12 @@ func Summarise(root string) (TCBSummary, error) {
 	out := TCBSummary{Packages: pkgs}
 	for _, p := range pkgs {
 		out.TestLines += p.TestLines
-		if p.Trusted {
+		switch {
+		case p.Trusted:
 			out.TrustedLines += p.Lines
-		} else {
+		case p.Tooling:
+			out.ToolingLines += p.Lines
+		default:
 			out.UntrustedLines += p.Lines
 		}
 	}

@@ -212,30 +212,13 @@ func (w *pubWindow) waitHeadLocked() error {
 }
 
 // stickyErr returns the window's sticky failure, if any. Publish checks
-// it before freezing the event, so a fail-fast rejection leaves the
-// caller's event mutable for annotation and republish elsewhere.
+// it before encoding or freezing the event, so a fail-fast rejection
+// leaves the caller's event mutable for annotation and republish
+// elsewhere.
 func (w *pubWindow) stickyErr() error {
 	w.mu.Lock()
 	defer w.mu.Unlock()
 	return w.err
-}
-
-// publishSync runs one synchronous legacy-fallback publish under the
-// window's sticky-error discipline: a failed window stays failed for
-// every publish, whichever encoding path it takes, and a failure here
-// fails the window too. The mutex is held across the receipt wait, which
-// also keeps the fallback ordered against concurrent windowed publishes.
-func (w *pubWindow) publishSync(send func() error) error {
-	w.mu.Lock()
-	defer w.mu.Unlock()
-	if w.err != nil {
-		return w.err
-	}
-	if err := send(); err != nil {
-		w.err = fmt.Errorf("broker: windowed publish: %w", err)
-		return w.err
-	}
-	return nil
 }
 
 // flush settles every outstanding receipt and returns the window's sticky
@@ -422,14 +405,11 @@ func DialBus(addr string, cfg ClientConfig) (*Client, error) {
 	return c, nil
 }
 
-// Publish implements Bus via the producer fast path: the event is frozen
+// Publish implements Bus via the one SEND encoding: the event is frozen
 // (publishers must not mutate it afterwards, exactly as with an
 // in-process Broker.Publish) and its memoised SEND wire image goes
 // straight to the connection's coalescing writer — no header map, no
-// frame, and for repeated publishes of one event no re-encoding. Wire
-// bytes are byte-identical to the legacy map path; events whose
-// attribute names collide with transport headers take that legacy path
-// so their (map overwrite) wire semantics are preserved.
+// frame, and for repeated publishes of one event no re-encoding.
 //
 // Publishes are pinned to the first connection — or, with PublishShards,
 // to a per-topic connection — so the broker observes one client's
@@ -437,29 +417,28 @@ func DialBus(addr string, cfg ClientConfig) (*Client, error) {
 // receipt-tracked and pipelined; otherwise SendTimeout selects between a
 // synchronous receipt and fire-and-forget.
 //
-// A publish the client can prove never reached the wire — a validation
-// failure, or the fail-fast rejection of an already-failed window —
-// leaves the event unfrozen (as Broker.Publish leaves rejected events
-// mutable); any publish handed to a connection freezes it, because the
-// bytes may be with the broker even when an error is reported.
+// A publish the client can prove never reached the wire — the fail-fast
+// rejection of an already-failed window, a validation failure, or an
+// attribute named like a transport header (event.ErrTransportAttr: it
+// would be stripped, or steer the frame, on the wire) — touches neither
+// the connection nor the window's sticky error and leaves the event
+// unfrozen (as Broker.Publish leaves rejected events mutable); any
+// publish handed to a connection freezes it, because the bytes may be
+// with the broker even when an error is reported.
 func (c *Client) Publish(ev *event.Event) error {
-	if err := ev.Validate(); err != nil {
-		return err
-	}
 	sh := c.shards[c.pubShard(ev.Topic)]
 	if sh.win != nil {
 		if err := sh.win.stickyErr(); err != nil {
 			return err
 		}
 	}
-	ev.Freeze()
+	// Encode, then freeze: SendImage is the validation gate and memoises
+	// nothing when it refuses, so only an event about to be sent freezes.
 	img, err := ev.SendImage()
 	if err != nil {
-		if errors.Is(err, event.ErrTransportAttr) {
-			return c.publishLegacy(ev)
-		}
 		return err
 	}
+	ev.Freeze()
 	switch {
 	case sh.win != nil:
 		return sh.win.publish(sh.conn, img)
@@ -468,30 +447,6 @@ func (c *Client) Publish(ev *event.Event) error {
 	default:
 		return sh.conn.SendImage(img)
 	}
-}
-
-// publishLegacy is the header-map SEND path, kept for events whose
-// attribute names collide with transport headers (ErrTransportAttr): the
-// map's overwrite semantics — destination clobbers a same-named
-// attribute, a synchronous receipt clobbers a "receipt" attribute — are
-// part of the legacy wire behaviour and must not silently change.
-func (c *Client) publishLegacy(ev *event.Event) error {
-	headers, body, err := event.MarshalHeaders(ev)
-	if err != nil {
-		return err
-	}
-	dest := headers[event.HeaderDestination]
-	delete(headers, event.HeaderDestination)
-	sh := c.shards[c.pubShard(ev.Topic)]
-	if sh.win != nil {
-		return sh.win.publishSync(func() error {
-			return sh.conn.SendReceipt(dest, headers, body, c.cfg.SendTimeout)
-		})
-	}
-	if c.cfg.SendTimeout > 0 {
-		return sh.conn.SendReceipt(dest, headers, body, c.cfg.SendTimeout)
-	}
-	return sh.conn.Send(dest, headers, body)
 }
 
 // pubShard pins a topic to one publish connection.

@@ -404,9 +404,11 @@ func (s *Server) runReplay(ss *serverSession, ws *wireSub, clientSubID, topic st
 			if ws.credit != nil && !ws.credit.waitClaim() {
 				return
 			}
+			// The feed paces itself with the credit window, so the blocking
+			// enqueue is the back-pressure it wants.
 			img := stomp.RawMessageImage(rec.Image, rec.Split)
-			seq := ss.msgSeq.Add(1)
-			if err := ss.sess.SendMessageImageOffset(img, clientSubID, ss.idPrefix, seq, next); err != nil {
+			route := stomp.Route{Subscription: clientSubID, IDPrefix: ss.idPrefix, Seq: ss.msgSeq.Add(1), Offset: next, HasOffset: true}
+			if _, err := ss.sess.Deliver(img, route, stomp.EnqueueBlock, nil); err != nil {
 				s.dropDelivery(ss, clientSubID, nil, err)
 				return
 			}

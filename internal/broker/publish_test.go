@@ -104,13 +104,6 @@ func TestPublishWindowSurfacesBrokerError(t *testing.T) {
 	if err := rejected.Set("retry", "1"); err != nil {
 		t.Errorf("fail-fast-rejected event is frozen: %v", err)
 	}
-	// The legacy fallback (transport-colliding attr) must honour the
-	// sticky error too: a failed window fails every publish, whichever
-	// encoding path the event takes.
-	collide := event.New("/t", map[string]string{"ack": "client"})
-	if err := producer.Publish(collide); err == nil {
-		t.Fatal("legacy-fallback Publish bypassed the window's sticky error")
-	}
 	if err := producer.Flush(); err == nil {
 		t.Fatal("second Flush lost the sticky error")
 	}
@@ -156,8 +149,7 @@ func TestPublishWindowBoundedInflight(t *testing.T) {
 // TestPublishFreezeNoMutation pins the publish-side aliasing contract:
 // Publish freezes the caller's event but must not otherwise mutate any
 // caller-visible state — no attribute map rewrite, no body copy, no
-// transport headers leaking into Attrs — on the fast path and on the
-// legacy fallback alike.
+// transport headers leaking into Attrs.
 func TestPublishFreezeNoMutation(t *testing.T) {
 	_, srv := startNetBroker(t)
 	producer := dialBus(t, srv.Addr(), "producer")
@@ -197,62 +189,71 @@ func TestPublishFreezeNoMutation(t *testing.T) {
 		map[string]string{"patient_id": "1", "type": "cancer"},
 		label.Conf("ecric.org.uk/mdt/7"))
 	fast.Body = []byte(`{"summary": "report"}`)
-	check("fast path", fast)
-
-	// "receipt" collides with a transport header: this publish takes the
-	// legacy map path, which historically deleted the destination key from
-	// its own marshalled map — that deletion must never reach the event.
-	fallback := event.New("/patient_report",
-		map[string]string{"receipt": "app-data", "type": "cancer"},
-		label.Conf("ecric.org.uk/mdt/7"))
-	check("legacy fallback", fallback)
+	check("labelled with attrs", fast)
 }
 
-// TestPublishTransportAttrFallback: events whose attributes collide with
-// transport headers still publish (via the legacy map path) with the
-// legacy wire semantics — the destination header wins over a same-named
-// attribute, and transport-named attributes do not reappear on delivery.
-func TestPublishTransportAttrFallback(t *testing.T) {
-	_, srv := startNetBroker(t)
-	consumer := dialBus(t, srv.Addr(), "cleared")
-	producer := dialBus(t, srv.Addr(), "producer")
+// transportAttrNames are the STOMP transport header names an application
+// can set as attribute names (event.Validate already refuses the reserved
+// x-safeweb- ones): on the wire each would be stripped by the receiving
+// side or steer the frame.
+var transportAttrNames = []string{
+	"destination", "receipt", "receipt-id", "subscription", "message-id",
+	"content-length", "id", "ack", "selector", "transaction",
+}
 
-	received := make(chan *event.Event, 4)
-	if _, err := consumer.Subscribe("/real", "", func(ev *event.Event) {
-		received <- ev //lint:ignore noretain test collector retains the delivery; it is asserted on and never Released, so the pool cannot reclaim it
-	}); err != nil {
-		t.Fatalf("Subscribe: %v", err)
+// TestPublishTransportAttrRejected: in every publish mode, an event with
+// an attribute named like a transport header fails closed with
+// event.ErrTransportAttr before anything happens — nothing reaches the
+// broker, the event stays mutable, the window's sticky error is not
+// tripped, and the repaired event then publishes on the same connection.
+func TestPublishTransportAttrRejected(t *testing.T) {
+	b, srv := startNetBroker(t)
+	modes := map[string]ClientConfig{
+		"fire-and-forget": {},
+		"sync receipt":    {SendTimeout: 5 * time.Second},
+		"window":          {PublishWindow: 4, SendTimeout: 5 * time.Second},
 	}
-	evil := make(chan *event.Event, 4)
-	if _, err := consumer.Subscribe("/evil", "", func(ev *event.Event) {
-		evil <- ev //lint:ignore noretain test collector retains the delivery; it is asserted on and never Released, so the pool cannot reclaim it
-	}); err != nil {
-		t.Fatalf("Subscribe /evil: %v", err)
-	}
+	for mode, cfg := range modes {
+		cfg.Login = "producer"
+		cfg.OnError = func(err error) { t.Logf("%s: producer error: %v", mode, err) }
+		producer, err := DialBus(srv.Addr(), cfg)
+		if err != nil {
+			t.Fatalf("%s: DialBus: %v", mode, err)
+		}
+		t.Cleanup(func() { _ = producer.Close() })
 
-	ev := event.New("/real", map[string]string{"destination": "/evil", "k": "v"})
-	if err := producer.Publish(ev); err != nil {
-		t.Fatalf("Publish: %v", err)
+		for _, name := range transportAttrNames {
+			before := b.Stats().Published
+			ev := event.New("/t", map[string]string{name: "app-data", "k": "v"},
+				label.Conf("ecric.org.uk/mdt/7"))
+			if err := producer.Publish(ev); !errors.Is(err, event.ErrTransportAttr) {
+				t.Fatalf("%s: Publish with %q attr = %v, want ErrTransportAttr", mode, name, err)
+			}
+			//lint:ignore frozenmutate the refused publish left the event unfrozen; staying mutable is the property under test
+			if err := ev.Set("retry", "1"); err != nil {
+				t.Errorf("%s: event refused for %q is frozen: %v", mode, name, err)
+			}
+			// Repair and republish the same event on the same connection:
+			// the refusal memoised nothing and tripped no sticky error.
+			//lint:ignore frozenmutate the event was never published; repairing it is the property under test
+			delete(ev.Attrs, name)
+			if err := producer.Publish(ev); err != nil {
+				t.Fatalf("%s: Publish after repairing %q: %v", mode, name, err)
+			}
+			if err := producer.Flush(); err != nil {
+				t.Fatalf("%s: Flush after %q: %v", mode, name, err)
+			}
+			// A connection's frames are processed in order, so once the
+			// repaired publish is counted, a stray SEND from the refused
+			// one would have been counted ahead of it.
+			waitFor(t, "repaired publish accepted", func() bool { return b.Stats().Published > before })
+			if got := b.Stats().Published; got != before+1 {
+				t.Errorf("%s: %q: broker accepted %d publishes, want only the repaired one", mode, name, got-before)
+			}
+		}
 	}
-
-	select {
-	case got := <-received:
-		if got.Topic != "/real" {
-			t.Errorf("delivered on topic %q, want /real", got.Topic)
-		}
-		if got.Attr("k") != "v" {
-			t.Errorf("attr k = %q, want v", got.Attr("k"))
-		}
-		if _, ok := got.Get("destination"); ok {
-			t.Error("transport-named attribute leaked into the delivered event")
-		}
-	case <-time.After(5 * time.Second):
-		t.Fatal("event with transport-named attribute never delivered")
-	}
-	select {
-	case <-evil:
-		t.Fatal("event delivered to the attribute's destination; the topic must win")
-	case <-time.After(50 * time.Millisecond):
+	if got := srv.Stats().UnhandledFrames; got != 0 {
+		t.Errorf("UnhandledFrames = %d, want 0", got)
 	}
 }
 

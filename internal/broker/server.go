@@ -288,6 +288,7 @@ type Server struct {
 	broker        *Broker
 	stomp         *stomp.Server
 	cfg           ServerConfig
+	enqueue       stomp.EnqueueMode // cfg.Overflow, resolved to the transport's mode once at construction
 	evictAfter    uint32
 	creditPending int
 
@@ -349,8 +350,14 @@ func NewServer(addr string, b *Broker, cfg ServerConfig) (*Server, error) {
 	if cfg.Logf == nil {
 		cfg.Logf = log.Printf
 	}
+	var enqueue stomp.EnqueueMode
 	switch cfg.Overflow {
-	case OverflowBlock, OverflowDropNewest, OverflowDropOldest, OverflowDisconnect:
+	case OverflowBlock:
+		enqueue = stomp.EnqueueBlock
+	case OverflowDropNewest, OverflowDisconnect:
+		enqueue = stomp.EnqueueTry
+	case OverflowDropOldest:
+		enqueue = stomp.EnqueueEvict
 	default:
 		return nil, fmt.Errorf("broker: unknown overflow policy %d", cfg.Overflow)
 	}
@@ -383,6 +390,7 @@ func NewServer(addr string, b *Broker, cfg ServerConfig) (*Server, error) {
 	srv := &Server{
 		broker:        b,
 		cfg:           cfg,
+		enqueue:       enqueue,
 		evictAfter:    uint32(evictAfter),
 		creditPending: creditPending,
 		sessions:      make(map[uint64]*serverSession),
@@ -560,14 +568,7 @@ func (s *Server) OnDisconnect(sess *stomp.Session) {
 	}
 }
 
-// OnFrame implements stomp.SessionHandler. The stomp server prefers the
-// OnFrameView fast path and only reaches this adapter through callers that
-// hold a materialised frame.
-func (s *Server) OnFrame(sess *stomp.Session, f *stomp.Frame) error {
-	return s.OnFrameView(sess, stomp.ViewFromFrame(f))
-}
-
-// OnFrameView implements stomp.FrameViewHandler: the map-free inbound
+// OnFrameView implements stomp.SessionHandler: the map-free inbound
 // path. SEND frames — the hot path — go straight from the decoder's
 // header view to an event in one pass (event.UnmarshalView); control
 // frames pull the few headers they need as owned strings.
@@ -743,10 +744,12 @@ func (s *Server) deliver(ss *serverSession, ws *wireSub, clientSubID string, ev 
 	s.sendDelivery(ss, clientSubID, ev)
 }
 
-// sendDelivery puts one matched delivery on the session's wire; the
-// overflow policy decides here whether a session whose delivery queue is
-// full may block the publisher (OverflowBlock) or must absorb the loss
-// itself (the non-blocking policies). Either way a matched delivery is
+// sendDelivery puts one matched delivery on the session's wire. The
+// overflow policy, resolved to an enqueue mode at construction, decides
+// whether a session whose delivery queue is full may block the publisher
+// (OverflowBlock), loses the incoming delivery (drop-newest, disconnect:
+// not queued) or loses its oldest queued ones (drop-oldest: each reported
+// through queueEvict on this goroutine). Either way a matched delivery is
 // never lost silently: marshal and write failures are counted in
 // DroppedDeliveries, policy drops in OverflowDrops, and every one is
 // reported through OnDeliveryError.
@@ -756,30 +759,17 @@ func (s *Server) sendDelivery(ss *serverSession, clientSubID string, ev *event.E
 		s.dropDelivery(ss, clientSubID, ev, err)
 		return
 	}
-	seq := ss.msgSeq.Add(1)
-	switch s.cfg.Overflow {
-	case OverflowDropOldest:
-		// Never blocks: a full queue evicts its oldest deliveries, each
-		// reported through queueEvict on this goroutine.
-		if err := ss.sess.SendMessageImageDropOldest(img, clientSubID, ss.idPrefix, seq, ev); err != nil {
-			s.dropDelivery(ss, clientSubID, ev, err)
-		}
-	case OverflowDropNewest, OverflowDisconnect:
-		ok, err := ss.sess.TrySendMessageImage(img, clientSubID, ss.idPrefix, seq)
-		switch {
-		case err != nil:
-			s.dropDelivery(ss, clientSubID, ev, err)
-		case ok:
-			ss.consecOverflows.Store(0)
-		default:
-			s.overflowDrop(ss, clientSubID, ev)
-		}
-	default: // OverflowBlock
-		if err := ss.sess.SendMessageImage(img, clientSubID, ss.idPrefix, seq); err != nil {
-			// A delivery lost to a closed or write-failed session must be
-			// as visible as a marshal failure.
-			s.dropDelivery(ss, clientSubID, ev, err)
-		}
+	route := stomp.Route{Subscription: clientSubID, IDPrefix: ss.idPrefix, Seq: ss.msgSeq.Add(1)}
+	queued, err := ss.sess.Deliver(img, route, s.enqueue, ev)
+	switch {
+	case err != nil:
+		// A delivery lost to a closed or write-failed session must be as
+		// visible as a marshal failure.
+		s.dropDelivery(ss, clientSubID, ev, err)
+	case !queued:
+		s.overflowDrop(ss, clientSubID, ev)
+	case s.enqueue == stomp.EnqueueTry:
+		ss.consecOverflows.Store(0)
 	}
 }
 

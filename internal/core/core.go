@@ -24,7 +24,6 @@ import (
 	"safeweb/internal/engine"
 	"safeweb/internal/event"
 	"safeweb/internal/jail"
-	"safeweb/internal/journal"
 	"safeweb/internal/label"
 	"safeweb/internal/webdb"
 	"safeweb/internal/webfront"
@@ -39,52 +38,15 @@ type Config struct {
 	// deployment shape. False wires units to the broker in-process, which
 	// is the fast path for tests and benchmarks.
 	NetworkBroker bool
-	// PublishWindow, with NetworkBroker, gives every unit's bus windowed
-	// asynchronous publishing: up to that many receipt-confirmed SENDs in
-	// flight per unit over a dedicated publish connection, instead of
-	// fire-and-forget. See broker.ClientConfig.PublishWindow for the
-	// ordering and error semantics. Zero keeps fire-and-forget publishes.
-	PublishWindow int
-	// Overflow, with NetworkBroker, selects the broker front's
-	// per-session delivery overflow policy — what happens to a matched
-	// delivery when a consumer session's write queue is full. The zero
-	// value blocks (lossless back-pressure, the historical behaviour);
-	// see broker.OverflowPolicy for the drop and eviction policies.
-	Overflow broker.OverflowPolicy
-	// OverflowEvictAfter is the consecutive-overflow eviction threshold
-	// for broker.OverflowDisconnect; zero keeps the broker default.
-	OverflowEvictAfter int
-	// WriteQueueLen, with NetworkBroker, sets each session's delivery
-	// queue length in frames; zero keeps the transport default (128).
-	WriteQueueLen int
-	// WriteTimeout, with NetworkBroker, bounds every write to a session
-	// so a peer that stops reading fails its connection instead of
-	// wedging its writer; zero disables the deadline.
-	WriteTimeout time.Duration
-	// SubscribeCredit, with NetworkBroker, arms credit-based flow control
-	// on every unit's subscriptions: each SUBSCRIBE advertises a delivery
-	// window of that many messages, replenished automatically as the
-	// engine completes callbacks (see broker.ClientConfig.SubscribeCredit).
-	// Zero disables credit — the wire behaviour is unchanged.
-	SubscribeCredit int
-	// Durable, with NetworkBroker, lists the topic patterns the broker
-	// front journals to disk: publishes on them append to per-topic
-	// append-only logs under JournalDir, and consumers can subscribe with
-	// offset/group headers to replay and resume (see
-	// broker.ServerConfig.Durable). Requires JournalDir.
-	Durable []string
-	// JournalDir is the directory holding the durable topic journals.
-	JournalDir string
-	// JournalRetentionAge and JournalRetentionBytes bound the durable
-	// topic journals: segments older than the age, or past the per-topic
-	// byte budget, are deleted oldest-first (see
-	// broker.ServerConfig.JournalRetentionAge/-Bytes). Zero means
-	// unbounded.
-	JournalRetentionAge   time.Duration
-	JournalRetentionBytes int64
-	// JournalSync selects the journals' fsync policy (see
-	// journal.SyncPolicy); the zero value is journal.SyncNever.
-	JournalSync journal.SyncPolicy
+	// Server, with NetworkBroker, configures the broker's STOMP front —
+	// overflow policy, queue bounds, write deadline, durable topics and
+	// their journals: every broker.ServerConfig field, declared there and
+	// nowhere else. A nil Server.Logf falls back to Logf.
+	Server broker.ServerConfig
+	// Client, with NetworkBroker, is the template for every unit's bus
+	// connection (PublishWindow, SubscribeCredit, ...; see
+	// broker.ClientConfig). Login and OnError are filled in per unit.
+	Client broker.ClientConfig
 	// ReplicationInterval is the Intranet→DMZ push period; zero means
 	// 50ms.
 	ReplicationInterval time.Duration
@@ -141,32 +103,18 @@ func New(cfg Config) (*Middleware, error) {
 
 	var busFactory engine.BusFactory
 	if cfg.NetworkBroker {
-		srv, err := broker.NewServer("127.0.0.1:0", m.Broker, broker.ServerConfig{
-			Logf:                  cfg.Logf,
-			Overflow:              cfg.Overflow,
-			OverflowEvictAfter:    cfg.OverflowEvictAfter,
-			WriteQueueLen:         cfg.WriteQueueLen,
-			WriteTimeout:          cfg.WriteTimeout,
-			Durable:               cfg.Durable,
-			JournalDir:            cfg.JournalDir,
-			JournalRetentionAge:   cfg.JournalRetentionAge,
-			JournalRetentionBytes: cfg.JournalRetentionBytes,
-			JournalSync:           cfg.JournalSync,
-		})
+		if cfg.Server.Logf == nil {
+			cfg.Server.Logf = cfg.Logf
+		}
+		srv, err := broker.NewServer("127.0.0.1:0", m.Broker, cfg.Server)
 		if err != nil {
 			return nil, fmt.Errorf("core: broker server: %w", err)
 		}
 		m.BrokerServer = srv
 		busFactory = func(principal string) (broker.Bus, error) {
-			bcfg := broker.ClientConfig{
-				Login:           principal,
-				SubscribeCredit: cfg.SubscribeCredit,
-				OnError:         func(err error) { cfg.Logf("core: bus %s: %v", principal, err) },
-			}
-			if cfg.PublishWindow > 0 {
-				bcfg.PublishWindow = cfg.PublishWindow
-				bcfg.SendTimeout = 10 * time.Second
-			}
+			bcfg := cfg.Client
+			bcfg.Login = principal
+			bcfg.OnError = func(err error) { cfg.Logf("core: bus %s: %v", principal, err) }
 			return broker.DialBus(srv.Addr(), bcfg)
 		}
 	} else {

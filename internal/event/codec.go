@@ -46,18 +46,20 @@ func MarshalHeaders(e *Event) (map[string]string, []byte, error) {
 }
 
 // ErrTransportAttr reports an event whose attribute names collide with
-// STOMP transport headers (destination, receipt, content-length, ...).
-// The legacy map path resolves such collisions through header-map
-// overwrite semantics; the direct SEND encoding refuses them instead, and
-// the networked client falls back to the map path so wire behaviour is
-// unchanged for these (pathological) events.
+// STOMP transport headers (destination, receipt, content-length, ...; see
+// skippedHeaders). On the wire such an attribute would be silently
+// stripped by the receiving side, or — worse — steer the frame (a
+// "receipt" attribute elicits an unsolicited RECEIPT), so a networked
+// publish fails closed with this error before anything is sent and
+// before the event is frozen.
 var ErrTransportAttr = errors.New("event: attribute name collides with a transport header")
 
 // EncodeSend writes the event as a STOMP SEND frame in its canonical wire
 // form, splicing the per-publish receipt header (when non-empty) at its
 // sorted position: the producer fast path, byte-identical to marshalling
 // the event into a header map and encoding a SEND frame from it. The
-// event must be frozen; the image is memoised on it (see SendImage).
+// image is memoised on the event, which must not change afterwards (see
+// SendImage).
 func EncodeSend(w io.Writer, enc *stomp.Encoder, e *Event, receipt string) error {
 	img, err := e.SendImage()
 	if err != nil {
@@ -78,13 +80,9 @@ func buildSendImage(e *Event, dst *stomp.WireImage) error {
 			return fmt.Errorf("%w: %q", ErrTransportAttr, k)
 		}
 	}
-	labels := ""
-	if !e.Labels.IsEmpty() {
-		labels = e.labelHeader
-		if labels == "" {
-			labels = e.Labels.String()
-		}
-	}
+	// Memoised for Freeze, which follows a successful build: the label
+	// set is sorted and rendered once per publish, not twice.
+	labels := e.LabelHeader()
 	hint := len(stomp.CmdSend) + len(stomp.HdrContentLength) + 24 +
 		len(HeaderDestination) + len(e.Topic) + 2 + len(e.Body)
 	n := len(e.Attrs) + 1

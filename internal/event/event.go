@@ -11,10 +11,14 @@
 // A frozen (published) event lazily memoises its STOMP MESSAGE wire form
 // (WireImage): the first networked delivery encodes it, every other
 // session and shard shares the immutable image, and the memo dies with
-// the event. The producer side is symmetric: a frozen event publishing
-// over the wire memoises its SEND form (SendImage), encoded in a single
-// pass with no intermediate header map and byte-identical to the legacy
-// MarshalHeaders path, so retried and fan-in publishes encode once.
+// the event. The producer side is symmetric: an event publishing over
+// the wire memoises its SEND form (SendImage), encoded in a single pass
+// with no intermediate header map and byte-identical to the reference
+// MarshalHeaders encoding, so retried and fan-in publishes encode once.
+// It is the only SEND encoding: an attribute named like a STOMP transport
+// header would be stripped — or steer the frame — on the wire, so
+// SendImage refuses it (ErrTransportAttr) and the publish fails before
+// the event is frozen.
 // Per-delivery events — Delivery copies of attr-carrying
 // events and networked UnmarshalViewDelivery events — come from a pool
 // and are recycled by Release when their consumer's callback completes
@@ -83,12 +87,12 @@ type Event struct {
 	// lifetime and needs no size cap.
 	wire atomic.Pointer[wireMemo]
 
-	// send memoises the preencoded STOMP SEND image of a frozen event
+	// send memoises the preencoded STOMP SEND image of a published event
 	// (see SendImage): the producer-side counterpart of wire, encoded at
 	// first networked publish with no intermediate header map or frame,
 	// then reused by retried and fan-in publishes of the same event. Like
 	// wire, the memo lives and dies with the event.
-	send atomic.Pointer[sendMemo]
+	send atomic.Pointer[stomp.WireImage]
 
 	// frozen is set by Freeze when the broker publishes the event. A
 	// frozen event may be shared between the publisher and several
@@ -119,13 +123,6 @@ type Event struct {
 // wireMemo is the once-computed result of building an event's wire image.
 type wireMemo struct {
 	img *stomp.WireImage
-	err error
-}
-
-// sendMemo is the once-computed result of building an event's SEND image.
-// The image is held by value so memo and image cost one allocation.
-type sendMemo struct {
-	img stomp.WireImage
 	err error
 }
 
@@ -470,40 +467,35 @@ var sendBuilds atomic.Uint64
 // SendImageBuilds returns the process-wide count of SEND-image encodes.
 func SendImageBuilds() uint64 { return sendBuilds.Load() }
 
-// SendImage returns the preencoded STOMP SEND image for a frozen event —
-// the producer-side counterpart of WireImage, built at most once and in a
+// SendImage returns the event's preencoded STOMP SEND image — the
+// producer-side counterpart of WireImage, built at most once and in a
 // single pass over the event's fields: no intermediate header map, no
-// Frame, wire bytes byte-identical to the legacy MarshalHeaders+Send path
-// (with a splice point where a per-publish receipt header lands in its
-// canonical sorted position, see stomp.Encoder.EncodeSendImage).
+// Frame, wire bytes byte-identical to the reference MarshalHeaders
+// encoding (with a splice point where a per-publish receipt header lands
+// in its canonical sorted position, see stomp.Encoder.EncodeSendImage).
 // Concurrent first calls are safe; both compute identical bytes and one
 // becomes canonical.
 //
-// The event must be frozen (published). An event whose attribute names
-// collide with STOMP transport headers (destination, receipt, ...) cannot
-// be encoded directly without changing legacy wire semantics; SendImage
-// reports ErrTransportAttr and callers fall back to the map path.
-// Validation errors are memoised like WireImage's.
+// SendImage is also the publish-time gate: it validates the event and
+// refuses, with ErrTransportAttr, attributes named like STOMP transport
+// headers (destination, receipt, ...). A refusal memoises nothing, so the
+// networked client calls it before Freeze and a refused event stays
+// mutable. A successful build is memoised, so the caller must freeze the
+// event before anything else can touch it — the image is derived from the
+// topic, attributes, labels and body, which must no longer change.
 func (e *Event) SendImage() (*stomp.WireImage, error) {
-	if m := e.send.Load(); m != nil {
-		if m.err != nil {
-			return nil, m.err
-		}
-		return &m.img, nil
+	if img := e.send.Load(); img != nil {
+		return img, nil
 	}
-	m := &sendMemo{}
-	m.err = buildSendImage(e, &m.img)
-	if e.send.CompareAndSwap(nil, m) {
-		if m.err == nil {
-			sendBuilds.Add(1) // one canonical build per event
-		}
-	} else {
-		m = e.send.Load()
+	img := new(stomp.WireImage)
+	if err := buildSendImage(e, img); err != nil {
+		return nil, err
 	}
-	if m.err != nil {
-		return nil, m.err
+	if !e.send.CompareAndSwap(nil, img) {
+		return e.send.Load(), nil
 	}
-	return &m.img, nil
+	sendBuilds.Add(1) // one canonical build per event
+	return img, nil
 }
 
 // Derive creates a new event on the given topic whose labels are composed

@@ -45,9 +45,9 @@ func FuzzSendRoundTrip(f *testing.F) {
 
 		img, err := ev.SendImage()
 		if err != nil {
-			// The only admissible refusals: events the legacy path also
-			// rejects (validation) and transport-header collisions, which
-			// take the legacy fallback instead.
+			// The only admissible refusals: events the reference encoding
+			// also rejects (validation) and transport-header collisions,
+			// which fail the publish.
 			if errors.Is(err, ErrTransportAttr) {
 				if !skippedHeader(k1) && !skippedHeader(k2) {
 					t.Fatalf("spurious ErrTransportAttr for attrs %q/%q", k1, k2)

@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"errors"
 	"reflect"
+	"strings"
 	"testing"
 
 	"safeweb/internal/label"
@@ -127,28 +128,32 @@ func TestSendEncodingConformance(t *testing.T) {
 	}
 }
 
-// TestSendImageTransportAttrGate: events whose attribute names collide
-// with STOMP transport headers cannot take the direct encoding (the
-// legacy map path resolves them by overwrite); SendImage must refuse them
-// with ErrTransportAttr so the client falls back.
+// TestSendImageTransportAttrGate: SendImage is the one SEND encoding and
+// the publish-time gate, so it must refuse every name in skippedHeaders
+// as an attribute — a reserved one as a validation error, the rest with
+// ErrTransportAttr — whether or not the event is frozen yet, memoise
+// nothing when it does, and encode the event once the attribute is gone.
 func TestSendImageTransportAttrGate(t *testing.T) {
-	for _, k := range []string{
-		"destination", "receipt", "receipt-id", "subscription", "message-id",
-		"content-length", "id", "ack", "selector", "transaction",
-	} {
-		ev := New("/t", map[string]string{k: "v"})
+	transport := 0
+	for k := range skippedHeaders {
+		want := ErrTransportAttr
+		if strings.HasPrefix(k, ReservedPrefix) {
+			want = ErrReservedAttribute
+		} else {
+			transport++
+		}
+		ev := &Event{Topic: "/t", Attrs: map[string]string{k: "v", "kept": "v"}}
+		if _, err := ev.SendImage(); !errors.Is(err, want) {
+			t.Errorf("SendImage with %q attr: err = %v, want %v", k, err, want)
+		}
+		delete(ev.Attrs, k)
 		ev.Freeze()
-		if _, err := ev.SendImage(); !errors.Is(err, ErrTransportAttr) {
-			t.Errorf("SendImage with %q attr: err = %v, want ErrTransportAttr", k, err)
+		if _, err := ev.SendImage(); err != nil {
+			t.Errorf("SendImage after removing %q: %v (refusal was memoised)", k, err)
 		}
 	}
-
-	// Reserved attributes are a validation error, not a fallback: both
-	// paths must keep rejecting them outright.
-	ev := &Event{Topic: "/t", Attrs: map[string]string{ReservedPrefix + "labels": "x"}}
-	ev.Freeze()
-	if _, err := ev.SendImage(); !errors.Is(err, ErrReservedAttribute) {
-		t.Errorf("SendImage with reserved attr: err = %v, want ErrReservedAttribute", err)
+	if transport != 10 {
+		t.Errorf("%d non-reserved transport names in skippedHeaders, want 10 (update broker's transportAttrNames too)", transport)
 	}
 }
 
@@ -195,9 +200,9 @@ func TestSendImageMemoised(t *testing.T) {
 	}
 }
 
-// TestSendImageErrorMemoised: an event that cannot marshal reports the
-// error on every call without re-encoding or bumping the build counter.
-func TestSendImageErrorMemoised(t *testing.T) {
+// TestSendImageErrorNeverBuilds: an event that cannot marshal reports the
+// error on every call and never bumps the build counter.
+func TestSendImageErrorNeverBuilds(t *testing.T) {
 	ev := &Event{Topic: ""}
 	ev.Freeze()
 	before := SendImageBuilds()
@@ -206,7 +211,7 @@ func TestSendImageErrorMemoised(t *testing.T) {
 	}
 	img, err := ev.SendImage()
 	if err == nil || img != nil {
-		t.Fatalf("memoised error lost: img=%v err=%v", img, err)
+		t.Fatalf("second call lost the error: img=%v err=%v", img, err)
 	}
 	if got := SendImageBuilds() - before; got != 0 {
 		t.Errorf("failed SendImage bumped build counter by %d", got)

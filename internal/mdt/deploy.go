@@ -7,7 +7,6 @@ import (
 
 	"safeweb/internal/broker"
 	"safeweb/internal/core"
-	"safeweb/internal/journal"
 	"safeweb/internal/maindb"
 	"safeweb/internal/webfront"
 )
@@ -26,35 +25,20 @@ type DeployConfig struct {
 	Password string
 	// Faults enables the §5.2 injected vulnerabilities.
 	Faults Faults
-	// NetworkBroker, PublishWindow, Overflow, OverflowEvictAfter,
-	// WriteQueueLen, WriteTimeout, SubscribeCredit, DisableTracking,
-	// AuthWork and OnRequest are passed through to core.Config. The
-	// overflow settings give the deployment's broker front slow-consumer
-	// protection: bounded per-session delivery queues with an explicit
-	// policy instead of unbounded blocking; SubscribeCredit adds the
-	// proactive half — per-subscription delivery windows replenished as
-	// the engine completes callbacks.
-	NetworkBroker      bool
-	PublishWindow      int
-	Overflow           broker.OverflowPolicy
-	OverflowEvictAfter int
-	WriteQueueLen      int
-	WriteTimeout       time.Duration
-	SubscribeCredit    int
-	// Durable and JournalDir, with NetworkBroker, journal publishes on the
-	// listed topic patterns to disk under JournalDir, so consumers can
-	// replay and resume them with offset/group subscriptions (see
-	// core.Config.Durable). JournalRetentionAge/-Bytes bound the journals
-	// (zero means unbounded) and JournalSync selects their fsync policy —
-	// all passed through to core.Config.
-	Durable               []string
-	JournalDir            string
-	JournalRetentionAge   time.Duration
-	JournalRetentionBytes int64
-	JournalSync           journal.SyncPolicy
-	DisableTracking       bool
-	AuthWork              int
-	OnRequest             func(webfront.PhaseTimes)
+	// NetworkBroker, Server and Client are core.Config's broker settings,
+	// passed through whole: units reach the broker over its STOMP front,
+	// configured by Server (slow-consumer protection, durable topics and
+	// their journals), each over a bus connection built from the Client
+	// template (publish window, subscription credit). BindBrokerFlags
+	// binds them to the deployment binaries' command-line flags.
+	NetworkBroker bool
+	Server        broker.ServerConfig
+	Client        broker.ClientConfig
+	// DisableTracking, AuthWork and OnRequest are passed through to
+	// core.Config's frontend settings.
+	DisableTracking bool
+	AuthWork        int
+	OnRequest       func(webfront.PhaseTimes)
 	// Logf logs; nil is quiet.
 	Logf func(format string, args ...any)
 }
@@ -82,23 +66,14 @@ func Deploy(cfg DeployConfig) (*Deployment, error) {
 	policy := BuildPolicy(registry)
 
 	mw, err := core.New(core.Config{
-		Policy:                policy,
-		NetworkBroker:         cfg.NetworkBroker,
-		PublishWindow:         cfg.PublishWindow,
-		Overflow:              cfg.Overflow,
-		OverflowEvictAfter:    cfg.OverflowEvictAfter,
-		WriteQueueLen:         cfg.WriteQueueLen,
-		WriteTimeout:          cfg.WriteTimeout,
-		SubscribeCredit:       cfg.SubscribeCredit,
-		Durable:               cfg.Durable,
-		JournalDir:            cfg.JournalDir,
-		JournalRetentionAge:   cfg.JournalRetentionAge,
-		JournalRetentionBytes: cfg.JournalRetentionBytes,
-		JournalSync:           cfg.JournalSync,
-		DisableTracking:       cfg.DisableTracking,
-		AuthWork:              cfg.AuthWork,
-		OnRequest:             cfg.OnRequest,
-		Logf:                  cfg.Logf,
+		Policy:          policy,
+		NetworkBroker:   cfg.NetworkBroker,
+		Server:          cfg.Server,
+		Client:          cfg.Client,
+		DisableTracking: cfg.DisableTracking,
+		AuthWork:        cfg.AuthWork,
+		OnRequest:       cfg.OnRequest,
+		Logf:            cfg.Logf,
 	})
 	if err != nil {
 		return nil, fmt.Errorf("mdt: deploy: %w", err)

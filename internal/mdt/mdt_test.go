@@ -4,9 +4,12 @@ import (
 	"encoding/json"
 	"io"
 	"net/http"
+	"path/filepath"
 	"strings"
 	"testing"
 
+	"safeweb/internal/broker"
+	"safeweb/internal/event"
 	"safeweb/internal/label"
 	"safeweb/internal/maindb"
 )
@@ -326,11 +329,79 @@ func TestNetworkBrokerWindowedDeployment(t *testing.T) {
 	// The networked pipeline again, with every unit publishing through
 	// the windowed async fast path: pipelined receipt-confirmed SENDs on
 	// dedicated publish connections instead of fire-and-forget.
-	d := deployTest(t, DeployConfig{Registry: regTiny(), NetworkBroker: true, PublishWindow: 16})
+	d := deployTest(t, DeployConfig{Registry: regTiny(), NetworkBroker: true,
+		Client: broker.ClientConfig{PublishWindow: 16}})
 	m := firstMDTWithRecords(t, d)
 	status, _ := httpGet(t, d, "/records/"+m, m)
 	if status != http.StatusOK {
 		t.Errorf("windowed network deployment records status = %d", status)
+	}
+}
+
+// TestDeployCarriesBrokerConfigWhole: Deploy hands the broker settings
+// through as whole values, so fields the old field-by-field copy never
+// listed — OverflowEvictAfter, CreditPending, JournalSegmentSize — reach
+// the running broker front. One stalled credited tap observes all three:
+// its window of 1 takes the first delivery, the pending ring parks the
+// next CreditPending, and each further one overflows until the
+// OverflowEvictAfter-th evicts the session; the journal rolls at the
+// configured segment size.
+func TestDeployCarriesBrokerConfigWhole(t *testing.T) {
+	const topic = "/cfg/probe"
+	dir := t.TempDir()
+	d, err := Deploy(DeployConfig{
+		Registry:      regTiny(),
+		NetworkBroker: true,
+		Server: broker.ServerConfig{
+			Overflow:           broker.OverflowDisconnect,
+			OverflowEvictAfter: 3,
+			CreditPending:      2,
+			Durable:            []string{topic},
+			JournalDir:         dir,
+			JournalSegmentSize: 256,
+		},
+		Logf: t.Logf,
+	})
+	if err != nil {
+		t.Fatalf("Deploy: %v", err)
+	}
+	t.Cleanup(d.Stop)
+
+	tap, err := broker.DialBus(d.BrokerServer.Addr(), broker.ClientConfig{Login: "tap", SubscribeCredit: 1})
+	if err != nil {
+		t.Fatalf("DialBus: %v", err)
+	}
+	t.Cleanup(func() { _ = tap.Close() })
+	// The handler never releases a delivery, so the window is never
+	// replenished: the tap is stalled from its second delivery on.
+	if _, err := tap.Subscribe(topic, "", func(*event.Event) {}); err != nil {
+		t.Fatalf("Subscribe: %v", err)
+	}
+
+	// Publishes fan out on the calling goroutine, so the counters are
+	// final when the last one returns. Each record outgrows a segment.
+	pad := strings.Repeat("x", 300)
+	const publishes = 1 + 2 + 3 // window + CreditPending + OverflowEvictAfter
+	for i := 0; i < publishes; i++ {
+		if err := d.PublishControl(SchedulerName, topic, map[string]string{"pad": pad}); err != nil {
+			t.Fatalf("PublishControl %d: %v", i, err)
+		}
+	}
+
+	st := d.BrokerServer.Stats()
+	if st.CreditStalls != 1 || st.OverflowDrops != 3 || st.SlowConsumerEvictions != 1 {
+		t.Errorf("stalls/drops/evictions = %d/%d/%d, want 1/3/1 (CreditPending 2, OverflowEvictAfter 3)",
+			st.CreditStalls, st.OverflowDrops, st.SlowConsumerEvictions)
+	}
+	if st.DurableAppends != publishes {
+		t.Errorf("DurableAppends = %d, want %d", st.DurableAppends, publishes)
+	}
+	segs, err := filepath.Glob(filepath.Join(dir, "*", "*.seg"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(segs) < 2 {
+		t.Errorf("journal has %d segment(s) %v, want a roll per record at JournalSegmentSize 256", len(segs), segs)
 	}
 }
 

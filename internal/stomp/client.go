@@ -208,34 +208,9 @@ func (c *Client) readLoop(dec *Decoder) {
 	}
 }
 
-// Send publishes a SEND frame to the destination with the given headers
-// and body. Reserved routing headers (destination) are set from arguments.
-func (c *Client) Send(destination string, headers map[string]string, body []byte) error {
-	f := NewFrame(CmdSend)
-	for k, v := range headers {
-		f.SetHeader(k, v)
-	}
-	f.SetHeader(HdrDestination, destination)
-	f.Body = body
-	return c.writeFrame(f)
-}
-
-// SendReceipt is Send with a receipt: it blocks until the broker confirms
-// processing or the timeout elapses.
-func (c *Client) SendReceipt(destination string, headers map[string]string, body []byte, timeout time.Duration) error {
-	f := NewFrame(CmdSend)
-	for k, v := range headers {
-		f.SetHeader(k, v)
-	}
-	f.SetHeader(HdrDestination, destination)
-	f.Body = body
-	return c.sendWithReceipt(f, timeout)
-}
-
-// SendImage publishes a preencoded SEND image, fire-and-forget: the
-// producer fast path counterpart of Send. The image is written as-is by
-// the connection's coalescing writer — no header map, no frame, no
-// per-publish marshalling on the client goroutine.
+// SendImage publishes a preencoded SEND image, fire-and-forget. The image
+// is written as-is by the connection's coalescing writer — no header map,
+// no frame, no per-publish marshalling on the client goroutine.
 func (c *Client) SendImage(img *WireImage) error {
 	return c.fw.send(outFrame{img: img})
 }

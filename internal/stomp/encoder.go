@@ -26,45 +26,16 @@ type Encoder struct {
 // so bodies may contain NUL bytes. The wire bytes are identical to
 // WriteFrame's.
 func (e *Encoder) Encode(w io.Writer, f *Frame) error {
-	return e.encode(w, f, "", "", 0)
-}
-
-// EncodeMessage writes f as a broadcast MESSAGE carrying the given
-// subscription and message-id (idPrefix followed by the decimal seq)
-// routing headers in addition to f's own. The base frame is shared across
-// deliveries and never mutated or cloned — the per-peer headers exist
-// only on the wire. Base headers named like the routing headers are
-// dropped in their favour.
-func (e *Encoder) EncodeMessage(w io.Writer, f *Frame, subscription, idPrefix string, seq uint64) error {
-	return e.encode(w, f, subscription, idPrefix, seq)
-}
-
-func (e *Encoder) encode(w io.Writer, f *Frame, subscription, idPrefix string, seq uint64) error {
 	if f.Command == "" {
 		return protoErrorf("cannot write frame with empty command")
 	}
-	routed := subscription != ""
 	b := append(e.buf[:0], f.Command...)
 	b = append(b, '\n')
 	e.keys = sortedHeaderKeys(e.keys[:0], f.Headers, HdrContentLength)
 	for _, k := range e.keys {
-		if routed && (k == HdrSubscription || k == HdrMessageID) {
-			continue
-		}
 		b = appendEscapedHeader(b, k)
 		b = append(b, ':')
 		b = appendEscapedHeader(b, f.Headers[k])
-		b = append(b, '\n')
-	}
-	if routed {
-		b = append(b, HdrSubscription...)
-		b = append(b, ':')
-		b = appendEscapedHeader(b, subscription)
-		b = append(b, '\n')
-		b = append(b, HdrMessageID...)
-		b = append(b, ':')
-		b = appendEscapedHeader(b, idPrefix)
-		b = strconv.AppendUint(b, seq, 10)
 		b = append(b, '\n')
 	}
 	b = append(b, HdrContentLength...)

@@ -36,7 +36,8 @@
 // and safe for concurrent use — the broker builds one per published event
 // (event.Event.WireImage) and shares it across every session and shard,
 // so fan-out to S sessions costs one marshal instead of S. Wire bytes are
-// identical to EncodeMessage's for the same logical frame.
+// the reference Encoder.Encode's for the same logical frame, with the
+// routing headers spliced in just ahead of content-length.
 //
 // The producer side mirrors it: ImageBuilder assembles a SEND image
 // directly from ordered headers (no map — package event encodes a frozen
@@ -54,20 +55,20 @@
 // Every connection writes through a single coalescing writer goroutine
 // draining a bounded queue (ServerConfig/ClientConfig.WriteQueueLen,
 // default 128; negative lengths are rejected at construction). The queue
-// is where a peer that stops reading becomes visible, and the transport
-// offers the layers above three enqueue disciplines on the broadcast
-// path: Session.SendMessageImage blocks when full (lossless
-// back-pressure), TrySendMessageImage fails fast and leaves the overflow
-// decision to the caller, and SendMessageImageDropOldest evicts the
-// oldest queued broadcast deliveries — never control frames — reporting
-// each through ServerConfig.OnQueueEvict. WriteTimeout arms a per-write
-// deadline, re-armed before every encode and flush, so a peer making
-// progress is never penalised for batch size while a stalled one fails
-// its connection with a sticky error instead of wedging the writer; and
-// Session.Kill severs a connection without draining, for callers
-// evicting a consumer that demonstrably stopped reading. Queue occupancy
-// highs are tracked per session (Session.QueueHighWater) as the
-// early-warning signal.
+// is where a peer that stops reading becomes visible. A session has two
+// enqueue entry points: Session.Send for control frames, and
+// Session.Deliver for routed MESSAGE images, whose EnqueueMode picks
+// what a full queue does — EnqueueBlock waits (lossless back-pressure),
+// EnqueueTry fails fast and leaves the overflow decision to the caller,
+// and EnqueueEvict evicts the oldest queued deliveries — never control
+// frames — reporting each through ServerConfig.OnQueueEvict.
+// WriteTimeout arms a per-write deadline, re-armed before every encode
+// and flush, so a peer making progress is never penalised for batch size
+// while a stalled one fails its connection with a sticky error instead of
+// wedging the writer; and Session.Kill severs a connection without
+// draining, for callers evicting a consumer that demonstrably stopped
+// reading. Queue occupancy highs are tracked per session
+// (Session.QueueHighWater) as the early-warning signal.
 //
 // # Credit-based flow control
 //
@@ -160,27 +161,15 @@ func (f *Frame) SetHeader(name, value string) {
 
 // Clone returns a deep copy of the frame.
 func (f *Frame) Clone() *Frame {
-	out := f.ShallowClone()
-	if f.Body != nil {
-		out.Body = append([]byte(nil), f.Body...)
-	}
-	return out
-}
-
-// ShallowClone returns a copy of the frame with copied headers and a body
-// shared with the receiver, for paths that rewrite headers on one logical
-// message without duplicating its payload; callers must treat the shared
-// body as immutable. The header map carries slack for the headers such
-// callers typically add. (The broker's fan-out delivery goes further and
-// avoids even the header copy: Encoder.EncodeMessage emits per-peer
-// routing headers straight onto the wire from a shared base frame.)
-func (f *Frame) ShallowClone() *Frame {
-	out := &Frame{Command: f.Command, Body: f.Body}
+	out := &Frame{Command: f.Command}
 	if f.Headers != nil {
-		out.Headers = make(map[string]string, len(f.Headers)+2)
+		out.Headers = make(map[string]string, len(f.Headers))
 		for k, v := range f.Headers {
 			out.Headers[k] = v
 		}
+	}
+	if f.Body != nil {
+		out.Body = append([]byte(nil), f.Body...)
 	}
 	return out
 }

@@ -174,22 +174,7 @@ func TestFrameClone(t *testing.T) {
 	}
 }
 
-func TestFrameShallowClone(t *testing.T) {
-	f := NewFrame(CmdMessage)
-	f.SetHeader("k", "v")
-	f.Body = []byte("shared")
-	c := f.ShallowClone()
-	c.SetHeader("k", "changed")
-	c.SetHeader(HdrSubscription, "sub-1")
-	if f.Header("k") != "v" || f.Header(HdrSubscription) != "" {
-		t.Error("ShallowClone shares headers")
-	}
-	if &c.Body[0] != &f.Body[0] {
-		t.Error("ShallowClone copied the body")
-	}
-}
-
-func TestEncodeMessageRoutingHeaders(t *testing.T) {
+func TestEncodeImageRoutingHeaders(t *testing.T) {
 	base := NewFrame(CmdMessage)
 	base.SetHeader(HdrDestination, "/t")
 	base.SetHeader(HdrSubscription, "stale") // must lose to the routed value
@@ -197,8 +182,8 @@ func TestEncodeMessageRoutingHeaders(t *testing.T) {
 
 	var buf bytes.Buffer
 	var enc Encoder
-	if err := enc.EncodeMessage(&buf, base, "sub:7", "m-3-", 42); err != nil {
-		t.Fatalf("EncodeMessage: %v", err)
+	if err := enc.EncodeImage(&buf, NewMessageImage(base.Headers, base.Body), "sub:7", "m-3-", 42); err != nil {
+		t.Fatalf("EncodeImage: %v", err)
 	}
 	back, err := ReadFrame(bufio.NewReader(&buf))
 	if err != nil {
@@ -213,9 +198,9 @@ func TestEncodeMessageRoutingHeaders(t *testing.T) {
 	if back.Header(HdrDestination) != "/t" || string(back.Body) != "payload" {
 		t.Errorf("base frame content lost: %v", back)
 	}
-	// The shared base frame must not have been touched.
+	// The base frame the image was built from must not have been touched.
 	if base.Header(HdrSubscription) != "stale" || len(base.Headers) != 2 {
-		t.Errorf("EncodeMessage mutated the base frame: %v", base)
+		t.Errorf("building the image mutated the base frame: %v", base)
 	}
 }
 

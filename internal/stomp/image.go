@@ -68,10 +68,10 @@ func (img *WireImage) WireLen() int { return len(img.buf) }
 
 // NewMessageImage encodes a MESSAGE frame with the given headers and body
 // into a wire image. The subscription and message-id headers are reserved
-// for per-delivery routing and are dropped if present, exactly as
-// Encoder.EncodeMessage drops them; content-length is always derived from
-// body. The bytes an image puts on the wire (with routing headers spliced
-// in) are identical to EncodeMessage's for the same logical frame.
+// for per-delivery routing and are dropped if present; content-length is
+// always derived from body. The bytes an image puts on the wire are
+// Encoder.Encode's for the same headers and body, with the routing
+// headers spliced in just ahead of content-length.
 //
 // headers and body are copied; the caller keeps ownership.
 func NewMessageImage(headers map[string]string, body []byte) *WireImage {
@@ -150,6 +150,23 @@ func imageSizeHint(headers map[string]string, body []byte) int {
 	return n
 }
 
+// Route addresses one delivery of a shared MESSAGE image: the values of
+// the per-delivery headers that exist only on the wire. The zero Offset
+// with HasOffset unset means a live delivery; a replayed journal record
+// sets both, and its offset travels as HdrDeliveryOffset so a durable
+// consumer can ack cumulative progress.
+type Route struct {
+	// Subscription is the client-chosen subscription id.
+	Subscription string
+	// IDPrefix and Seq form the message-id (prefix followed by the
+	// decimal seq).
+	IDPrefix string
+	Seq      uint64
+	// Offset is the record's journal offset when HasOffset is set.
+	Offset    int64
+	HasOffset bool
+}
+
 // EncodeImage writes a preencoded MESSAGE image to w with the per-delivery
 // subscription and message-id (idPrefix followed by the decimal seq)
 // routing headers spliced between the image's header block and its tail.
@@ -159,54 +176,35 @@ func imageSizeHint(headers map[string]string, body []byte) int {
 //
 //safeweb:hotpath
 func (e *Encoder) EncodeImage(w io.Writer, img *WireImage, subscription, idPrefix string, seq uint64) error {
-	if _, err := w.Write(img.Prefix()); err != nil {
-		return err
-	}
-	b := e.buf[:0]
-	b = append(b, HdrSubscription...)
-	b = append(b, ':')
-	b = appendEscapedHeader(b, subscription)
-	b = append(b, '\n')
-	b = append(b, HdrMessageID...)
-	b = append(b, ':')
-	b = appendEscapedHeader(b, idPrefix)
-	b = strconv.AppendUint(b, seq, 10)
-	b = append(b, '\n')
-	if cap(b) <= maxRetainedEncodeBuf {
-		e.buf = b[:0]
-	}
-	if _, err := w.Write(b); err != nil {
-		return err
-	}
-	_, err := w.Write(img.Suffix())
-	return err
+	return e.encodeRouted(w, img, Route{Subscription: subscription, IDPrefix: idPrefix, Seq: seq})
 }
 
-// EncodeImageOffset is EncodeImage with one extra per-delivery header:
-// the journal offset of a replayed durable event, carried as
-// HdrDeliveryOffset so a durable consumer can ack cumulative progress.
-// As with EncodeImage only the spliced headers are encoded per delivery;
-// the stored image bytes are written as-is.
+// encodeRouted is the one routing-header splice: the image's header
+// block, then subscription, message-id and (for a replayed record) the
+// delivery offset, then the image's tail. The stored image bytes are
+// written as-is on both sides of the splice.
 //
 //safeweb:hotpath
-func (e *Encoder) EncodeImageOffset(w io.Writer, img *WireImage, subscription, idPrefix string, seq uint64, offset int64) error {
+func (e *Encoder) encodeRouted(w io.Writer, img *WireImage, r Route) error {
 	if _, err := w.Write(img.Prefix()); err != nil {
 		return err
 	}
 	b := e.buf[:0]
 	b = append(b, HdrSubscription...)
 	b = append(b, ':')
-	b = appendEscapedHeader(b, subscription)
+	b = appendEscapedHeader(b, r.Subscription)
 	b = append(b, '\n')
 	b = append(b, HdrMessageID...)
 	b = append(b, ':')
-	b = appendEscapedHeader(b, idPrefix)
-	b = strconv.AppendUint(b, seq, 10)
+	b = appendEscapedHeader(b, r.IDPrefix)
+	b = strconv.AppendUint(b, r.Seq, 10)
 	b = append(b, '\n')
-	b = append(b, HdrDeliveryOffset...)
-	b = append(b, ':')
-	b = strconv.AppendInt(b, offset, 10)
-	b = append(b, '\n')
+	if r.HasOffset {
+		b = append(b, HdrDeliveryOffset...)
+		b = append(b, ':')
+		b = strconv.AppendInt(b, r.Offset, 10)
+		b = append(b, '\n')
+	}
 	if cap(b) <= maxRetainedEncodeBuf {
 		e.buf = b[:0]
 	}

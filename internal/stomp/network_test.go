@@ -32,7 +32,8 @@ func (h *echoHandler) OnConnect(sess *Session, login string) error {
 	return nil
 }
 
-func (h *echoHandler) OnFrame(sess *Session, f *Frame) error {
+func (h *echoHandler) OnFrameView(sess *Session, v *FrameView) error {
+	f := v.Materialize() // owned: the echo below rewrites its headers
 	switch f.Command {
 	case CmdSubscribe:
 		h.mu.Lock()
@@ -45,18 +46,30 @@ func (h *echoHandler) OnFrame(sess *Session, f *Frame) error {
 		if subID == "" {
 			return nil
 		}
-		// Broadcast-style re-delivery: the body is shared, only headers
-		// are copied for the routing rewrite.
-		msg := f.ShallowClone()
-		msg.Command = CmdMessage
-		msg.SetHeader(HdrSubscription, subID)
-		msg.SetHeader(HdrMessageID, "m-1")
-		return sess.Send(msg)
+		f.Command = CmdMessage
+		f.SetHeader(HdrSubscription, subID)
+		f.SetHeader(HdrMessageID, "m-1")
+		return sess.Send(f)
 	}
 	return nil
 }
 
 func (h *echoHandler) OnDisconnect(*Session) {}
+
+// sendImage builds a SEND image from a destination, headers and body the
+// way a producer does: canonical sorted header order, no frame.
+func sendImage(dest string, headers map[string]string, body []byte) *WireImage {
+	all := map[string]string{HdrDestination: dest}
+	for k, v := range headers {
+		all[k] = v
+	}
+	bld := NewImageBuilder(CmdSend, 0)
+	for _, k := range sortedHeaderKeys(nil, all, "") {
+		bld.Header(k, all[k])
+	}
+	img := bld.Finish(body)
+	return &img
+}
 
 func startEchoServer(t *testing.T, auth Authenticator) *Server {
 	t.Helper()
@@ -89,8 +102,8 @@ func TestClientServerEcho(t *testing.T) {
 	}
 
 	headers := map[string]string{"patient_id": "1"}
-	if err := client.SendReceipt("/topic", headers, []byte("payload"), 5*time.Second); err != nil {
-		t.Fatalf("SendReceipt: %v", err)
+	if err := client.SendImageReceipt(sendImage("/topic", headers, []byte("payload")), 5*time.Second); err != nil {
+		t.Fatalf("SendImageReceipt: %v", err)
 	}
 
 	select {
@@ -162,14 +175,14 @@ func TestUnsubscribeStopsDelivery(t *testing.T) {
 	if err != nil {
 		t.Fatalf("Subscribe: %v", err)
 	}
-	if err := client.SendReceipt("/t", nil, nil, 5*time.Second); err != nil {
-		t.Fatalf("SendReceipt: %v", err)
+	if err := client.SendImageReceipt(sendImage("/t", nil, nil), 5*time.Second); err != nil {
+		t.Fatalf("SendImageReceipt: %v", err)
 	}
 	if err := client.Unsubscribe(id); err != nil {
 		t.Fatalf("Unsubscribe: %v", err)
 	}
-	if err := client.SendReceipt("/t", nil, nil, 5*time.Second); err != nil {
-		t.Fatalf("SendReceipt 2: %v", err)
+	if err := client.SendImageReceipt(sendImage("/t", nil, nil), 5*time.Second); err != nil {
+		t.Fatalf("SendImageReceipt 2: %v", err)
 	}
 	// The first message may still be in flight; wait for it.
 	deadline := time.Now().Add(2 * time.Second)
@@ -233,12 +246,12 @@ func TestBurstOrderingAndDelivery(t *testing.T) {
 		t.Fatalf("Subscribe: %v", err)
 	}
 	for i := 0; i < n; i++ {
-		if err := client.Send("/t", map[string]string{"seq": strconv.Itoa(i)}, nil); err != nil {
-			t.Fatalf("Send %d: %v", i, err)
+		if err := client.SendImage(sendImage("/t", map[string]string{"seq": strconv.Itoa(i)}, nil)); err != nil {
+			t.Fatalf("SendImage %d: %v", i, err)
 		}
 	}
-	if err := client.SendReceipt("/t", map[string]string{"seq": "last"}, nil, 5*time.Second); err != nil {
-		t.Fatalf("SendReceipt: %v", err)
+	if err := client.SendImageReceipt(sendImage("/t", map[string]string{"seq": "last"}, nil), 5*time.Second); err != nil {
+		t.Fatalf("SendImageReceipt: %v", err)
 	}
 	for i := 0; i < n; i++ {
 		select {
@@ -276,7 +289,7 @@ func TestConcurrentSends(t *testing.T) {
 		wg.Add(1)
 		go func() {
 			defer wg.Done()
-			if err := client.Send("/t", map[string]string{"k": "v"}, []byte("x")); err != nil {
+			if err := client.SendImage(sendImage("/t", map[string]string{"k": "v"}, []byte("x"))); err != nil {
 				mu.Lock()
 				errCount++
 				mu.Unlock()

@@ -14,31 +14,23 @@ import (
 )
 
 // SessionHandler receives the frames of one authenticated client session.
-// The server calls OnFrame sequentially for each inbound frame of a
+// The server calls OnFrameView sequentially for each inbound frame of a
 // session; implementations may send frames back at any time via the
-// session's Send method, which is safe for concurrent use.
+// session's Send and Deliver methods, which are safe for concurrent use.
 type SessionHandler interface {
 	// OnConnect is called after a CONNECT frame is accepted. login is the
 	// client's login header (the principal name used for policy lookups).
 	OnConnect(sess *Session, login string) error
-	// OnFrame is called for each subsequent inbound frame except
-	// DISCONNECT.
-	OnFrame(sess *Session, f *Frame) error
+	// OnFrameView is called for each subsequent inbound frame except
+	// DISCONNECT, handing it over as a decoder view — no header map is
+	// built. The view and its headers are invalid once OnFrameView
+	// returns (the session's next decode reuses the scratch buffer); the
+	// body's ownership transfers to the handler. Handlers that want a
+	// map-backed Frame call v.Materialize themselves.
+	OnFrameView(sess *Session, v *FrameView) error
 	// OnDisconnect is called exactly once when the session ends, whether
 	// by DISCONNECT, error or connection loss.
 	OnDisconnect(sess *Session)
-}
-
-// FrameViewHandler is the optional map-free extension of SessionHandler:
-// when the configured handler implements it, the server delivers inbound
-// frames as decoder views via OnFrameView instead of materialising a
-// header map per frame for OnFrame. The view and its headers are invalid
-// once OnFrameView returns (the session's next decode reuses the scratch
-// buffer); the body's ownership transfers to the handler.
-type FrameViewHandler interface {
-	// OnFrameView is called sequentially for each inbound frame except
-	// CONNECT and DISCONNECT, replacing OnFrame.
-	OnFrameView(sess *Session, v *FrameView) error
 }
 
 // Session is one server-side client connection. Outbound frames pass
@@ -61,9 +53,10 @@ func (s *Session) ID() uint64 { return s.id }
 // Login returns the login (principal) name presented at CONNECT.
 func (s *Session) Login() string { return s.login }
 
-// Send queues a frame for the client. It is safe for concurrent use; a
-// nil return means the frame was accepted for delivery, not that it
-// reached the peer (clients needing confirmation request a receipt).
+// Send queues a control frame for the client, blocking while the queue is
+// full. It is safe for concurrent use; a nil return means the frame was
+// accepted for delivery, not that it reached the peer (clients needing
+// confirmation request a receipt).
 func (s *Session) Send(f *Frame) error {
 	if s.closed.Load() {
 		return net.ErrClosed
@@ -71,73 +64,27 @@ func (s *Session) Send(f *Frame) error {
 	return s.fw.send(outFrame{f: f, flush: frameNeedsFlush(f)})
 }
 
-// SendMessage queues a broadcast MESSAGE frame sharing base's headers and
-// body, with the subscription and message-id (idPrefix + decimal seq)
-// routing headers supplied per delivery and emitted only on the wire.
-// base must be treated as immutable once first passed here; it is never
-// cloned. This is the broker's fan-out path: one marshalled frame, N
-// zero-copy deliveries, one coalesced flush.
-func (s *Session) SendMessage(base *Frame, subscription, idPrefix string, seq uint64) error {
-	if s.closed.Load() {
-		return net.ErrClosed
-	}
-	return s.fw.send(outFrame{f: base, sub: subscription, idPrefix: idPrefix, idSeq: seq})
-}
-
-// SendMessageImage queues a preencoded broadcast MESSAGE image with the
-// subscription and message-id (idPrefix + decimal seq) routing headers
-// supplied per delivery and emitted only on the wire. The image is shared
-// across all sessions delivering the same published event and is never
-// copied or mutated; only the two routing headers are encoded per
-// delivery, so fan-out to S sessions costs one marshal instead of S.
+// Deliver queues one delivery of a preencoded MESSAGE image, routed to a
+// subscription: the image is shared across every session delivering the
+// same published event (or wraps a journal record on replay) and is never
+// copied or mutated; only the route's headers are encoded per delivery
+// and they exist only on the wire, so fan-out to S sessions costs one
+// marshal instead of S.
 //
-// A full queue blocks until the writer drains (back-pressure); the
-// non-blocking counterparts are TrySendMessageImage and
-// SendMessageImageDropOldest.
-func (s *Session) SendMessageImage(img *WireImage, subscription, idPrefix string, seq uint64) error {
-	if s.closed.Load() {
-		return net.ErrClosed
-	}
-	return s.fw.send(outFrame{img: img, sub: subscription, idPrefix: idPrefix, idSeq: seq})
-}
-
-// SendMessageImageOffset is SendMessageImage with the journal offset of a
-// replayed durable record spliced in as the delivery-offset header. The
-// replay feed paces itself with the consumer's credit window, so the
-// blocking enqueue is the back-pressure it wants; there are no
-// non-blocking variants.
-func (s *Session) SendMessageImageOffset(img *WireImage, subscription, idPrefix string, seq uint64, offset int64) error {
-	if s.closed.Load() {
-		return net.ErrClosed
-	}
-	return s.fw.send(outFrame{img: img, sub: subscription, idPrefix: idPrefix, idSeq: seq, offset: offset, hasOffset: true})
-}
-
-// TrySendMessageImage is SendMessageImage without the blocking: a full
-// queue returns (false, nil) immediately, leaving the overflow decision —
-// drop, count, evict — to the caller. The broker's drop-newest and
-// disconnect overflow policies ride this path so a session that stopped
-// reading never stalls the publishing goroutine.
-func (s *Session) TrySendMessageImage(img *WireImage, subscription, idPrefix string, seq uint64) (bool, error) {
+// mode says what a full queue does: EnqueueBlock waits for the writer to
+// drain (back-pressure), EnqueueTry returns (false, nil) immediately and
+// leaves the overflow decision to the caller, and EnqueueEvict makes room
+// by evicting the oldest queued deliveries — each reported synchronously
+// through ServerConfig.OnQueueEvict with the subscription and payload it
+// was enqueued with; control frames are never evicted (see
+// frameWriter.putEvicting for the ordering contract). payload is that
+// opaque report handle — the broker passes the delivered event. The
+// result is true when the delivery was queued.
+func (s *Session) Deliver(img *WireImage, r Route, mode EnqueueMode, payload any) (bool, error) {
 	if s.closed.Load() {
 		return false, net.ErrClosed
 	}
-	return s.fw.trySend(outFrame{img: img, sub: subscription, idPrefix: idPrefix, idSeq: seq})
-}
-
-// SendMessageImageDropOldest enqueues the delivery like SendMessageImage
-// but, when the queue is full, evicts the oldest queued broadcast
-// deliveries to make room instead of blocking. Each evicted delivery is
-// reported synchronously through ServerConfig.OnQueueEvict with the
-// subscription and payload handle it was enqueued with; control frames
-// are never evicted (see frameWriter.sendDropOldest for the ordering
-// contract). payload is an opaque handle carried alongside the frame for
-// that report — the broker passes the delivered event.
-func (s *Session) SendMessageImageDropOldest(img *WireImage, subscription, idPrefix string, seq uint64, payload any) error {
-	if s.closed.Load() {
-		return net.ErrClosed
-	}
-	return s.fw.sendDropOldest(outFrame{img: img, payload: payload, sub: subscription, idPrefix: idPrefix, idSeq: seq})
+	return s.fw.enqueue(outFrame{img: img, route: r, payload: payload}, mode)
 }
 
 // QueueDepth returns the number of frames currently queued for the
@@ -213,12 +160,12 @@ type ServerConfig struct {
 	// blocked behind its queue) forever. Zero disables the deadline; the
 	// close-time drain stays bounded by its own deadline either way.
 	WriteTimeout time.Duration
-	// OnQueueEvict observes broadcast deliveries evicted from a session's
-	// write queue by Session.SendMessageImageDropOldest: subscription and
-	// payload are the values the delivery was enqueued with. A mediating
-	// broker must account for every suppressed flow, so callers using the
-	// drop-oldest path should set this. Runs on the goroutine performing
-	// the evicting send and must not block.
+	// OnQueueEvict observes deliveries evicted from a session's write
+	// queue by an EnqueueEvict Session.Deliver: subscription and payload
+	// are the values the delivery was enqueued with. A mediating broker
+	// must account for every suppressed flow, so callers using that mode
+	// should set this. Runs on the goroutine performing the evicting
+	// enqueue and must not block.
 	OnQueueEvict func(sess *Session, subscription string, payload any)
 }
 
@@ -318,7 +265,7 @@ func (s *Server) acceptLoop() {
 		sess.fw = newFrameWriter(conn, s.queueLen, s.cfg.WriteTimeout, func(error) { _ = conn.Close() })
 		if s.cfg.OnQueueEvict != nil {
 			onEvict := s.cfg.OnQueueEvict
-			sess.fw.onEvict = func(of outFrame) { onEvict(sess, of.sub, of.payload) }
+			sess.fw.onEvict = func(of outFrame) { onEvict(sess, of.route.Subscription, of.payload) }
 		}
 		s.sessions[sess.id] = sess
 		s.mu.Unlock()
@@ -338,7 +285,6 @@ func (s *Server) serveSession(sess *Session) {
 	}()
 
 	dec := NewDecoder(sess.conn)
-	viewHandler, _ := s.cfg.Handler.(FrameViewHandler)
 
 	// Handshake: first frame must be CONNECT.
 	first, err := dec.DecodeView()
@@ -386,12 +332,7 @@ func (s *Server) serveSession(sess *Session) {
 			s.ack(sess, v)
 			return
 		}
-		if viewHandler != nil {
-			err = viewHandler.OnFrameView(sess, v)
-		} else {
-			err = s.cfg.Handler.OnFrame(sess, v.Materialize())
-		}
-		if err != nil {
+		if err := s.cfg.Handler.OnFrameView(sess, v); err != nil {
 			sess.SendError("frame rejected", err.Error())
 			return
 		}

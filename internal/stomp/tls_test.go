@@ -78,8 +78,8 @@ func TestTLSClientServer(t *testing.T) {
 	if _, err := client.Subscribe("/t", "", nil, func(f *Frame) { received <- f }); err != nil {
 		t.Fatalf("Subscribe: %v", err)
 	}
-	if err := client.SendReceipt("/t", map[string]string{"k": "v"}, []byte("over tls"), 5*time.Second); err != nil {
-		t.Fatalf("SendReceipt: %v", err)
+	if err := client.SendImageReceipt(sendImage("/t", map[string]string{"k": "v"}, []byte("over tls")), 5*time.Second); err != nil {
+		t.Fatalf("SendImageReceipt: %v", err)
 	}
 	select {
 	case f := <-received:

@@ -132,26 +132,3 @@ type FrameView struct {
 func (v *FrameView) Materialize() *Frame {
 	return &Frame{Command: v.Command, Headers: v.Headers.Map(), Body: v.Body}
 }
-
-// ViewFromFrame builds a FrameView over a materialised frame, bridging
-// map-based producers into view-based consumers (the broker's OnFrame
-// adapter). Canonical keys are interned as the decoder would; header order
-// is the map's iteration order. The returned view owns its buffer and
-// stays valid as long as the caller holds it.
-func ViewFromFrame(f *Frame) *FrameView {
-	v := &FrameView{Command: f.Command, Body: f.Body}
-	hv := &v.Headers
-	for k, val := range f.Headers {
-		var sp headerSpan
-		kb := []byte(k)
-		sp.key, _ = internHeaderKey(kb)
-		sp.k0 = len(hv.buf)
-		hv.buf = append(hv.buf, kb...)
-		sp.k1 = len(hv.buf)
-		sp.v0 = len(hv.buf)
-		hv.buf = append(hv.buf, val...)
-		sp.v1 = len(hv.buf)
-		hv.spans = append(hv.spans, sp)
-	}
-	return v
-}

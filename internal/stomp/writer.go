@@ -18,7 +18,7 @@ const closeFlushTimeout = 2 * time.Second
 // configuration does not override it. A full queue blocks senders,
 // propagating back-pressure to the goroutines producing frames (typically
 // a peer connection's read loop) — unless the sender chose one of the
-// non-blocking enqueue paths (trySend, sendDropOldest).
+// non-blocking enqueue modes (EnqueueTry, EnqueueEvict).
 const defaultWriteQueueLen = 128
 
 // resolveWriteQueueLen maps a configured queue length to the effective
@@ -35,31 +35,38 @@ func resolveWriteQueueLen(n int) (int, error) {
 	return n, nil
 }
 
-// outFrame pairs a queued frame with its flush class. For broadcast
-// MESSAGE sends, sub/idPrefix/seq carry the per-delivery routing headers
-// so the shared base frame is never cloned; the encoder emits them
-// in-line. When img is set the frame is a preencoded wire image — the
-// hottest path — and only the per-send headers are encoded: the routing
-// headers when sub names a subscription (MESSAGE delivery), or the
-// receipt header when it does not (producer SEND image). payload is an
-// opaque caller handle (the broker's event) reported back if the frame is
-// evicted by a drop-oldest enqueue; it is never touched otherwise.
+// EnqueueMode selects what an enqueue does when the connection's write
+// queue is full. The mechanics live in frameWriter.enqueue; the decision
+// of which mode a delivery deserves belongs to the caller (the broker's
+// overflow policy).
+type EnqueueMode uint8
+
+const (
+	// EnqueueBlock waits for the writer to drain: lossless back-pressure.
+	EnqueueBlock EnqueueMode = iota
+	// EnqueueTry fails fast: a full queue reports "not queued" and leaves
+	// the overflow decision — drop, count, evict — to the caller.
+	EnqueueTry
+	// EnqueueEvict makes room by evicting the oldest queued deliveries —
+	// never control frames — reporting each through onEvict.
+	EnqueueEvict
+)
+
+// outFrame is one queued frame in exactly one of three kinds: a control
+// frame (f set) encoded in full; a routed MESSAGE delivery (img set and
+// route naming a subscription), where only the route's per-delivery
+// headers are encoded around the shared preencoded image; or a producer
+// SEND image (img set, no subscription) with an optional receipt splice.
+// flush forces an immediate flush after the frame. payload is an opaque
+// caller handle (the broker's event) reported back if the delivery is
+// evicted by an EnqueueEvict enqueue; it is never touched otherwise.
 type outFrame struct {
 	f       *Frame
-	img     *WireImage // non-nil: preencoded image
-	payload any        // opaque handle for eviction reporting
-	sub     string     // non-empty: encode as MESSAGE with routing headers
-	idSeq   uint64
-
-	idPrefix string
-	receipt  string // img set, sub empty: SEND image receipt splice
-	flush    bool
-
-	// offset carries a replayed journal record's offset (hasOffset set) so
-	// the encoder splices the delivery-offset header alongside the routing
-	// headers; hasOffset distinguishes a real offset 0 from "no offset".
-	offset    int64
-	hasOffset bool
+	img     *WireImage
+	route   Route
+	receipt string
+	payload any
+	flush   bool
 }
 
 // frameWriter is the write-coalescing frame sink of one connection. Sends
@@ -91,18 +98,18 @@ type frameWriter struct {
 	quit chan struct{} // closed by close()/kill() under mu; run() drains and exits
 	done chan struct{} // closed when the writer goroutine exits
 
-	// onEvict observes broadcast deliveries evicted by sendDropOldest;
-	// set once before the first send, nil when unused.
+	// onEvict observes deliveries evicted by an EnqueueEvict enqueue; set
+	// once before the first send, nil when unused.
 	onEvict func(of outFrame)
 
 	// highWater tracks the deepest queue occupancy observed at enqueue
 	// time — the slow-consumer early-warning signal surfaced in stats.
 	highWater atomic.Int64
 
-	// mu fences send against close: senders hold the read side across
+	// mu fences enqueue against close: senders hold the read side across
 	// the enqueue, so once close() holds the write side and sets closed,
 	// no frame can slip into ch after run()'s final drain — an accepted
-	// send is always written (or discarded visibly via the sticky error).
+	// frame is always written (or discarded visibly via the sticky error).
 	mu     sync.RWMutex
 	closed bool
 
@@ -130,35 +137,24 @@ func newFrameWriter(conn net.Conn, queueLen int, writeTimeout time.Duration, onE
 	return fw
 }
 
-// send enqueues a frame. It blocks while the queue is full and fails fast
-// after a write error or close. A nil return means the frame was queued,
-// not that it reached the peer; callers needing confirmation use receipts.
-//
-// A send blocked on a full queue holds fw.mu's read side, which close()
-// needs for its write side — that is safe, not a deadlock: the writer
-// goroutine keeps draining until quit is closed, which close() can only
-// do after this send completes. (A writer wedged mid-flush on a dead peer
-// stalls that drain; arm writeTimeout to bound it.)
+// send enqueues a control frame, blocking while the queue is full.
 func (fw *frameWriter) send(of outFrame) error {
-	if ep := fw.err.Load(); ep != nil {
-		return *ep
-	}
-	fw.mu.RLock()
-	defer fw.mu.RUnlock()
-	if fw.closed {
-		return net.ErrClosed
-	}
-	fw.ch <- of
-	fw.noteDepth()
-	return nil
+	_, err := fw.enqueue(of, EnqueueBlock)
+	return err
 }
 
-// trySend is send without the blocking: a full queue returns (false, nil)
-// immediately instead of waiting for the writer to drain. The overflow
-// decision is the caller's — the broker's drop-newest and disconnect
-// policies ride this path so a stalled session never blocks the
-// publishing goroutine.
-func (fw *frameWriter) trySend(of outFrame) (bool, error) {
+// enqueue puts a frame on the queue under the given mode and reports
+// whether it was queued; only EnqueueTry can report (false, nil) — a full
+// queue it declined to wait for. It fails fast after a write error or
+// close. Queued means accepted, not that the frame reached the peer;
+// callers needing confirmation use receipts.
+//
+// An enqueue blocked on a full queue holds fw.mu's read side, which
+// close() needs for its write side — that is safe, not a deadlock: the
+// writer goroutine keeps draining until quit is closed, which close() can
+// only do after this enqueue completes. (A writer wedged mid-flush on a
+// dead peer stalls that drain; arm writeTimeout to bound it.)
+func (fw *frameWriter) enqueue(of outFrame, mode EnqueueMode) (bool, error) {
 	if ep := fw.err.Load(); ep != nil {
 		return false, *ep
 	}
@@ -167,43 +163,41 @@ func (fw *frameWriter) trySend(of outFrame) (bool, error) {
 	if fw.closed {
 		return false, net.ErrClosed
 	}
-	select {
-	case fw.ch <- of:
-		fw.noteDepth()
-		return true, nil
+	switch mode {
+	case EnqueueTry:
+		select {
+		case fw.ch <- of:
+		default:
+			return false, nil
+		}
+	case EnqueueEvict:
+		fw.putEvicting(of)
 	default:
-		return false, nil
+		fw.ch <- of
 	}
+	fw.noteDepth()
+	return true, nil
 }
 
-// sendDropOldest enqueues of, evicting queued broadcast deliveries
-// (sub != "") from the head of the queue while it is full — the
+// putEvicting enqueues of, evicting queued deliveries (frames routed to
+// a subscription) from the head of the queue while it is full — the
 // drop-oldest overflow policy. Every evicted delivery is reported through
 // onEvict on the calling goroutine; the enqueue itself never blocks on a
 // stalled peer. Control frames (receipts, errors, handshake traffic)
 // encountered at the head are never dropped: they are re-enqueued at the
 // tail, which may reorder them relative to other control frames (each
-// carries its own correlation id) but never relative to broadcast
-// deliveries, which are only ever dropped, not reordered.
-func (fw *frameWriter) sendDropOldest(of outFrame) error {
-	if ep := fw.err.Load(); ep != nil {
-		return *ep
-	}
-	fw.mu.RLock()
-	defer fw.mu.RUnlock()
-	if fw.closed {
-		return net.ErrClosed
-	}
+// carries its own correlation id) but never relative to deliveries,
+// which are only ever dropped, not reordered.
+func (fw *frameWriter) putEvicting(of outFrame) {
 	for {
 		select {
 		case fw.ch <- of:
-			fw.noteDepth()
-			return nil
+			return
 		default:
 		}
 		select {
 		case old := <-fw.ch:
-			if old.sub != "" {
+			if old.route.Subscription != "" {
 				if fw.onEvict != nil {
 					fw.onEvict(old)
 				}
@@ -212,7 +206,8 @@ func (fw *frameWriter) sendDropOldest(of outFrame) error {
 			// A control frame must reach the peer: put it back. The slot
 			// this pop just freed makes the re-enqueue all but certain to
 			// succeed immediately; losing the race to a concurrent sender
-			// degrades to a (briefly) blocking put, identical to send().
+			// degrades to a (briefly) blocking put, identical to a
+			// blocking enqueue.
 			fw.ch <- old
 		default:
 			// The writer drained the queue between attempts; retry.
@@ -306,16 +301,12 @@ func (fw *frameWriter) write(of outFrame) {
 	fw.armDeadline()
 	var err error
 	switch {
-	case of.img != nil && of.sub != "" && of.hasOffset:
-		err = fw.enc.EncodeImageOffset(fw.bw, of.img, of.sub, of.idPrefix, of.idSeq, of.offset)
-	case of.img != nil && of.sub != "":
-		err = fw.enc.EncodeImage(fw.bw, of.img, of.sub, of.idPrefix, of.idSeq)
-	case of.img != nil:
-		err = fw.enc.EncodeSendImage(fw.bw, of.img, of.receipt)
-	case of.sub != "":
-		err = fw.enc.EncodeMessage(fw.bw, of.f, of.sub, of.idPrefix, of.idSeq)
-	default:
+	case of.img == nil:
 		err = fw.enc.Encode(fw.bw, of.f)
+	case of.route.Subscription != "":
+		err = fw.enc.encodeRouted(fw.bw, of.img, of.route)
+	default:
+		err = fw.enc.EncodeSendImage(fw.bw, of.img, of.receipt)
 	}
 	if err != nil {
 		fw.fail(err)

@@ -53,8 +53,8 @@ func (h *sessionCapture) OnConnect(sess *Session, login string) error {
 	h.sessions <- sess
 	return nil
 }
-func (h *sessionCapture) OnFrame(*Session, *Frame) error { return nil }
-func (h *sessionCapture) OnDisconnect(*Session)          {}
+func (h *sessionCapture) OnFrameView(*Session, *FrameView) error { return nil }
+func (h *sessionCapture) OnDisconnect(*Session)                  {}
 
 func TestSessionQueueCapReflectsConfig(t *testing.T) {
 	h := &sessionCapture{sessions: make(chan *Session, 1)}
@@ -103,15 +103,18 @@ func stalledWriter(t *testing.T, queueLen int) (*frameWriter, func()) {
 	return fw, cleanup
 }
 
+// delivery builds a routed MESSAGE delivery for subscription s1, the only
+// evictable frame kind.
+func delivery(body string, payload any) outFrame {
+	img := NewMessageImage(map[string]string{HdrDestination: "/t"}, []byte(body))
+	return outFrame{img: img, route: Route{Subscription: "s1", IDPrefix: "m-1-"}, payload: payload}
+}
+
 // fillQueue sends frames until the writer has one frame wedged in its
 // write and queueLen frames queued, i.e. the next enqueue would block.
 func fillQueue(t *testing.T, fw *frameWriter, queueLen int) {
 	t.Helper()
-	mk := func(i int) outFrame {
-		f := NewFrame(CmdMessage)
-		f.SetHeader("i", string(rune('a'+i)))
-		return outFrame{f: f, sub: "s1"}
-	}
+	mk := func(i int) outFrame { return delivery(string(rune('a'+i)), nil) }
 	// First frame: wakes the writer, which wedges in the pipe write. The
 	// flush flag makes it wedge inside write() — before drainQueued could
 	// race the fills below off the queue.
@@ -138,7 +141,7 @@ func fillQueue(t *testing.T, fw *frameWriter, queueLen int) {
 	}
 }
 
-func TestTrySendFullQueueDoesNotBlock(t *testing.T) {
+func TestEnqueueTryFullQueueDoesNotBlock(t *testing.T) {
 	const queueLen = 4
 	fw, _ := stalledWriter(t, queueLen)
 	fillQueue(t, fw, queueLen)
@@ -148,22 +151,22 @@ func TestTrySendFullQueueDoesNotBlock(t *testing.T) {
 	var err error
 	go func() {
 		defer close(done)
-		ok, err = fw.trySend(outFrame{f: NewFrame(CmdMessage), sub: "s1"})
+		ok, err = fw.enqueue(delivery("x", nil), EnqueueTry)
 	}()
 	select {
 	case <-done:
 	case <-time.After(5 * time.Second):
-		t.Fatal("trySend blocked on a full queue")
+		t.Fatal("EnqueueTry blocked on a full queue")
 	}
 	if ok || err != nil {
-		t.Errorf("trySend on full queue = %v, %v; want false, nil", ok, err)
+		t.Errorf("EnqueueTry on full queue = %v, %v; want false, nil", ok, err)
 	}
 	if got := fw.highWater.Load(); got != queueLen {
 		t.Errorf("high-water mark %d, want %d", got, queueLen)
 	}
 }
 
-func TestSendDropOldestEvictsDeliveriesNotControl(t *testing.T) {
+func TestEnqueueEvictEvictsDeliveriesNotControl(t *testing.T) {
 	const queueLen = 2
 	fw, _ := stalledWriter(t, queueLen)
 
@@ -177,9 +180,11 @@ func TestSendDropOldestEvictsDeliveriesNotControl(t *testing.T) {
 
 	// Wedge the writer on a first delivery (the flush flag wedges it
 	// inside write(), before it could drain more of the queue), then queue
-	// a control frame (RECEIPT, sub empty) followed by a delivery: the
+	// a control frame (RECEIPT, no route) followed by a delivery: the
 	// queue is [control, B].
-	if err := fw.send(outFrame{f: NewFrame(CmdMessage), sub: "s1", payload: "A", flush: true}); err != nil {
+	first := delivery("a", "A")
+	first.flush = true
+	if err := fw.send(first); err != nil {
 		t.Fatalf("send A: %v", err)
 	}
 	deadline := time.Now().Add(5 * time.Second)
@@ -194,23 +199,24 @@ func TestSendDropOldestEvictsDeliveriesNotControl(t *testing.T) {
 	if err := fw.send(outFrame{f: receipt, flush: true}); err != nil {
 		t.Fatalf("send control: %v", err)
 	}
-	if err := fw.send(outFrame{f: NewFrame(CmdMessage), sub: "s1", payload: "B"}); err != nil {
+	if err := fw.send(delivery("b", "B")); err != nil {
 		t.Fatalf("send B: %v", err)
 	}
 
-	// Drop-oldest enqueue of C: the control frame at the head must be
+	// Evicting enqueue of C: the control frame at the head must be
 	// re-enqueued, delivery B evicted, C queued.
 	done := make(chan error, 1)
 	go func() {
-		done <- fw.sendDropOldest(outFrame{f: NewFrame(CmdMessage), sub: "s1", payload: "C"})
+		_, err := fw.enqueue(delivery("c", "C"), EnqueueEvict)
+		done <- err
 	}()
 	select {
 	case err := <-done:
 		if err != nil {
-			t.Fatalf("sendDropOldest: %v", err)
+			t.Fatalf("EnqueueEvict: %v", err)
 		}
 	case <-time.After(5 * time.Second):
-		t.Fatal("sendDropOldest blocked")
+		t.Fatal("EnqueueEvict blocked")
 	}
 
 	mu.Lock()
@@ -218,8 +224,8 @@ func TestSendDropOldestEvictsDeliveriesNotControl(t *testing.T) {
 	if len(evicted) != 1 {
 		t.Fatalf("%d deliveries evicted, want 1 (got %+v)", len(evicted), evicted)
 	}
-	if evicted[0].payload != "B" || evicted[0].sub != "s1" {
-		t.Errorf("evicted payload %v sub %q, want B s1", evicted[0].payload, evicted[0].sub)
+	if evicted[0].payload != "B" || evicted[0].route.Subscription != "s1" {
+		t.Errorf("evicted payload %v sub %q, want B s1", evicted[0].payload, evicted[0].route.Subscription)
 	}
 	// The queue must still hold the control frame (never evicted) and C.
 	if len(fw.ch) != queueLen {
@@ -231,7 +237,7 @@ func TestSendDropOldestEvictsDeliveriesNotControl(t *testing.T) {
 	}
 	foundControl, foundC := false, false
 	for _, of := range kept {
-		if of.sub == "" && of.f.Command == CmdReceipt {
+		if of.f != nil && of.f.Command == CmdReceipt {
 			foundControl = true
 		}
 		if of.payload == "C" {
@@ -291,16 +297,14 @@ func TestWriteTimeoutFailsStalledPeer(t *testing.T) {
 
 	// The peer never reads: pump large frames until the buffers fill, the
 	// flush wedges, and the deadline fires.
-	body := make([]byte, 32*1024)
-	f := NewFrame(CmdMessage)
-	f.Body = body
+	big := delivery(string(make([]byte, 32*1024)), nil)
 	deadline := time.Now().Add(30 * time.Second)
 	var sticky error
 	for sticky == nil {
 		if time.Now().After(deadline) {
 			t.Fatal("write deadline never fired against a stalled peer")
 		}
-		if err := fw.send(outFrame{f: f, sub: "s1"}); err != nil {
+		if err := fw.send(big); err != nil {
 			sticky = err
 		}
 	}
