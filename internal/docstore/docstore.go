@@ -9,6 +9,28 @@
 // feed, one-way push replication between instances (Intranet → DMZ), and a
 // read-only mode for the DMZ replica so the web frontend cannot modify
 // application data (security requirement S1).
+//
+// # Views
+//
+// Views are materialised at read time, as CouchDB's are. A write runs no
+// view function; it only records the document's id in the set of documents
+// changed since the views last caught up. Query first folds that set into
+// every view's index — one view-function call per changed document per
+// view, under the write lock — and then answers from the index in time
+// proportional to the number of hits, already in id order. So a write that
+// returned before Query began is visible to it (read-your-writes), the
+// first query after a batch of writes pays for the batch, and a store that
+// is written and never queried pays nothing: its changed-set is a set of
+// ids, bounded by the number of documents it holds however often they are
+// rewritten. View functions run under the store's lock and must not call
+// back into the store.
+//
+// # Documents are shared
+//
+// A stored *Document is never modified once installed; an update installs
+// a new one. Put, Get, Query, Changes and replication therefore hand out
+// the stored pointer itself, and a replica shares its source's Data and
+// Labels. See Document for what that asks of callers.
 package docstore
 
 import (
@@ -38,8 +60,11 @@ var (
 	ErrNoView = errors.New("docstore: no such view")
 )
 
-// Document is a stored document. Fields are immutable once returned;
-// callers receive copies.
+// Document is a stored document. Documents are shared and read-only: the
+// pointers the store returns are the ones it holds (and the ones its
+// replicas' documents share Data and Labels with), so callers must not
+// modify a returned document, its Data or its Labels. Copy what needs
+// changing.
 type Document struct {
 	// ID is the document id.
 	ID string `json:"_id"`
@@ -55,18 +80,6 @@ type Document struct {
 	// data exactly as the backend's storage unit wrote it.
 	Labels label.Set `json:"labels,omitempty"`
 }
-
-func (d *Document) clone() *Document {
-	out := *d
-	if d.Data != nil {
-		out.Data = append(json.RawMessage(nil), d.Data...)
-	}
-	return &out
-}
-
-// ViewFunc maps a document to zero or more view keys (a CouchDB map
-// function restricted to key emission, which is all SafeWeb needs).
-type ViewFunc func(doc *Document) []string
 
 // Options configure a store.
 type Options struct {
@@ -84,16 +97,19 @@ type Store struct {
 	mu    sync.RWMutex
 	docs  map[string]*Document
 	seq   uint64
-	views map[string]ViewFunc
+	views map[string]*viewIndex
+	// changed holds the ids written since the views last caught up.
+	changed map[string]struct{}
 }
 
 // New creates an empty store with the given name.
 func New(name string, opts Options) *Store {
 	return &Store{
-		name:  name,
-		opts:  opts,
-		docs:  make(map[string]*Document),
-		views: make(map[string]ViewFunc),
+		name:    name,
+		opts:    opts,
+		docs:    make(map[string]*Document),
+		views:   make(map[string]*viewIndex),
+		changed: make(map[string]struct{}),
 	}
 }
 
@@ -104,23 +120,26 @@ func (s *Store) Name() string { return s.name }
 func (s *Store) ReadOnly() bool { return s.opts.ReadOnly }
 
 // revFor computes the next revision string from a revision counter and
-// content hash, CouchDB-style.
+// content hash, CouchDB-style: "N-" and the first 8 bytes, in hex, of
+// SHA-256(data ‖ deleted flag byte).
 func revFor(prevRev string, data []byte, deleted bool) string {
 	n := 0
-	if prevRev != "" {
-		if idx := strings.IndexByte(prevRev, '-'); idx > 0 {
-			n, _ = strconv.Atoi(prevRev[:idx])
-		}
+	if idx := strings.IndexByte(prevRev, '-'); idx > 0 {
+		n, _ = strconv.Atoi(prevRev[:idx])
 	}
-	h := sha256.Sum256(append(data, byte(btoi(deleted))))
-	return fmt.Sprintf("%d-%s", n+1, hex.EncodeToString(h[:8]))
-}
-
-func btoi(b bool) int {
-	if b {
-		return 1
+	var flag [1]byte
+	if deleted {
+		flag[0] = 1
 	}
-	return 0
+	h := sha256.New()
+	h.Write(data)
+	h.Write(flag[:])
+	var sum [sha256.Size]byte
+	var buf [20 + 1 + 16]byte // decimal counter, '-', 8 bytes in hex
+	rev := strconv.AppendInt(buf[:0], int64(n)+1, 10)
+	rev = append(rev, '-')
+	rev = hex.AppendEncode(rev, h.Sum(sum[:0])[:8])
+	return string(rev)
 }
 
 // Put creates or updates a document. For updates, rev must equal the
@@ -167,7 +186,8 @@ func (s *Store) put(id string, data any, labels label.Set, rev string) (*Documen
 		Labels: labels.Clone(),
 	}
 	s.docs[id] = doc
-	return doc.clone(), nil
+	s.changed[id] = struct{}{}
+	return doc, nil
 }
 
 func toRaw(data any) (json.RawMessage, error) {
@@ -199,7 +219,7 @@ func (s *Store) Get(id string) (*Document, error) {
 	if doc == nil || doc.Deleted {
 		return nil, fmt.Errorf("%w: %s", ErrNotFound, id)
 	}
-	return doc.clone(), nil
+	return doc, nil
 }
 
 // Delete tombstones a document at the given revision.
@@ -224,6 +244,7 @@ func (s *Store) Delete(id, rev string) error {
 		Deleted: true,
 		Labels:  doc.Labels,
 	}
+	s.changed[id] = struct{}{}
 	return nil
 }
 
@@ -261,40 +282,6 @@ func (s *Store) Seq() uint64 {
 	return s.seq
 }
 
-// RegisterView installs a named map view, e.g. "by_mid".
-func (s *Store) RegisterView(name string, fn ViewFunc) {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	s.views[name] = fn
-}
-
-// Query evaluates a view and returns the live documents emitting the given
-// key, in id order. This is the frontend's Listing 2 query:
-// Records.by_mid(:key => params[:mid]).
-func (s *Store) Query(view, key string) ([]*Document, error) {
-	s.mu.RLock()
-	fn := s.views[view]
-	if fn == nil {
-		s.mu.RUnlock()
-		return nil, fmt.Errorf("%w: %s", ErrNoView, view)
-	}
-	var out []*Document
-	for _, doc := range s.docs {
-		if doc.Deleted {
-			continue
-		}
-		for _, k := range fn(doc) {
-			if k == key {
-				out = append(out, doc.clone())
-				break
-			}
-		}
-	}
-	s.mu.RUnlock()
-	sort.Slice(out, func(i, j int) bool { return out[i].ID < out[j].ID })
-	return out, nil
-}
-
 // Change is one changes-feed entry.
 type Change struct {
 	// Seq is the change sequence.
@@ -307,28 +294,43 @@ type Change struct {
 // sequence order. Only the latest revision of each document appears, as in
 // CouchDB's default feed.
 func (s *Store) Changes(since uint64) []Change {
+	out, _ := s.changesSince(since)
+	return out
+}
+
+// changesSince is Changes plus the store's sequence at the same instant,
+// so that a feed's "last_seq" never runs ahead of its results. A caller
+// that is up to date costs one comparison, not a walk of the store.
+func (s *Store) changesSince(since uint64) ([]Change, uint64) {
 	s.mu.RLock()
+	seq := s.seq
+	if since >= seq {
+		s.mu.RUnlock()
+		return nil, seq
+	}
 	var out []Change
 	for _, doc := range s.docs {
 		if doc.Seq > since {
-			out = append(out, Change{Seq: doc.Seq, Doc: doc.clone()})
+			out = append(out, Change{Seq: doc.Seq, Doc: doc})
 		}
 	}
 	s.mu.RUnlock()
 	sort.Slice(out, func(i, j int) bool { return out[i].Seq < out[j].Seq })
-	return out
+	return out, seq
 }
 
 // applyReplicated installs a replicated document, bypassing the read-only
 // gate (replication is the one permitted inbound path to a DMZ replica,
 // matching CouchDB push replication through the firewall in Fig. 4). The
 // incoming revision wins unconditionally: replication is one-way, so the
-// source is authoritative.
+// source is authoritative. Only the sequence is the destination's own; the
+// body and the labels are shared with the source's document.
 func (s *Store) applyReplicated(doc *Document) {
+	copied := *doc
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	s.seq++
-	copied := doc.clone()
 	copied.Seq = s.seq
-	s.docs[copied.ID] = copied
+	s.docs[copied.ID] = &copied
+	s.changed[copied.ID] = struct{}{}
 }

@@ -34,11 +34,16 @@ func Handler(s *Store) http.Handler {
 		})
 	})
 	mux.HandleFunc("GET /_changes", func(w http.ResponseWriter, r *http.Request) {
-		since, _ := strconv.ParseUint(r.URL.Query().Get("since"), 10, 64)
-		writeJSON(w, http.StatusOK, map[string]any{
-			"results":  s.Changes(since),
-			"last_seq": s.Seq(),
-		})
+		var since uint64
+		if v := r.URL.Query().Get("since"); v != "" {
+			var err error
+			if since, err = strconv.ParseUint(v, 10, 64); err != nil {
+				writeError(w, fmt.Errorf("docstore: bad request: since=%q is not a sequence number", v))
+				return
+			}
+		}
+		results, lastSeq := s.changesSince(since)
+		writeJSON(w, http.StatusOK, map[string]any{"results": results, "last_seq": lastSeq})
 	})
 	mux.HandleFunc("GET /_view/{name}", func(w http.ResponseWriter, r *http.Request) {
 		docs, err := s.Query(r.PathValue("name"), r.URL.Query().Get("key"))

@@ -100,6 +100,13 @@ func TestHTTPErrors(t *testing.T) {
 	if resp.StatusCode != http.StatusNotFound {
 		t.Errorf("unknown view status = %d", resp.StatusCode)
 	}
+	// An unreadable since must not be taken for 0, which replays the feed.
+	for _, since := range []string{"abc", "-1", "1.5"} {
+		resp, _ = doReq(t, "GET", srv.URL+"/_changes?since="+since, "", nil)
+		if resp.StatusCode != http.StatusBadRequest {
+			t.Errorf("changes since=%s status = %d", since, resp.StatusCode)
+		}
+	}
 }
 
 func TestHTTPReadOnly(t *testing.T) {
@@ -147,8 +154,17 @@ func TestHTTPViewAndChanges(t *testing.T) {
 		t.Fatalf("changes status = %d", resp.StatusCode)
 	}
 	results, _ := body["results"].([]any)
-	if len(results) != 2 {
-		t.Errorf("changes = %v", body["results"])
+	if len(results) != 2 || body["last_seq"].(float64) != 2 {
+		t.Errorf("changes = %v up to %v", body["results"], body["last_seq"])
+	}
+	// No since is the whole feed; a reader that is up to date gets none of it.
+	_, body = doReq(t, "GET", srv.URL+"/_changes", "", nil)
+	if results, _ = body["results"].([]any); len(results) != 2 {
+		t.Errorf("changes without since = %v", body["results"])
+	}
+	resp, body = doReq(t, "GET", srv.URL+"/_changes?since=2", "", nil)
+	if resp.StatusCode != http.StatusOK || body["results"] != nil || body["last_seq"].(float64) != 2 {
+		t.Errorf("changes since=2: %d %v", resp.StatusCode, body)
 	}
 
 	resp, body = doReq(t, "GET", srv.URL+"/_info", "", nil)

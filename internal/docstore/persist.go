@@ -22,7 +22,7 @@ func (s *Store) Save(path string) error {
 	s.mu.RLock()
 	img := fileImage{Name: s.name, Seq: s.seq, Docs: make([]*Document, 0, len(s.docs))}
 	for _, doc := range s.docs {
-		img.Docs = append(img.Docs, doc.clone())
+		img.Docs = append(img.Docs, doc)
 	}
 	s.mu.RUnlock()
 	sort.Slice(img.Docs, func(i, j int) bool { return img.Docs[i].Seq < img.Docs[j].Seq })

@@ -29,31 +29,35 @@ const (
 // Intranet instance and the DMZ replica register them; queries run against
 // the replica).
 func RegisterViews(s *docstore.Store) {
-	s.RegisterView(ViewRecordsByMDT, func(doc *docstore.Document) []string {
-		var rec struct {
-			MDT string `json:"mdt"`
-		}
-		if err := json.Unmarshal(doc.Data, &rec); err != nil || rec.MDT == "" {
-			return nil
-		}
-		if !strings.HasPrefix(doc.ID, "record/") {
-			return nil
-		}
-		return []string{rec.MDT}
-	})
-	s.RegisterView(ViewMetricsByRegion, func(doc *docstore.Document) []string {
-		var m struct {
-			Scope  string `json:"scope"`
-			Region string `json:"region"`
-		}
-		if err := json.Unmarshal(doc.Data, &m); err != nil {
-			return nil
-		}
-		if m.Scope != "mdt" || !strings.HasPrefix(doc.ID, "metric/mdt/") {
-			return nil
-		}
-		return []string{m.Region}
-	})
+	s.RegisterView(ViewRecordsByMDT, recordsByMDT)
+	s.RegisterView(ViewMetricsByRegion, metricsByRegion)
+}
+
+func recordsByMDT(doc *docstore.Document) []string {
+	var rec struct {
+		MDT string `json:"mdt"`
+	}
+	if err := json.Unmarshal(doc.Data, &rec); err != nil || rec.MDT == "" {
+		return nil
+	}
+	if !strings.HasPrefix(doc.ID, "record/") {
+		return nil
+	}
+	return []string{rec.MDT}
+}
+
+func metricsByRegion(doc *docstore.Document) []string {
+	var m struct {
+		Scope  string `json:"scope"`
+		Region string `json:"region"`
+	}
+	if err := json.Unmarshal(doc.Data, &m); err != nil {
+		return nil
+	}
+	if m.Scope != "mdt" || !strings.HasPrefix(doc.ID, "metric/mdt/") {
+		return nil
+	}
+	return []string{m.Region}
 }
 
 // WebAppConfig wires the MDT web application.
