@@ -13,15 +13,24 @@ func tinyWorkload() Workload {
 	return Workload{Patients: 30, Requests: 20, AuthWork: 10, Seed: 3}
 }
 
+// pageWorkload is tinyWorkload for the frontend experiments. A page over
+// documents labelled once takes some 15 µs, so 20 of them are over before
+// one scheduling hiccup is; 200 make the two modes' means comparable.
+func pageWorkload() Workload {
+	w := tinyWorkload()
+	w.Requests = 200
+	return w
+}
+
 func TestPageGenerationComparison(t *testing.T) {
-	cmp, err := PageGeneration(tinyWorkload())
+	cmp, err := PageGeneration(pageWorkload())
 	if err != nil {
 		t.Fatalf("PageGeneration: %v", err)
 	}
 	if cmp.Baseline.Mean <= 0 || cmp.SafeWeb.Mean <= 0 {
 		t.Errorf("non-positive means: %+v", cmp)
 	}
-	if cmp.Baseline.Operations != 20 || cmp.SafeWeb.Operations != 20 {
+	if cmp.Baseline.Operations != 200 || cmp.SafeWeb.Operations != 200 {
 		t.Errorf("operation counts: %+v", cmp)
 	}
 	// The overhead direction should match the paper: tracking costs
@@ -70,7 +79,7 @@ func TestThroughputComparison(t *testing.T) {
 }
 
 func TestFrontendBreakdownShape(t *testing.T) {
-	fb, err := MeasureFrontendBreakdown(tinyWorkload())
+	fb, err := MeasureFrontendBreakdown(pageWorkload())
 	if err != nil {
 		t.Fatalf("MeasureFrontendBreakdown: %v", err)
 	}

@@ -30,7 +30,9 @@
 // A stored *Document is never modified once installed; an update installs
 // a new one. Put, Get, Query, Changes and replication therefore hand out
 // the stored pointer itself, and a replica shares its source's Data and
-// Labels. See Document for what that asks of callers.
+// Labels. See Document for what that asks of callers. Because a revision
+// never changes, a reader may keep what it derives from one with the
+// revision itself (Document.Memo) and never has to invalidate it.
 package docstore
 
 import (
@@ -43,6 +45,7 @@ import (
 	"strconv"
 	"strings"
 	"sync"
+	"sync/atomic"
 
 	"safeweb/internal/label"
 )
@@ -64,7 +67,8 @@ var (
 // pointers the store returns are the ones it holds (and the ones its
 // replicas' documents share Data and Labels with), so callers must not
 // modify a returned document, its Data or its Labels. Copy what needs
-// changing.
+// changing. A Document holds a memo slot and must not be copied; build a
+// new one from its fields instead.
 type Document struct {
 	// ID is the document id.
 	ID string `json:"_id"`
@@ -79,6 +83,32 @@ type Document struct {
 	// Labels is the document's security label set, stored alongside the
 	// data exactly as the backend's storage unit wrote it.
 	Labels label.Set `json:"labels,omitempty"`
+
+	// memo is what a reader keeps with this revision; see Memo.
+	memo atomic.Pointer[any]
+}
+
+// Memo returns the value kept with this revision, calling build for it on
+// first use. A revision never changes, so whatever a reader derives from
+// one — the web frontend keeps its labelled form here — stays true for as
+// long as the revision exists: the value is owned by the document, is
+// collected with it, and needs no invalidation, because an update is
+// another *Document with an empty memo (so is a replica's document). The
+// store itself never calls Memo; nothing is built at write time.
+//
+// Memo takes no lock. First readers that race may each call build; one
+// result is kept and every caller gets that one. The slot is a single one:
+// all callers must keep the same kind of value in it, and the value must be
+// safe for concurrent use.
+func (d *Document) Memo(build func() any) any {
+	if kept := d.memo.Load(); kept != nil {
+		return *kept
+	}
+	built := build()
+	if d.memo.CompareAndSwap(nil, &built) {
+		return built
+	}
+	return *d.memo.Load()
 }
 
 // Options configure a store.
@@ -323,14 +353,20 @@ func (s *Store) changesSince(since uint64) ([]Change, uint64) {
 // gate (replication is the one permitted inbound path to a DMZ replica,
 // matching CouchDB push replication through the firewall in Fig. 4). The
 // incoming revision wins unconditionally: replication is one-way, so the
-// source is authoritative. Only the sequence is the destination's own; the
-// body and the labels are shared with the source's document.
+// source is authoritative. The destination's document is built afresh:
+// the sequence and the memo are its own, the body and the labels are
+// shared with the source's document.
 func (s *Store) applyReplicated(doc *Document) {
-	copied := *doc
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	s.seq++
-	copied.Seq = s.seq
-	s.docs[copied.ID] = &copied
-	s.changed[copied.ID] = struct{}{}
+	s.docs[doc.ID] = &Document{
+		ID:      doc.ID,
+		Rev:     doc.Rev,
+		Seq:     s.seq,
+		Deleted: doc.Deleted,
+		Data:    doc.Data,
+		Labels:  doc.Labels,
+	}
+	s.changed[doc.ID] = struct{}{}
 }

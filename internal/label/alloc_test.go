@@ -1,6 +1,9 @@
 package label
 
-import "testing"
+import (
+	"reflect"
+	"testing"
+)
 
 // TestSetStringAllocs pins the wire-rendering cost of label sets. The
 // single-label case — by far the most common on events — must render with
@@ -62,5 +65,65 @@ func TestWithoutFastPaths(t *testing.T) {
 	// Duplicated removal labels must still drop the label exactly once.
 	if got := s.Without(Conf("a"), Conf("a")); got.Len() != 1 {
 		t.Errorf("Without(a, a) = %v", got)
+	}
+}
+
+// sameSet reports whether two sets are one map, not merely equal ones.
+func sameSet(a, b Set) bool { return reflect.ValueOf(a).Pointer() == reflect.ValueOf(b).Pointer() }
+
+// TestUnionIntersectShareContainedOperand pins the composition fast path
+// the web tier's pages live on: when one operand already is the result,
+// Union and Intersect return that operand and allocate nothing, whichever
+// side it is on. A page whose every value carries one label set composes
+// its labels for free.
+func TestUnionIntersectShareContainedOperand(t *testing.T) {
+	big := NewSet(Conf("a"), Conf("b"), Int("i"))
+	small := NewSet(Conf("a"), Int("i"))
+	same := NewSet(Conf("a"), Conf("b"), Int("i"))
+	for _, c := range []struct {
+		name       string
+		x, y, want Set
+		op         func(x, y Set) Set
+	}{
+		{"big ∪ small", big, small, big, Set.Union},
+		{"small ∪ big", small, big, big, Set.Union},
+		{"big ∪ equal", big, same, big, Set.Union},
+		{"big ∪ itself", big, big, big, Set.Union},
+		{"big ∩ small", big, small, small, Set.Intersect},
+		{"small ∩ big", small, big, small, Set.Intersect},
+		{"big ∩ equal", big, same, big, Set.Intersect},
+		{"big ∩ itself", big, big, big, Set.Intersect},
+	} {
+		if got := c.op(c.x, c.y); !sameSet(got, c.want) {
+			t.Errorf("%s = %v, which is not the operand %v itself", c.name, got, c.want)
+		}
+		if n := testing.AllocsPerRun(100, func() { _ = c.op(c.x, c.y) }); n != 0 {
+			t.Errorf("%s allocs/op = %v, want 0", c.name, n)
+		}
+	}
+	// Derive over sources that carry one confidentiality label set — the
+	// leaves of a stored document — is the same fast path per source.
+	conf, confToo := NewSet(Conf("a"), Conf("b")), NewSet(Conf("a"), Conf("b"))
+	if got := Derive(conf, confToo, conf); !sameSet(got, conf) {
+		t.Errorf("Derive over equal sets = %v, which is not the first source itself", got)
+	}
+	if n := testing.AllocsPerRun(100, func() { _ = Derive(conf, confToo, conf) }); n != 0 {
+		t.Errorf("Derive over equal sets allocs/op = %v, want 0", n)
+	}
+
+	// Operands that only overlap still produce a fresh, correct set and
+	// are left as they were.
+	x, y := NewSet(Conf("a"), Conf("b")), NewSet(Conf("b"), Conf("c"))
+	if u := x.Union(y); !u.Equal(NewSet(Conf("a"), Conf("b"), Conf("c"))) || sameSet(u, x) || sameSet(u, y) {
+		t.Errorf("overlapping union = %v", u)
+	}
+	if i := x.Intersect(y); !i.Equal(NewSet(Conf("b"))) || sameSet(i, x) || sameSet(i, y) {
+		t.Errorf("overlapping intersection = %v", i)
+	}
+	if x.Len() != 2 || y.Len() != 2 {
+		t.Errorf("operands changed: %v %v", x, y)
+	}
+	if i := x.Intersect(NewSet(Conf("z"))); i != nil {
+		t.Errorf("disjoint intersection = %v, want nil", i)
 	}
 }

@@ -55,6 +55,28 @@ func TestQuickUnionLaws(t *testing.T) {
 	}
 }
 
+// TestQuickUnionIntersectModel: whichever operand Union and Intersect
+// return or build, the result holds exactly the labels the element-wise
+// definition gives.
+func TestQuickUnionIntersectModel(t *testing.T) {
+	model := func(a, b quickSet) bool {
+		union, inter := make(Set), make(Set)
+		for l := range a.Set {
+			union[l] = struct{}{}
+			if b.Contains(l) {
+				inter[l] = struct{}{}
+			}
+		}
+		for l := range b.Set {
+			union[l] = struct{}{}
+		}
+		return a.Union(b.Set).Equal(union) && a.Intersect(b.Set).Equal(inter)
+	}
+	if err := quick.Check(model, _quickCfg); err != nil {
+		t.Errorf("union/intersect disagree with the element-wise model: %v", err)
+	}
+}
+
 func TestQuickIntersectLaws(t *testing.T) {
 	commutative := func(a, b quickSet) bool {
 		return a.Intersect(b.Set).Equal(b.Intersect(a.Set))

@@ -130,7 +130,11 @@ func (s Set) Without(labels ...Label) Set {
 	return out
 }
 
-// Union returns the union of s and other.
+// Union returns the union of s and other. When one operand already
+// contains the other, that operand itself is returned (sets are immutable
+// by convention), so composing the labels of values that share one label
+// set — every leaf of a wrapped document, every interpolation of a page —
+// allocates nothing.
 func (s Set) Union(other Set) Set {
 	if len(other) == 0 {
 		return s
@@ -138,17 +142,37 @@ func (s Set) Union(other Set) Set {
 	if len(s) == 0 {
 		return other
 	}
-	out := make(Set, len(s)+len(other))
-	for l := range s {
+	// Only the larger operand can contain the other; at equal sizes either
+	// both do or neither does.
+	small, large := other, s
+	if len(large) < len(small) {
+		small, large = large, small
+	}
+	// One walk over the smaller operand both looks for a label the larger
+	// lacks and, from the first one found, builds the union: the labels
+	// walked before it are in the larger operand, so already copied.
+	var out Set
+	for l := range small {
+		if out == nil {
+			if large.Contains(l) {
+				continue
+			}
+			out = make(Set, len(s)+len(other))
+			for have := range large {
+				out[have] = struct{}{}
+			}
+		}
 		out[l] = struct{}{}
 	}
-	for l := range other {
-		out[l] = struct{}{}
+	if out == nil {
+		return large
 	}
 	return out
 }
 
-// Intersect returns the intersection of s and other.
+// Intersect returns the intersection of s and other. When the smaller
+// operand lies wholly inside the larger, the smaller operand itself is
+// returned rather than a copy of it.
 func (s Set) Intersect(other Set) Set {
 	if len(s) == 0 || len(other) == 0 {
 		return nil
@@ -157,12 +181,21 @@ func (s Set) Intersect(other Set) Set {
 	if len(large) < len(small) {
 		small, large = large, small
 	}
-	var out Set
+	matched := 0
 	for l := range small {
 		if large.Contains(l) {
-			if out == nil {
-				out = make(Set)
-			}
+			matched++
+		}
+	}
+	switch matched {
+	case 0:
+		return nil
+	case len(small):
+		return small
+	}
+	out := make(Set, matched)
+	for l := range small {
+		if large.Contains(l) {
 			out[l] = struct{}{}
 		}
 	}

@@ -409,7 +409,7 @@ func regTiny() maindb.Config {
 	return maindb.Config{Seed: 5, Patients: 20, Hospitals: 2, Regions: 2}
 }
 
-func firstMDTWithRecords(t *testing.T, d *Deployment) string {
+func firstMDTWithRecords(t testing.TB, d *Deployment) string {
 	t.Helper()
 	mdts := mdtsWithRecords(t, d)
 	if len(mdts) == 0 {
@@ -418,7 +418,7 @@ func firstMDTWithRecords(t *testing.T, d *Deployment) string {
 	return mdts[0]
 }
 
-func mdtsWithRecords(t *testing.T, d *Deployment) []string {
+func mdtsWithRecords(t testing.TB, d *Deployment) []string {
 	t.Helper()
 	var out []string
 	for _, m := range d.Registry.MDTs() {

@@ -59,9 +59,10 @@ func TestStoreImportRunsNoViewFunctions(t *testing.T) {
 // new revision, and the next page folds those changes into views that
 // already exist. The pages it then serves must be, byte for byte, the
 // pages served from views built from nothing over the same documents, and
-// must list the same patients in the same order as before. (Whole bodies
-// cannot be compared across the re-import: the aggregator's "reports" and
-// "cases" counts accumulate with every import.)
+// must list the same patients in the same order as before, over the new
+// revisions' contents. (Whole bodies cannot be compared across the
+// re-import: the aggregator's "reports" and "cases" counts accumulate with
+// every import.)
 func TestStorePagesAcrossReimport(t *testing.T) {
 	d := deployTest(t, DeployConfig{Registry: regSmall()})
 	m := firstMDTWithRecords(t, d)
@@ -124,6 +125,18 @@ func TestStorePagesAcrossReimport(t *testing.T) {
 	}
 	if was, is := listed(before[0]), listed(caughtUp[0]); !slices.Equal(was, is) {
 		t.Errorf("%s listed %v before the re-import and %v after", paths[0], was, is)
+	}
+	// No page is served over a superseded revision's labelled form: each
+	// body is what the per-request oracle (memo_test.go) makes of the
+	// documents stored now, and none is what was served before.
+	ref := probeApp(t, d, true)
+	for i, path := range paths {
+		if want := serve(ref, path, m, d.Creds[m]).body; caughtUp[i] != want {
+			t.Errorf("GET %s after the re-import:\n got %s\nwant %s", path, caughtUp[i], want)
+		}
+		if caughtUp[i] == before[i] {
+			t.Errorf("GET %s did not change across a re-import that rewrote every record", path)
+		}
 	}
 
 	RegisterViews(d.DMZDB) // start both views again from nothing

@@ -3,7 +3,7 @@ package mdt
 import (
 	"encoding/json"
 	"fmt"
-	"sort"
+	"slices"
 	"strings"
 
 	"safeweb/internal/docstore"
@@ -184,13 +184,14 @@ func (w *WebApp) guard(c *webfront.Ctx, mid string) error {
 	return nil
 }
 
-// fetchRecords loads and wraps the case records of an MDT.
-func (w *WebApp) fetchRecords(mid string) ([]taint.Doc, error) {
+// queryRecords loads the case records of an MDT, in document-id order —
+// which, the ids being "record/<mdt>/<patient id>", is patient-id order.
+func (w *WebApp) queryRecords(mid string) ([]*docstore.Document, error) {
 	docs, err := w.cfg.Store.Query(ViewRecordsByMDT, mid)
 	if err != nil {
 		return nil, fmt.Errorf("mdt: query records: %w", err)
 	}
-	return w.cfg.Frontend.WrapDocs(docs)
+	return docs, nil
 }
 
 // frontPage renders the logged-in user's own MDT page (F1 + F2).
@@ -202,7 +203,11 @@ func (w *WebApp) frontPage(c *webfront.Ctx) error {
 	if err := w.guard(c, mid); err != nil {
 		return err
 	}
-	records, err := w.fetchRecords(mid)
+	docs, err := w.queryRecords(mid)
+	if err != nil {
+		return err
+	}
+	records, err := w.cfg.Frontend.WrapDocs(docs)
 	if err != nil {
 		return err
 	}
@@ -222,23 +227,18 @@ func (w *WebApp) frontPage(c *webfront.Ctx) error {
 	return c.Render(frontPageTemplate, tctx)
 }
 
-// recordsByMDT is Listing 2: the JSON list of an MDT's case records.
+// recordsByMDT is Listing 2: the JSON list of an MDT's case records, in
+// patient-id order.
 func (w *WebApp) recordsByMDT(c *webfront.Ctx) error {
 	mid := c.Param("mid")
 	if err := w.guard(c, mid); err != nil {
 		return err
 	}
-	records, err := w.fetchRecords(mid)
+	docs, err := w.queryRecords(mid)
 	if err != nil {
 		return err
 	}
-	sortDocsByPatient(records)
-	body, err := taint.ToJSONList(records)
-	if err != nil {
-		return err
-	}
-	c.JSON(body)
-	return nil
+	return w.serveDocs(c, docs)
 }
 
 // recordDetail serves one case record (F1: "consult the details of
@@ -248,42 +248,14 @@ func (w *WebApp) recordDetail(c *webfront.Ctx) error {
 	if err := w.guard(c, mid); err != nil {
 		return err
 	}
-	doc, err := w.cfg.Store.Get("record/" + mid + "/" + pid)
-	if err != nil {
-		return webfront.ErrNotFound("record")
-	}
-	wrapped, err := w.cfg.Frontend.WrapDoc(doc)
-	if err != nil {
-		return err
-	}
-	body, err := wrapped.ToJSON()
-	if err != nil {
-		return err
-	}
-	c.JSON(body)
-	return nil
+	return w.serveDoc(c, "record/"+mid+"/"+pid, "record")
 }
 
-// metricsForMDT serves one MDT's aggregate metrics (F2).
+// metricsForMDT serves one MDT's aggregate metrics (F2). Aggregates carry
+// the region aggregate label, so no app-level MDT membership check
+// applies; SafeWeb's release check enforces the region rule of P1.
 func (w *WebApp) metricsForMDT(c *webfront.Ctx) error {
-	mid := c.Param("mid")
-	// Aggregates carry the region aggregate label, so no app-level MDT
-	// membership check applies; SafeWeb's release check enforces the
-	// region rule of P1.
-	doc, err := w.cfg.Store.Get("metric/mdt/" + mid)
-	if err != nil {
-		return webfront.ErrNotFound("metrics")
-	}
-	wrapped, err := w.cfg.Frontend.WrapDoc(doc)
-	if err != nil {
-		return err
-	}
-	body, err := wrapped.ToJSON()
-	if err != nil {
-		return err
-	}
-	c.JSON(body)
-	return nil
+	return w.serveDoc(c, "metric/mdt/"+c.Param("mid"), "metrics")
 }
 
 // compareRegion serves all MDT metrics of a region (F3: "MDT co-ordinators
@@ -294,30 +266,22 @@ func (w *WebApp) compareRegion(c *webfront.Ctx) error {
 	if err != nil {
 		return fmt.Errorf("mdt: query metrics: %w", err)
 	}
-	wrapped, err := w.cfg.Frontend.WrapDocs(docs)
-	if err != nil {
-		return err
-	}
-	body, err := taint.ToJSONList(wrapped)
-	if err != nil {
-		return err
-	}
-	c.JSON(body)
-	return nil
+	return w.serveDocs(c, docs)
 }
 
 // regionalAggregate serves a region's aggregate (F3: "or with regional
 // aggregates"), visible to all MDTs under P1.
 func (w *WebApp) regionalAggregate(c *webfront.Ctx) error {
-	doc, err := w.cfg.Store.Get("metric/region/" + c.Param("region"))
+	return w.serveDoc(c, "metric/region/"+c.Param("region"), "regional aggregate")
+}
+
+// serveDoc answers with one stored document as labelled JSON.
+func (w *WebApp) serveDoc(c *webfront.Ctx, id, what string) error {
+	doc, err := w.cfg.Store.Get(id)
 	if err != nil {
-		return webfront.ErrNotFound("regional aggregate")
+		return webfront.ErrNotFound(what)
 	}
-	wrapped, err := w.cfg.Frontend.WrapDoc(doc)
-	if err != nil {
-		return err
-	}
-	body, err := wrapped.ToJSON()
+	body, err := w.cfg.Frontend.DocJSON(doc)
 	if err != nil {
 		return err
 	}
@@ -325,10 +289,30 @@ func (w *WebApp) regionalAggregate(c *webfront.Ctx) error {
 	return nil
 }
 
+// serveDocs answers with a list of stored documents as labelled JSON.
+func (w *WebApp) serveDocs(c *webfront.Ctx, docs []*docstore.Document) error {
+	body, err := w.cfg.Frontend.DocsJSON(docs)
+	if err != nil {
+		return err
+	}
+	c.JSON(body)
+	return nil
+}
+
+// sortDocsByPatient orders wrapped records by patient id.
 func sortDocsByPatient(docs []taint.Doc) {
-	sort.Slice(docs, func(i, j int) bool {
-		return docs[i].GetString("patient_id").Raw() < docs[j].GetString("patient_id").Raw()
-	})
+	type keyed struct {
+		patient string
+		doc     taint.Doc
+	}
+	byPatient := make([]keyed, len(docs))
+	for i, d := range docs {
+		byPatient[i] = keyed{d.GetString("patient_id").Raw(), d}
+	}
+	slices.SortFunc(byPatient, func(a, b keyed) int { return strings.Compare(a.patient, b.patient) })
+	for i, k := range byPatient {
+		docs[i] = k.doc
+	}
 }
 
 // ProvisionUsers creates one portal account per MDT (username = the MDT

@@ -60,6 +60,37 @@ func wrapAny(v any, labels label.Set) any {
 	}
 }
 
+// Clone returns a document with containers of its own — the map, nested
+// documents and lists — over the receiver's leaves. Leaves (String, Number,
+// Value) are immutable values, so whatever is done to the clone, the
+// receiver and every other clone of it stay as they were. This is what lets
+// one wrapped form of a stored document serve many requests: each gets a
+// clone to do with as it likes.
+func (d Doc) Clone() Doc {
+	out := make(Doc, len(d))
+	for k, v := range d {
+		out[k] = cloneContainers(v)
+	}
+	return out
+}
+
+func cloneContainers(v any) any {
+	switch t := v.(type) {
+	case Doc:
+		return t.Clone()
+	case map[string]any:
+		return map[string]any(Doc(t).Clone())
+	case []any:
+		out := make([]any, len(t))
+		for i, e := range t {
+			out[i] = cloneContainers(e)
+		}
+		return out
+	default:
+		return v
+	}
+}
+
 // GetString returns the named field as a labelled string; missing or
 // non-string fields return the empty string.
 func (d Doc) GetString(key string) String {

@@ -2,6 +2,7 @@ package taint
 
 import (
 	"encoding/json"
+	"reflect"
 	"strings"
 	"testing"
 
@@ -170,5 +171,44 @@ func TestDocStringHidesContent(t *testing.T) {
 	}
 	if !strings.Contains(s, "secret") {
 		t.Errorf("Doc.String missing keys: %q", s)
+	}
+}
+
+// TestDocClone: a clone has its own map, nested documents and lists, at
+// every depth, over the same leaves; writing to either side leaves the
+// other as it was.
+func TestDocClone(t *testing.T) {
+	labels := label.NewSet(mdt7)
+	orig, err := WrapJSON([]byte(`{"name":"Smith","sites":["C50",{"sub":["x"]}],"stage":{"t":2,"nodes":[1,2]},"ok":true,"none":null}`), labels)
+	if err != nil {
+		t.Fatal(err)
+	}
+	orig["plain"] = map[string]any{"k": []any{NewString("v", mdt8)}}
+	want, _ := orig.ToJSON()
+
+	clone := orig.Clone()
+	if !reflect.DeepEqual(clone, orig) {
+		t.Fatalf("clone differs:\n got %#v\nwant %#v", clone, orig)
+	}
+	// Ruin the clone at every depth.
+	clone["name"] = NewString("Jones")
+	clone["sites"].([]any)[0] = NewString("C18")
+	clone["sites"].([]any)[1].(Doc)["sub"].([]any)[0] = NewString("y")
+	clone.GetDoc("stage")["t"] = NewNumber(4)
+	clone.GetDoc("stage")["nodes"].([]any)[1] = nil
+	clone["plain"].(map[string]any)["k"].([]any)[0] = NewString("w")
+	delete(clone, "ok")
+	if got, _ := orig.ToJSON(); got.Raw() != want.Raw() || !got.Labels().Equal(want.Labels()) {
+		t.Errorf("writing to the clone changed the original: %q", got.Raw())
+	}
+	// And the other way round.
+	second := orig.Clone()
+	clear(orig.GetDoc("stage"))
+	clear(orig)
+	if got, _ := second.ToJSON(); got.Raw() != want.Raw() {
+		t.Errorf("clearing the original changed a clone: %q", got.Raw())
+	}
+	if empty := (Doc(nil)).Clone(); empty == nil || len(empty) != 0 {
+		t.Errorf("clone of a nil document = %#v", empty)
 	}
 }

@@ -59,10 +59,14 @@ type node interface {
 	render(out *builder, scope *scope) error
 }
 
-// builder accumulates output text and labels.
+// builder accumulates output text and the union of the labels of
+// everything interpolated. Literal template text is unlabelled; union (not
+// Derive) keeps integrity labels that every interpolation shares out of
+// scope: pages mix trusted markup with data, so the page itself makes no
+// integrity claim.
 type builder struct {
 	text   strings.Builder
-	labels []label.Set
+	labels label.Set
 }
 
 func (b *builder) writeRaw(s string) { b.text.WriteString(s) }
@@ -73,33 +77,28 @@ func (b *builder) writeValue(s taint.String, escape bool) {
 		raw = html.EscapeString(raw)
 	}
 	b.text.WriteString(raw)
-	if !s.Labels().IsEmpty() {
-		b.labels = append(b.labels, s.Labels())
-	}
+	b.labels = b.labels.Union(s.Labels())
 }
 
 // scope is the variable environment during rendering: the base context
-// plus loop variables.
+// plus one link per enclosing loop, innermost first.
 type scope struct {
-	ctx  Context
-	vars map[string]any
+	ctx    Context
+	parent *scope
+	// name and value are the loop variable this link binds; the root link
+	// binds none.
+	name  string
+	value any
 }
 
 func (s *scope) lookup(name string) (any, bool) {
-	if v, ok := s.vars[name]; ok {
-		return v, true
+	for sc := s; sc.parent != nil; sc = sc.parent {
+		if sc.name == name {
+			return sc.value, true
+		}
 	}
 	v, ok := s.ctx[name]
 	return v, ok
-}
-
-func (s *scope) child(name string, value any) *scope {
-	vars := make(map[string]any, len(s.vars)+1)
-	for k, v := range s.vars {
-		vars[k] = v
-	}
-	vars[name] = value
-	return &scope{ctx: s.ctx, vars: vars}
 }
 
 // textNode is literal template text.
@@ -164,10 +163,13 @@ func (n forNode) render(out *builder, sc *scope) error {
 	if err != nil {
 		return fmt.Errorf("template: for %s: %w", n.varName, err)
 	}
+	// One link serves every row: rows are rendered one after another and
+	// nothing keeps a scope past its render call.
+	row := &scope{ctx: sc.ctx, parent: sc, name: n.varName}
 	for _, item := range items {
-		childScope := sc.child(n.varName, item)
+		row.value = item
 		for _, child := range n.body {
-			if err := child.render(out, childScope); err != nil {
+			if err := child.render(out, row); err != nil {
 				return err
 			}
 		}
@@ -185,33 +187,35 @@ func (t *Template) Render(ctx Context) (taint.String, error) {
 			return taint.String{}, err
 		}
 	}
-	// Literal template text is unlabelled; only interpolated labels count.
-	// Using union (not Derive) keeps integrity labels that every
-	// interpolation shares out of scope: pages mix trusted markup with
-	// data, so the page itself makes no integrity claim.
-	var all label.Set
-	for _, set := range out.labels {
-		all = all.Union(set)
-	}
-	return taint.WrapString(out.text.String(), all), nil
+	return taint.WrapString(out.text.String(), out.labels), nil
 }
 
 // Name returns the template's name.
 func (t *Template) Name() string { return t.name }
 
-// toTaintString renders any supported context value as a labelled string.
+// toTaintString renders a context value as a labelled string. It fails
+// closed: whatever labels the value carries, at any depth, the rendering
+// carries too, and a labelled value is never printed through its own
+// fmt.Stringer (which hides the contents but spells out the label URIs).
 func toTaintString(v any) taint.String {
 	switch t := v.(type) {
 	case taint.String:
 		return t
 	case taint.Number:
 		return t.Format(-1)
+	case taint.Value:
+		inner := toTaintString(t.Any())
+		return taint.WrapString(inner.Raw(), inner.Labels().Union(t.Labels()))
 	case taint.Doc:
 		s, err := t.ToJSON()
 		if err != nil {
 			return taint.NewString("{}")
 		}
 		return s
+	case map[string]any:
+		return toTaintString(taint.Doc(t))
+	case Context:
+		return toTaintString(taint.Doc(t))
 	case string:
 		return taint.NewString(t)
 	case int:
@@ -223,6 +227,14 @@ func toTaintString(v any) taint.String {
 	case nil:
 		return taint.String{}
 	default:
+		// Lists render their elements, comma-separated.
+		if items, err := toList(v); err == nil {
+			parts := make([]taint.String, len(items))
+			for i, item := range items {
+				parts[i] = toTaintString(item)
+			}
+			return taint.Join(parts, ", ")
+		}
 		return taint.NewString(fmt.Sprint(t))
 	}
 }
@@ -245,6 +257,8 @@ func truthy(v any) bool {
 		return !t.IsEmpty()
 	case taint.Number:
 		return t.Float() != 0
+	case taint.Value:
+		return truthy(t.Any())
 	case []any:
 		return len(t) > 0
 	case []taint.Doc:

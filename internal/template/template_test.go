@@ -257,3 +257,91 @@ func TestMDTFrontPageShape(t *testing.T) {
 		t.Errorf("page labels = %v", out.Labels())
 	}
 }
+
+// TestInterpolatedLabelledValues: interpolation fails closed. Every kind of
+// labelled value a wrapped document can hold renders as its contents —
+// never as Go debug text spelling out label URIs — and the page carries
+// the value's labels, so the release check sees them.
+func TestInterpolatedLabelledValues(t *testing.T) {
+	mdt7set, mdt8set := label.NewSet(mdt7), label.NewSet(mdt8)
+	wrapped, err := taint.WrapJSON([]byte(`{"consented":true,"sites":["C34.9","C34.1"],"stage":{"t":2,"n":"x"}}`), mdt7set)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, c := range []struct {
+		name, src string
+		ctx       Context
+		want      string
+		labels    []label.Label
+	}{
+		{"labelled boolean of a wrapped document", `<%= r.consented %>`, Context{"r": wrapped}, "true", []label.Label{mdt7}},
+		{"list of labelled strings", `<%= r.sites %>`, Context{"r": wrapped}, "C34.9, C34.1", []label.Label{mdt7}},
+		{"nested document", `<%== r.stage %>`, Context{"r": wrapped}, `{"n":"x","t":2}`, []label.Label{mdt7}},
+		{"labelled number in a Value", `<%= v %>`, Context{"v": taint.NewValue(2.5, mdt8set)}, "2.5", []label.Label{mdt8}},
+		{"labelled value inside a Value", `<%= v %>`, Context{"v": taint.NewValue(taint.NewString("in", mdt7), mdt8set)}, "in", []label.Label{mdt7, mdt8}},
+		{"plain map holding labelled values", `<%== m %>`,
+			Context{"m": map[string]any{"a": taint.NewString("x", mdt7), "b": []any{taint.NewNumber(1, mdt8)}}},
+			`{"a":"x","b":[1]}`, []label.Label{mdt7, mdt8}},
+		{"list mixing labels", `<%= l %>`,
+			Context{"l": []any{taint.NewString("a", mdt7), taint.NewValue(false, mdt8set), "plain", nil}},
+			"a, false, plain, ", []label.Label{mdt7, mdt8}},
+		{"list of documents", `<%== l %>`, Context{"l": []taint.Doc{{"k": taint.NewString("v", mdt7)}, {}}}, `{"k":"v"}, {}`, []label.Label{mdt7}},
+		{"empty list", `[<%= l %>]`, Context{"l": []any{}}, "[]", nil},
+	} {
+		out := render(t, c.src, c.ctx)
+		if out.Raw() != c.want {
+			t.Errorf("%s: rendered %q, want %q", c.name, out.Raw(), c.want)
+		}
+		if strings.Contains(out.Raw(), "label:") || strings.Contains(out.Raw(), "taint.") {
+			t.Errorf("%s: debug text reached the page: %q", c.name, out.Raw())
+		}
+		if !out.Labels().Equal(label.NewSet(c.labels...)) {
+			t.Errorf("%s: page labels = %v, want %v", c.name, out.Labels(), c.labels)
+		}
+	}
+}
+
+// TestInterpolatedValueTruthiness: a labelled boolean or number decides a
+// condition by its value, not by being present.
+func TestInterpolatedValueTruthiness(t *testing.T) {
+	set := label.NewSet(mdt7)
+	src := `<% if v %>yes<% else %>no<% end %>`
+	for _, c := range []struct {
+		v    any
+		want string
+	}{
+		{taint.NewValue(true, set), "yes"},
+		{taint.NewValue(false, set), "no"},
+		{taint.NewValue(0.0, set), "no"},
+		{taint.NewValue(3.0, set), "yes"},
+		{taint.NewValue(nil, set), "no"},
+	} {
+		if out := render(t, src, Context{"v": c.v}); out.Raw() != c.want {
+			t.Errorf("if %v rendered %q, want %q", c.v, out.Raw(), c.want)
+		}
+	}
+	// And compares by its value.
+	out := render(t, `<% if v == "true" %>eq<% end %>`, Context{"v": taint.NewValue(true, set)})
+	if out.Raw() != "eq" {
+		t.Errorf("labelled true does not compare equal to \"true\": %q", out.Raw())
+	}
+}
+
+// TestForLoopScopes: loop variables shadow and unwind across nested loops,
+// including two loops that use one name, and a row cannot see the
+// variable of a loop it is not inside.
+func TestForLoopScopes(t *testing.T) {
+	ctx := Context{
+		"x":     "ctx",
+		"outer": []any{"a", "b"},
+		"inner": []any{"1", "2"},
+	}
+	out := render(t, `<%= x %>|<% for x in outer %><%= x %>(<% for x in inner %><%= x %><% end %>)<%= x %><% for y in inner %><%= x %><%= y %><% end %>;<% end %>|<%= x %>`, ctx)
+	if want := "ctx|a(12)aa1a2;b(12)bb1b2;|ctx"; out.Raw() != want {
+		t.Errorf("Raw = %q, want %q", out.Raw(), want)
+	}
+	tmpl := MustParse("t", `<% for y in inner %><% end %><%= y %>`)
+	if _, err := tmpl.Render(ctx); err == nil {
+		t.Error("a loop variable outlived its loop")
+	}
+}

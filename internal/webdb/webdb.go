@@ -84,10 +84,14 @@ type DB struct {
 	usersByName map[string]*User
 	usersByID   map[int]*User
 	privRows    []PrivilegeRow
-	grants      []LabelGrant
-	sessions    map[string]*Session
-	usage       []UsageRecord
-	nextUID     int
+	// grants is the persisted form of the label grants; privsByUID is the
+	// same grants parsed and grouped by user, kept in step by GrantLabel
+	// and Load so that a request's privilege fetch parses nothing.
+	grants     []LabelGrant
+	privsByUID map[int]*label.Privileges
+	sessions   map[string]*Session
+	usage      []UsageRecord
+	nextUID    int
 }
 
 // UsageRecord is one usage-log entry.
@@ -103,6 +107,7 @@ func New() *DB {
 	return &DB{
 		usersByName: make(map[string]*User),
 		usersByID:   make(map[int]*User),
+		privsByUID:  make(map[int]*label.Privileges),
 		sessions:    make(map[string]*Session),
 	}
 }
@@ -282,29 +287,28 @@ func (db *DB) GrantLabel(uid int, priv label.Privilege, pattern label.Pattern) {
 		Privilege: priv.String(),
 		Pattern:   pattern.String(),
 	})
+	db.indexGrant(uid, priv, pattern)
 }
 
-// PrivilegesOf assembles the label privileges of a user from its grants.
-// This is the "user's privileges" fetched in step 1 of Fig. 3.
+// indexGrant files a grant under its user. The caller holds db.mu.
+func (db *DB) indexGrant(uid int, priv label.Privilege, pattern label.Pattern) {
+	privs := db.privsByUID[uid]
+	if privs == nil {
+		privs = label.NewPrivileges()
+		db.privsByUID[uid] = privs
+	}
+	privs.Grant(priv, pattern)
+}
+
+// PrivilegesOf returns the label privileges of a user, assembled from its
+// grants. This is the "user's privileges" fetched in step 1 of Fig. 3. The
+// result is the caller's own copy. The error is always nil — grants are
+// parsed when they are made or loaded — and stays in the signature for the
+// callers that check it.
 func (db *DB) PrivilegesOf(uid int) (*label.Privileges, error) {
 	db.mu.RLock()
 	defer db.mu.RUnlock()
-	privs := label.NewPrivileges()
-	for _, g := range db.grants {
-		if g.UID != uid {
-			continue
-		}
-		p, err := label.ParsePrivilege(g.Privilege)
-		if err != nil {
-			return nil, fmt.Errorf("webdb: grant for uid %d: %w", uid, err)
-		}
-		pat, err := label.ParsePattern(g.Pattern)
-		if err != nil {
-			return nil, fmt.Errorf("webdb: grant for uid %d: %w", uid, err)
-		}
-		privs.Grant(p, pat)
-	}
-	return privs, nil
+	return db.privsByUID[uid].Clone(), nil
 }
 
 // ---- sessions ----
@@ -414,6 +418,17 @@ func Load(path string) (*DB, error) {
 	db.nextUID = img.NextUID
 	db.privRows = img.PrivRows
 	db.grants = img.Grants
+	for _, g := range img.Grants {
+		priv, err := label.ParsePrivilege(g.Privilege)
+		if err != nil {
+			return nil, fmt.Errorf("webdb: grant for uid %d: %w", g.UID, err)
+		}
+		pattern, err := label.ParsePattern(g.Pattern)
+		if err != nil {
+			return nil, fmt.Errorf("webdb: grant for uid %d: %w", g.UID, err)
+		}
+		db.indexGrant(g.UID, priv, pattern)
+	}
 	for _, u := range img.Users {
 		db.usersByName[u.Username] = u
 		db.usersByID[u.ID] = u

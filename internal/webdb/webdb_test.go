@@ -2,7 +2,10 @@ package webdb
 
 import (
 	"errors"
+	"fmt"
+	"os"
 	"path/filepath"
+	"strings"
 	"testing"
 	"time"
 
@@ -208,5 +211,82 @@ func TestSaveLoadRoundTrip(t *testing.T) {
 
 	if _, err := Load(filepath.Join(t.TempDir(), "missing.json")); err == nil {
 		t.Error("Load missing succeeded")
+	}
+}
+
+// TestLabelGrantsIndexed: grants are parsed when they are made or loaded
+// and kept per user, so a privilege fetch costs the same however many
+// accounts there are; what it returns is the caller's own copy; and a
+// snapshot with a grant that does not parse is refused at Load rather than
+// at some later request.
+func TestLabelGrantsIndexed(t *testing.T) {
+	db := New()
+	var users []*User
+	for i := 0; i < 40; i++ {
+		u, err := db.CreateUser(fmt.Sprintf("mdt-%d", i), "pw")
+		if err != nil {
+			t.Fatal(err)
+		}
+		users = append(users, u)
+		db.GrantLabel(u.ID, label.Clearance, label.Exact(label.Conf(fmt.Sprintf("ecric.org.uk/mdt/%d", i))))
+		db.GrantLabel(u.ID, label.Clearance, label.MustParsePattern(fmt.Sprintf("label:conf:ecric.org.uk/region/%d/*", i%4)))
+		db.GrantLabel(u.ID, label.Declassify, label.Exact(label.Conf(fmt.Sprintf("ecric.org.uk/mdt/%d", i))))
+	}
+	check := func(db *DB) {
+		t.Helper()
+		for i, u := range users {
+			privs, err := db.PrivilegesOf(u.ID)
+			if err != nil {
+				t.Fatal(err)
+			}
+			own, other := label.Conf(fmt.Sprintf("ecric.org.uk/mdt/%d", i)), label.Conf(fmt.Sprintf("ecric.org.uk/mdt/%d", (i+1)%40))
+			if !privs.Has(label.Clearance, own) || !privs.Has(label.Declassify, own) ||
+				!privs.Has(label.Clearance, label.Conf(fmt.Sprintf("ecric.org.uk/region/%d/mdt-agg", i%4))) {
+				t.Errorf("%s lacks a granted privilege", u.Username)
+			}
+			if privs.Has(label.Clearance, other) || privs.Has(label.Endorse, own) ||
+				len(privs.Patterns(label.Clearance)) != 2 || len(privs.Patterns(label.Declassify)) != 1 {
+				t.Errorf("%s holds a privilege it was not granted: %v", u.Username, privs.Patterns(label.Clearance))
+			}
+			// The result is the caller's: granting on it reaches nobody.
+			privs.Grant(label.Clearance, label.Exact(other))
+			if again, _ := db.PrivilegesOf(u.ID); again.Has(label.Clearance, other) {
+				t.Fatalf("a grant on PrivilegesOf's result of %s stuck", u.Username)
+			}
+		}
+	}
+	check(db)
+	if n := testing.AllocsPerRun(100, func() { _, _ = db.PrivilegesOf(users[39].ID) }); n > 6 {
+		t.Errorf("PrivilegesOf among 40 accounts allocs/op = %v, want <= 6", n)
+	}
+
+	path := filepath.Join(t.TempDir(), "web.json")
+	if err := db.Save(path); err != nil {
+		t.Fatal(err)
+	}
+	back, err := Load(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	check(back)
+	// The persisted form stays the strings.
+	raw, err := os.ReadFile(path)
+	if err != nil || !strings.Contains(string(raw), `"privilege": "clearance"`) ||
+		!strings.Contains(string(raw), `"pattern": "label:conf:ecric.org.uk/region/3/*"`) {
+		t.Errorf("snapshot does not hold the grants as strings (err %v)", err)
+	}
+	for _, bad := range []string{
+		strings.Replace(string(raw), `"privilege": "declassify"`, `"privilege": "omnipotence"`, 1),
+		strings.Replace(string(raw), `"pattern": "label:conf:ecric.org.uk/mdt/0"`, `"pattern": "conf:ecric.org.uk/mdt/0"`, 1),
+	} {
+		if bad == string(raw) {
+			t.Fatal("the snapshot was not corrupted")
+		}
+		if err := os.WriteFile(path, []byte(bad), 0o600); err != nil {
+			t.Fatal(err)
+		}
+		if _, err := Load(path); err == nil || !strings.Contains(err.Error(), "grant for uid") {
+			t.Errorf("Load of a snapshot with a malformed grant: %v", err)
+		}
 	}
 }

@@ -7,7 +7,10 @@
 //  1. The request is authenticated (HTTP basic auth against the web
 //     database) and the user's confidentiality privileges are fetched.
 //  2. The handler queries the application database; fetched documents are
-//     wrapped as labelled values (taint.Doc).
+//     wrapped as labelled values (taint.Doc). A stored revision never
+//     changes, so its labelled form is built once, on first read, and kept
+//     with the revision (docs.go); every request gets containers of its
+//     own over those shared immutable leaves.
 //  3. The handler produces the response from labelled values; every write
 //     into the response accumulates labels.
 //  4. Before the response is sent, its label set is compared against the
@@ -30,7 +33,6 @@ import (
 	"sync/atomic"
 	"time"
 
-	"safeweb/internal/docstore"
 	"safeweb/internal/label"
 	"safeweb/internal/taint"
 	"safeweb/internal/template"
@@ -90,6 +92,14 @@ type Stats struct {
 	Blocked uint64
 	// AuthFailures counts failed authentications.
 	AuthFailures uint64
+	// DocReads counts reads of a stored revision's labelled forms (the
+	// wrapped document, its JSON; see WrapDoc and DocJSON), and DocBuilds
+	// those that found the form missing and built it: the first read of
+	// each form of each revision. Building the JSON reads the wrapped
+	// form. 1 - DocBuilds/DocReads is the share of reads the per-revision
+	// memo answered.
+	DocReads  uint64
+	DocBuilds uint64
 }
 
 // App is the SafeWeb web application host.
@@ -104,6 +114,8 @@ type App struct {
 	requests     atomic.Uint64
 	blocked      atomic.Uint64
 	authFailures atomic.Uint64
+	docReads     atomic.Uint64
+	docBuilds    atomic.Uint64
 }
 
 // Violation records one blocked response.
@@ -123,6 +135,7 @@ type Violation struct {
 type route struct {
 	method  string
 	parts   []string // pattern split on '/', ":name" binds a param
+	params  int      // how many of parts bind a param
 	handler HandlerFunc
 	public  bool
 }
@@ -154,12 +167,18 @@ func (a *App) Post(pattern string, h HandlerFunc) { a.route(http.MethodPost, pat
 func (a *App) GetPublic(pattern string, h HandlerFunc) { a.route(http.MethodGet, pattern, h, true) }
 
 func (a *App) route(method, pattern string, h HandlerFunc, public bool) {
-	a.routes = append(a.routes, route{
+	r := route{
 		method:  method,
 		parts:   strings.Split(strings.Trim(pattern, "/"), "/"),
 		handler: h,
 		public:  public,
-	})
+	}
+	for _, p := range r.parts {
+		if strings.HasPrefix(p, ":") {
+			r.params++
+		}
+	}
+	a.routes = append(a.routes, r)
 }
 
 // Stats returns a snapshot of frontend counters.
@@ -168,6 +187,8 @@ func (a *App) Stats() Stats {
 		Requests:     a.requests.Load(),
 		Blocked:      a.blocked.Load(),
 		AuthFailures: a.authFailures.Load(),
+		DocReads:     a.docReads.Load(),
+		DocBuilds:    a.docBuilds.Load(),
 	}
 }
 
@@ -178,42 +199,64 @@ func (a *App) Violations() []Violation {
 	return append([]Violation(nil), a.violations...)
 }
 
-// match finds a route and binds path parameters.
+// match finds a route and binds path parameters. Parameters are bound only
+// once a route has matched, and a route without any binds none (a nil map
+// reads as empty).
 func (a *App) match(method, path string) (*route, map[string]string) {
 	parts := strings.Split(strings.Trim(path, "/"), "/")
 	for i := range a.routes {
 		r := &a.routes[i]
-		if r.method != method || len(r.parts) != len(parts) {
+		if r.method != method || !r.matches(parts) {
 			continue
 		}
-		params := make(map[string]string)
-		ok := true
+		if r.params == 0 {
+			return r, nil
+		}
+		params := make(map[string]string, r.params)
 		for j, p := range r.parts {
 			if strings.HasPrefix(p, ":") {
 				params[p[1:]] = parts[j]
-				continue
-			}
-			if p != parts[j] {
-				ok = false
-				break
 			}
 		}
-		if ok {
-			return r, params
-		}
+		return r, params
 	}
 	return nil, nil
+}
+
+// matches reports whether the path segments fit the route's pattern.
+func (r *route) matches(parts []string) bool {
+	if len(r.parts) != len(parts) {
+		return false
+	}
+	for j, p := range r.parts {
+		if p != parts[j] && !strings.HasPrefix(p, ":") {
+			return false
+		}
+	}
+	return true
+}
+
+// hashChain is the credential-hashing work: n SHA-256 invocations, the
+// first over the password and each later one over the digest before it.
+// The chain lives in one fixed array, so the work costs its hash
+// iterations — the paper's cost model — and no garbage (beyond one copy of
+// a password too long for the compiler's 32-byte conversion buffer).
+func hashChain(password string, n int) [sha256.Size]byte {
+	var sum [sha256.Size]byte
+	if n > 0 {
+		sum = sha256.Sum256([]byte(password))
+	}
+	for i := 1; i < n; i++ {
+		sum = sha256.Sum256(sum[:])
+	}
+	return sum
 }
 
 // verifyCredentials performs the configured amount of credential-hashing
 // work, then checks the password. The extra iterations model production
 // password hashing (the paper's 87 ms basic-auth cost).
 func (a *App) verifyCredentials(username, password string) (*webdb.User, error) {
-	work := password
-	for i := 1; i < a.cfg.AuthWork; i++ {
-		sum := sha256.Sum256([]byte(work))
-		work = string(sum[:])
-	}
+	hashChain(password, a.cfg.AuthWork-1)
 	return a.cfg.WebDB.Authenticate(username, password)
 }
 
@@ -238,8 +281,10 @@ func (a *App) ServeHTTP(w http.ResponseWriter, r *http.Request) {
 	// rule, §5.1). Smartcard, session cookie and HTTP basic auth all
 	// resolve to the same user record.
 	var user *webdb.User
-	privs := label.NewPrivileges()
-	if !rt.public {
+	var privs *label.Privileges
+	if rt.public {
+		privs = label.NewPrivileges()
+	} else {
 		start := time.Now()
 		u, err := a.authenticateRequest(r)
 		phases.Auth = time.Since(start)
@@ -327,7 +372,7 @@ func (a *App) ServeHTTP(w http.ResponseWriter, r *http.Request) {
 		}
 	}
 	w.WriteHeader(ctx.status)
-	if _, err := w.Write([]byte(ctx.body.String())); err != nil {
+	if _, err := w.Write(ctx.body); err != nil {
 		a.cfg.Logf("webfront: write response: %v", err)
 	}
 }
@@ -351,30 +396,6 @@ func (a *App) checkRelease(ctx *Ctx) (label.Label, bool) {
 		}
 	}
 	return label.Label{}, true
-}
-
-// WrapDoc converts an application-database document into a labelled
-// taint.Doc (Fig. 3 step 2). With tracking disabled it wraps without
-// labels, which is the unprotected baseline.
-func (a *App) WrapDoc(doc *docstore.Document) (taint.Doc, error) {
-	labels := doc.Labels
-	if a.cfg.DisableTracking {
-		labels = nil
-	}
-	return taint.WrapJSON(doc.Data, labels)
-}
-
-// WrapDocs converts a document list.
-func (a *App) WrapDocs(docs []*docstore.Document) ([]taint.Doc, error) {
-	out := make([]taint.Doc, len(docs))
-	for i, d := range docs {
-		wrapped, err := a.WrapDoc(d)
-		if err != nil {
-			return nil, err
-		}
-		out[i] = wrapped
-	}
-	return out, nil
 }
 
 // HTTPError lets handlers return a specific status without tripping the
@@ -405,7 +426,7 @@ type Ctx struct {
 	app *App
 	// Request is the inbound request.
 	Request *http.Request
-	// Params holds ":name" path parameters.
+	// Params holds ":name" path parameters; nil for a route without any.
 	Params map[string]string
 	// User is the authenticated user; nil on public routes.
 	User *webdb.User
@@ -414,7 +435,7 @@ type Ctx struct {
 
 	status int
 	header http.Header
-	body   strings.Builder
+	body   []byte
 	labels label.Set
 }
 
@@ -442,12 +463,12 @@ func (c *Ctx) Header(key, value string) { c.header.Set(key, value) }
 // Write appends labelled content to the response; its labels join the
 // response label set that the release check validates.
 func (c *Ctx) Write(s taint.String) {
-	c.body.WriteString(s.Raw())
+	c.body = append(c.body, s.Raw()...)
 	c.labels = c.labels.Union(s.Labels())
 }
 
 // WriteString appends plain (unlabelled) content.
-func (c *Ctx) WriteString(s string) { c.body.WriteString(s) }
+func (c *Ctx) WriteString(s string) { c.body = append(c.body, s...) }
 
 // JSON writes a labelled string as an application/json response.
 func (c *Ctx) JSON(s taint.String) {
