@@ -1,6 +1,7 @@
 package broker_test
 
 import (
+	"strconv"
 	"testing"
 	"time"
 
@@ -17,22 +18,28 @@ import (
 // publishes through the coalescing writer, fireforget sends without
 // receipts. All modes wait for the broker to have accepted every publish
 // before the clock stops, so events/s is ingest throughput, not enqueue
-// rate.
+// rate. The rotating-labels series is the repository benchmark's pipeline
+// shape: four attributes and three labels drawn from 1,024 distinct sets
+// in turn, so every label memo on the path misses and each publish pays
+// for rendering its label set (once) and parsing it (once).
 func BenchmarkClientPublish(b *testing.B) {
 	for _, bc := range []struct {
 		name      string
 		window    int
 		pubShards int
 		timeout   time.Duration
+		rotating  bool
 	}{
 		{name: "sync", timeout: 5 * time.Second},
 		{name: "window=64", window: 64, timeout: 5 * time.Second},
 		{name: "window=64/pubshards=2", window: 64, pubShards: 2, timeout: 5 * time.Second},
+		{name: "window=64/rotating-labels", window: 64, timeout: 5 * time.Second, rotating: true},
 		{name: "fireforget"},
 	} {
 		bc := bc
 		b.Run(bc.name, func(b *testing.B) {
 			policy := label.NewPolicy()
+			policy.Grant("producer", label.Endorse, label.MustParsePattern("label:int:ecric.org.uk/mdt"))
 			br := broker.New(policy)
 			defer br.Close()
 			srv, err := broker.NewServer("127.0.0.1:0", br, broker.ServerConfig{Logf: b.Logf})
@@ -55,11 +62,25 @@ func BenchmarkClientPublish(b *testing.B) {
 
 			payload := []byte(`{"patient_id": 33812769, "type": "cancer", "summary": "report"}`)
 			mdt := label.Conf("ecric.org.uk/mdt/7")
+			attrs := map[string]string{"type": "cancer"}
+			var rotation [1024][3]label.Label
+			if bc.rotating {
+				attrs = map[string]string{"type": "cancer", "mdt": "7", "site": "C50.9", "stage": "2"}
+				for i := range rotation {
+					rotation[i] = [3]label.Label{
+						label.Conf("ecric.org.uk/mdt/" + strconv.Itoa(i%16)),
+						label.Conf("ecric.org.uk/patient/" + strconv.Itoa(i/16)),
+						label.Int("ecric.org.uk/mdt"),
+					}
+				}
+			}
 			b.ReportAllocs()
 			b.ResetTimer()
 			for i := 0; i < b.N; i++ {
-				ev := event.New("/bench/ingest",
-					map[string]string{"type": "cancer"}, mdt)
+				ev := event.New("/bench/ingest", attrs, mdt)
+				if bc.rotating {
+					ev = event.New("/bench/ingest", attrs, rotation[i%len(rotation)][:]...)
+				}
 				ev.Body = payload
 				if err := cl.Publish(ev); err != nil {
 					b.Fatalf("Publish: %v", err)

@@ -23,28 +23,6 @@ const (
 	HeaderDestination = "destination"
 )
 
-// MarshalHeaders flattens the event into STOMP headers and a body. The
-// returned map contains the destination, every attribute, and the label
-// header.
-func MarshalHeaders(e *Event) (map[string]string, []byte, error) {
-	if err := e.Validate(); err != nil {
-		return nil, nil, err
-	}
-	headers := make(map[string]string, len(e.Attrs)+2)
-	for k, v := range e.Attrs {
-		headers[k] = v
-	}
-	headers[HeaderDestination] = e.Topic
-	if !e.Labels.IsEmpty() {
-		if e.labelHeader != "" {
-			headers[HeaderLabels] = e.labelHeader
-		} else {
-			headers[HeaderLabels] = e.Labels.String()
-		}
-	}
-	return headers, e.Body, nil
-}
-
 // ErrTransportAttr reports an event whose attribute names collide with
 // STOMP transport headers (destination, receipt, content-length, ...; see
 // skippedHeaders). On the wire such an attribute would be silently
@@ -68,22 +46,21 @@ func EncodeSend(w io.Writer, enc *stomp.Encoder, e *Event, receipt string) error
 	return enc.EncodeSendImage(w, img, receipt)
 }
 
-// buildSendImage encodes the event's SEND wire image into dst in a single
-// pass: destination, label header and attributes are merged in canonical
-// sorted order straight into the image buffer, with no intermediate map.
-func buildSendImage(e *Event, dst *stomp.WireImage) error {
+// buildImage encodes the event's wire image for command — SEND on the
+// producer side, MESSAGE on the broker's — into dst in a single pass:
+// destination, label header and attributes are merged in canonical sorted
+// order straight into the image buffer, with no intermediate map. The one
+// difference between the kinds is what an attribute named like a transport
+// header means: a SEND refuses it (ErrTransportAttr); a MESSAGE, which an
+// in-process publisher may have given any attribute, leaves out the four
+// names the frame sets itself (destination, content-length and the
+// per-delivery subscription and message-id) and carries the rest.
+func buildImage(e *Event, command string, dst *stomp.WireImage) error {
 	if err := e.Validate(); err != nil {
 		return err
 	}
-	for k := range e.Attrs {
-		if skippedHeader(k) {
-			return fmt.Errorf("%w: %q", ErrTransportAttr, k)
-		}
-	}
-	// Memoised for Freeze, which follows a successful build: the label
-	// set is sorted and rendered once per publish, not twice.
 	labels := e.LabelHeader()
-	hint := len(stomp.CmdSend) + len(stomp.HdrContentLength) + 24 +
+	hint := len(command) + len(stomp.HdrContentLength) + 24 +
 		len(HeaderDestination) + len(e.Topic) + 2 + len(e.Body)
 	n := len(e.Attrs) + 1
 	if labels != "" {
@@ -102,16 +79,25 @@ func buildSendImage(e *Event, dst *stomp.WireImage) error {
 		keys = append(keys, HeaderLabels) // "x-safeweb-" sorts after "destination"
 	}
 	for k, v := range e.Attrs {
+		switch {
+		case command == stomp.CmdSend:
+			if skippedHeader(k) {
+				return fmt.Errorf("%w: %q", ErrTransportAttr, k)
+			}
+		case k == HeaderDestination, k == stomp.HdrContentLength,
+			k == stomp.HdrSubscription, k == stomp.HdrMessageID:
+			continue
+		}
 		hint += len(k) + len(v) + 2
 		// Insertion sort, as the encoder's sorted-key helper does; attrs
-		// cannot collide with the two fixed keys (transport names are
-		// gated above, the reserved prefix by Validate).
+		// cannot collide with the two fixed keys (destination is gated or
+		// left out above, the reserved prefix refused by Validate).
 		keys = append(keys, k)
 		for i := len(keys) - 1; i > 0 && keys[i-1] > k; i-- {
 			keys[i], keys[i-1] = keys[i-1], keys[i]
 		}
 	}
-	b := stomp.NewImageBuilder(stomp.CmdSend, hint)
+	b := stomp.NewImageBuilder(command, hint)
 	for _, k := range keys {
 		switch k {
 		case HeaderDestination:
@@ -127,9 +113,9 @@ func buildSendImage(e *Event, dst *stomp.WireImage) error {
 }
 
 // skippedHeaders is the single source of truth for STOMP headers that are
-// transport metadata rather than event attributes. Both unmarshal paths —
-// the legacy map walk and the single-pass view walk — consult this table,
-// so they cannot silently diverge when a header is added.
+// transport metadata rather than event attributes. The single-pass view
+// walk, the SEND gate and the map-walk oracle the tests keep all consult
+// this table, so they cannot silently diverge when a header is added.
 var skippedHeaders = map[string]struct{}{
 	HeaderDestination: {}, HeaderLabels: {}, HeaderClearance: {},
 	"subscription": {}, "message-id": {}, "content-length": {},
@@ -157,75 +143,24 @@ func skippedHeaderBytes(k []byte) bool {
 // messages, and parsed label sets are immutable, so a one-entry memo
 // keyed on the raw header string removes the per-message parse from the
 // connection read loop. A LabelCache must be confined to one goroutine
-// (each connection read loop owns one).
+// (each connection read loop owns one, inside its DecodeCache).
 type LabelCache struct {
 	hdr string
 	set label.Set
-}
-
-func (c *LabelCache) parse(hdr string) (label.Set, error) {
-	if c != nil && c.hdr == hdr {
-		return c.set, nil
-	}
-	set, err := label.ParseSet(hdr)
-	if err != nil {
-		return nil, err
-	}
-	if c != nil {
-		c.hdr, c.set = hdr, set
-	}
-	return set, nil
-}
-
-// UnmarshalHeaders reconstructs an event from STOMP headers and a body.
-// Standard STOMP headers that are not event attributes (subscription,
-// message-id, content-length, receipt) are skipped; the attribute map is
-// sized to the attributes that survive the skip, and stays nil when none
-// do. The event takes ownership of body without copying; callers must
-// not reuse it.
-func UnmarshalHeaders(headers map[string]string, body []byte) (*Event, error) {
-	return UnmarshalHeadersCached(headers, body, nil)
-}
-
-// UnmarshalHeadersCached is UnmarshalHeaders with an optional label-parse
-// memo for connection read loops (see LabelCache).
-func UnmarshalHeadersCached(headers map[string]string, body []byte, cache *LabelCache) (*Event, error) {
-	e := &Event{Topic: headers[HeaderDestination]}
-	if e.Topic == "" {
-		return nil, fmt.Errorf("event: missing %s header", HeaderDestination)
-	}
-	attrs := 0
-	for k := range headers {
-		if !skippedHeader(k) {
-			attrs++
-		}
-	}
-	if attrs > 0 {
-		e.Attrs = make(map[string]string, attrs)
-	}
-	for k, v := range headers {
-		if k == HeaderLabels {
-			labels, err := cache.parse(v)
-			if err != nil {
-				return nil, fmt.Errorf("event: bad label header: %w", err)
-			}
-			e.Labels = labels
-		}
-		if skippedHeader(k) {
-			continue
-		}
-		e.Attrs[k] = v
-	}
-	if len(body) > 0 {
-		e.Body = body
-	}
-	return e, nil
+	// canonical records that hdr is set's canonical rendering
+	// (label.ParseCanonical), so an event may carry hdr as its label header.
+	canonical bool
 }
 
 // DecodeCache memoises per-read-loop decode state for the map-free view
 // path: the most recent label-header parse (label sets are immutable and
 // wire traffic repeats one set for long runs) and the most recent topic
-// string (fan-out consumers see the same destination on every frame). Like
+// string (fan-out consumers see the same destination on every frame). A
+// label header that is the canonical rendering of its set — what every
+// SafeWeb publisher sends — is handed to the decoded event as its label
+// header, so re-publishing the event forwards the bytes it arrived with
+// instead of sorting and rendering the set again; any other header is
+// only ever parsed, and the event renders its own. Like
 // LabelCache, a DecodeCache must be confined to one goroutine — each
 // connection read loop owns one. A nil *DecodeCache is valid and simply
 // never hits.
@@ -260,21 +195,30 @@ func (c *DecodeCache) attrKey(b []byte) string {
 	return k
 }
 
-// parseLabels parses a label header given as wire bytes, consulting and
-// updating the memo. The bytes are not retained.
-func (c *DecodeCache) parseLabels(hdr []byte) (label.Set, error) {
+// parseLabels parses a label header given as wire bytes into e's label
+// set, consulting and updating the memo. The bytes are not retained. A
+// canonical header becomes e's label-header memo: it has been proved equal
+// to Labels.String(), and its string is already allocated as the memo key.
+func (c *DecodeCache) parseLabels(e *Event, hdr []byte) error {
+	var parsed LabelCache
 	if c != nil && c.labels.set != nil && string(hdr) == c.labels.hdr {
-		return c.labels.set, nil
+		parsed = c.labels
+	} else {
+		var err error
+		parsed.hdr = string(hdr)
+		parsed.set, parsed.canonical, err = label.ParseCanonical(parsed.hdr)
+		if err != nil {
+			return err
+		}
+		if c != nil && parsed.set != nil {
+			c.labels = parsed
+		}
 	}
-	s := string(hdr)
-	set, err := label.ParseSet(s)
-	if err != nil {
-		return nil, err
+	e.Labels = parsed.set
+	if parsed.canonical {
+		e.labelHeader, e.labelHeaderOf = parsed.hdr, parsed.set
 	}
-	if c != nil && set != nil {
-		c.labels.hdr, c.labels.set = s, set
-	}
-	return set, nil
+	return nil
 }
 
 // topicString returns an owned string for a destination header given as
@@ -308,8 +252,8 @@ func (e *Event) addWireAttr(k string, vb []byte, hint int) {
 // metadata, label parses and the topic string are memoised via cache, and
 // the event takes ownership of body without copying (callers must not
 // reuse it). The semantics — skipped transport headers, first-occurrence-
-// wins for repeated keys, missing-destination error — match
-// UnmarshalHeaders over the materialised map.
+// wins for repeated keys, missing-destination error — match the
+// UnmarshalHeaders oracle (in the tests) over the materialised map.
 //
 // The view must follow the stomp.HeaderView ownership rules: UnmarshalView
 // runs on the view's read loop and retains nothing from the view's scratch
@@ -360,11 +304,9 @@ func unmarshalView(e *Event, hv *stomp.HeaderView, body []byte, cache *DecodeCac
 		case HeaderLabels:
 			if !seenLabels {
 				seenLabels = true
-				labels, err := cache.parseLabels(hv.ValueBytes(i))
-				if err != nil {
+				if err := cache.parseLabels(e, hv.ValueBytes(i)); err != nil {
 					return nil, fmt.Errorf("event: bad label header: %w", err)
 				}
-				e.Labels = labels
 			}
 		default:
 			if skippedHeader(k) {

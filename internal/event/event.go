@@ -12,9 +12,10 @@
 // (WireImage): the first networked delivery encodes it, every other
 // session and shard shares the immutable image, and the memo dies with
 // the event. The producer side is symmetric: an event publishing over
-// the wire memoises its SEND form (SendImage), encoded in a single pass
-// with no intermediate header map and byte-identical to the reference
-// MarshalHeaders encoding, so retried and fan-in publishes encode once.
+// the wire memoises its SEND form (SendImage); both forms come from one
+// single-pass builder with no intermediate header map, byte-identical to
+// the reference map-and-Encoder encoding the tests keep as an oracle, so
+// retried and fan-in publishes encode once.
 // It is the only SEND encoding: an attribute named like a STOMP transport
 // header would be stripped — or steer the frame — on the wire, so
 // SendImage refuses it (ErrTransportAttr) and the publish fails before
@@ -70,13 +71,19 @@ type Event struct {
 	// integrity labels together).
 	Labels label.Set
 
-	// labelHeader memoises Labels.String(), the sorted wire form used by
-	// MarshalHeaders. The broker computes it once per publish (before
-	// fan-out, on the publishing goroutine) so that delivering one event
-	// to many networked subscribers does not re-sort the label set per
-	// frame. Empty means "not cached"; an event's labels never change
-	// after publishing, so the memo cannot go stale.
-	labelHeader string
+	// labelHeader memoises labelHeaderOf.String(), the sorted wire form
+	// the SEND and MESSAGE images and the journal record carry, so a label
+	// set is rendered once per event: by Freeze, by the first image build,
+	// or not at all when the event was decoded from a header proved
+	// canonical (DecodeCache). The memo is bound to the set it was rendered
+	// from and stands only while Labels is that same set value (sets are
+	// immutable, so identity is equality); Labels is an exported field, and
+	// re-labelling an event — a Delivery copy included — makes every
+	// reader render the new set instead of forwarding a stale header. The
+	// set itself is kept, not its address, so it cannot be collected and
+	// its address reused under the comparison.
+	labelHeader   string
+	labelHeaderOf label.Set
 
 	// wire memoises the preencoded STOMP MESSAGE image of a frozen event
 	// (see WireImage): encoded lazily at first networked delivery, then
@@ -120,9 +127,10 @@ type Event struct {
 	gen uint32
 }
 
-// wireMemo is the once-computed result of building an event's wire image.
+// wireMemo is the once-computed result of building an event's wire image;
+// memo and image are one allocation.
 type wireMemo struct {
-	img *stomp.WireImage
+	img stomp.WireImage
 	err error
 }
 
@@ -216,9 +224,8 @@ func (e *Event) Set(key, value string) error {
 
 // Clone returns a deep copy of the event. Label sets are immutable by
 // convention and therefore shared. The clone is independent: it is not
-// frozen and does not inherit the label-header memo, so callers may
-// re-label it (as the federation bridge does) without a stale wire
-// header surviving.
+// frozen and does not inherit the label-header or image memos; callers
+// may re-label it (as the federation bridge does).
 func (e *Event) Clone() *Event {
 	e.checkLive()
 	out := &Event{
@@ -263,7 +270,7 @@ func (e *Event) Delivery() *Event {
 	d.Topic = e.Topic
 	d.Body = e.Body
 	d.Labels = e.Labels
-	d.labelHeader = e.labelHeader
+	d.labelHeader, d.labelHeaderOf = e.labelHeader, e.labelHeaderOf
 	if d.Attrs == nil {
 		d.Attrs = make(map[string]string, len(e.Attrs))
 	}
@@ -326,7 +333,7 @@ func (e *Event) Release() {
 	e.Topic = ""
 	e.Body = nil
 	e.Labels = nil
-	e.labelHeader = ""
+	e.labelHeader, e.labelHeaderOf = "", nil
 	e.frozen = false
 	e.wire.Store(nil)
 	e.send.Store(nil)
@@ -357,27 +364,28 @@ func (e *Event) NotifyRelease(fn func()) {
 	e.onRelease = fn
 }
 
-// Freeze marks the event as published: it memoises the sorted wire form
-// of the label set for MarshalHeaders and blocks further Set calls, since
+// Freeze marks the event as published: it settles the label header (see
+// LabelHeader; nothing is rendered for an event that already carries the
+// header of its current label set) and blocks further Set calls, since
 // the event may now be shared between the publisher and any number of
-// subscribers. The broker calls it once per publish before fan-out, on
-// the publishing goroutine; it must not be called concurrently with
-// readers of the same event.
+// subscribers, whose concurrent image builds then only read the header.
+// The broker calls it once per publish before fan-out, on the publishing
+// goroutine; it must not be called concurrently with readers of the same
+// event.
 func (e *Event) Freeze() {
 	e.frozen = true
-	if e.labelHeader == "" && !e.Labels.IsEmpty() {
-		e.labelHeader = e.Labels.String()
-	}
+	e.LabelHeader()
 }
 
 // LabelHeader returns the sorted wire form of the event's label set —
-// the value of the labels transport header — computing it on first use
-// if Freeze has not already memoised it. The durable journal persists
-// this string with each record so replay can re-parse and re-enforce
-// clearance at read time without touching the wire image.
+// the value of the labels transport header in the SEND and MESSAGE
+// images — rendering it only when the event holds no header for the set
+// Labels currently is. The durable journal persists this string with each
+// record so replay can re-parse and re-enforce clearance at read time
+// without touching the wire image.
 func (e *Event) LabelHeader() string {
-	if e.labelHeader == "" && !e.Labels.IsEmpty() {
-		e.labelHeader = e.Labels.String()
+	if !e.labelHeaderOf.Is(e.Labels) {
+		e.labelHeader, e.labelHeaderOf = e.Labels.String(), e.Labels
 	}
 	return e.labelHeader
 }
@@ -427,11 +435,13 @@ var wireBuilds atomic.Uint64
 func WireImageBuilds() uint64 { return wireBuilds.Load() }
 
 // WireImage returns the preencoded STOMP MESSAGE image for a frozen
-// event, building it at most once: the first caller encodes the canonical
-// header block and body (sync.Once-style, via an atomic memo), every
-// later caller — any session on any shard delivering the same event —
-// shares the immutable image. Concurrent first calls are safe; both
-// compute identical bytes and one becomes canonical.
+// event, building it at most once and through the single-pass builder
+// SendImage uses (no header map; the label header is the one Freeze
+// settled): the first caller encodes the canonical header block and body
+// (sync.Once-style, via an atomic memo), every later caller — any session
+// on any shard delivering the same event — shares the immutable image.
+// Concurrent first calls are safe; both compute identical bytes and one
+// becomes canonical.
 //
 // The event must be frozen (published): the image is derived from the
 // topic, attributes, labels and body, all of which are immutable after
@@ -440,24 +450,20 @@ func WireImageBuilds() uint64 { return wireBuilds.Load() }
 // delivery; callers route it to their drop accounting rather than
 // discarding it silently.
 func (e *Event) WireImage() (*stomp.WireImage, error) {
-	if m := e.wire.Load(); m != nil {
-		return m.img, m.err
-	}
-	m := &wireMemo{}
-	headers, body, err := MarshalHeaders(e)
-	if err != nil {
-		m.err = err
-	} else {
-		m.img = stomp.NewMessageImage(headers, body)
-	}
-	if e.wire.CompareAndSwap(nil, m) {
-		if m.err == nil {
+	m := e.wire.Load()
+	if m == nil {
+		m = &wireMemo{}
+		m.err = buildImage(e, stomp.CmdMessage, &m.img)
+		if !e.wire.CompareAndSwap(nil, m) {
+			m = e.wire.Load()
+		} else if m.err == nil {
 			wireBuilds.Add(1) // one canonical build per event
 		}
-	} else {
-		m = e.wire.Load()
 	}
-	return m.img, m.err
+	if m.err != nil {
+		return nil, m.err
+	}
+	return &m.img, nil
 }
 
 // sendBuilds counts SEND-image encodes across all events, for tests and
@@ -470,7 +476,7 @@ func SendImageBuilds() uint64 { return sendBuilds.Load() }
 // SendImage returns the event's preencoded STOMP SEND image — the
 // producer-side counterpart of WireImage, built at most once and in a
 // single pass over the event's fields: no intermediate header map, no
-// Frame, wire bytes byte-identical to the reference MarshalHeaders
+// Frame, wire bytes byte-identical to the reference map-and-Encoder
 // encoding (with a splice point where a per-publish receipt header lands
 // in its canonical sorted position, see stomp.Encoder.EncodeSendImage).
 // Concurrent first calls are safe; both compute identical bytes and one
@@ -478,7 +484,7 @@ func SendImageBuilds() uint64 { return sendBuilds.Load() }
 //
 // SendImage is also the publish-time gate: it validates the event and
 // refuses, with ErrTransportAttr, attributes named like STOMP transport
-// headers (destination, receipt, ...). A refusal memoises nothing, so the
+// headers (destination, receipt, ...). A refusal memoises no image, so the
 // networked client calls it before Freeze and a refused event stays
 // mutable. A successful build is memoised, so the caller must freeze the
 // event before anything else can touch it — the image is derived from the
@@ -488,7 +494,7 @@ func (e *Event) SendImage() (*stomp.WireImage, error) {
 		return img, nil
 	}
 	img := new(stomp.WireImage)
-	if err := buildSendImage(e, img); err != nil {
+	if err := buildImage(e, stomp.CmdSend, img); err != nil {
 		return nil, err
 	}
 	if !e.send.CompareAndSwap(nil, img) {

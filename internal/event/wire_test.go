@@ -5,7 +5,6 @@ import (
 	"testing"
 
 	"safeweb/internal/label"
-	"safeweb/internal/stomp"
 )
 
 // TestWireImageMemoised pins the publish-once property at the event
@@ -33,22 +32,9 @@ func TestWireImageMemoised(t *testing.T) {
 		t.Errorf("WireImageBuilds delta = %d, want 1", got)
 	}
 
-	headers, body, err := MarshalHeaders(ev)
-	if err != nil {
-		t.Fatalf("MarshalHeaders: %v", err)
-	}
-	want := stomp.NewMessageImage(headers, body)
-	var gotWire, wantWire bytes.Buffer
-	var enc stomp.Encoder
-	if err := enc.EncodeImage(&gotWire, img1, "sub-1", "m-1-", 1); err != nil {
-		t.Fatalf("EncodeImage: %v", err)
-	}
-	if err := enc.EncodeImage(&wantWire, want, "sub-1", "m-1-", 1); err != nil {
-		t.Fatalf("EncodeImage (reference): %v", err)
-	}
-	if !bytes.Equal(gotWire.Bytes(), wantWire.Bytes()) {
-		t.Errorf("event wire image differs from reference encode:\n%q\n%q",
-			gotWire.Bytes(), wantWire.Bytes())
+	got, want := deliveryWire(t, ev, "sub-1", "m-1-", 1), messageOracle(t, ev, "sub-1", "m-1-", 1)
+	if !bytes.Equal(got, want) {
+		t.Errorf("event wire image differs from reference encode:\n%q\n%q", got, want)
 	}
 }
 

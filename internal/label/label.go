@@ -24,6 +24,8 @@ import (
 	"errors"
 	"fmt"
 	"strings"
+	"unicode"
+	"unicode/utf8"
 )
 
 // Kind distinguishes confidentiality labels from integrity labels.
@@ -72,17 +74,45 @@ type Label struct {
 
 // New creates a label of the given kind and name. The name is the
 // authority/path portion of the label URI, e.g. "ecric.org.uk/mdt/7".
-// It panics if kind is invalid or name is empty: labels are almost always
-// constructed from trusted constants or validated input, and a zero-name
-// label is a programming error, not a runtime condition.
+// It panics if kind is invalid or name is not a ValidName: labels are
+// almost always constructed from trusted constants or validated input, and
+// a label that cannot be named on the wire is a programming error, not a
+// runtime condition. Code that builds names from data checks ValidName
+// first.
 func New(kind Kind, name string) Label {
 	if !kind.Valid() {
 		panic(fmt.Sprintf("label: invalid kind %d", int(kind)))
 	}
-	if name == "" {
-		panic("label: empty label name")
+	if !ValidName(name) {
+		panic(fmt.Sprintf("label: invalid label name %q", name))
 	}
 	return Label{kind: kind, name: name}
+}
+
+// ValidName reports whether name can be a label's name: non-empty, free of
+// ',' and control characters, and with no leading or trailing white space.
+// A set travels as a comma-separated header whose elements are trimmed, so
+// any other name would come back from one wire hop as a different label —
+// or, with a comma, as several, one of them possibly an integrity label
+// nobody endorsed. Refusing them makes Set.String and ParseSet inverses.
+func ValidName(name string) bool {
+	for i := 0; i < len(name); i++ {
+		c := name[i]
+		if c == ',' || c-' ' >= 0x7f-' ' { // a comma, an ASCII control character, or not ASCII
+			return c >= utf8.RuneSelf && validUnicodeName(name)
+		}
+	}
+	return name != "" && name[0] != ' ' && name[len(name)-1] != ' '
+}
+
+// validUnicodeName is ValidName for names that are not all ASCII.
+func validUnicodeName(name string) bool {
+	for _, r := range name {
+		if r == ',' || unicode.IsControl(r) {
+			return false
+		}
+	}
+	return strings.TrimSpace(name) == name
 }
 
 // Conf is shorthand for New(Confidentiality, name).
@@ -110,8 +140,8 @@ func Parse(s string) (Label, error) {
 	default:
 		return Label{}, fmt.Errorf("%w: unknown kind %q in %q", ErrInvalidLabel, kindStr, s)
 	}
-	if name == "" {
-		return Label{}, fmt.Errorf("%w: empty name in %q", ErrInvalidLabel, s)
+	if !ValidName(name) {
+		return Label{}, fmt.Errorf("%w: empty or unrepresentable name in %q", ErrInvalidLabel, s)
 	}
 	return Label{kind: kind, name: name}, nil
 }
@@ -137,10 +167,29 @@ func (l Label) IsZero() bool { return l == Label{} }
 
 // String returns the label URI, e.g. "label:conf:ecric.org.uk/mdt".
 func (l Label) String() string {
-	if l.IsZero() {
-		return "label:invalid:"
+	return l.uriPrefix() + l.name
+}
+
+// uriPrefix returns everything of the URI ahead of the name. The zero
+// label renders as "label:invalid:".
+func (l Label) uriPrefix() string {
+	switch l.kind {
+	case Confidentiality:
+		return _scheme + "conf:"
+	case Integrity:
+		return _scheme + "int:"
 	}
-	return _scheme + l.kind.String() + ":" + l.name
+	return _scheme + "invalid:"
+}
+
+// compare orders labels as their URIs order byte for byte, without
+// building them: by kind segment ("conf" < "int" < the zero label's
+// "invalid"), then by name.
+func compare(a, b Label) int {
+	if a.kind != b.kind {
+		return strings.Compare(a.uriPrefix(), b.uriPrefix())
+	}
+	return strings.Compare(a.name, b.name)
 }
 
 // MarshalText implements encoding.TextMarshaler so labels can appear in

@@ -1,7 +1,8 @@
 package label
 
 import (
-	"sort"
+	"reflect"
+	"slices"
 	"strings"
 )
 
@@ -9,7 +10,13 @@ import (
 // an empty, usable set. Methods never mutate their receiver; operations that
 // "change" a set return a new one, so sets can be shared freely between
 // events, store entries and callback contexts without defensive copying at
-// every boundary.
+// every boundary — and so anything computed from a set (its header
+// rendering, say) stays true for as long as one holds that same set value
+// (Is).
+//
+// String and ParseSet are inverses: every label name is a ValidName, so
+// ParseSet(s.String()) equals s, and String is the one canonical rendering
+// — sorted, duplicate-free, unpadded — that ParseCanonical recognises.
 type Set map[Label]struct{}
 
 // NewSet builds a set from the given labels.
@@ -25,25 +32,55 @@ func NewSet(labels ...Label) Set {
 }
 
 // ParseSet parses a comma-separated list of label URIs, as used in STOMP
-// headers and policy files. Empty elements are ignored, so both "" and
-// "a,,b" are accepted.
+// headers and policy files. Elements are trimmed of white space and empty
+// elements are ignored, so both "" and "a,,b" are accepted.
 func ParseSet(s string) (Set, error) {
-	var out Set
-	for _, part := range strings.Split(s, ",") {
-		part = strings.TrimSpace(part)
-		if part == "" {
+	set, _, err := ParseCanonical(s)
+	return set, err
+}
+
+// ParseCanonical is ParseSet in the same single pass, additionally
+// reporting whether s is the canonical rendering of the set it denotes:
+// every element a label URI with nothing to trim, in strictly ascending
+// order — so set.String() == s by construction, and a holder of s need not
+// render the set again. Anything else (unsorted, duplicated, padded, empty
+// elements) parses as ParseSet always has and reports false.
+func ParseCanonical(s string) (Set, bool, error) {
+	if s == "" {
+		return nil, true, nil
+	}
+	var set Set
+	var prev Label
+	canonical := true
+	for rest, more := s, true; more; {
+		var part string
+		part, rest, more = strings.Cut(rest, ",")
+		elem := strings.TrimSpace(part)
+		canonical = canonical && elem != "" && len(elem) == len(part)
+		if elem == "" {
 			continue
 		}
-		l, err := Parse(part)
+		l, err := Parse(elem)
 		if err != nil {
-			return nil, err
+			return nil, false, err
 		}
-		if out == nil {
-			out = make(Set)
+		if set == nil {
+			set = make(Set, 1+strings.Count(rest, ","))
+		} else if canonical && compare(prev, l) >= 0 {
+			canonical = false
 		}
-		out[l] = struct{}{}
+		prev = l
+		set[l] = struct{}{}
 	}
-	return out, nil
+	return set, canonical, nil
+}
+
+// Is reports whether s and other are the same set value — one map, not
+// merely equal ones. Sets are immutable, so for as long as a holder keeps
+// the set it computed something from, Is against it says whether that
+// result still stands; it costs no walk and no allocation.
+func (s Set) Is(other Set) bool {
+	return reflect.ValueOf(s).UnsafePointer() == reflect.ValueOf(other).UnsafePointer()
 }
 
 // Len returns the number of labels in the set.
@@ -254,12 +291,17 @@ func (s Set) Integrity() Set { return s.OfKind(Integrity) }
 
 // Sorted returns the labels in deterministic (lexicographic URI) order.
 func (s Set) Sorted() []Label {
-	out := make([]Label, 0, len(s))
+	return s.appendSorted(make([]Label, 0, len(s)))
+}
+
+// appendSorted appends the labels to dst in URI order, comparing kinds and
+// names rather than rendering a URI per comparison.
+func (s Set) appendSorted(dst []Label) []Label {
 	for l := range s {
-		out = append(out, l)
+		dst = append(dst, l)
 	}
-	sort.Slice(out, func(i, j int) bool { return out[i].String() < out[j].String() })
-	return out
+	slices.SortFunc(dst, compare)
+	return dst
 }
 
 // Strings returns the sorted label URIs.
@@ -273,17 +315,33 @@ func (s Set) Strings() []string {
 }
 
 // String renders the set as a comma-separated list of sorted label URIs,
-// the representation used in STOMP headers and document metadata.
+// the representation used in STOMP headers and document metadata. The
+// labels are ordered in a stack array (heap above 16) and written into one
+// exactly-sized buffer: one allocation for any set an event carries.
 func (s Set) String() string {
-	switch len(s) {
-	case 0:
+	if len(s) == 0 {
 		return ""
-	case 1:
-		for l := range s {
-			return l.String()
-		}
 	}
-	return strings.Join(s.Strings(), ",")
+	var arr [16]Label
+	labels := arr[:0]
+	if len(s) > len(arr) {
+		labels = make([]Label, 0, len(s))
+	}
+	labels = s.appendSorted(labels)
+	n := len(labels) - 1 // the commas
+	for _, l := range labels {
+		n += len(l.uriPrefix()) + len(l.name)
+	}
+	var b strings.Builder
+	b.Grow(n)
+	for i, l := range labels {
+		if i > 0 {
+			b.WriteByte(',')
+		}
+		b.WriteString(l.uriPrefix())
+		b.WriteString(l.name)
+	}
+	return b.String()
 }
 
 // MarshalText implements encoding.TextMarshaler using the comma-separated

@@ -229,6 +229,20 @@ func Generate(cfg Config) *DB {
 	return db
 }
 
+// Register adds one patient and their tumours to the registry, as entered:
+// nothing about the record is checked — the generated data is clean, real
+// registry rows are not, and the units downstream must cope. It must not
+// run concurrently with readers.
+func (db *DB) Register(p Patient, tumours ...Tumour) {
+	db.byMDT[p.MDT] = append(db.byMDT[p.MDT], len(db.patients))
+	db.patients = append(db.patients, p)
+	for _, t := range tumours {
+		t.PatientID = p.ID
+		db.tumoursOf[p.ID] = append(db.tumoursOf[p.ID], len(db.tumours))
+		db.tumours = append(db.tumours, t)
+	}
+}
+
 // Patients returns all patients.
 func (db *DB) Patients() []Patient { return append([]Patient(nil), db.patients...) }
 

@@ -33,7 +33,10 @@ const (
 	IntegrityName = Authority + "/mdt"
 )
 
-// MDTLabel protects the patient-level data of one MDT.
+// MDTLabel protects the patient-level data of one MDT. Like every builder
+// here it panics (label.New) on an id no label name can carry; callers
+// holding ids from record data check label.ValidName first, as the
+// producer unit and ProvisionUsers do.
 func MDTLabel(mdtID string) label.Label {
 	return label.Conf(Authority + "/mdt/" + mdtID)
 }

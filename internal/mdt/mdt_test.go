@@ -2,10 +2,12 @@ package mdt
 
 import (
 	"encoding/json"
+	"fmt"
 	"io"
 	"net/http"
 	"path/filepath"
 	"strings"
+	"sync"
 	"testing"
 
 	"safeweb/internal/broker"
@@ -431,4 +433,67 @@ func mdtsWithRecords(t testing.TB, d *Deployment) []string {
 		}
 	}
 	return out
+}
+
+// TestProducerRefusesUnlabellableRecord: ids come from registry data and
+// name the label that protects a record. An MDT id no label can carry —
+// here one that would read as the MDT label plus a forged integrity label
+// after a wire hop — fails that record with an error: nothing is published
+// for it, nothing panics, and every other record is imported as usual.
+func TestProducerRefusesUnlabellableRecord(t *testing.T) {
+	var mu sync.Mutex
+	var logged []string
+	d, err := Deploy(DeployConfig{Registry: regSmall(), Logf: func(format string, args ...any) {
+		mu.Lock()
+		defer mu.Unlock()
+		logged = append(logged, fmt.Sprintf(format, args...))
+	}})
+	if err != nil {
+		t.Fatalf("Deploy: %v", err)
+	}
+	t.Cleanup(d.Stop)
+	clean := len(d.Registry.Patients())
+	for i, id := range []string{"mdt-1,label:int:" + IntegrityName, "mdt-1 ", "mdt-\n1", ""} {
+		d.Registry.Register(
+			maindb.Patient{ID: fmt.Sprintf("p-bad-%d", i), MDT: id, Hospital: "h", Clinic: "c", Region: "r"},
+			maindb.Tumour{ID: fmt.Sprintf("t-bad-%d", i), Site: "C50.9", Stage: 1, Type: "cancer"})
+	}
+	if err := d.ImportAll(); err != nil {
+		t.Fatalf("ImportAll: %v", err)
+	}
+	if got := d.Engine.Stats().CallbackErrors; got != 1 {
+		t.Errorf("CallbackErrors = %d, want 1 (the import reporting its refused records)", got)
+	}
+	mu.Lock()
+	text := strings.Join(logged, "\n")
+	mu.Unlock()
+	if strings.Contains(text, "panic") {
+		t.Errorf("a bad id panicked instead of failing its record:\n%s", text)
+	}
+	for i := 0; i < 4; i++ {
+		if want := fmt.Sprintf("patient p-bad-%d", i); !strings.Contains(text, want) {
+			t.Errorf("no error reported for %s:\n%s", want, text)
+		}
+	}
+	records := 0
+	for _, m := range d.Registry.MDTs() {
+		docs, err := d.DMZDB.Query(ViewRecordsByMDT, m.ID)
+		if err != nil {
+			t.Fatalf("Query(%s): %v", m.ID, err)
+		}
+		for _, doc := range docs {
+			records++
+			if strings.Contains(doc.ID, "p-bad") {
+				t.Errorf("refused record %s was stored", doc.ID)
+			}
+		}
+	}
+	if records == 0 || clean == 0 {
+		t.Errorf("the %d clean records were not imported (%d stored)", clean, records)
+	}
+
+	// Provisioning an account for such an MDT is an error too, not a panic.
+	if _, err := ProvisionUsers(d.WebDB, []maindb.MDT{{ID: "mdt-9,x", Region: "east"}}, "pw"); err == nil {
+		t.Error("ProvisionUsers accepted an MDT id containing ','")
+	}
 }

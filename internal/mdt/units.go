@@ -2,6 +2,7 @@ package mdt
 
 import (
 	"encoding/json"
+	"errors"
 	"fmt"
 	"strconv"
 	"strings"
@@ -77,7 +78,17 @@ func (p *Producer) Name() string { return ProducerName }
 // Init implements engine.Unit.
 func (p *Producer) Init(ctx *engine.InitContext) error {
 	return ctx.Subscribe(TopicImport, "", func(ctx *engine.Context, _ *event.Event) error {
+		var refused error
 		for _, patient := range p.DB.Patients() {
+			// The MDT id names the label that protects the record, and
+			// label.Conf panics on a name no label can carry (a ',' would
+			// read as two labels after one wire hop): an id like that
+			// fails its record, unpublished, not the import.
+			if !label.ValidName(patient.MDT) {
+				refused = errors.Join(refused, fmt.Errorf(
+					"mdt: producer: patient %s: MDT id %q cannot name a label", patient.ID, patient.MDT))
+				continue
+			}
 			completeness := p.DB.Completeness(patient)
 			for _, tum := range p.DB.TumoursOf(patient.ID) {
 				attrs := map[string]string{
@@ -105,7 +116,7 @@ func (p *Producer) Init(ctx *engine.InitContext) error {
 				}
 			}
 		}
-		return nil
+		return refused
 	})
 }
 

@@ -322,6 +322,9 @@ func sortDocsByPatient(docs []taint.Doc) {
 func ProvisionUsers(db *webdb.DB, mdts []maindb.MDT, password string) (map[string]string, error) {
 	creds := make(map[string]string, len(mdts)+1)
 	for _, m := range mdts {
+		if !label.ValidName(m.ID) || !label.ValidName(m.Region) {
+			return nil, fmt.Errorf("mdt: provision %q (region %q): id cannot name a label", m.ID, m.Region)
+		}
 		u, err := db.CreateUser(m.ID, password, webdb.WithMDT(m.ID, m.Region))
 		if err != nil {
 			return nil, fmt.Errorf("mdt: provision %s: %w", m.ID, err)

@@ -268,7 +268,8 @@ func (c *Client) registerReceipt() (string, chan struct{}, error) {
 		return "", nil, net.ErrClosed
 	}
 	c.nextID++
-	rid := "rcpt-" + strconv.FormatUint(c.nextID, 10)
+	var buf [len("rcpt-") + 20]byte // 20 digits hold any uint64
+	rid := string(strconv.AppendUint(append(buf[:0], "rcpt-"...), c.nextID, 10))
 	ch := make(chan struct{})
 	c.receipts[rid] = ch
 	return rid, ch, nil

@@ -29,7 +29,7 @@
 //
 // # Encode fast path
 //
-// The encode counterpart is the preencoded WireImage: NewMessageImage
+// The encode counterpart is the preencoded WireImage: ImageBuilder
 // freezes a MESSAGE's canonical header block and body into an immutable
 // byte image once, and Encoder.EncodeImage splices only the per-delivery
 // subscription/message-id routing headers around it. Images are immutable
@@ -39,8 +39,8 @@
 // the reference Encoder.Encode's for the same logical frame, with the
 // routing headers spliced in just ahead of content-length.
 //
-// The producer side mirrors it: ImageBuilder assembles a SEND image
-// directly from ordered headers (no map — package event encodes a frozen
+// The producer side is the same builder: it assembles a SEND image
+// directly from ordered headers (no map — package event encodes an
 // event's fields straight in, event.Event.SendImage), and
 // Encoder.EncodeSendImage writes it with the per-publish receipt header
 // spliced at its canonical sorted position, so the bytes are identical to

@@ -18,8 +18,8 @@ import (
 // at publish time on the producer — and then shared by every send of the
 // same logical frame: fan-out to S sessions (or S retried/fan-in
 // publishes) costs one marshal instead of S. The backing buffer is
-// immutable after NewMessageImage or ImageBuilder.Finish returns; images
-// are safe for concurrent use and must never be mutated.
+// immutable after ImageBuilder.Finish returns; images are safe for
+// concurrent use and must never be mutated.
 type WireImage struct {
 	// buf holds the full image: command line plus sorted base headers up
 	// to split, content-length header, blank line, body and the NUL
@@ -35,9 +35,9 @@ type WireImage struct {
 
 // RawMessageImage wraps already-encoded MESSAGE image bytes — typically
 // read back from a durable journal — without copying or re-marshalling.
-// buf must be a full image as produced by NewMessageImage or package
-// event's builder (command line, header block, content-length, body,
-// NUL), and split its routing-header splice offset; both come verbatim
+// buf must be a full image as produced by package event's builder
+// (command line, header block, content-length, body, NUL), and split its
+// routing-header splice offset; both come verbatim
 // from Bytes and Split of the image that was persisted. The caller hands
 // over ownership: buf must not be mutated afterwards.
 func RawMessageImage(buf []byte, split int) *WireImage {
@@ -66,34 +66,15 @@ func (img *WireImage) Suffix() []byte { return img.buf[img.split:] }
 // routing headers.
 func (img *WireImage) WireLen() int { return len(img.buf) }
 
-// NewMessageImage encodes a MESSAGE frame with the given headers and body
-// into a wire image. The subscription and message-id headers are reserved
-// for per-delivery routing and are dropped if present; content-length is
-// always derived from body. The bytes an image puts on the wire are
-// Encoder.Encode's for the same headers and body, with the routing
-// headers spliced in just ahead of content-length.
-//
-// headers and body are copied; the caller keeps ownership.
-func NewMessageImage(headers map[string]string, body []byte) *WireImage {
-	bld := NewImageBuilder(CmdMessage, imageSizeHint(headers, body))
-	keys := sortedHeaderKeys(make([]string, 0, len(headers)), headers, HdrContentLength)
-	for _, k := range keys {
-		if k == HdrSubscription || k == HdrMessageID {
-			continue
-		}
-		bld.Header(k, headers[k])
-	}
-	img := bld.Finish(body)
-	return &img
-}
-
-// ImageBuilder assembles a WireImage from headers supplied one at a time,
-// for map-free producers (package event encodes a frozen event's SEND
-// image straight from its fields, with no intermediate header map).
-// Callers must supply headers in the canonical sorted order the Encoder
-// emits, and must not pass content-length (derived from the body by
-// Finish) nor, for images destined for EncodeImage, the subscription and
-// message-id routing headers.
+// ImageBuilder assembles a WireImage — SEND or MESSAGE — from headers
+// supplied one at a time, with no intermediate header map (package event
+// encodes an event's fields straight in, one routine for both frame
+// kinds). Callers must supply headers in the canonical sorted order the
+// Encoder emits, and must not pass content-length (derived from the body
+// by Finish) nor, for images destined for EncodeImage, the subscription
+// and message-id routing headers. The bytes an image puts on the wire are
+// Encoder.Encode's for the same headers and body, with the per-send
+// headers spliced in.
 type ImageBuilder struct {
 	buf    []byte
 	rsplit int
@@ -138,16 +119,6 @@ func (b *ImageBuilder) Finish(body []byte) WireImage {
 	buf = append(buf, 0)
 	b.buf = nil
 	return WireImage{buf: buf, split: split, rsplit: b.rsplit}
-}
-
-// imageSizeHint estimates the encoded size so the common case builds the
-// image in a single allocation.
-func imageSizeHint(headers map[string]string, body []byte) int {
-	n := len(CmdMessage) + len(HdrContentLength) + 24 + len(body)
-	for k, v := range headers {
-		n += len(k) + len(v) + 2
-	}
-	return n
 }
 
 // Route addresses one delivery of a shared MESSAGE image: the values of
@@ -244,5 +215,19 @@ func (e *Encoder) EncodeSendImage(w io.Writer, img *WireImage, receipt string) e
 		return err
 	}
 	_, err := w.Write(img.buf[img.rsplit:])
+	return err
+}
+
+// encodeReceipt writes the RECEIPT frame confirming receipt id straight
+// from the scratch buffer — no Frame, no header map. The wire bytes are
+// Encoder.Encode's for a RECEIPT frame whose one header is receipt-id.
+func (e *Encoder) encodeReceipt(w io.Writer, id string) error {
+	b := append(e.buf[:0], CmdReceipt+"\n"+HdrReceiptID+":"...)
+	b = appendEscapedHeader(b, id)
+	b = append(b, "\n"+HdrContentLength+":0\n\n\x00"...)
+	if cap(b) <= maxRetainedEncodeBuf {
+		e.buf = b[:0]
+	}
+	_, err := w.Write(b)
 	return err
 }

@@ -342,15 +342,15 @@ func (s *Server) serveSession(sess *Session) {
 	}
 }
 
-// ack sends a RECEIPT if the frame asked for one.
+// ack sends a RECEIPT if the frame asked for one: the id itself is queued
+// (a control frame, flushed at once) and the writer's encoder emits the
+// frame, so a receipt-tracked publish costs no Frame and no header map.
 func (s *Server) ack(sess *Session, v *FrameView) {
 	receipt := v.Headers.Header(HdrReceipt)
-	if receipt == "" {
+	if receipt == "" || sess.closed.Load() {
 		return
 	}
-	rf := NewFrame(CmdReceipt)
-	rf.SetHeader(HdrReceiptID, receipt)
-	_ = sess.Send(rf) // best effort; client may already be gone
+	_ = sess.fw.send(outFrame{receipt: receipt, flush: true}) // best effort; client may already be gone
 }
 
 func isClosedConn(err error) bool {
