@@ -36,12 +36,13 @@
 //
 // The core Broker is transport-independent; package-level Server and
 // Client types expose it over the STOMP wire protocol with the paper's
-// label-header extensions. The networked wire path is map-free in both
+// label-header extensions. A Client is one STOMP connection, as a unit's
+// is in the paper (§4.2), plus a dedicated publish connection when its
+// publishes are windowed. The networked wire path is map-free in both
 // directions: deliveries share one preencoded MESSAGE image per published
 // event, and Client.Publish sends a frozen event's memoised SEND image
-// with no intermediate header map — optionally pipelined through a
-// receipt-confirmed publish window (ClientConfig.PublishWindow) and
-// sharded per topic (ClientConfig.PublishShards).
+// with no intermediate header map, either fire-and-forget or pipelined
+// through a receipt-confirmed publish window (ClientConfig.PublishWindow).
 //
 // # Credit-based flow control
 //
@@ -50,7 +51,7 @@
 // delivery window of n messages (the credit header); the Server tracks
 // granted-versus-sent per wire subscription with atomic counters and
 // parks matched deliveries in a bounded per-subscription pending ring
-// (ServerConfig.CreditPending) once the window is exhausted, falling
+// (32 deep) once the window is exhausted, falling
 // back to the session's overflow policy only if the ring also fills.
 // The client replenishes by sending ACK frames carrying cumulative
 // credit grants — batched at the half-window low-water mark and driven
@@ -244,7 +245,7 @@ func (b *Broker) Subscribe(principal, topic, sel string, handler Handler) (*Subs
 // SubscribeWire registers a wire subscription: the handler receives the
 // frozen published event itself, with no per-subscriber attribute copy.
 // It exists for transports that only serialise the event — the STOMP
-// network front delivers through it, so every session and shard sees the
+// network front delivers through it, so every session sees the
 // same event pointer and the event's wire image (Event.WireImage) is
 // encoded once per publish rather than once per session. Wire handlers
 // must never mutate the event or hand it to code that might.

@@ -72,7 +72,7 @@ func creditHandshake(t testing.TB, conn net.Conn, login, topic, subID string, cr
 func TestChaosCreditedConsumers(t *testing.T) {
 	const (
 		window      = 4
-		ring        = 32
+		ring        = 32 // the server's pending ring per subscription
 		feedEvents  = 120
 		stuckEvents = 24 // parked = stuckEvents - window, must stay <= ring
 		resetEvents = 12
@@ -90,9 +90,8 @@ func TestChaosCreditedConsumers(t *testing.T) {
 	var stallMu sync.Mutex
 	var stallEvents []broker.CreditStallEvent
 	srv, err := broker.NewServer("127.0.0.1:0", br, broker.ServerConfig{
-		Logf:          t.Logf,
-		Overflow:      broker.OverflowDropNewest,
-		CreditPending: ring,
+		Logf:     t.Logf,
+		Overflow: broker.OverflowDropNewest,
 		OnDeliveryError: func(sessionID uint64, sub string, ev *event.Event, err error) {
 			if errors.Is(err, broker.ErrSlowConsumer) {
 				slowDrops.Add(1)
@@ -139,8 +138,7 @@ func TestChaosCreditedConsumers(t *testing.T) {
 				},
 			})
 		},
-		QueueSize: 512,
-		Logf:      t.Logf,
+		Logf: t.Logf,
 	})
 	if err != nil {
 		t.Fatalf("engine.New: %v", err)

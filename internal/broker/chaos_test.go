@@ -18,21 +18,20 @@ import (
 	"safeweb/internal/stomp"
 )
 
-// TestChaosShardedConsumers hammers the networked broker with everything
-// the sharded consumer path must survive at once: a consumer engine whose
-// bus spreads subscriptions across several STOMP connections, concurrent
-// publishers, subscription churn from short-lived clients, and mid-stream
-// connection drops (both abrupt TCP closes and graceful disconnects).
-// Under -race it doubles as the data-race check for the per-shard read
-// loops feeding the engine's value-typed queues.
+// TestChaosConsumers hammers the networked broker with everything the
+// consumer path must survive at once: a consumer engine with several
+// subscriptions on its connection, concurrent publishers, subscription
+// churn from short-lived clients, and mid-stream connection drops (both
+// abrupt TCP closes and graceful disconnects). Under -race it doubles as
+// the data-race check for the connection read loop feeding the engine's
+// value-typed queues.
 //
 // The invariant: every subscription that survives the chaos — here, the
 // engine's subscriptions, whose connections are never dropped — receives
 // every published event exactly once, in per-subscription order, and the
 // engine then tears down cleanly.
-func TestChaosShardedConsumers(t *testing.T) {
+func TestChaosConsumers(t *testing.T) {
 	const (
-		shards     = 3
 		fanout     = 6
 		publishers = 4
 		perPub     = 250
@@ -67,12 +66,10 @@ func TestChaosShardedConsumers(t *testing.T) {
 		Bus: func(principal string) (broker.Bus, error) {
 			return broker.DialBus(srv.Addr(), broker.ClientConfig{
 				Login:   principal,
-				Shards:  shards,
 				OnError: onError,
 			})
 		},
-		QueueSize: 256,
-		Logf:      t.Logf,
+		Logf: t.Logf,
 	})
 	if err != nil {
 		t.Fatalf("engine.New: %v", err)
@@ -109,10 +106,10 @@ func TestChaosShardedConsumers(t *testing.T) {
 	stopChaos := make(chan struct{})
 	var chaosWG sync.WaitGroup
 
-	// Churners: short-lived sharded clients that subscribe, receive a
-	// little, unsubscribe or vanish. Odd iterations drop the TCP
-	// connections abruptly (stomp.Client.Close sends no DISCONNECT);
-	// even ones disconnect gracefully mid-stream.
+	// Churners: short-lived clients that subscribe, receive a little,
+	// unsubscribe or vanish. Odd iterations drop the TCP connection
+	// abruptly (stomp.Client.Close sends no DISCONNECT); even ones
+	// disconnect gracefully mid-stream.
 	for c := 0; c < churners; c++ {
 		chaosWG.Add(1)
 		go func(c int) {
@@ -126,7 +123,6 @@ func TestChaosShardedConsumers(t *testing.T) {
 				}
 				cl, err := broker.DialBus(srv.Addr(), broker.ClientConfig{
 					Login:   "churn",
-					Shards:  1 + iter%3,
 					OnError: onError,
 				})
 				if err != nil {
@@ -190,7 +186,7 @@ func TestChaosShardedConsumers(t *testing.T) {
 	}
 	close(stopChaos)
 	chaosWG.Wait()
-	eng.Stop() // clean teardown: closes shard conns, drains queues, joins workers
+	eng.Stop() // clean teardown: closes the conn, drains queues, joins workers
 
 	if got := eng.Stats().CallbackErrors; got != 0 {
 		t.Errorf("%d callback errors", got)
@@ -216,14 +212,14 @@ func TestChaosShardedConsumers(t *testing.T) {
 	}
 }
 
-// abruptClose tears down a sharded client's TCP connections without a
-// DISCONNECT handshake, simulating a consumer crash mid-stream.
+// abruptClose tears down a client's TCP connections without a DISCONNECT
+// handshake, simulating a crash mid-stream.
 func abruptClose(cl *broker.Client) { cl.AbruptClose() }
 
 // TestChaosWindowedPublishers extends the chaos suite to the producer
-// fast path: windowed asynchronous publishers (sharded across publish
-// connections) pipeline receipt-tracked SENDs at a consumer engine while
-// their connections are abruptly dropped mid-batch. Under -race it
+// fast path: windowed asynchronous publishers pipeline receipt-tracked
+// SENDs at a consumer engine while their connections are abruptly dropped
+// mid-batch. Under -race it
 // doubles as the data-race check for the publish window.
 //
 // The invariants: a batch whose Flush succeeded is receipt-confirmed end
@@ -264,12 +260,10 @@ func TestChaosWindowedPublishers(t *testing.T) {
 		Bus: func(principal string) (broker.Bus, error) {
 			return broker.DialBus(srv.Addr(), broker.ClientConfig{
 				Login:   principal,
-				Shards:  2,
 				OnError: onError,
 			})
 		},
-		QueueSize: 256,
-		Logf:      t.Logf,
+		Logf: t.Logf,
 	})
 	if err != nil {
 		t.Fatalf("engine.New: %v", err)
@@ -322,7 +316,6 @@ func TestChaosWindowedPublishers(t *testing.T) {
 				cl, err := broker.DialBus(srv.Addr(), broker.ClientConfig{
 					Login:         "pub-" + strconv.Itoa(p),
 					PublishWindow: 8,
-					PublishShards: 2,
 					SendTimeout:   5 * time.Second,
 					OnError:       onError,
 				})

@@ -1,6 +1,7 @@
 package broker
 
 import (
+	"cmp"
 	"crypto/tls"
 	"errors"
 	"fmt"
@@ -22,44 +23,31 @@ type ClientConfig struct {
 	Passcode string
 	// TLS enables transport security.
 	TLS *tls.Config
-	// SendTimeout bounds receipt-confirmed publishes; zero means
-	// fire-and-forget SENDs.
+	// SendTimeout bounds each windowed publish's receipt wait (zero means
+	// 10 seconds). Without PublishWindow publishes are fire-and-forget and
+	// it bounds nothing.
 	SendTimeout time.Duration
 	// OnError receives asynchronous errors (decode failures, server
-	// errors); nil drops them. With Shards > 1 it is invoked from every
-	// shard's read goroutine, possibly concurrently, so it must be safe
-	// for concurrent use.
+	// errors); nil drops them. With PublishWindow > 0 it runs on the read
+	// goroutines of both connections, possibly concurrently, so it must be
+	// safe for concurrent use.
 	OnError func(error)
-	// Shards is the number of STOMP connections this client spreads its
-	// subscriptions across; 0 or 1 means a single connection (the default,
-	// wire-identical to the pre-sharding client). Subscriptions are placed
-	// round-robin and each lives wholly on one connection, so wire bytes
-	// and per-subscription delivery order are unchanged; publishes always
-	// travel on the first connection (unless PublishShards spreads them),
-	// preserving publish order. Sharding pays off for subscription-heavy
-	// consumers: frame decoding spreads across per-connection read loops
-	// and broker-side encoding across per-session coalescing writers.
-	Shards int
 
 	// PublishWindow enables windowed asynchronous publishing when > 0:
 	// every publish is a receipt-tracked SEND, and up to PublishWindow of
-	// them may be in flight per publish connection before Publish blocks
-	// on the oldest outstanding confirmation. Publishes still enter their
-	// connection's single write queue in call order, so per-client (and
-	// per-topic, under PublishShards) publish ordering is unchanged — the
-	// window removes the per-publish round trip, not the ordering. The
+	// them may be in flight before Publish blocks on the oldest
+	// outstanding confirmation. Publishes still enter the connection's
+	// single write queue in call order, so publish ordering is unchanged —
+	// the window removes the per-publish round trip, not the ordering. The
 	// first broker error (receipt timeout, connection loss, server
 	// rejection) is sticky: later Publish calls fail fast with it and
-	// Flush reports it. Zero keeps today's behaviour: a synchronous
-	// receipt per publish when SendTimeout > 0, fire-and-forget SENDs
-	// otherwise. SendTimeout bounds each windowed receipt wait (zero
-	// means 10 seconds).
+	// Flush reports it. Zero publishes fire-and-forget.
 	//
-	// Windowed publishes travel on dedicated connections, disjoint from
-	// the subscription connections: a consumer stalled on a full engine
-	// queue backpressures its connection's read loop, and a RECEIPT stuck
-	// behind undelivered MESSAGE frames there would deadlock the window
-	// against the very callback waiting on it.
+	// Windowed publishes travel on a dedicated second connection: a
+	// consumer stalled on a full engine queue backpressures its
+	// subscription connection's read loop, and a RECEIPT stuck behind
+	// undelivered MESSAGE frames there would deadlock the window against
+	// the very callback waiting on it.
 	PublishWindow int
 
 	// SubscribeCredit arms credit-based flow control on every subscription
@@ -88,59 +76,28 @@ type ClientConfig struct {
 	// over the group's acked mark; with DurableGroup empty it creates
 	// anonymous durable subscriptions whose progress is not persisted.
 	DurableOffset string
-
-	// PublishShards spreads publishes across that many connections,
-	// mirroring Shards on the consumer side; 0 or 1 pins all publishes to
-	// one connection (the default). Each topic is pinned to one
-	// connection by hash, so per-topic publish order is preserved;
-	// publishes to different topics may interleave differently than on a
-	// single connection. Without PublishWindow the client dials
-	// max(Shards, PublishShards) connections and publish traffic shares
-	// the first PublishShards of them with subscriptions (wire-compatible
-	// with the pre-sharding client); with PublishWindow the publish
-	// connections are dialled in addition to the Shards subscription
-	// connections (see PublishWindow).
-	PublishShards int
 }
-
-// ErrUnknownSubscription is returned by Unsubscribe for an id this client
-// did not mint. Sharded clients cannot pass unknown ids through to a
-// connection: connection-local ids repeat across shards, so a blind
-// forward could tear down an unrelated live subscription.
-var ErrUnknownSubscription = errors.New("broker: unknown subscription id")
 
 // Client is a Bus implementation over a remote STOMP broker. It lets an
 // engine (or any producer/consumer) run in a different process or network
 // zone from the broker, as in the paper's ECRIC deployment where the event
-// broker is a separate service inside the Intranet (Fig. 4).
+// broker is a separate service inside the Intranet (Fig. 4). It is one
+// STOMP connection, plus the publish window's own when PublishWindow > 0.
 type Client struct {
-	cfg      ClientConfig
-	shards   []*clientShard
-	subConns int // subscriptions round-robin across shards[:subConns]
-	pubBase  int // publishes pinned by topic hash across shards[pubBase:pubBase+pubConns]
-	pubConns int
-	rr       atomic.Uint64 // round-robin subscription placement
+	cfg  ClientConfig
+	conn *stomp.Client // subscriptions, and publishes unless windowed
 
-	mu   sync.Mutex
-	subs map[string]shardSub // qualified id -> placement
-}
-
-// clientShard is one STOMP connection of a sharded client, with the
-// decode memos confined to its read loop.
-type clientShard struct {
-	conn *stomp.Client
-
-	// cache memoises label-header parses and the topic string across this
-	// shard's deliveries. All of the shard's subscription handlers run on
-	// its connection read goroutine, so the cache is goroutine-confined.
+	// cache memoises label-header parses and the topic string across
+	// deliveries. Every subscription handler runs on conn's read
+	// goroutine, so the cache is goroutine-confined.
 	cache event.DecodeCache
 
-	// win is the connection's publish window; nil unless PublishWindow is
-	// enabled and this connection carries publishes.
+	// win is the publish window and its connection; nil unless
+	// PublishWindow > 0.
 	win *pubWindow
 }
 
-// pubWindow tracks the receipt-confirmed SENDs in flight on one publish
+// pubWindow tracks the receipt-confirmed SENDs in flight on the publish
 // connection. Receipts complete in send order (the broker processes a
 // connection's frames sequentially), so the in-flight set is a FIFO and
 // waiting on its head bounds the window. The first failure is sticky:
@@ -149,6 +106,7 @@ type clientShard struct {
 // reports it — a windowed producer can pipeline without ever having an
 // error swallowed between two Flush calls.
 type pubWindow struct {
+	conn    *stomp.Client
 	size    int
 	timeout time.Duration
 
@@ -161,7 +119,7 @@ type pubWindow struct {
 // publish sends one image through the window, blocking while the window
 // is full. The window mutex also serialises enqueueing, preserving the
 // caller-observed publish order on the connection.
-func (w *pubWindow) publish(conn *stomp.Client, img *stomp.WireImage) error {
+func (w *pubWindow) publish(img *stomp.WireImage) error {
 	w.mu.Lock()
 	defer w.mu.Unlock()
 	if w.err != nil {
@@ -172,7 +130,7 @@ func (w *pubWindow) publish(conn *stomp.Client, img *stomp.WireImage) error {
 			return err
 		}
 	}
-	r, err := conn.SendImageAsync(img)
+	r, err := w.conn.SendImageAsync(img)
 	if err != nil {
 		w.err = fmt.Errorf("broker: windowed publish: %w", err)
 		return w.err
@@ -251,7 +209,7 @@ type creditTracker struct {
 	window  int64
 	onError func(error)
 	// subID is the wire subscription id, captured from the first
-	// delivery's subscription header on the shard read goroutine before
+	// delivery's subscription header on the connection read goroutine before
 	// the handler runs; every done call is downstream of a delivery, so
 	// the write happens-before all reads.
 	subID string
@@ -299,7 +257,7 @@ type offsetTracker struct {
 	credit  *creditTracker // non-nil: piggyback the credit grant on each ack
 	onError func(error)
 	// subID is captured from the first delivery's subscription header on
-	// the shard read goroutine, like creditTracker.subID.
+	// the connection read goroutine, like creditTracker.subID.
 	subID string
 
 	mu      sync.Mutex
@@ -309,7 +267,7 @@ type offsetTracker struct {
 }
 
 // delivered records one replayed delivery's offset, in arrival order.
-// Runs on the shard read goroutine before the handler sees the event.
+// Runs on the connection read goroutine before the handler sees the event.
 func (t *offsetTracker) delivered(off int64) {
 	t.mu.Lock()
 	t.pending = append(t.pending, off)
@@ -351,56 +309,32 @@ func (t *offsetTracker) released(off int64) {
 	}
 }
 
-// shardSub records where a subscription lives so Unsubscribe can route to
-// the right connection.
-type shardSub struct {
-	shard int
-	raw   string
-}
-
 var _ Bus = (*Client)(nil)
 
-// DialBus connects to a broker server. It establishes
-// max(cfg.Shards, cfg.PublishShards) STOMP connections (one by default),
-// plus cfg.PublishShards dedicated publish connections when windowed
-// publishing is enabled (see ClientConfig.PublishWindow).
+// DialBus connects to a broker server: one STOMP connection, plus a
+// dedicated publish connection when windowed publishing is enabled (see
+// ClientConfig.PublishWindow).
 func DialBus(addr string, cfg ClientConfig) (*Client, error) {
-	subConns := cfg.Shards
-	if subConns < 1 {
-		subConns = 1
-	}
-	pubConns := cfg.PublishShards
-	if pubConns < 1 {
-		pubConns = 1
-	}
-	n, pubBase := subConns, 0
-	if cfg.PublishWindow > 0 {
-		// Windowed receipts must never queue behind undelivered MESSAGE
-		// frames: publish connections are their own.
-		n, pubBase = subConns+pubConns, subConns
-	} else if pubConns > n {
-		n = pubConns
-	}
-	c := &Client{cfg: cfg, subConns: subConns, pubBase: pubBase, pubConns: pubConns,
-		subs: make(map[string]shardSub)}
-	for i := 0; i < n; i++ {
-		sc, err := stomp.Dial(addr, stomp.ClientConfig{
+	dial := func() (*stomp.Client, error) {
+		return stomp.Dial(addr, stomp.ClientConfig{
 			Login:    cfg.Login,
 			Passcode: cfg.Passcode,
 			TLS:      cfg.TLS,
 			OnError:  cfg.OnError,
 		})
+	}
+	conn, err := dial()
+	if err != nil {
+		return nil, err
+	}
+	c := &Client{cfg: cfg, conn: conn}
+	if cfg.PublishWindow > 0 {
+		pub, err := dial()
 		if err != nil {
-			for _, sh := range c.shards {
-				_ = sh.conn.Close()
-			}
+			_ = conn.Close()
 			return nil, err
 		}
-		sh := &clientShard{conn: sc}
-		if cfg.PublishWindow > 0 && i >= pubBase {
-			sh.win = &pubWindow{size: cfg.PublishWindow, timeout: cfg.SendTimeout}
-		}
-		c.shards = append(c.shards, sh)
+		c.win = &pubWindow{conn: pub, size: cfg.PublishWindow, timeout: cfg.SendTimeout}
 	}
 	return c, nil
 }
@@ -411,11 +345,10 @@ func DialBus(addr string, cfg ClientConfig) (*Client, error) {
 // straight to the connection's coalescing writer — no header map, no
 // frame, and for repeated publishes of one event no re-encoding.
 //
-// Publishes are pinned to the first connection — or, with PublishShards,
-// to a per-topic connection — so the broker observes one client's
-// publishes to a topic in publish order. With PublishWindow the SEND is
-// receipt-tracked and pipelined; otherwise SendTimeout selects between a
-// synchronous receipt and fire-and-forget.
+// One connection carries every publish, so the broker observes a client's
+// publishes in publish order. With PublishWindow the SEND is
+// receipt-tracked and pipelined on the window's connection; otherwise it
+// is fire-and-forget.
 //
 // A publish the client can prove never reached the wire — the fail-fast
 // rejection of an already-failed window, a validation failure, or an
@@ -426,9 +359,8 @@ func DialBus(addr string, cfg ClientConfig) (*Client, error) {
 // publish handed to a connection freezes it, because the bytes may be
 // with the broker even when an error is reported.
 func (c *Client) Publish(ev *event.Event) error {
-	sh := c.shards[c.pubShard(ev.Topic)]
-	if sh.win != nil {
-		if err := sh.win.stickyErr(); err != nil {
+	if c.win != nil {
+		if err := c.win.stickyErr(); err != nil {
 			return err
 		}
 	}
@@ -439,72 +371,42 @@ func (c *Client) Publish(ev *event.Event) error {
 		return err
 	}
 	ev.Freeze()
-	switch {
-	case sh.win != nil:
-		return sh.win.publish(sh.conn, img)
-	case c.cfg.SendTimeout > 0:
-		return sh.conn.SendImageReceipt(img, c.cfg.SendTimeout)
-	default:
-		return sh.conn.SendImage(img)
+	if c.win != nil {
+		return c.win.publish(img)
 	}
-}
-
-// pubShard pins a topic to one publish connection.
-func (c *Client) pubShard(topic string) int {
-	if c.pubConns <= 1 {
-		return c.pubBase
-	}
-	// FNV-1a over the topic: cheap, allocation-free, stable.
-	h := uint32(2166136261)
-	for i := 0; i < len(topic); i++ {
-		h ^= uint32(topic[i])
-		h *= 16777619
-	}
-	return c.pubBase + int(h%uint32(c.pubConns))
+	return c.conn.SendImage(img)
 }
 
 // Flush blocks until every windowed publish accepted so far is confirmed
-// by the broker, returning the first error any publish connection hit
-// (receipt refused, timed out, or connection lost). Without PublishWindow
-// it is a no-op: synchronous and fire-and-forget publishes have nothing
-// outstanding to settle. The error is sticky — once a window fails, Flush
-// and Publish keep reporting it; reconnect to recover.
+// by the broker, returning the first error the window hit (receipt
+// refused, timed out, or connection lost). Without PublishWindow it is a
+// no-op: fire-and-forget publishes have nothing outstanding to settle.
+// The error is sticky — once the window fails, Flush and Publish keep
+// reporting it; reconnect to recover.
 func (c *Client) Flush() error {
-	var first error
-	for _, sh := range c.shards {
-		if sh.win == nil {
-			continue
-		}
-		if err := sh.win.flush(); err != nil && first == nil {
-			first = err
-		}
+	if c.win == nil {
+		return nil
 	}
-	return first
+	return c.win.flush()
 }
 
-// Subscribe implements Bus. The subscription is placed on one connection
-// (round-robin across shards) and its deliveries are decoded map-free:
-// the STOMP frame view feeds event.UnmarshalView in a single pass, with
-// body ownership handed to the event. With SubscribeCredit set, the
+// Subscribe implements Bus. Deliveries are decoded map-free: the STOMP
+// frame view feeds event.UnmarshalView in a single pass, with body
+// ownership handed to the event. With SubscribeCredit set, the
 // SUBSCRIBE advertises a delivery window and a creditTracker replenishes
 // it as deliveries are released.
 func (c *Client) Subscribe(topic, sel string, handler Handler) (string, error) {
-	idx := 0
-	if c.subConns > 1 {
-		idx = int((c.rr.Add(1) - 1) % uint64(c.subConns))
-	}
-	sh := c.shards[idx]
 	var tr *creditTracker
 	var extra map[string]string
 	if c.cfg.SubscribeCredit > 0 {
-		tr = &creditTracker{conn: sh.conn, window: int64(c.cfg.SubscribeCredit), onError: c.cfg.OnError}
+		tr = &creditTracker{conn: c.conn, window: int64(c.cfg.SubscribeCredit), onError: c.cfg.OnError}
 		tr.granted.Store(tr.window)
 		tr.doneFn = tr.done
 		extra = map[string]string{stomp.HdrCredit: strconv.Itoa(c.cfg.SubscribeCredit)}
 	}
 	var ot *offsetTracker
 	if c.cfg.DurableGroup != "" || c.cfg.DurableOffset != "" {
-		ot = &offsetTracker{conn: sh.conn, credit: tr, onError: c.cfg.OnError}
+		ot = &offsetTracker{conn: c.conn, credit: tr, onError: c.cfg.OnError}
 		if extra == nil {
 			extra = make(map[string]string, 2)
 		}
@@ -515,7 +417,7 @@ func (c *Client) Subscribe(topic, sel string, handler Handler) (string, error) {
 			extra[stomp.HdrOffset] = c.cfg.DurableOffset
 		}
 	}
-	raw, err := sh.conn.SubscribeView(topic, sel, extra, func(v *stomp.FrameView) {
+	raw, err := c.conn.SubscribeView(topic, sel, extra, func(v *stomp.FrameView) {
 		if tr != nil && tr.subID == "" {
 			// First delivery: the wire subscription id (which deliveries can
 			// carry before SubscribeView even returns) names the grants.
@@ -542,7 +444,7 @@ func (c *Client) Subscribe(topic, sel string, handler Handler) (string, error) {
 		// is recycled (Event.Release) when its consumer — the engine's
 		// subscription worker — finishes the callback. Handlers must not
 		// retain it past their own return.
-		ev, err := event.UnmarshalViewDelivery(&v.Headers, v.Body, &sh.cache)
+		ev, err := event.UnmarshalViewDelivery(&v.Headers, v.Body, &c.cache)
 		if err != nil {
 			if tr != nil {
 				// The broker spent a credit on this delivery; an undecodable
@@ -567,66 +469,24 @@ func (c *Client) Subscribe(topic, sel string, handler Handler) (string, error) {
 		}
 		handler(ev)
 	})
-	if err != nil {
-		return "", err
-	}
-	id := raw
-	if c.subConns > 1 {
-		// Connection-local ids ("sub-1") repeat across shards; qualify.
-		id = "s" + strconv.Itoa(idx) + ":" + raw
-	}
-	c.mu.Lock()
-	c.subs[id] = shardSub{shard: idx, raw: raw}
-	c.mu.Unlock()
-	return id, nil
+	return raw, err
 }
 
 // Unsubscribe implements Bus.
 func (c *Client) Unsubscribe(id string) error {
-	c.mu.Lock()
-	ref, ok := c.subs[id]
-	delete(c.subs, id)
-	c.mu.Unlock()
-	if !ok {
-		if c.subConns > 1 {
-			// An unqualified id must not be forwarded to an arbitrary
-			// shard: connection-local ids ("sub-1") repeat across shards,
-			// so shard 0 may hold a different live subscription under the
-			// same id and a blind pass-through would tear it down while
-			// stranding its c.subs entry.
-			return ErrUnknownSubscription
-		}
-		// Single connection: pass through, preserving the behaviour for
-		// ids minted directly on the underlying stomp client.
-		return c.shards[0].conn.Unsubscribe(id)
-	}
-	return c.shards[ref.shard].conn.Unsubscribe(ref.raw)
+	return c.conn.Unsubscribe(id)
 }
 
-// Close implements Bus with a graceful disconnect of every shard. It is
-// a publish barrier: outstanding windowed publishes are flushed first, so
-// a producer that closes cleanly knows every accepted publish reached the
-// broker — a Flush error (some publish was never confirmed) is reported
-// in preference to disconnect errors.
+// Close implements Bus with a graceful disconnect of both connections.
+// It is a publish barrier: outstanding windowed publishes are flushed
+// first, so a producer that closes cleanly knows every accepted publish
+// reached the broker — a Flush error (some publish was never confirmed)
+// is reported in preference to disconnect errors.
 func (c *Client) Close() error {
 	flushErr := c.Flush()
-	errs := make([]error, len(c.shards))
-	var wg sync.WaitGroup
-	for i, sh := range c.shards {
-		wg.Add(1)
-		go func(i int, sh *clientShard) {
-			defer wg.Done()
-			errs[i] = sh.conn.Disconnect(5 * time.Second)
-		}(i, sh)
+	var pubErr error
+	if c.win != nil {
+		pubErr = c.win.conn.Disconnect(5 * time.Second)
 	}
-	wg.Wait()
-	if flushErr != nil {
-		return flushErr
-	}
-	for _, err := range errs {
-		if err != nil {
-			return err
-		}
-	}
-	return nil
+	return cmp.Or(flushErr, c.conn.Disconnect(5*time.Second), pubErr)
 }

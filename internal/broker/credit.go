@@ -27,9 +27,10 @@ import (
 // CAS on sent. The per-subscription mutex guards only the slow path — the
 // pending ring a delivery parks in once credit is exhausted.
 
-// defaultCreditPending is the per-subscription pending ring capacity when
-// ServerConfig.CreditPending is zero.
-const defaultCreditPending = 32
+// creditPending is the per-subscription pending ring capacity: how many
+// matched deliveries may park broker-side once a credit window is
+// exhausted before the overflow policy takes over.
+const creditPending = 32
 
 // CreditStallEvent describes a credited subscription whose window just ran
 // dry, reported through ServerConfig.OnCreditStall once per stall run: the
@@ -95,8 +96,8 @@ type creditState struct {
 	closed  bool
 }
 
-func newCreditState(window int64, pending int) *creditState {
-	c := &creditState{ring: make([]*event.Event, pending)}
+func newCreditState(window int64) *creditState {
+	c := &creditState{ring: make([]*event.Event, creditPending)}
 	c.granted.Store(window)
 	c.space.L = &c.mu
 	return c

@@ -228,8 +228,26 @@ func waitFor(t testing.TB, what string, cond func() bool) {
 // server's configured overflow policy — the reactive machinery stays the
 // safety net under credit, with its accounting and hooks intact.
 func TestCreditRingOverflowPolicies(t *testing.T) {
-	// Window 1, ring 2: seq 0 is sent, 1 and 2 park, 3 overflows.
-	setup := func(t *testing.T, overflow broker.OverflowPolicy, evictAfter int) (
+	// Window 1, the server's 32-deep ring: seq 0 is sent, 1..32 park, 33
+	// overflows; the disconnect policy evicts on the 8th overflow in a row.
+	const ring, evictAfter = 32, 8
+	// publishSeqs publishes seq from..to-1.
+	publishSeqs := func(t *testing.T, br *broker.Broker, from, to int) {
+		t.Helper()
+		for seq := from; seq < to; seq++ {
+			publishSeq(t, br, "/credit/ring", seq)
+		}
+	}
+	// readSeqs reads deliveries of seq from..to-1, in order.
+	readSeqs := func(t *testing.T, conn net.Conn, rd *bufio.Reader, from, to int) {
+		t.Helper()
+		for want := from; want < to; want++ {
+			if got := readSeq(t, conn, rd); got != want {
+				t.Fatalf("post-grant seq %d, want %d (survivors in order)", got, want)
+			}
+		}
+	}
+	setup := func(t *testing.T, overflow broker.OverflowPolicy) (
 		*broker.Broker, *broker.Server, net.Conn, *bufio.Reader,
 		*atomic.Uint64, func() []broker.SlowConsumerEvent,
 	) {
@@ -239,10 +257,8 @@ func TestCreditRingOverflowPolicies(t *testing.T) {
 		var slowMu sync.Mutex
 		var slowEvents []broker.SlowConsumerEvent
 		srv, err := broker.NewServer("127.0.0.1:0", br, broker.ServerConfig{
-			Logf:               t.Logf,
-			Overflow:           overflow,
-			OverflowEvictAfter: evictAfter,
-			CreditPending:      2,
+			Logf:     t.Logf,
+			Overflow: overflow,
 			OnDeliveryError: func(_ uint64, _ string, _ *event.Event, err error) {
 				if errors.Is(err, broker.ErrSlowConsumer) {
 					slowDrops.Add(1)
@@ -268,12 +284,10 @@ func TestCreditRingOverflowPolicies(t *testing.T) {
 	}
 
 	t.Run("drop-newest", func(t *testing.T) {
-		br, srv, conn, rd, slowDrops, _ := setup(t, broker.OverflowDropNewest, 0)
-		for seq := 0; seq < 4; seq++ {
-			publishSeq(t, br, "/credit/ring", seq)
-		}
+		br, srv, conn, rd, slowDrops, _ := setup(t, broker.OverflowDropNewest)
+		publishSeqs(t, br, 0, ring+2)
 		if got := srv.Stats().OverflowDrops; got != 1 {
-			t.Errorf("OverflowDrops = %d, want 1 (seq 3 over the full ring)", got)
+			t.Errorf("OverflowDrops = %d, want 1 (seq %d over the full ring)", got, ring+1)
 		}
 		if got := slowDrops.Load(); got != 1 {
 			t.Errorf("ErrSlowConsumer reports = %d, want 1", got)
@@ -281,20 +295,14 @@ func TestCreditRingOverflowPolicies(t *testing.T) {
 		if got := readSeq(t, conn, rd); got != 0 {
 			t.Fatalf("first delivery seq %d, want 0", got)
 		}
-		sendGrant(t, conn, "c-0", "10")
-		for _, want := range []int{1, 2} {
-			if got := readSeq(t, conn, rd); got != want {
-				t.Fatalf("post-grant seq %d, want %d (survivors in order)", got, want)
-			}
-		}
+		sendGrant(t, conn, "c-0", "100")
+		readSeqs(t, conn, rd, 1, ring+1)
 		expectSilence(t, conn, rd, 200*time.Millisecond)
 	})
 
 	t.Run("drop-oldest", func(t *testing.T) {
-		br, srv, conn, rd, slowDrops, _ := setup(t, broker.OverflowDropOldest, 0)
-		for seq := 0; seq < 4; seq++ {
-			publishSeq(t, br, "/credit/ring", seq)
-		}
+		br, srv, conn, rd, slowDrops, _ := setup(t, broker.OverflowDropOldest)
+		publishSeqs(t, br, 0, ring+2)
 		if got := srv.Stats().OverflowDrops; got != 1 {
 			t.Errorf("OverflowDrops = %d, want 1 (oldest parked evicted)", got)
 		}
@@ -304,22 +312,19 @@ func TestCreditRingOverflowPolicies(t *testing.T) {
 		if got := readSeq(t, conn, rd); got != 0 {
 			t.Fatalf("first delivery seq %d, want 0", got)
 		}
-		sendGrant(t, conn, "c-0", "10")
-		for _, want := range []int{2, 3} {
-			if got := readSeq(t, conn, rd); got != want {
-				t.Fatalf("post-grant seq %d, want %d (oldest parked gone, rest in order)", got, want)
-			}
-		}
+		sendGrant(t, conn, "c-0", "100")
+		readSeqs(t, conn, rd, 2, ring+2) // oldest parked gone, rest in order
 		expectSilence(t, conn, rd, 200*time.Millisecond)
 	})
 
 	t.Run("disconnect", func(t *testing.T) {
-		br, srv, _, _, _, events := setup(t, broker.OverflowDisconnect, 2)
-		for seq := 0; seq < 5; seq++ {
-			publishSeq(t, br, "/credit/ring", seq)
-		}
+		br, srv, _, _, _, events := setup(t, broker.OverflowDisconnect)
+		publishSeqs(t, br, 0, 1+ring+evictAfter)
 		if got := srv.Stats().SlowConsumerEvictions; got != 1 {
-			t.Fatalf("SlowConsumerEvictions = %d, want 1 (two consecutive ring overflows)", got)
+			t.Fatalf("SlowConsumerEvictions = %d, want 1 (%d consecutive ring overflows)", got, evictAfter)
+		}
+		if got := srv.Stats().OverflowDrops; got != evictAfter {
+			t.Errorf("OverflowDrops = %d, want %d", got, evictAfter)
 		}
 		foundEvict := false
 		for _, ev := range events() {
@@ -335,21 +340,19 @@ func TestCreditRingOverflowPolicies(t *testing.T) {
 		waitFor(t, "evicted session teardown", func() bool {
 			return len(srv.SessionStats()) == 0
 		})
-		if got := srv.Stats().DroppedDeliveries; got != 2 {
-			t.Errorf("DroppedDeliveries = %d, want 2 (the parked backlog on teardown)", got)
+		if got := srv.Stats().DroppedDeliveries; got != ring {
+			t.Errorf("DroppedDeliveries = %d, want %d (the parked backlog on teardown)", got, ring)
 		}
 	})
 
 	t.Run("block", func(t *testing.T) {
-		br, _, conn, rd, _, _ := setup(t, broker.OverflowBlock, 0)
-		for seq := 0; seq < 3; seq++ {
-			publishSeq(t, br, "/credit/ring", seq)
-		}
-		// The 4th publish must block on the full ring until a grant makes
+		br, _, conn, rd, _, _ := setup(t, broker.OverflowBlock)
+		publishSeqs(t, br, 0, ring+1)
+		// The next publish must block on the full ring until a grant makes
 		// room — lossless back-pressure one layer up from the write queue.
 		unblocked := make(chan struct{})
 		go func() {
-			publishSeq(t, br, "/credit/ring", 3)
+			publishSeq(t, br, "/credit/ring", ring+1)
 			close(unblocked)
 		}()
 		select {
@@ -360,17 +363,13 @@ func TestCreditRingOverflowPolicies(t *testing.T) {
 		if got := readSeq(t, conn, rd); got != 0 {
 			t.Fatalf("first delivery seq %d, want 0", got)
 		}
-		sendGrant(t, conn, "c-0", "10")
+		sendGrant(t, conn, "c-0", "100")
 		select {
 		case <-unblocked:
 		case <-time.After(10 * time.Second):
 			t.Fatal("grant did not unblock the parked publisher")
 		}
-		for _, want := range []int{1, 2, 3} {
-			if got := readSeq(t, conn, rd); got != want {
-				t.Fatalf("post-grant seq %d, want %d (lossless, in order)", got, want)
-			}
-		}
+		readSeqs(t, conn, rd, 1, ring+2) // lossless, in order
 	})
 }
 
@@ -681,16 +680,5 @@ func TestClientCreditReplenish(t *testing.T) {
 	}
 	if drops := srv.Stats().OverflowDrops; drops != 0 {
 		t.Errorf("OverflowDrops = %d, want 0 (credit parks, the consumer keeps up)", drops)
-	}
-}
-
-// TestServerRejectsBadCreditConfig mirrors the overflow config validation
-// for the credit knob.
-func TestServerRejectsBadCreditConfig(t *testing.T) {
-	br := broker.New(label.NewPolicy())
-	defer br.Close()
-	if srv, err := broker.NewServer("127.0.0.1:0", br, broker.ServerConfig{CreditPending: -1}); err == nil {
-		_ = srv.Close()
-		t.Error("NewServer accepted negative CreditPending")
 	}
 }

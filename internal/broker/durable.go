@@ -309,7 +309,7 @@ func (s *Server) subscribeDurable(ss *serverSession, clientID, topic, sel, credi
 		if err != nil {
 			return err
 		}
-		ws.credit = newCreditState(window, s.creditPending)
+		ws.credit = newCreditState(window)
 	}
 	s.mu.Lock()
 	ss.subs[clientID] = ws

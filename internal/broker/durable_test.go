@@ -40,7 +40,6 @@ func dialDurable(t *testing.T, addr, login, group, offset string, credit int) *C
 	t.Helper()
 	c, err := DialBus(addr, ClientConfig{
 		Login:           login,
-		SendTimeout:     5 * time.Second,
 		OnError:         func(err error) { t.Logf("bus error (%s): %v", login, err) },
 		SubscribeCredit: credit,
 		DurableGroup:    group,
@@ -267,12 +266,15 @@ func TestDurableReplayAcrossRestartZeroRemarshal(t *testing.T) {
 	if err != nil {
 		t.Fatalf("NewServer: %v", err)
 	}
-	producer, err := DialBus(srv1.Addr(), ClientConfig{Login: "producer", SendTimeout: 5 * time.Second})
+	producer, err := DialBus(srv1.Addr(), ClientConfig{Login: "producer", PublishWindow: 8, SendTimeout: 5 * time.Second})
 	if err != nil {
 		t.Fatalf("DialBus: %v", err)
 	}
 	for seq := 0; seq < 4; seq++ {
 		publishDurableSeq(t, producer, topic, seq)
+	}
+	if err := producer.Flush(); err != nil {
+		t.Fatalf("Flush: %v", err)
 	}
 	waitFor(t, "journal appends", func() bool {
 		return srv1.Stats().DurableAppends == 4

@@ -2,12 +2,13 @@ package broker
 
 import "safeweb/internal/event"
 
-// AbruptClose tears down every shard connection without a DISCONNECT
-// handshake — the chaos test's stand-in for a consumer crashing
+// AbruptClose tears down the client's connections without a DISCONNECT
+// handshake — the chaos test's stand-in for a client crashing
 // mid-stream.
 func (c *Client) AbruptClose() {
-	for _, sh := range c.shards {
-		_ = sh.conn.Close()
+	_ = c.conn.Close()
+	if c.win != nil {
+		_ = c.win.conn.Close()
 	}
 }
 

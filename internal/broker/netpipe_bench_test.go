@@ -32,23 +32,17 @@ func (u pipeUnit) Init(ctx *engine.InitContext) error { return u.init(ctx) }
 // writes and engine dispatch — everything between two networked units.
 func BenchmarkNetworkPipeline(b *testing.B) {
 	for _, bc := range []struct {
-		fanout, shards, window                int
+		fanout, window                        int
 		stalled, credited, durable, batchSync bool
 	}{
-		{fanout: 1, shards: 1}, {fanout: 1, shards: 1, window: 64}, {fanout: 10, shards: 1},
-		{fanout: 100, shards: 1}, {fanout: 100, shards: 4}, {fanout: 100, shards: 1, stalled: true},
-		{fanout: 100, shards: 1, credited: true}, {fanout: 100, shards: 1, durable: true},
-		{fanout: 100, shards: 1, durable: true, batchSync: true},
+		{fanout: 1}, {fanout: 1, window: 64}, {fanout: 10},
+		{fanout: 100}, {fanout: 100, stalled: true},
+		{fanout: 100, credited: true}, {fanout: 100, durable: true},
+		{fanout: 100, durable: true, batchSync: true},
 	} {
-		fanout, shards, window, stalled, credited, durable, batchSync :=
-			bc.fanout, bc.shards, bc.window, bc.stalled, bc.credited, bc.durable, bc.batchSync
+		fanout, window, stalled, credited, durable, batchSync :=
+			bc.fanout, bc.window, bc.stalled, bc.credited, bc.durable, bc.batchSync
 		name := fmt.Sprintf("fanout=%d", fanout)
-		if shards > 1 {
-			// The sharded variant spreads the consumer's subscriptions
-			// over several STOMP connections; shards=1 keeps the
-			// historical single-connection series comparable.
-			name += fmt.Sprintf("/shards=%d", shards)
-		}
 		if window > 0 {
 			// The windowed variant publishes through receipt-tracked
 			// pipelined SENDs; window=0 keeps the historical
@@ -127,13 +121,12 @@ func BenchmarkNetworkPipeline(b *testing.B) {
 				defer conn.Close()
 			}
 
-			newEngine := func(busShards, credit int) *engine.Engine {
+			newEngine := func(credit int) *engine.Engine {
 				e, err := engine.New(engine.Config{
 					Policy: policy,
 					Bus: func(principal string) (broker.Bus, error) {
 						cfg := broker.ClientConfig{
 							Login:           principal,
-							Shards:          busShards,
 							SubscribeCredit: credit,
 							OnError:         func(err error) { b.Logf("bus error: %v", err) },
 						}
@@ -143,15 +136,14 @@ func BenchmarkNetworkPipeline(b *testing.B) {
 						}
 						return broker.DialBus(srv.Addr(), cfg)
 					},
-					QueueSize: 1024,
-					Logf:      b.Logf,
+					Logf: b.Logf,
 				})
 				if err != nil {
 					b.Fatalf("engine.New: %v", err)
 				}
 				return e
 			}
-			producer := newEngine(1, 0)
+			producer := newEngine(0)
 			defer producer.Stop()
 			consumerCredit := 0
 			if credited {
@@ -159,7 +151,7 @@ func BenchmarkNetworkPipeline(b *testing.B) {
 				// is the backpressure bound for a healthy consumer.
 				consumerCredit = 512
 			}
-			consumer := newEngine(shards, consumerCredit)
+			consumer := newEngine(consumerCredit)
 			defer consumer.Stop()
 
 			payload := []byte(`{"patient_id": 33812769, "type": "cancer", "summary": "report"}`)

@@ -27,9 +27,10 @@ func startNetBroker(t *testing.T) (*Broker, *Server) {
 func dialBus(t *testing.T, addr, login string) *Client {
 	t.Helper()
 	c, err := DialBus(addr, ClientConfig{
-		Login:       login,
-		SendTimeout: 5 * time.Second,
-		OnError:     func(err error) { t.Logf("bus error: %v", err) },
+		Login:         login,
+		PublishWindow: 8,
+		SendTimeout:   5 * time.Second,
+		OnError:       func(err error) { t.Logf("bus error: %v", err) },
 	})
 	if err != nil {
 		t.Fatalf("DialBus(%s): %v", login, err)
@@ -130,28 +131,33 @@ func TestNetworkLabelFiltering(t *testing.T) {
 func TestNetworkEndorsementRejection(t *testing.T) {
 	_, srv := startNetBroker(t)
 
-	// The receipt-confirmed publish surfaces the rejection as an ERROR
-	// frame; the server closes the connection per STOMP semantics, so the
-	// receipt never arrives. The channel is buffered generously because
-	// the read loop reports both the ERROR frame and the subsequent EOF.
+	// The broker answers the windowed publish with an ERROR frame and
+	// closes the connection per STOMP semantics, so the receipt never
+	// arrives: the Flush barrier reports the rejection. The channel is
+	// buffered generously because the read loop reports both the ERROR
+	// frame and the subsequent EOF.
 	errs := make(chan error, 16)
 	producer, err := DialBus(srv.Addr(), ClientConfig{
-		Login:       "producer",
-		SendTimeout: 500 * time.Millisecond,
-		OnError:     func(e error) { errs <- e },
+		Login:         "producer",
+		PublishWindow: 1,
+		SendTimeout:   500 * time.Millisecond,
+		OnError:       func(e error) { errs <- e },
 	})
 	if err != nil {
 		t.Fatalf("DialBus: %v", err)
 	}
-	defer producer.Close()
+	defer producer.AbruptClose() // the window is failed; no graceful barrier
 
-	pubErr := producer.Publish(event.New("/t", nil, label.Int("ecric.org.uk/mdt")))
-	if pubErr == nil {
-		select {
-		case <-errs:
-		case <-time.After(5 * time.Second):
-			t.Fatal("unendorsed integrity publish not rejected")
-		}
+	if err := producer.Publish(event.New("/t", nil, label.Int("ecric.org.uk/mdt"))); err != nil {
+		t.Logf("Publish returned synchronously: %v", err)
+	}
+	if err := producer.Flush(); err == nil {
+		t.Fatal("unendorsed integrity publish not rejected")
+	}
+	select {
+	case <-errs:
+	case <-time.After(5 * time.Second):
+		t.Fatal("rejection not reported through OnError")
 	}
 }
 

@@ -65,7 +65,7 @@ func TestClientPublishAllocs(t *testing.T) {
 	if err != nil {
 		t.Fatalf("DialBus: %v", err)
 	}
-	defer func() { _ = c.shards[0].conn.Close() }() // no DISCONNECT: the sink never replies
+	defer func() { _ = c.conn.Close() }() // no DISCONNECT: the sink never replies
 
 	ev := benchEvent()
 	if err := c.Publish(ev); err != nil { // freeze + warm the image memo
@@ -111,7 +111,7 @@ func TestClientPublishDraftAllocs(t *testing.T) {
 	if err != nil {
 		t.Fatalf("DialBus: %v", err)
 	}
-	defer func() { _ = c.shards[0].conn.Close() }() // no DISCONNECT: the sink never replies
+	defer func() { _ = c.conn.Close() }() // no DISCONNECT: the sink never replies
 
 	body := []byte(`{"summary": "report", "mdt": 7}`)
 	publishDraft := func() {

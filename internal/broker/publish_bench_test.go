@@ -13,10 +13,9 @@ import (
 // BenchmarkClientPublish measures the producer-bound half of the wire in
 // isolation: one networked client publishing labelled, attr-carrying
 // events into the broker's STOMP front (no subscribers — the fan-out side
-// has its own benchmarks). Modes compare the publish disciplines: sync
-// pays a receipt round trip per publish, window pipelines receipt-tracked
-// publishes through the coalescing writer, fireforget sends without
-// receipts. All modes wait for the broker to have accepted every publish
+// has its own benchmarks). Modes compare the two publish disciplines:
+// window pipelines receipt-tracked publishes through the coalescing
+// writer, fireforget sends without receipts. All modes wait for the broker to have accepted every publish
 // before the clock stops, so events/s is ingest throughput, not enqueue
 // rate. The rotating-labels series is the repository benchmark's pipeline
 // shape: four attributes and three labels drawn from 1,024 distinct sets
@@ -24,16 +23,12 @@ import (
 // for rendering its label set (once) and parsing it (once).
 func BenchmarkClientPublish(b *testing.B) {
 	for _, bc := range []struct {
-		name      string
-		window    int
-		pubShards int
-		timeout   time.Duration
-		rotating  bool
+		name     string
+		window   int
+		rotating bool
 	}{
-		{name: "sync", timeout: 5 * time.Second},
-		{name: "window=64", window: 64, timeout: 5 * time.Second},
-		{name: "window=64/pubshards=2", window: 64, pubShards: 2, timeout: 5 * time.Second},
-		{name: "window=64/rotating-labels", window: 64, timeout: 5 * time.Second, rotating: true},
+		{name: "window=64", window: 64},
+		{name: "window=64/rotating-labels", window: 64, rotating: true},
 		{name: "fireforget"},
 	} {
 		bc := bc
@@ -51,8 +46,7 @@ func BenchmarkClientPublish(b *testing.B) {
 			cl, err := broker.DialBus(srv.Addr(), broker.ClientConfig{
 				Login:         "producer",
 				PublishWindow: bc.window,
-				PublishShards: bc.pubShards,
-				SendTimeout:   bc.timeout,
+				SendTimeout:   5 * time.Second,
 				OnError:       func(err error) { b.Logf("bus error: %v", err) },
 			})
 			if err != nil {

@@ -2,7 +2,6 @@ package broker
 
 import (
 	"errors"
-	"fmt"
 	"reflect"
 	"strconv"
 	"sync"
@@ -130,7 +129,7 @@ func TestPublishWindowBoundedInflight(t *testing.T) {
 			t.Fatalf("Publish %d: %v", i, err)
 		}
 	}
-	win := producer.shards[producer.pubBase].win
+	win := producer.win
 	win.mu.Lock()
 	length, head := len(win.inflight), win.head
 	win.mu.Unlock()
@@ -210,7 +209,6 @@ func TestPublishTransportAttrRejected(t *testing.T) {
 	b, srv := startNetBroker(t)
 	modes := map[string]ClientConfig{
 		"fire-and-forget": {},
-		"sync receipt":    {SendTimeout: 5 * time.Second},
 		"window":          {PublishWindow: 4, SendTimeout: 5 * time.Second},
 	}
 	for mode, cfg := range modes {
@@ -254,78 +252,6 @@ func TestPublishTransportAttrRejected(t *testing.T) {
 	}
 	if got := srv.Stats().UnhandledFrames; got != 0 {
 		t.Errorf("UnhandledFrames = %d, want 0", got)
-	}
-}
-
-// TestPublishShardsTopicPinning: with PublishShards, publishes to one
-// topic stay on one connection, so per-topic order is preserved even
-// though topics spread across connections.
-func TestPublishShardsTopicPinning(t *testing.T) {
-	_, srv := startNetBroker(t)
-	consumer := dialBus(t, srv.Addr(), "cleared")
-
-	producer, err := DialBus(srv.Addr(), ClientConfig{
-		Login:         "producer",
-		PublishShards: 3,
-		PublishWindow: 4,
-		SendTimeout:   5 * time.Second,
-		OnError:       func(err error) { t.Logf("producer error: %v", err) },
-	})
-	if err != nil {
-		t.Fatalf("DialBus: %v", err)
-	}
-	t.Cleanup(func() { _ = producer.Close() })
-	// One subscription connection plus three dedicated publish ones.
-	if len(producer.shards) != 4 {
-		t.Fatalf("dialled %d connections, want 4", len(producer.shards))
-	}
-
-	const topics, perTopic = 3, 100
-	var mu sync.Mutex
-	seqs := make([][]int, topics)
-	for i := 0; i < topics; i++ {
-		i := i
-		if _, err := consumer.Subscribe(fmt.Sprintf("/pin/%d", i), "", func(ev *event.Event) {
-			n, _ := strconv.Atoi(ev.Attr("seq"))
-			mu.Lock()
-			seqs[i] = append(seqs[i], n)
-			mu.Unlock()
-		}); err != nil {
-			t.Fatalf("Subscribe %d: %v", i, err)
-		}
-	}
-
-	for n := 0; n < perTopic; n++ {
-		for i := 0; i < topics; i++ {
-			ev := event.New(fmt.Sprintf("/pin/%d", i),
-				map[string]string{"seq": strconv.Itoa(n)})
-			if err := producer.Publish(ev); err != nil {
-				t.Fatalf("Publish topic %d seq %d: %v", i, n, err)
-			}
-		}
-	}
-	if err := producer.Flush(); err != nil {
-		t.Fatalf("Flush: %v", err)
-	}
-
-	waitFor(t, "all pinned publishes delivered", func() bool {
-		mu.Lock()
-		defer mu.Unlock()
-		for i := 0; i < topics; i++ {
-			if len(seqs[i]) != perTopic {
-				return false
-			}
-		}
-		return true
-	})
-	mu.Lock()
-	defer mu.Unlock()
-	for i := 0; i < topics; i++ {
-		for n, got := range seqs[i] {
-			if got != n {
-				t.Fatalf("topic %d delivery %d carries seq %d; want per-topic order", i, n, got)
-			}
-		}
 	}
 }
 

@@ -1,11 +1,7 @@
 package broker
 
 import (
-	"errors"
-	"strings"
-	"sync/atomic"
 	"testing"
-	"time"
 
 	"safeweb/internal/event"
 	"safeweb/internal/label"
@@ -14,9 +10,9 @@ import (
 
 // TestWireImageMarshalOncePerPublish is the publish-once acceptance
 // assertion: an event fanned out to subscriptions on several sessions
-// (two connections here, one of them sharded) is marshalled into its
-// MESSAGE wire form exactly once per publish — the wire image is shared
-// across every session and shard instead of re-encoded per session. The
+// (two consumer connections here) is marshalled into its MESSAGE wire
+// form exactly once per publish — the wire image is shared across every
+// session instead of re-encoded per session. The
 // event carries attributes, the case the old per-session memo could not
 // share even within one session.
 func TestWireImageMarshalOncePerPublish(t *testing.T) {
@@ -35,17 +31,7 @@ func TestWireImageMarshalOncePerPublish(t *testing.T) {
 	}
 	one := dialBus(t, srv.Addr(), "cleared")
 	subscribe(one, 2)
-	two, err := DialBus(srv.Addr(), ClientConfig{
-		Login:       "cleared",
-		Shards:      2,
-		SendTimeout: 5 * time.Second,
-		OnError:     func(err error) { t.Logf("bus error: %v", err) },
-	})
-	if err != nil {
-		t.Fatalf("DialBus sharded: %v", err)
-	}
-	t.Cleanup(func() { _ = two.Close() })
-	subscribe(two, 2)
+	subscribe(dialBus(t, srv.Addr(), "cleared"), 2)
 
 	producer := dialBus(t, srv.Addr(), "producer")
 	const publishes = 3
@@ -61,72 +47,8 @@ func TestWireImageMarshalOncePerPublish(t *testing.T) {
 	}
 	waitFor(t, "fan-out deliveries", func() bool { return len(received) == 4*publishes })
 	if got := event.WireImageBuilds() - before; got != publishes {
-		t.Errorf("wire image builds = %d for %d publishes across 2 clients/3 connections, want %d",
+		t.Errorf("wire image builds = %d for %d publishes across 2 consumer connections, want %d",
 			got, publishes, publishes)
-	}
-}
-
-// TestShardedUnsubscribeUnknownID is the regression test for the sharded
-// unknown-id pass-through: with Shards > 1, an unqualified id must be
-// rejected — connection-local ids repeat across shards, so the old blind
-// forward to shard 0 could tear down an unrelated live subscription and
-// strand its client-side entry.
-func TestShardedUnsubscribeUnknownID(t *testing.T) {
-	_, srv := startNetBroker(t)
-
-	c, err := DialBus(srv.Addr(), ClientConfig{
-		Login:       "cleared",
-		Shards:      2,
-		SendTimeout: 5 * time.Second,
-		OnError:     func(err error) { t.Logf("bus error: %v", err) },
-	})
-	if err != nil {
-		t.Fatalf("DialBus: %v", err)
-	}
-	t.Cleanup(func() { _ = c.Close() })
-
-	var delivered atomic.Int64
-	ids := make([]string, 2)
-	for i := range ids {
-		// Round-robin placement: one subscription per shard, each with
-		// connection-local raw id "sub-1".
-		id, err := c.Subscribe("/patient_report", "", func(*event.Event) { delivered.Add(1) })
-		if err != nil {
-			t.Fatalf("Subscribe: %v", err)
-		}
-		ids[i] = id
-	}
-	for i, id := range ids {
-		if !strings.HasPrefix(id, "s"+string(rune('0'+i))+":") {
-			t.Fatalf("subscription id %q not shard-qualified as expected", id)
-		}
-	}
-
-	// The raw, unqualified id exists on both connections; the sharded
-	// client must refuse it rather than guess a shard.
-	if err := c.Unsubscribe("sub-1"); !errors.Is(err, ErrUnknownSubscription) {
-		t.Fatalf("Unsubscribe(unqualified) = %v, want ErrUnknownSubscription", err)
-	}
-
-	// Both subscriptions are still live: a publish reaches both.
-	producer := dialBus(t, srv.Addr(), "producer")
-	if err := producer.Publish(event.New("/patient_report", map[string]string{"type": "cancer"})); err != nil {
-		t.Fatalf("Publish: %v", err)
-	}
-	waitFor(t, "both subscriptions alive", func() bool { return delivered.Load() == 2 })
-
-	// Qualified ids still unsubscribe cleanly on their own shard.
-	for _, id := range ids {
-		if err := c.Unsubscribe(id); err != nil {
-			t.Fatalf("Unsubscribe(%s): %v", id, err)
-		}
-	}
-	if err := producer.Publish(event.New("/patient_report", map[string]string{"type": "cancer"})); err != nil {
-		t.Fatalf("Publish: %v", err)
-	}
-	time.Sleep(20 * time.Millisecond)
-	if got := delivered.Load(); got != 2 {
-		t.Errorf("deliveries after unsubscribe = %d, want 2", got)
 	}
 }
 

@@ -42,7 +42,7 @@ const (
 	OverflowDropOldest
 	// OverflowDisconnect drops the incoming delivery like
 	// OverflowDropNewest and evicts the whole session once
-	// OverflowEvictAfter consecutive deliveries have overflowed: a
+	// overflowEvictAfter consecutive deliveries have overflowed: a
 	// consumer that persistently cannot keep up is disconnected rather
 	// than served an ever-gappier stream.
 	OverflowDisconnect
@@ -84,9 +84,9 @@ func ParseOverflowPolicy(s string) (OverflowPolicy, error) {
 // block. It reaches OnDeliveryError so no suppressed flow is silent.
 var ErrSlowConsumer = errors.New("broker: delivery dropped: slow consumer write queue overflow")
 
-// defaultOverflowEvictAfter is the OverflowDisconnect eviction threshold
-// when the configuration leaves it zero.
-const defaultOverflowEvictAfter = 8
+// overflowEvictAfter is the number of consecutive overflows after which
+// OverflowDisconnect evicts a session.
+const overflowEvictAfter = 8
 
 // SlowConsumerEvent describes a session the overflow policy has acted on,
 // reported through ServerConfig.OnSlowConsumer: once when a run of
@@ -122,10 +122,6 @@ type ServerConfig struct {
 	// Overflow is the per-session delivery overflow policy; the zero
 	// value is OverflowBlock, the seed behaviour.
 	Overflow OverflowPolicy
-	// OverflowEvictAfter is the number of consecutive overflows after
-	// which OverflowDisconnect evicts a session; zero means 8. Ignored by
-	// the other policies.
-	OverflowEvictAfter int
 	// WriteQueueLen is each session's delivery queue length in frames;
 	// zero selects the transport default (128). Negative values are
 	// rejected at construction.
@@ -149,12 +145,6 @@ type ServerConfig struct {
 	// start of each consecutive-overflow run and every eviction. Runs on
 	// the delivering (publish) goroutine and must not block.
 	OnSlowConsumer func(ev SlowConsumerEvent)
-	// CreditPending is the per-subscription pending ring capacity for
-	// subscriptions that advertise a credit window: how many matched
-	// deliveries may park broker-side once the window is exhausted before
-	// the overflow policy takes over. Zero selects the default (32);
-	// negative values are rejected at construction.
-	CreditPending int
 	// OnCreditStall observes credited subscriptions whose delivery window
 	// ran dry: raised once per stall run, when the first delivery parks.
 	// Runs on the delivering (publish) goroutine and must not block.
@@ -285,12 +275,10 @@ type SessionStats struct {
 // the connection; SUBSCRIBE and SEND frames are translated to broker
 // operations with label semantics preserved.
 type Server struct {
-	broker        *Broker
-	stomp         *stomp.Server
-	cfg           ServerConfig
-	enqueue       stomp.EnqueueMode // cfg.Overflow, resolved to the transport's mode once at construction
-	evictAfter    uint32
-	creditPending int
+	broker  *Broker
+	stomp   *stomp.Server
+	cfg     ServerConfig
+	enqueue stomp.EnqueueMode // cfg.Overflow, resolved to the transport's mode once at construction
 
 	// journals backs the durable topics; nil when none are configured
 	// and no JournalDir was given. tapRemoves undoes the publish taps at
@@ -361,20 +349,6 @@ func NewServer(addr string, b *Broker, cfg ServerConfig) (*Server, error) {
 	default:
 		return nil, fmt.Errorf("broker: unknown overflow policy %d", cfg.Overflow)
 	}
-	if cfg.OverflowEvictAfter < 0 {
-		return nil, fmt.Errorf("broker: ServerConfig.OverflowEvictAfter must not be negative, got %d", cfg.OverflowEvictAfter)
-	}
-	evictAfter := cfg.OverflowEvictAfter
-	if evictAfter == 0 {
-		evictAfter = defaultOverflowEvictAfter
-	}
-	if cfg.CreditPending < 0 {
-		return nil, fmt.Errorf("broker: ServerConfig.CreditPending must not be negative, got %d", cfg.CreditPending)
-	}
-	creditPending := cfg.CreditPending
-	if creditPending == 0 {
-		creditPending = defaultCreditPending
-	}
 	if len(cfg.Durable) > 0 && cfg.JournalDir == "" {
 		return nil, errors.New("broker: ServerConfig.Durable requires JournalDir")
 	}
@@ -388,12 +362,10 @@ func NewServer(addr string, b *Broker, cfg ServerConfig) (*Server, error) {
 		return nil, fmt.Errorf("broker: ServerConfig.JournalRetentionBytes must not be negative, got %d", cfg.JournalRetentionBytes)
 	}
 	srv := &Server{
-		broker:        b,
-		cfg:           cfg,
-		enqueue:       enqueue,
-		evictAfter:    uint32(evictAfter),
-		creditPending: creditPending,
-		sessions:      make(map[uint64]*serverSession),
+		broker:   b,
+		cfg:      cfg,
+		enqueue:  enqueue,
+		sessions: make(map[uint64]*serverSession),
 	}
 	if cfg.JournalDir != "" {
 		srv.journals = newJournalStore(cfg.JournalDir, journal.Options{
@@ -611,10 +583,10 @@ func (s *Server) OnFrameView(sess *stomp.Session, v *stomp.FrameView) error {
 			if err != nil {
 				return err
 			}
-			ws.credit = newCreditState(window, s.creditPending)
+			ws.credit = newCreditState(window)
 		}
 		// A wire subscription: delivery only serialises the event, so the
-		// broker hands over the frozen original — every session and shard
+		// broker hands over the frozen original — every session
 		// then shares one event pointer and one wire image per publish.
 		// The delivery closure reads only ws.credit, set above, so the
 		// ws.sub assignment after SubscribeWire returns does not race with
@@ -723,7 +695,7 @@ func (s *Server) unhandledFrame(msg string) error {
 // deliver sends a matched event to a session as a MESSAGE frame. The
 // event's wire image — canonical header block plus body — is encoded once
 // per published event (Event.WireImage) and shared across every matching
-// subscription on every session and shard; only the per-delivery
+// subscription on every session; only the per-delivery
 // subscription and message-id routing headers are encoded per send, and
 // they exist only on the wire. The frames feed the session's coalescing
 // writer, so a fan-out burst costs one flush.
@@ -791,7 +763,7 @@ func (s *Server) overflowDrop(ss *serverSession, clientSubID string, ev *event.E
 			OverflowDrops: total,
 		})
 	}
-	if s.cfg.Overflow == OverflowDisconnect && run >= s.evictAfter {
+	if s.cfg.Overflow == OverflowDisconnect && run >= overflowEvictAfter {
 		s.evict(ss, clientSubID, total)
 	}
 }

@@ -41,7 +41,6 @@ func TestServerRejectsBadOverflowConfig(t *testing.T) {
 	defer br.Close()
 	for _, cfg := range []broker.ServerConfig{
 		{Overflow: broker.OverflowPolicy(99)},
-		{OverflowEvictAfter: -1},
 		{WriteQueueLen: -1},
 		{WriteTimeout: -time.Second},
 	} {
@@ -180,8 +179,7 @@ func TestChaosSlowConsumers(t *testing.T) {
 		maxEvents   = 2000
 	)
 
-	run := func(t *testing.T, overflow broker.OverflowPolicy, evictAfter int,
-		stop func(broker.ServerStats) bool) {
+	run := func(t *testing.T, overflow broker.OverflowPolicy, stop func(broker.ServerStats) bool) {
 		policy := label.NewPolicy()
 		policy.Grant("consumer", label.Clearance, label.MustParsePattern("label:conf:slow.test/*"))
 		policy.Grant("stalled", label.Clearance, label.MustParsePattern("label:conf:slow.test/*"))
@@ -194,10 +192,9 @@ func TestChaosSlowConsumers(t *testing.T) {
 		var slowMu sync.Mutex
 		var slowEvents []broker.SlowConsumerEvent
 		srv, err := broker.NewServer("127.0.0.1:0", br, broker.ServerConfig{
-			Logf:               t.Logf,
-			Overflow:           overflow,
-			OverflowEvictAfter: evictAfter,
-			WriteQueueLen:      queueLen,
+			Logf:          t.Logf,
+			Overflow:      overflow,
+			WriteQueueLen: queueLen,
 			OnDeliveryError: func(sessionID uint64, sub string, ev *event.Event, err error) {
 				if errors.Is(err, broker.ErrSlowConsumer) {
 					slowDrops.Add(1)
@@ -239,8 +236,7 @@ func TestChaosSlowConsumers(t *testing.T) {
 					},
 				})
 			},
-			QueueSize: 256,
-			Logf:      t.Logf,
+			Logf: t.Logf,
 		})
 		if err != nil {
 			t.Fatalf("engine.New: %v", err)
@@ -426,14 +422,14 @@ func TestChaosSlowConsumers(t *testing.T) {
 	}
 
 	t.Run("drop-oldest", func(t *testing.T) {
-		run(t, broker.OverflowDropOldest, 0, func(st broker.ServerStats) bool {
+		run(t, broker.OverflowDropOldest, func(st broker.ServerStats) bool {
 			return st.OverflowDrops >= 20
 		})
 	})
 
 	t.Run("disconnect", func(t *testing.T) {
 		var evicted atomic.Bool
-		run(t, broker.OverflowDisconnect, 4, func(st broker.ServerStats) bool {
+		run(t, broker.OverflowDisconnect, func(st broker.ServerStats) bool {
 			if st.SlowConsumerEvictions > 0 {
 				evicted.Store(true)
 				return true

@@ -61,6 +61,12 @@ type Callback func(ctx *Context, ev *event.Event) error
 // Endpoint method and a dialer for the networked broker both satisfy it.
 type BusFactory func(principal string) (broker.Bus, error)
 
+// queueSize is the per-subscription event queue length. Queues decouple
+// broker delivery from callback execution (the paper's STOMP client runs
+// callbacks on fresh threads); a bounded queue gives back-pressure instead
+// of unbounded memory growth.
+const queueSize = 256
+
 // Config configures an Engine.
 type Config struct {
 	// Policy supplies unit privileges and the privileged-unit flags.
@@ -70,12 +76,6 @@ type Config struct {
 	Bus BusFactory
 	// Audit receives jail violations; nil allocates a shared audit.
 	Audit *jail.Audit
-	// QueueSize is the per-subscription event queue length. Queues
-	// decouple broker delivery from callback execution (the paper's
-	// STOMP client runs callbacks on fresh threads); a bounded queue
-	// gives back-pressure instead of unbounded memory growth.
-	// Zero means 256.
-	QueueSize int
 	// OnCallbackError observes callback failures and panics; nil logs.
 	OnCallbackError func(unit string, ev *event.Event, err error)
 	// Logf logs engine events; nil uses log.Printf.
@@ -186,9 +186,6 @@ func New(cfg Config) (*Engine, error) {
 	}
 	if cfg.Bus == nil {
 		return nil, errors.New("engine: Config.Bus is required")
-	}
-	if cfg.QueueSize == 0 {
-		cfg.QueueSize = 256
 	}
 	if cfg.Logf == nil {
 		cfg.Logf = log.Printf
@@ -497,7 +494,7 @@ func (c *InitContext) Subscribe(topic, sel string, cb Callback) error {
 	}
 	e, rt := c.engine, c.rt
 
-	queue := &subQueue{ch: make(chan queuedEvent, e.cfg.QueueSize)}
+	queue := &subQueue{ch: make(chan queuedEvent, queueSize)}
 	e.mu.Lock()
 	if e.closed {
 		e.mu.Unlock()

@@ -94,15 +94,13 @@ func TestQuickPipelineConfPreservation(t *testing.T) {
 	}
 }
 
-// TestBackPressureSmallQueues: with tiny per-subscription queues, a burst
-// larger than the queue still processes completely — publishers block
-// rather than drop.
+// TestBackPressureSmallQueues: a burst larger than the per-subscription
+// queue still processes completely — publishers block rather than drop.
 func TestBackPressureSmallQueues(t *testing.T) {
 	policy := mdtPolicy()
 	b := broker.New(policy)
 	e, err := New(Config{
-		Policy:    policy,
-		QueueSize: 2,
+		Policy: policy,
 		Bus: func(p string) (broker.Bus, error) {
 			return b.Endpoint(p), nil
 		},
@@ -116,8 +114,9 @@ func TestBackPressureSmallQueues(t *testing.T) {
 		b.Close()
 	})
 
+	const burst = 2 * queueSize
 	var processed sync.WaitGroup
-	processed.Add(200)
+	processed.Add(burst)
 	err = e.AddUnit(&FuncUnit{UnitName: "aggregator", InitFunc: func(ctx *InitContext) error {
 		return ctx.Subscribe("/in", "", func(ctx *Context, ev *event.Event) error {
 			time.Sleep(100 * time.Microsecond) // slow consumer
@@ -131,7 +130,7 @@ func TestBackPressureSmallQueues(t *testing.T) {
 
 	done := make(chan struct{})
 	go func() {
-		for i := 0; i < 200; i++ {
+		for i := 0; i < burst; i++ {
 			_ = b.Publish("producer", event.New("/in", nil))
 		}
 		close(done)

@@ -10,7 +10,7 @@
 //
 // A frozen (published) event lazily memoises its STOMP MESSAGE wire form
 // (WireImage): the first networked delivery encodes it, every other
-// session and shard shares the immutable image, and the memo dies with
+// session shares the immutable image, and the memo dies with
 // the event. The producer side is symmetric: an event publishing over
 // the wire memoises its SEND form (SendImage); both forms come from one
 // single-pass builder with no intermediate header map, byte-identical to
@@ -87,7 +87,7 @@ type Event struct {
 
 	// wire memoises the preencoded STOMP MESSAGE image of a frozen event
 	// (see WireImage): encoded lazily at first networked delivery, then
-	// shared across every session and shard, so fan-out to S sessions
+	// shared across every session, so fan-out to S sessions
 	// marshals once instead of S times. Nil until first use; the memo
 	// lives and dies with the event, so — unlike the per-session frame
 	// memo it replaced — it never pins a payload past the event's own
@@ -439,7 +439,7 @@ func WireImageBuilds() uint64 { return wireBuilds.Load() }
 // SendImage uses (no header map; the label header is the one Freeze
 // settled): the first caller encodes the canonical header block and body
 // (sync.Once-style, via an atomic memo), every later caller — any session
-// on any shard delivering the same event — shares the immutable image.
+// delivering the same event — shares the immutable image.
 // Concurrent first calls are safe; both compute identical bytes and one
 // becomes canonical.
 //

@@ -12,7 +12,9 @@
 // escape would.
 //
 // Every denied operation is recorded in an Audit, so integration tests and
-// deployments can verify that non-privileged units never attempt I/O.
+// deployments can verify that non-privileged units never attempt I/O. An
+// audit log keeps what anyone able to provoke a denial can grow at will,
+// so it is a Ring: the newest RingCap entries, and a count of the rest.
 package jail
 
 import (
@@ -39,33 +41,71 @@ type Violation struct {
 	Time time.Time
 }
 
-// Audit collects jail violations. It is safe for concurrent use. The zero
-// value is ready to use.
+// RingCap is the number of entries a Ring keeps.
+const RingCap = 1024
+
+// Ring is a fixed-capacity audit log: it keeps the newest RingCap entries
+// and counts every older one it drops, so no drop is silent. It is safe
+// for concurrent use. The zero value is ready to use.
+type Ring[T any] struct {
+	mu      sync.Mutex
+	buf     []T // grows to RingCap, then next is the oldest entry
+	next    int
+	dropped uint64
+}
+
+// Add records v, dropping the oldest entry when the ring is full.
+func (r *Ring[T]) Add(v T) {
+	r.mu.Lock()
+	defer r.mu.Unlock()
+	if len(r.buf) < RingCap {
+		r.buf = append(r.buf, v)
+		return
+	}
+	r.buf[r.next] = v
+	r.next = (r.next + 1) % RingCap
+	r.dropped++
+}
+
+// Entries returns a copy of the kept entries, oldest first.
+func (r *Ring[T]) Entries() []T {
+	r.mu.Lock()
+	defer r.mu.Unlock()
+	out := append(make([]T, 0, len(r.buf)), r.buf[r.next:]...)
+	return append(out, r.buf[:r.next]...)
+}
+
+// Len returns the number of kept entries.
+func (r *Ring[T]) Len() int {
+	r.mu.Lock()
+	defer r.mu.Unlock()
+	return len(r.buf)
+}
+
+// Dropped returns the number of entries dropped to keep the ring bounded.
+func (r *Ring[T]) Dropped() uint64 {
+	r.mu.Lock()
+	defer r.mu.Unlock()
+	return r.dropped
+}
+
+// Audit collects jail violations in a Ring. It is safe for concurrent
+// use. The zero value is ready to use.
 type Audit struct {
-	mu         sync.Mutex
-	violations []Violation
+	violations Ring[Violation]
 }
 
 // Record appends a violation.
-func (a *Audit) Record(v Violation) {
-	a.mu.Lock()
-	defer a.mu.Unlock()
-	a.violations = append(a.violations, v)
-}
+func (a *Audit) Record(v Violation) { a.violations.Add(v) }
 
-// Violations returns a copy of all recorded violations.
-func (a *Audit) Violations() []Violation {
-	a.mu.Lock()
-	defer a.mu.Unlock()
-	return append([]Violation(nil), a.violations...)
-}
+// Violations returns a copy of the kept violations, oldest first.
+func (a *Audit) Violations() []Violation { return a.violations.Entries() }
 
-// Len returns the number of recorded violations.
-func (a *Audit) Len() int {
-	a.mu.Lock()
-	defer a.mu.Unlock()
-	return len(a.violations)
-}
+// Len returns the number of kept violations.
+func (a *Audit) Len() int { return a.violations.Len() }
+
+// Dropped returns the number of violations dropped from the audit.
+func (a *Audit) Dropped() uint64 { return a.violations.Dropped() }
 
 // Jail mediates a unit's access to the environment. A privileged jail
 // (paper: units running at $SAFE=0) grants everything; a non-privileged

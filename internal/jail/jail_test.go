@@ -4,6 +4,8 @@ import (
 	"errors"
 	"os"
 	"path/filepath"
+	"runtime"
+	"strconv"
 	"sync"
 	"testing"
 )
@@ -129,5 +131,41 @@ func TestAuditConcurrency(t *testing.T) {
 	wg.Wait()
 	if audit.Len() != 1000 {
 		t.Errorf("audit len = %d, want 1000", audit.Len())
+	}
+}
+
+// TestAuditRingBounded: a million denials leave the heap flat; the audit
+// keeps the newest RingCap, oldest first, and counts every drop.
+func TestAuditRingBounded(t *testing.T) {
+	const n = 1_000_000
+	audit := &Audit{}
+	record := func(i int) {
+		audit.Record(Violation{Unit: "u", Op: "net.dial", Detail: strconv.Itoa(i)})
+	}
+	heap := func() int64 {
+		runtime.GC()
+		var ms runtime.MemStats
+		runtime.ReadMemStats(&ms)
+		return int64(ms.HeapAlloc)
+	}
+	for i := 0; i < RingCap; i++ {
+		record(i)
+	}
+	before := heap()
+	for i := RingCap; i < n; i++ {
+		record(i)
+	}
+	if grown := heap() - before; grown > 1<<20 {
+		t.Errorf("heap grew %d bytes over %d denials, want flat", grown, n-RingCap)
+	}
+	if got := audit.Dropped(); got != n-RingCap {
+		t.Errorf("Dropped = %d, want %d", got, n-RingCap)
+	}
+	v := audit.Violations()
+	if len(v) != RingCap || audit.Len() != RingCap {
+		t.Fatalf("kept %d violations, Len %d, want %d", len(v), audit.Len(), RingCap)
+	}
+	if v[0].Detail != strconv.Itoa(n-RingCap) || v[RingCap-1].Detail != strconv.Itoa(n-1) {
+		t.Errorf("kept %s..%s, want the newest %d oldest first", v[0].Detail, v[RingCap-1].Detail, RingCap)
 	}
 }

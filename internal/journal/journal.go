@@ -60,10 +60,10 @@ const (
 	// (the write hits the page cache) but not against power loss. The
 	// default, and what the durable fan-out benchmark measures.
 	SyncNever SyncPolicy = iota
-	// SyncBatch coalesces fsyncs: appends accumulate until
-	// Options.SyncBatchBytes are pending or Options.SyncBatchInterval has
-	// elapsed since the first unsynced append, then one fsync covers the
-	// whole batch. A batched record is not published — NextOffset does not
+	// SyncBatch coalesces fsyncs: appends accumulate until 256 KiB are
+	// pending or 2 ms have elapsed since the first unsynced append
+	// (syncBatchBytes, syncBatchInterval), then one fsync covers the whole
+	// batch. A batched record is not published — NextOffset does not
 	// cover it and tailing replay cannot see it — until its batch is
 	// synced, so everything readable is also durable against power loss.
 	SyncBatch
@@ -102,10 +102,12 @@ func (p SyncPolicy) String() string {
 // zero.
 const defaultSegmentSize = 64 << 20
 
-// Defaults for the SyncBatch thresholds when Options leaves them zero.
+// The SyncBatch thresholds: a batch is synced (and its records published)
+// once this many bytes are pending, or this long after its first append,
+// whichever comes first.
 const (
-	defaultSyncBatchBytes    = 256 << 10
-	defaultSyncBatchInterval = 2 * time.Millisecond
+	syncBatchBytes    = 256 << 10
+	syncBatchInterval = 2 * time.Millisecond
 )
 
 // segmentSuffix names segment files: "<base offset, 20 digits>.seg".
@@ -128,13 +130,6 @@ type Options struct {
 	SegmentSize int64
 	// Sync is the fsync policy; the zero value is SyncNever.
 	Sync SyncPolicy
-	// SyncBatchBytes and SyncBatchInterval bound a SyncBatch batch: the
-	// batch is synced (and its records published) once this many bytes
-	// are pending, or this long after its first append, whichever comes
-	// first. Zero selects the defaults (256 KiB, 2ms). Ignored outside
-	// SyncBatch.
-	SyncBatchBytes    int64
-	SyncBatchInterval time.Duration
 	// RetentionAge, when positive, expires whole segments: a non-active
 	// segment whose newest record is older than this is deleted on the
 	// next segment roll or Compact, acked or not — retention is the
@@ -197,9 +192,11 @@ type segment struct {
 //
 // Lock order: mu before ackMu.
 type Journal struct {
-	dir           string
-	segSize       int64
-	sync          SyncPolicy
+	dir     string
+	segSize int64
+	sync    SyncPolicy
+	// batchBytes and batchInterval are the SyncBatch thresholds, set from
+	// syncBatchBytes and syncBatchInterval; tests lower them.
 	batchBytes    int64
 	batchInterval time.Duration
 	retainAge     time.Duration
@@ -268,12 +265,6 @@ func Open(dir string, opts Options) (*Journal, error) {
 	if opts.SegmentSize <= 0 {
 		opts.SegmentSize = defaultSegmentSize
 	}
-	if opts.SyncBatchBytes <= 0 {
-		opts.SyncBatchBytes = defaultSyncBatchBytes
-	}
-	if opts.SyncBatchInterval <= 0 {
-		opts.SyncBatchInterval = defaultSyncBatchInterval
-	}
 	switch opts.Sync {
 	case SyncNever, SyncBatch, SyncAlways:
 	default:
@@ -290,8 +281,8 @@ func Open(dir string, opts Options) (*Journal, error) {
 		dir:           dir,
 		segSize:       opts.SegmentSize,
 		sync:          opts.Sync,
-		batchBytes:    opts.SyncBatchBytes,
-		batchInterval: opts.SyncBatchInterval,
+		batchBytes:    syncBatchBytes,
+		batchInterval: syncBatchInterval,
 		retainAge:     opts.RetentionAge,
 		retainBytes:   opts.RetentionBytes,
 		onCompact:     opts.OnCompact,

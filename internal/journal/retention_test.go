@@ -305,16 +305,20 @@ func TestRecoveryCompactedPrefix(t *testing.T) {
 	}
 }
 
-func TestSyncBatchPublishesOnlyAfterFlush(t *testing.T) {
-	dir := t.TempDir()
-	j, err := Open(dir, Options{
-		Sync:              SyncBatch,
-		SyncBatchBytes:    1 << 20, // byte threshold out of reach
-		SyncBatchInterval: time.Hour,
-	})
+// openSyncBatch opens a SyncBatch journal in dir with its batch
+// thresholds replaced by the given ones.
+func openSyncBatch(t *testing.T, dir string, batchBytes int64, batchInterval time.Duration) *Journal {
+	t.Helper()
+	j, err := Open(dir, Options{Sync: SyncBatch})
 	if err != nil {
 		t.Fatal(err)
 	}
+	j.batchBytes, j.batchInterval = batchBytes, batchInterval
+	return j
+}
+
+func TestSyncBatchPublishesOnlyAfterFlush(t *testing.T) {
+	j := openSyncBatch(t, t.TempDir(), 1<<20, time.Hour) // byte threshold out of reach
 	defer j.Close()
 
 	sig := j.AppendSignal()
@@ -357,14 +361,7 @@ func TestSyncBatchPublishesOnlyAfterFlush(t *testing.T) {
 }
 
 func TestSyncBatchByteThresholdFlushes(t *testing.T) {
-	j, err := Open(t.TempDir(), Options{
-		Sync:              SyncBatch,
-		SyncBatchBytes:    1, // every append crosses the threshold
-		SyncBatchInterval: time.Hour,
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
+	j := openSyncBatch(t, t.TempDir(), 1, time.Hour) // every append crosses the threshold
 	defer j.Close()
 	for i := 0; i < 5; i++ {
 		mustAppend(t, j, testRecord(i))
@@ -375,14 +372,7 @@ func TestSyncBatchByteThresholdFlushes(t *testing.T) {
 }
 
 func TestSyncBatchIntervalFlushes(t *testing.T) {
-	j, err := Open(t.TempDir(), Options{
-		Sync:              SyncBatch,
-		SyncBatchBytes:    1 << 20,
-		SyncBatchInterval: 5 * time.Millisecond,
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
+	j := openSyncBatch(t, t.TempDir(), 1<<20, 5*time.Millisecond)
 	defer j.Close()
 	sig := j.AppendSignal()
 	mustAppend(t, j, testRecord(0))
@@ -398,14 +388,7 @@ func TestSyncBatchIntervalFlushes(t *testing.T) {
 
 func TestSyncBatchCloseFlushes(t *testing.T) {
 	dir := t.TempDir()
-	j, err := Open(dir, Options{
-		Sync:              SyncBatch,
-		SyncBatchBytes:    1 << 20,
-		SyncBatchInterval: time.Hour,
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
+	j := openSyncBatch(t, dir, 1<<20, time.Hour)
 	const n = 4
 	for i := 0; i < n; i++ {
 		mustAppend(t, j, testRecord(i))

@@ -20,11 +20,11 @@ import (
 	"errors"
 	"fmt"
 	"strings"
-	"sync"
 	"time"
 
 	"safeweb/internal/engine"
 	"safeweb/internal/event"
+	"safeweb/internal/jail"
 	"safeweb/internal/label"
 )
 
@@ -79,8 +79,7 @@ type Manager struct {
 	// delegation channel cannot mint privileged units.
 	Protected []string
 
-	mu  sync.Mutex
-	log []Delegation
+	log jail.Ring[Delegation]
 }
 
 var _ engine.Unit = (*Manager)(nil)
@@ -121,7 +120,7 @@ func (m *Manager) handle(ev *event.Event) {
 
 	reject := func(reason string) {
 		entry.Reason = reason
-		m.record(entry)
+		m.log.Add(entry)
 	}
 
 	if !m.Require.IsZero() && !ev.Labels.Contains(m.Require) {
@@ -163,21 +162,15 @@ func (m *Manager) handle(ev *event.Event) {
 	default:
 		entry.Reason = fmt.Sprintf("unknown action %q", entry.Action)
 	}
-	m.record(entry)
+	m.log.Add(entry)
 }
 
-func (m *Manager) record(d Delegation) {
-	m.mu.Lock()
-	defer m.mu.Unlock()
-	m.log = append(m.log, d)
-}
+// Log returns a copy of the audit log: the newest jail.RingCap requests,
+// oldest first.
+func (m *Manager) Log() []Delegation { return m.log.Entries() }
 
-// Log returns a copy of the audit log.
-func (m *Manager) Log() []Delegation {
-	m.mu.Lock()
-	defer m.mu.Unlock()
-	return append([]Delegation(nil), m.log...)
-}
+// Dropped returns the number of requests dropped from the audit log.
+func (m *Manager) Dropped() uint64 { return m.log.Dropped() }
 
 // NewRequest builds a delegation request event for publishers. The caller
 // publishes it through a context or bus holding the endorsement privilege

@@ -1,12 +1,14 @@
 package labelmgr
 
 import (
+	"strconv"
 	"strings"
 	"testing"
 
 	"safeweb/internal/broker"
 	"safeweb/internal/engine"
 	"safeweb/internal/event"
+	"safeweb/internal/jail"
 	"safeweb/internal/label"
 )
 
@@ -230,5 +232,23 @@ func TestInitRequiresPolicy(t *testing.T) {
 	defer e.Stop()
 	if err := e.AddUnit(&Manager{}); err == nil {
 		t.Error("manager without policy accepted")
+	}
+}
+
+// TestLogBounded: the delegation log keeps the newest jail.RingCap
+// requests, oldest first, and counts the rest.
+func TestLogBounded(t *testing.T) {
+	const extra = 5
+	m := newManager()
+	for i := 0; i < jail.RingCap+extra; i++ {
+		// No integrity label: each request is rejected and logged.
+		m.handle(NewRequest("", "p"+strconv.Itoa(i), label.Clearance, label.Exact(patient), false))
+	}
+	log := m.Log()
+	if len(log) != jail.RingCap || m.Dropped() != extra {
+		t.Fatalf("kept %d requests, dropped %d; want %d and %d", len(log), m.Dropped(), jail.RingCap, extra)
+	}
+	if first, last := log[0].Principal, log[len(log)-1].Principal; first != "p5" || last != "p"+strconv.Itoa(jail.RingCap+extra-1) {
+		t.Errorf("kept %s..%s, want the newest requests oldest first", first, last)
 	}
 }

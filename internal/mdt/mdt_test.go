@@ -342,11 +342,11 @@ func TestNetworkBrokerWindowedDeployment(t *testing.T) {
 
 // TestDeployCarriesBrokerConfigWhole: Deploy hands the broker settings
 // through as whole values, so fields the old field-by-field copy never
-// listed — OverflowEvictAfter, CreditPending, JournalSegmentSize — reach
-// the running broker front. One stalled credited tap observes all three:
-// its window of 1 takes the first delivery, the pending ring parks the
-// next CreditPending, and each further one overflows until the
-// OverflowEvictAfter-th evicts the session; the journal rolls at the
+// listed, such as JournalSegmentSize, reach the running broker front. One
+// stalled credited tap observes the settings: its window of 1
+// takes the first delivery, the broker's 32-deep pending ring parks the
+// next 32, and each further one overflows until the 8th in a row evicts
+// the session under OverflowDisconnect; the journal rolls at the
 // configured segment size.
 func TestDeployCarriesBrokerConfigWhole(t *testing.T) {
 	const topic = "/cfg/probe"
@@ -356,8 +356,6 @@ func TestDeployCarriesBrokerConfigWhole(t *testing.T) {
 		NetworkBroker: true,
 		Server: broker.ServerConfig{
 			Overflow:           broker.OverflowDisconnect,
-			OverflowEvictAfter: 3,
-			CreditPending:      2,
 			Durable:            []string{topic},
 			JournalDir:         dir,
 			JournalSegmentSize: 256,
@@ -383,7 +381,8 @@ func TestDeployCarriesBrokerConfigWhole(t *testing.T) {
 	// Publishes fan out on the calling goroutine, so the counters are
 	// final when the last one returns. Each record outgrows a segment.
 	pad := strings.Repeat("x", 300)
-	const publishes = 1 + 2 + 3 // window + CreditPending + OverflowEvictAfter
+	const ring, evictAfter = 32, 8
+	const publishes = 1 + ring + evictAfter
 	for i := 0; i < publishes; i++ {
 		if err := d.PublishControl(SchedulerName, topic, map[string]string{"pad": pad}); err != nil {
 			t.Fatalf("PublishControl %d: %v", i, err)
@@ -391,9 +390,9 @@ func TestDeployCarriesBrokerConfigWhole(t *testing.T) {
 	}
 
 	st := d.BrokerServer.Stats()
-	if st.CreditStalls != 1 || st.OverflowDrops != 3 || st.SlowConsumerEvictions != 1 {
-		t.Errorf("stalls/drops/evictions = %d/%d/%d, want 1/3/1 (CreditPending 2, OverflowEvictAfter 3)",
-			st.CreditStalls, st.OverflowDrops, st.SlowConsumerEvictions)
+	if st.CreditStalls != 1 || st.OverflowDrops != evictAfter || st.SlowConsumerEvictions != 1 {
+		t.Errorf("stalls/drops/evictions = %d/%d/%d, want 1/%d/1",
+			st.CreditStalls, st.OverflowDrops, st.SlowConsumerEvictions, evictAfter)
 	}
 	if st.DurableAppends != publishes {
 		t.Errorf("DurableAppends = %d, want %d", st.DurableAppends, publishes)

@@ -11,25 +11,17 @@ import (
 	"time"
 )
 
-// MessageHandler consumes MESSAGE frames delivered to one subscription.
-// Handlers run on the client's read goroutine; long-running work should be
-// handed off by the caller (SafeWeb's engine runs callbacks on their own
-// goroutines, mirroring the paper's per-callback threads).
-type MessageHandler func(f *Frame)
-
-// MessageViewHandler consumes MESSAGE frames as decoder views, skipping
-// the header-map materialisation MessageHandler pays. Handlers run on the
-// client's read goroutine; the view and its headers are invalid once the
-// handler returns (the next decode reuses the scratch buffer), while the
-// body's ownership transfers to the handler.
+// MessageViewHandler consumes the MESSAGE frames delivered to one
+// subscription as decoder views, with no header map. Handlers run on the
+// client's read goroutine; long-running work should be handed off by the
+// caller (SafeWeb's engine runs callbacks on their own goroutines,
+// mirroring the paper's per-callback threads). The view and its headers
+// are invalid once the handler returns (the next decode reuses the scratch
+// buffer), while the body's ownership transfers to the handler.
 type MessageViewHandler func(v *FrameView)
 
-// subscriber holds the handler registered for one subscription id, in
-// exactly one of its two forms.
-type subscriber struct {
-	mh MessageHandler
-	vh MessageViewHandler
-}
+// connectTimeout bounds dialing and the CONNECT handshake.
+const connectTimeout = 10 * time.Second
 
 // ClientConfig configures a Client.
 type ClientConfig struct {
@@ -40,40 +32,30 @@ type ClientConfig struct {
 	Passcode string
 	// TLS, when non-nil, dials with TLS.
 	TLS *tls.Config
-	// ConnectTimeout bounds dialing and the CONNECT handshake;
-	// zero means 10 seconds.
-	ConnectTimeout time.Duration
 	// OnError receives server ERROR frames and read-loop failures; nil
 	// drops them.
 	OnError func(err error)
-	// WriteQueueLen is the connection's writer queue length in frames;
-	// zero selects the default (128). Dial rejects negative values.
-	WriteQueueLen int
-	// WriteTimeout bounds every write and flush of the connection's
-	// writer: a broker that stops reading fails the connection with a
-	// sticky deadline error instead of wedging the writer goroutine
-	// forever. Zero disables the deadline.
-	WriteTimeout time.Duration
 }
 
 // Client is a STOMP client connection. All methods are safe for concurrent
-// use. Outbound frames pass through a write-coalescing writer goroutine:
-// bursts of SEND frames are encoded back-to-back and flushed once per
-// batch, while control frames (SUBSCRIBE, DISCONNECT, anything carrying a
-// receipt request) flush immediately.
+// use. Outbound frames pass through a write-coalescing writer goroutine
+// with a queue of 128 frames and no write deadline: bursts of SEND frames
+// are encoded back-to-back and flushed once per batch, while control
+// frames (SUBSCRIBE, DISCONNECT, anything carrying a receipt request)
+// flush immediately.
 type Client struct {
 	cfg  ClientConfig
 	conn net.Conn
 	fw   *frameWriter
 
 	mu       sync.Mutex
-	subs     map[string]subscriber
+	subs     map[string]MessageViewHandler
 	receipts map[string]chan struct{}
 	nextID   uint64
 	closed   bool
 
-	// inHandler is set while the read loop runs a MessageHandler. A
-	// Subscribe issued from inside a handler cannot wait for its RECEIPT
+	// inHandler is set while the read loop runs a subscription handler. A
+	// SubscribeView issued from inside a handler cannot wait for its RECEIPT
 	// (only the read loop could deliver it), so it degrades to an
 	// unconfirmed subscribe instead of deadlocking.
 	inHandler atomic.Bool
@@ -83,19 +65,9 @@ type Client struct {
 
 // Dial connects and performs the CONNECT handshake.
 func Dial(addr string, cfg ClientConfig) (*Client, error) {
-	timeout := cfg.ConnectTimeout
-	if timeout == 0 {
-		timeout = 10 * time.Second
-	}
-	queueLen, err := resolveWriteQueueLen(cfg.WriteQueueLen)
-	if err != nil {
-		return nil, fmt.Errorf("stomp: ClientConfig.WriteQueueLen: %w", err)
-	}
-	if cfg.WriteTimeout < 0 {
-		return nil, fmt.Errorf("stomp: ClientConfig.WriteTimeout must not be negative, got %v", cfg.WriteTimeout)
-	}
-	dialer := &net.Dialer{Timeout: timeout}
+	dialer := &net.Dialer{Timeout: connectTimeout}
 	var conn net.Conn
+	var err error
 	if cfg.TLS != nil {
 		conn, err = tls.DialWithDialer(dialer, "tcp", addr, cfg.TLS)
 	} else {
@@ -108,14 +80,14 @@ func Dial(addr string, cfg ClientConfig) (*Client, error) {
 	c := &Client{
 		cfg:      cfg,
 		conn:     conn,
-		subs:     make(map[string]subscriber),
+		subs:     make(map[string]MessageViewHandler),
 		receipts: make(map[string]chan struct{}),
 		readDone: make(chan struct{}),
 	}
 	// A write error kills the connection so the read loop unblocks and
 	// reports through OnError; the writer goroutine must not wait on
 	// Close (which waits on it in turn).
-	c.fw = newFrameWriter(conn, queueLen, cfg.WriteTimeout, func(error) { _ = conn.Close() })
+	c.fw = newFrameWriter(conn, defaultWriteQueueLen, 0, func(error) { _ = conn.Close() })
 	fail := func(err error) (*Client, error) {
 		_ = conn.Close()
 		_ = c.fw.close()
@@ -131,7 +103,7 @@ func Dial(addr string, cfg ClientConfig) (*Client, error) {
 	}
 
 	// Await CONNECTED synchronously before starting the dispatch loop.
-	if err := conn.SetReadDeadline(time.Now().Add(timeout)); err != nil {
+	if err := conn.SetReadDeadline(time.Now().Add(connectTimeout)); err != nil {
 		return fail(fmt.Errorf("stomp: set deadline: %w", err))
 	}
 	dec := NewDecoder(conn)
@@ -181,14 +153,9 @@ func (c *Client) readLoop(dec *Decoder) {
 			c.mu.Lock()
 			h := c.subs[string(sb)] // compiler elides the conversion
 			c.mu.Unlock()
-			switch {
-			case h.vh != nil:
+			if h != nil {
 				c.inHandler.Store(true)
-				h.vh(v)
-				c.inHandler.Store(false)
-			case h.mh != nil:
-				c.inHandler.Store(true)
-				h.mh(v.Materialize())
+				h(v)
 				c.inHandler.Store(false)
 			}
 		case CmdReceipt:
@@ -317,37 +284,23 @@ func (r *Receipt) Wait(timeout time.Duration) error {
 	}
 }
 
-// Subscribe registers a subscription on a destination with an optional
-// SQL-92 selector and extra headers (SafeWeb's engine adds the clearance
-// header here). It returns the subscription id. "Subscriptions include
-// unique identifiers to simplify the handling of subscriptions issued by
-// different units" (§4.2).
+// SubscribeView registers a subscription on a destination with an
+// optional SQL-92 selector and extra headers (SafeWeb's engine adds the
+// clearance header here). It returns the subscription id. "Subscriptions
+// include unique identifiers to simplify the handling of subscriptions
+// issued by different units" (§4.2). Delivered MESSAGE frames reach the
+// handler as decoder views; see MessageViewHandler for their lifetime.
 //
-// The SUBSCRIBE frame is receipt-confirmed: Subscribe returns only after
-// the broker has processed the registration, so events published on other
-// connections afterwards cannot race past the subscription. The
-// confirmation arrives on the read loop, so a Subscribe issued from
-// within a MessageHandler skips the wait (fire-and-forget, the pre-PR
-// behaviour) rather than deadlocking against itself.
-func (c *Client) Subscribe(destination, sel string, extraHeaders map[string]string, handler MessageHandler) (string, error) {
-	if handler == nil {
-		return "", errors.New("stomp: nil subscription handler")
-	}
-	return c.subscribe(destination, sel, extraHeaders, subscriber{mh: handler})
-}
-
-// SubscribeView is Subscribe with a map-free handler: delivered MESSAGE
-// frames are handed over as decoder views, skipping the per-frame header
-// map. See MessageViewHandler for the view's lifetime rules; everything
-// else (receipt confirmation, selector, extra headers) matches Subscribe.
+// The SUBSCRIBE frame is receipt-confirmed: SubscribeView returns only
+// after the broker has processed the registration, so events published on
+// other connections afterwards cannot race past the subscription. The
+// confirmation arrives on the read loop, so a SubscribeView issued from
+// within a handler skips the wait (fire-and-forget) rather than
+// deadlocking against itself.
 func (c *Client) SubscribeView(destination, sel string, extraHeaders map[string]string, handler MessageViewHandler) (string, error) {
 	if handler == nil {
 		return "", errors.New("stomp: nil subscription handler")
 	}
-	return c.subscribe(destination, sel, extraHeaders, subscriber{vh: handler})
-}
-
-func (c *Client) subscribe(destination, sel string, extraHeaders map[string]string, h subscriber) (string, error) {
 	c.mu.Lock()
 	if c.closed {
 		c.mu.Unlock()
@@ -355,7 +308,7 @@ func (c *Client) subscribe(destination, sel string, extraHeaders map[string]stri
 	}
 	c.nextID++
 	id := "sub-" + strconv.FormatUint(c.nextID, 10)
-	c.subs[id] = h
+	c.subs[id] = handler
 	c.mu.Unlock()
 
 	f := NewFrame(CmdSubscribe)

@@ -34,10 +34,10 @@
 // byte image once, and Encoder.EncodeImage splices only the per-delivery
 // subscription/message-id routing headers around it. Images are immutable
 // and safe for concurrent use — the broker builds one per published event
-// (event.Event.WireImage) and shares it across every session and shard,
-// so fan-out to S sessions costs one marshal instead of S. Wire bytes are
-// the reference Encoder.Encode's for the same logical frame, with the
-// routing headers spliced in just ahead of content-length.
+// (event.Event.WireImage) and shares it across every session, so fan-out
+// to S sessions costs one marshal instead of S. Wire bytes are the
+// reference Encoder.Encode's for the same logical frame, with the routing
+// headers spliced in just ahead of content-length.
 //
 // The producer side is the same builder: it assembles a SEND image
 // directly from ordered headers (no map — package event encodes an
@@ -53,22 +53,22 @@
 // # Flow control and slow consumers
 //
 // Every connection writes through a single coalescing writer goroutine
-// draining a bounded queue (ServerConfig/ClientConfig.WriteQueueLen,
-// default 128; negative lengths are rejected at construction). The queue
-// is where a peer that stops reading becomes visible. A session has two
-// enqueue entry points: Session.Send for control frames, and
-// Session.Deliver for routed MESSAGE images, whose EnqueueMode picks
-// what a full queue does — EnqueueBlock waits (lossless back-pressure),
-// EnqueueTry fails fast and leaves the overflow decision to the caller,
-// and EnqueueEvict evicts the oldest queued deliveries — never control
-// frames — reporting each through ServerConfig.OnQueueEvict.
-// WriteTimeout arms a per-write deadline, re-armed before every encode
-// and flush, so a peer making progress is never penalised for batch size
-// while a stalled one fails its connection with a sticky error instead of
-// wedging the writer; and Session.Kill severs a connection without
-// draining, for callers evicting a consumer that demonstrably stopped
-// reading. Queue occupancy highs are tracked per session
-// (Session.QueueHighWater) as the early-warning signal.
+// draining a bounded queue (ServerConfig.WriteQueueLen for a session,
+// default 128, negative lengths rejected at construction; 128 for a
+// client). The queue is where a peer that stops reading becomes visible.
+// A session has two enqueue entry points: Session.Send for control
+// frames, and Session.Deliver for routed MESSAGE images, whose
+// EnqueueMode picks what a full queue does — EnqueueBlock waits (lossless
+// back-pressure), EnqueueTry fails fast and leaves the overflow decision
+// to the caller, and EnqueueEvict evicts the oldest queued deliveries —
+// never control frames — reporting each through ServerConfig.OnQueueEvict.
+// ServerConfig.WriteTimeout arms a per-write deadline on each session,
+// re-armed before every encode and flush, so a peer making progress is
+// never penalised for batch size while a stalled one fails its connection
+// with a sticky error instead of wedging the writer; and Session.Kill
+// severs a connection without draining, for callers evicting a consumer
+// that demonstrably stopped reading. Queue occupancy highs are tracked per
+// session (Session.QueueHighWater) as the early-warning signal.
 //
 // # Credit-based flow control
 //

@@ -95,8 +95,8 @@ func TestClientServerEcho(t *testing.T) {
 	}
 	defer client.Close()
 
-	if _, err := client.Subscribe("/topic", "", nil, func(f *Frame) {
-		received <- f
+	if _, err := client.SubscribeView("/topic", "", nil, func(v *FrameView) {
+		received <- v.Materialize()
 	}); err != nil {
 		t.Fatalf("Subscribe: %v", err)
 	}
@@ -167,7 +167,7 @@ func TestUnsubscribeStopsDelivery(t *testing.T) {
 
 	var mu sync.Mutex
 	count := 0
-	id, err := client.Subscribe("/t", "", nil, func(*Frame) {
+	id, err := client.SubscribeView("/t", "", nil, func(*FrameView) {
 		mu.Lock()
 		count++
 		mu.Unlock()
@@ -240,8 +240,8 @@ func TestBurstOrderingAndDelivery(t *testing.T) {
 
 	const n = 200
 	received := make(chan string, n+1)
-	if _, err := client.Subscribe("/t", "", nil, func(f *Frame) {
-		received <- f.Header("seq")
+	if _, err := client.SubscribeView("/t", "", nil, func(v *FrameView) {
+		received <- v.Headers.Header("seq")
 	}); err != nil {
 		t.Fatalf("Subscribe: %v", err)
 	}

@@ -29,10 +29,10 @@ import (
 	"log"
 	"net/http"
 	"strings"
-	"sync"
 	"sync/atomic"
 	"time"
 
+	"safeweb/internal/jail"
 	"safeweb/internal/label"
 	"safeweb/internal/taint"
 	"safeweb/internal/template"
@@ -108,8 +108,7 @@ type App struct {
 	routes []route
 	smartcardState
 
-	mu         sync.Mutex
-	violations []Violation
+	violations jail.Ring[Violation]
 
 	requests     atomic.Uint64
 	blocked      atomic.Uint64
@@ -192,12 +191,12 @@ func (a *App) Stats() Stats {
 	}
 }
 
-// Violations returns the blocked-response log.
-func (a *App) Violations() []Violation {
-	a.mu.Lock()
-	defer a.mu.Unlock()
-	return append([]Violation(nil), a.violations...)
-}
+// Violations returns the blocked-response log: the newest jail.RingCap
+// blocks, oldest first.
+func (a *App) Violations() []Violation { return a.violations.Entries() }
+
+// Dropped returns the number of blocks dropped from the log.
+func (a *App) Dropped() uint64 { return a.violations.Dropped() }
 
 // match finds a route and binds path parameters. Parameters are bound only
 // once a route has matched, and a route without any binds none (a nil map
@@ -348,14 +347,12 @@ func (a *App) ServeHTTP(w http.ResponseWriter, r *http.Request) {
 		if user != nil {
 			username = user.Username
 		}
-		a.mu.Lock()
-		a.violations = append(a.violations, Violation{
+		a.violations.Add(Violation{
 			Username: username,
 			Path:     r.URL.Path,
 			Missing:  blockedBy,
 			Time:     time.Now(),
 		})
-		a.mu.Unlock()
 		a.cfg.Logf("webfront: blocked response to %s for %q: no clearance for %s",
 			username, r.URL.Path, blockedBy)
 		phases.Status = http.StatusForbidden

@@ -5,10 +5,12 @@ import (
 	"io"
 	"net/http"
 	"net/http/httptest"
+	"strconv"
 	"strings"
 	"testing"
 
 	"safeweb/internal/docstore"
+	"safeweb/internal/jail"
 	"safeweb/internal/label"
 	"safeweb/internal/taint"
 	"safeweb/internal/template"
@@ -349,5 +351,33 @@ func TestStatusOverride(t *testing.T) {
 func TestConfigValidation(t *testing.T) {
 	if _, err := New(Config{}); err == nil {
 		t.Error("missing WebDB accepted")
+	}
+}
+
+// TestViolationLogBounded: the blocked-response log keeps the newest
+// jail.RingCap blocks, oldest first, and counts the rest.
+func TestViolationLogBounded(t *testing.T) {
+	const extra = 5
+	app, _ := newTestApp(t, Config{})
+	app.cfg.Logf = func(string, ...any) {} // a line per block
+	app.Get("/data/:n", func(c *Ctx) error {
+		c.Write(taint.NewString("mdt7-secret", mdt7))
+		return nil
+	})
+	for i := 0; i < jail.RingCap+extra; i++ {
+		req := httptest.NewRequest(http.MethodGet, "/data/"+strconv.Itoa(i), nil)
+		req.SetBasicAuth("bob", "pw-b")
+		rec := httptest.NewRecorder()
+		app.ServeHTTP(rec, req)
+		if rec.Code != http.StatusForbidden {
+			t.Fatalf("request %d: status %d, want 403", i, rec.Code)
+		}
+	}
+	v := app.Violations()
+	if len(v) != jail.RingCap || app.Dropped() != extra {
+		t.Fatalf("kept %d blocks, dropped %d; want %d and %d", len(v), app.Dropped(), jail.RingCap, extra)
+	}
+	if first, last := v[0].Path, v[len(v)-1].Path; first != "/data/5" || last != "/data/"+strconv.Itoa(jail.RingCap+extra-1) {
+		t.Errorf("kept %s..%s, want the newest blocks oldest first", first, last)
 	}
 }
