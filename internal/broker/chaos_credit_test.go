@@ -27,10 +27,10 @@ func creditHandshake(t testing.TB, conn net.Conn, login, topic, subID string, cr
 	rd := bufio.NewReader(conn)
 	connect := stomp.NewFrame(stomp.CmdConnect)
 	connect.SetHeader(stomp.HdrLogin, login)
-	if err := stomp.WriteFrame(conn, connect); err != nil {
+	if err := new(stomp.Encoder).Encode(conn, connect); err != nil {
 		t.Fatalf("%s CONNECT: %v", login, err)
 	}
-	if f, err := stomp.ReadFrame(rd); err != nil || f.Command != stomp.CmdConnected {
+	if f, err := stomp.NewDecoder(rd).Decode(); err != nil || f.Command != stomp.CmdConnected {
 		t.Fatalf("%s handshake: frame %v, err %v", login, f, err)
 	}
 	sub := stomp.NewFrame(stomp.CmdSubscribe)
@@ -38,11 +38,11 @@ func creditHandshake(t testing.TB, conn net.Conn, login, topic, subID string, cr
 	sub.SetHeader(stomp.HdrDestination, topic)
 	sub.SetHeader(stomp.HdrCredit, strconv.Itoa(credit))
 	sub.SetHeader(stomp.HdrReceipt, "r-sub")
-	if err := stomp.WriteFrame(conn, sub); err != nil {
+	if err := new(stomp.Encoder).Encode(conn, sub); err != nil {
 		t.Fatalf("%s SUBSCRIBE: %v", login, err)
 	}
 	for {
-		f, err := stomp.ReadFrame(rd)
+		f, err := stomp.NewDecoder(rd).Decode()
 		if err != nil {
 			t.Fatalf("%s waiting for SUBSCRIBE receipt: %v", login, err)
 		}
@@ -190,7 +190,7 @@ func TestChaosCreditedConsumers(t *testing.T) {
 		granted := int64(window)
 		var consumed int64
 		for {
-			f, err := stomp.ReadFrame(feedRd)
+			f, err := stomp.NewDecoder(feedRd).Decode()
 			if err != nil {
 				feedDone <- err
 				return
@@ -214,7 +214,7 @@ func TestChaosCreditedConsumers(t *testing.T) {
 				g := stomp.NewFrame(stomp.CmdAck)
 				g.SetHeader(stomp.HdrSubscription, "feed-0")
 				g.SetHeader(stomp.HdrCredit, strconv.FormatInt(next, 10))
-				if err := stomp.WriteFrame(feedConn, g); err != nil {
+				if err := new(stomp.Encoder).Encode(feedConn, g); err != nil {
 					feedDone <- fmt.Errorf("feed grant: %v", err)
 					return
 				}
@@ -331,7 +331,7 @@ func TestChaosCreditedConsumers(t *testing.T) {
 
 	// Reset consumer: two reads, then sever mid-stream.
 	for i := 0; i < 2; i++ {
-		if f, err := stomp.ReadFrame(resetRd); err != nil || f.Command != stomp.CmdMessage {
+		if f, err := stomp.NewDecoder(resetRd).Decode(); err != nil || f.Command != stomp.CmdMessage {
 			t.Fatalf("reset consumer read %d: %v, %v", i, f, err)
 		}
 	}

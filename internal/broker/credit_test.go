@@ -31,10 +31,10 @@ func dialCredited(t testing.TB, addr, login, topic, subID string, credit int) (n
 	br := bufio.NewReader(conn)
 	connect := stomp.NewFrame(stomp.CmdConnect)
 	connect.SetHeader(stomp.HdrLogin, login)
-	if err := stomp.WriteFrame(conn, connect); err != nil {
+	if err := new(stomp.Encoder).Encode(conn, connect); err != nil {
 		t.Fatalf("credited CONNECT: %v", err)
 	}
-	f, err := stomp.ReadFrame(br)
+	f, err := stomp.NewDecoder(br).Decode()
 	if err != nil || f.Command != stomp.CmdConnected {
 		t.Fatalf("credited handshake: frame %v, err %v", f, err)
 	}
@@ -43,11 +43,11 @@ func dialCredited(t testing.TB, addr, login, topic, subID string, credit int) (n
 	sub.SetHeader(stomp.HdrDestination, topic)
 	sub.SetHeader(stomp.HdrCredit, strconv.Itoa(credit))
 	sub.SetHeader(stomp.HdrReceipt, "r-sub")
-	if err := stomp.WriteFrame(conn, sub); err != nil {
+	if err := new(stomp.Encoder).Encode(conn, sub); err != nil {
 		t.Fatalf("credited SUBSCRIBE: %v", err)
 	}
 	for {
-		f, err := stomp.ReadFrame(br)
+		f, err := stomp.NewDecoder(br).Decode()
 		if err != nil {
 			t.Fatalf("credited waiting for SUBSCRIBE receipt: %v", err)
 		}
@@ -66,7 +66,7 @@ func sendGrant(t testing.TB, conn net.Conn, subID, credit string) {
 	if credit != "" {
 		f.SetHeader(stomp.HdrCredit, credit)
 	}
-	if err := stomp.WriteFrame(conn, f); err != nil {
+	if err := new(stomp.Encoder).Encode(conn, f); err != nil {
 		t.Fatalf("write ACK grant: %v", err)
 	}
 }
@@ -76,7 +76,7 @@ func readSeq(t testing.TB, conn net.Conn, br *bufio.Reader) int {
 	t.Helper()
 	_ = conn.SetReadDeadline(time.Now().Add(10 * time.Second))
 	defer conn.SetReadDeadline(time.Time{})
-	f, err := stomp.ReadFrame(br)
+	f, err := stomp.NewDecoder(br).Decode()
 	if err != nil {
 		t.Fatalf("read MESSAGE: %v", err)
 	}
@@ -95,7 +95,7 @@ func expectSilence(t testing.TB, conn net.Conn, br *bufio.Reader, d time.Duratio
 	t.Helper()
 	_ = conn.SetReadDeadline(time.Now().Add(d))
 	defer conn.SetReadDeadline(time.Time{})
-	if f, err := stomp.ReadFrame(br); err == nil {
+	if f, err := stomp.NewDecoder(br).Decode(); err == nil {
 		t.Fatalf("expected no frame, read %v", f)
 	} else if !errors.Is(err, os.ErrDeadlineExceeded) {
 		t.Fatalf("expected read deadline, got %v", err)
@@ -397,10 +397,10 @@ func TestUnhandledFramesError(t *testing.T) {
 		rd := bufio.NewReader(conn)
 		f := stomp.NewFrame(stomp.CmdConnect)
 		f.SetHeader(stomp.HdrLogin, "probe")
-		if err := stomp.WriteFrame(conn, f); err != nil {
+		if err := new(stomp.Encoder).Encode(conn, f); err != nil {
 			t.Fatalf("CONNECT: %v", err)
 		}
-		if got, err := stomp.ReadFrame(rd); err != nil || got.Command != stomp.CmdConnected {
+		if got, err := stomp.NewDecoder(rd).Decode(); err != nil || got.Command != stomp.CmdConnected {
 			t.Fatalf("handshake: %v, %v", got, err)
 		}
 		return conn, rd
@@ -410,7 +410,7 @@ func TestUnhandledFramesError(t *testing.T) {
 	expectError := func(t *testing.T, conn net.Conn, rd *bufio.Reader, want string) {
 		t.Helper()
 		_ = conn.SetReadDeadline(time.Now().Add(10 * time.Second))
-		f, err := stomp.ReadFrame(rd)
+		f, err := stomp.NewDecoder(rd).Decode()
 		if err != nil {
 			t.Fatalf("waiting for ERROR: %v", err)
 		}
@@ -464,7 +464,7 @@ func TestUnhandledFramesError(t *testing.T) {
 	} {
 		t.Run(tc.name, func(t *testing.T) {
 			conn, rd := connect(t)
-			if err := stomp.WriteFrame(conn, tc.frame()); err != nil {
+			if err := new(stomp.Encoder).Encode(conn, tc.frame()); err != nil {
 				t.Fatalf("write: %v", err)
 			}
 			expectError(t, conn, rd, tc.mention)
@@ -501,7 +501,7 @@ func TestUnhandledFramesError(t *testing.T) {
 		// rejected grant.
 		sendGrant(t, conn, "c-0", "-7")
 		_ = conn.SetReadDeadline(time.Now().Add(10 * time.Second))
-		f, err := stomp.ReadFrame(rd)
+		f, err := stomp.NewDecoder(rd).Decode()
 		if err != nil {
 			t.Fatalf("waiting for ERROR: %v", err)
 		}
@@ -516,10 +516,10 @@ func TestUnhandledFramesError(t *testing.T) {
 		sub.SetHeader(stomp.HdrID, "plain-0")
 		sub.SetHeader(stomp.HdrDestination, "/credit/plain")
 		sub.SetHeader(stomp.HdrReceipt, "r-sub")
-		if err := stomp.WriteFrame(conn, sub); err != nil {
+		if err := new(stomp.Encoder).Encode(conn, sub); err != nil {
 			t.Fatalf("SUBSCRIBE: %v", err)
 		}
-		if f, err := stomp.ReadFrame(rd); err != nil || f.Command != stomp.CmdReceipt {
+		if f, err := stomp.NewDecoder(rd).Decode(); err != nil || f.Command != stomp.CmdReceipt {
 			t.Fatalf("SUBSCRIBE receipt: %v, %v", f, err)
 		}
 		sendGrant(t, conn, "plain-0", "5")

@@ -377,10 +377,10 @@ func rawDurableConn(t *testing.T, addr, login string) (net.Conn, *bufio.Reader) 
 	rd := bufio.NewReader(conn)
 	connect := stomp.NewFrame(stomp.CmdConnect)
 	connect.SetHeader(stomp.HdrLogin, login)
-	if err := stomp.WriteFrame(conn, connect); err != nil {
+	if err := new(stomp.Encoder).Encode(conn, connect); err != nil {
 		t.Fatalf("raw CONNECT: %v", err)
 	}
-	if f, err := stomp.ReadFrame(rd); err != nil || f.Command != stomp.CmdConnected {
+	if f, err := stomp.NewDecoder(rd).Decode(); err != nil || f.Command != stomp.CmdConnected {
 		t.Fatalf("raw handshake: frame %v, err %v", f, err)
 	}
 	return conn, rd
@@ -397,11 +397,11 @@ func rawSubscribe(t *testing.T, conn net.Conn, rd *bufio.Reader, topic, subID st
 		sub.SetHeader(k, v)
 	}
 	sub.SetHeader(stomp.HdrReceipt, "r-sub")
-	if err := stomp.WriteFrame(conn, sub); err != nil {
+	if err := new(stomp.Encoder).Encode(conn, sub); err != nil {
 		t.Fatalf("raw SUBSCRIBE: %v", err)
 	}
 	for {
-		f, err := stomp.ReadFrame(rd)
+		f, err := stomp.NewDecoder(rd).Decode()
 		if err != nil {
 			t.Fatalf("raw SUBSCRIBE receipt: %v", err)
 		}
@@ -417,7 +417,7 @@ func rawReadOffsetMessage(t *testing.T, conn net.Conn, rd *bufio.Reader) (seq in
 	t.Helper()
 	_ = conn.SetReadDeadline(time.Now().Add(10 * time.Second))
 	defer conn.SetReadDeadline(time.Time{})
-	f, err := stomp.ReadFrame(rd)
+	f, err := stomp.NewDecoder(rd).Decode()
 	if err != nil {
 		t.Fatalf("read MESSAGE: %v", err)
 	}
@@ -437,7 +437,7 @@ func rawExpectSilence(t *testing.T, conn net.Conn, rd *bufio.Reader, d time.Dura
 	t.Helper()
 	_ = conn.SetReadDeadline(time.Now().Add(d))
 	defer conn.SetReadDeadline(time.Time{})
-	if f, err := stomp.ReadFrame(rd); err == nil {
+	if f, err := stomp.NewDecoder(rd).Decode(); err == nil {
 		t.Fatalf("expected no frame, read %v", f)
 	} else if !errors.Is(err, os.ErrDeadlineExceeded) {
 		t.Fatalf("expected read deadline, got %v", err)
@@ -456,7 +456,7 @@ func rawAck(t *testing.T, conn net.Conn, subID, credit, offset string) {
 	if offset != "" {
 		f.SetHeader(stomp.HdrOffset, offset)
 	}
-	if err := stomp.WriteFrame(conn, f); err != nil {
+	if err := new(stomp.Encoder).Encode(conn, f); err != nil {
 		t.Fatalf("write ACK: %v", err)
 	}
 }
@@ -551,11 +551,11 @@ func TestDurableSubscribeValidation(t *testing.T) {
 		for k, v := range extra {
 			sub.SetHeader(k, v)
 		}
-		if err := stomp.WriteFrame(conn, sub); err != nil {
+		if err := new(stomp.Encoder).Encode(conn, sub); err != nil {
 			t.Fatalf("%s: write SUBSCRIBE: %v", what, err)
 		}
 		_ = conn.SetReadDeadline(time.Now().Add(5 * time.Second))
-		f, err := stomp.ReadFrame(rd)
+		f, err := stomp.NewDecoder(rd).Decode()
 		if err != nil {
 			t.Fatalf("%s: read: %v", what, err)
 		}

@@ -133,10 +133,10 @@ func dialStalled(t testing.TB, addr, login, topic, subID string) net.Conn {
 	br := bufio.NewReader(conn)
 	connect := stomp.NewFrame(stomp.CmdConnect)
 	connect.SetHeader(stomp.HdrLogin, login)
-	if err := stomp.WriteFrame(conn, connect); err != nil {
+	if err := new(stomp.Encoder).Encode(conn, connect); err != nil {
 		t.Fatalf("stalled CONNECT: %v", err)
 	}
-	f, err := stomp.ReadFrame(br)
+	f, err := stomp.NewDecoder(br).Decode()
 	if err != nil || f.Command != stomp.CmdConnected {
 		t.Fatalf("stalled handshake: frame %v, err %v", f, err)
 	}
@@ -144,11 +144,11 @@ func dialStalled(t testing.TB, addr, login, topic, subID string) net.Conn {
 	sub.SetHeader(stomp.HdrID, subID)
 	sub.SetHeader(stomp.HdrDestination, topic)
 	sub.SetHeader(stomp.HdrReceipt, "r-sub")
-	if err := stomp.WriteFrame(conn, sub); err != nil {
+	if err := new(stomp.Encoder).Encode(conn, sub); err != nil {
 		t.Fatalf("stalled SUBSCRIBE: %v", err)
 	}
 	for {
-		f, err := stomp.ReadFrame(br)
+		f, err := stomp.NewDecoder(br).Decode()
 		if err != nil {
 			t.Fatalf("stalled waiting for SUBSCRIBE receipt: %v", err)
 		}

@@ -4,7 +4,6 @@ import (
 	"encoding/json"
 	"fmt"
 	"math/rand"
-	"path/filepath"
 	"slices"
 	"sort"
 	"sync"
@@ -151,28 +150,13 @@ func runViewHistory(t *testing.T, seed int64, steps int) {
 			// never saw alive.
 			op = "replicate"
 			checkpoint, _ = ReplicateOnce(src.s, dst.s, checkpoint)
-		case r < 92:
+		default:
 			// Up to three views a store: a new name on a populated store,
 			// or a registered name with what may be another function.
 			m := []*modelStore{src, dst}[rnd.Intn(2)]
 			name := fmt.Sprintf("v%d", rnd.Intn(min(len(m.views)+1, 3)))
 			op = "register " + name + " on " + m.s.Name()
 			m.register(name, fns[rnd.Intn(len(fns))])
-		default:
-			m := []*modelStore{src, dst}[rnd.Intn(2)]
-			op = "save and load " + m.s.Name()
-			path := filepath.Join(t.TempDir(), "snapshot.json")
-			if err := m.s.Save(path); err != nil {
-				t.Fatalf("seed %d: Save: %v", seed, err)
-			}
-			loaded, err := Load(path, m.s.opts)
-			if err != nil {
-				t.Fatalf("seed %d: Load: %v", seed, err)
-			}
-			m.s = loaded
-			for name, fn := range m.views {
-				m.s.RegisterView(name, fn)
-			}
 		}
 
 		for _, m := range []*modelStore{src, dst} {

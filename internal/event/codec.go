@@ -3,7 +3,6 @@ package event
 import (
 	"errors"
 	"fmt"
-	"io"
 
 	"safeweb/internal/label"
 	"safeweb/internal/stomp"
@@ -31,20 +30,6 @@ const (
 // publish fails closed with this error before anything is sent and
 // before the event is frozen.
 var ErrTransportAttr = errors.New("event: attribute name collides with a transport header")
-
-// EncodeSend writes the event as a STOMP SEND frame in its canonical wire
-// form, splicing the per-publish receipt header (when non-empty) at its
-// sorted position: the producer fast path, byte-identical to marshalling
-// the event into a header map and encoding a SEND frame from it. The
-// image is memoised on the event, which must not change afterwards (see
-// SendImage).
-func EncodeSend(w io.Writer, enc *stomp.Encoder, e *Event, receipt string) error {
-	img, err := e.SendImage()
-	if err != nil {
-		return err
-	}
-	return enc.EncodeSendImage(w, img, receipt)
-}
 
 // buildImage encodes the event's wire image for command — SEND on the
 // producer side, MESSAGE on the broker's — into dst in a single pass:

@@ -33,8 +33,8 @@ func messageWire(t testing.TB) []byte {
 	f.SetHeader(HeaderLabels, label.NewSet(label.Conf("ecric.org.uk/mdt/7")).String())
 	f.Body = []byte(`{"summary": "report", "mdt": 7}`)
 	var buf bytes.Buffer
-	if err := stomp.WriteFrame(&buf, f); err != nil {
-		t.Fatalf("WriteFrame: %v", err)
+	if err := new(stomp.Encoder).Encode(&buf, f); err != nil {
+		t.Fatalf("Encode: %v", err)
 	}
 	return buf.Bytes()
 }
@@ -79,8 +79,8 @@ func TestUnmarshalViewMatchesUnmarshalHeaders(t *testing.T) {
 	}
 	for i, f := range frames {
 		var buf bytes.Buffer
-		if err := stomp.WriteFrame(&buf, f); err != nil {
-			t.Fatalf("frame %d: WriteFrame: %v", i, err)
+		if err := new(stomp.Encoder).Encode(&buf, f); err != nil {
+			t.Fatalf("frame %d: Encode: %v", i, err)
 		}
 		v := decodeWire(t, buf.Bytes())
 		fromView, errView := UnmarshalView(&v.Headers, append([]byte(nil), v.Body...), nil)

@@ -89,8 +89,9 @@ func sendConformanceCorpus() []struct {
 }
 
 // TestSendEncodingConformance pins the producer fast path to the legacy
-// wire dialect: for every corpus event, EncodeSend — with and without a
-// spliced receipt — must produce bytes identical to marshalling the event
+// wire dialect: for every corpus event, the SendImage written by
+// EncodeSendImage — with and without a spliced receipt — must produce
+// bytes identical to marshalling the event
 // into a header map and encoding a SEND frame from it, and the bytes must
 // decode back (through the server's view path) to the same event.
 func TestSendEncodingConformance(t *testing.T) {
@@ -98,10 +99,14 @@ func TestSendEncodingConformance(t *testing.T) {
 		t.Run(tc.name, func(t *testing.T) {
 			tc.ev.Freeze()
 			for _, receipt := range []string{"", "rcpt-42"} {
+				img, err := tc.ev.SendImage()
+				if err != nil {
+					t.Fatalf("SendImage: %v", err)
+				}
 				var got bytes.Buffer
 				var enc stomp.Encoder
-				if err := EncodeSend(&got, &enc, tc.ev, receipt); err != nil {
-					t.Fatalf("EncodeSend(receipt=%q): %v", receipt, err)
+				if err := enc.EncodeSendImage(&got, img, receipt); err != nil {
+					t.Fatalf("EncodeSendImage(receipt=%q): %v", receipt, err)
 				}
 				want := legacySendWire(t, tc.ev, receipt)
 				if !bytes.Equal(got.Bytes(), want) {

@@ -37,6 +37,17 @@
 // SyncBatch coalesces fsyncs at a byte/interval threshold — a batched
 // record is only published (readable, and so replayable-as-durable) once
 // its batch has reached stable storage.
+//
+// Segments and the ack log are one kind of file, a logFile: CRC-framed
+// (record.go: sealFrame builds a frame header, openFrame checks one) and
+// append-only. Its rules live in one place each, whichever file it is:
+// openLog scans it at Open and truncates a torn tail (or refuses a sealed
+// segment with a bad frame), Journal.appendLog writes through the one
+// write seam and restores the committed tail when a write or SyncAlways
+// fsync fails, and logFile.sync is the batch fsync. Every byte the journal
+// writes reaches disk through appendLog — the ack log's compaction rewrite
+// included — so a test that tears the k-th write enumerates every crash
+// point.
 package journal
 
 import (
@@ -171,26 +182,23 @@ var ErrOffsetCompacted = errors.New("journal: offset compacted away")
 // errClosed reports use of a closed journal.
 var errClosed = errors.New("journal: closed")
 
-// segment is one log file: records [base, base+len(pos)).
+// segment is one log file holding records [base, base+len(pos)).
 type segment struct {
+	*logFile
 	base int64
-	f    *os.File
-	size int64
 	// pos holds each record's byte offset within the file; a record's
 	// framed length runs to the next entry (or to size for the last).
 	pos []int64
 	// lastTime is the newest record's timestamp (UnixNano), the segment's
 	// age for RetentionAge.
 	lastTime int64
-	// dirty marks bytes written but not yet fsynced (SyncBatch only).
-	dirty bool
 }
 
 // Journal is one topic's append-only log. All methods are safe for
 // concurrent use; appends are serialised, reads run concurrently with
 // appends (a reader never sees a record before NextOffset covers it).
 //
-// Lock order: mu before ackMu.
+// Lock order: mu before acks.mu.
 type Journal struct {
 	dir     string
 	segSize int64
@@ -236,17 +244,9 @@ type Journal struct {
 	// reopen repairs the tail.
 	appendErr error
 
-	ackMu   sync.Mutex
-	ackF    *os.File
-	ackSize int64 // committed ack-log length, the tail-restore point
-	// ackDirty marks ack bytes written but not yet fsynced (SyncBatch).
-	ackDirty bool
-	// ackErr is the ack log's sticky failure, mirroring appendErr.
-	ackErr error
-	acked  map[string]int64
-	ackBuf []byte
+	acks ackTable
 
-	// writeHook, when non-nil, intercepts segment and ack-log writes —
+	// writeHook, when non-nil, intercepts every file write (appendLog) —
 	// the fault-injection seam the recovery tests use.
 	writeHook func(f *os.File, b []byte) (int, error)
 	// now is the clock RetentionAge compares against, injectable in
@@ -265,9 +265,7 @@ func Open(dir string, opts Options) (*Journal, error) {
 	if opts.SegmentSize <= 0 {
 		opts.SegmentSize = defaultSegmentSize
 	}
-	switch opts.Sync {
-	case SyncNever, SyncBatch, SyncAlways:
-	default:
+	if opts.Sync < SyncNever || opts.Sync > SyncAlways {
 		return nil, fmt.Errorf("journal: unknown sync policy %d", opts.Sync)
 	}
 	if err := os.MkdirAll(dir, 0o755); err != nil {
@@ -290,44 +288,54 @@ func Open(dir string, opts Options) (*Journal, error) {
 	}
 	ch := make(chan struct{})
 	j.signal.Store(&ch)
-
-	names, err := segmentNames(dir)
-	if err != nil {
-		return nil, err
-	}
-	firstOffset, nextOffset := int64(0), int64(0)
-	for i, name := range names {
-		base, err := strconv.ParseInt(strings.TrimSuffix(name, segmentSuffix), 10, 64)
-		if err != nil {
-			return nil, fmt.Errorf("journal: bad segment name %q", name)
-		}
-		if i == 0 {
-			// The lowest segment sets the floor: everything below it was
-			// compacted away (possibly by a crash mid-compaction — the
-			// unlink-lowest-first order makes any deleted prefix look
-			// exactly like a completed compaction).
-			firstOffset, nextOffset = base, base
-		}
-		if base != nextOffset {
-			return nil, fmt.Errorf("journal: segment %q starts at offset %d, want %d (missing segment?)", name, base, nextOffset)
-		}
-		seg, err := openSegment(filepath.Join(dir, name), base, i == len(names)-1)
-		if err != nil {
-			j.closeLocked()
-			return nil, err
-		}
-		j.segs = append(j.segs, seg)
-		nextOffset = base + int64(len(seg.pos))
-	}
-	j.first.Store(firstOffset)
-	j.next.Store(nextOffset)
-	j.written = nextOffset
-
-	if err := j.openAcks(); err != nil {
+	if err := j.openFiles(); err != nil {
 		j.closeLocked()
 		return nil, err
 	}
 	return j, nil
+}
+
+// openFiles scans the segments and then the ack log. Every segment but
+// the last is sealed: a bad frame in one has good records after it.
+func (j *Journal) openFiles() error {
+	names, err := segmentNames(j.dir)
+	if err != nil {
+		return err
+	}
+	for i, name := range names {
+		base, err := strconv.ParseInt(strings.TrimSuffix(name, segmentSuffix), 10, 64)
+		if err != nil {
+			return fmt.Errorf("journal: bad segment name %q", name)
+		}
+		// The lowest segment sets the floor: everything below it was
+		// compacted away (possibly by a crash mid-compaction — the
+		// unlink-lowest-first order makes any deleted prefix look exactly
+		// like a completed compaction).
+		if i == 0 {
+			j.first.Store(base)
+			j.written = base
+		}
+		if base != j.written {
+			return fmt.Errorf("journal: segment %q starts at offset %d, want %d (missing segment?)", name, base, j.written)
+		}
+		seg := &segment{base: base}
+		var rec Record
+		seg.logFile, err = openLog(filepath.Join(j.dir, name), i < len(names)-1, func(at int64, b []byte) (int, error) {
+			n, err := decodeRecord(b, &rec)
+			if err == nil {
+				seg.pos = append(seg.pos, at)
+				seg.lastTime = rec.Time
+			}
+			return n, err
+		})
+		if err != nil {
+			return err
+		}
+		j.segs = append(j.segs, seg)
+		j.written = base + int64(len(seg.pos))
+	}
+	j.next.Store(j.written)
+	return j.acks.open(j.dir)
 }
 
 // segmentNames lists the directory's segment files in base-offset order.
@@ -344,95 +352,6 @@ func segmentNames(dir string) ([]string, error) {
 	}
 	sort.Strings(names) // zero-padded bases sort numerically
 	return names, nil
-}
-
-// openSegment opens one segment file and scans it into an offset index.
-// For the final segment a scan failure truncates the file at the last
-// good record — the torn tail of a crashed append; for interior segments
-// it is unrecoverable corruption.
-func openSegment(path string, base int64, last bool) (*segment, error) {
-	f, err := os.OpenFile(path, os.O_RDWR|os.O_CREATE, 0o644)
-	if err != nil {
-		return nil, fmt.Errorf("journal: %w", err)
-	}
-	data, err := os.ReadFile(path)
-	if err != nil {
-		_ = f.Close()
-		return nil, fmt.Errorf("journal: %w", err)
-	}
-	seg := &segment{base: base, f: f}
-	var rec Record
-	good := int64(0)
-	for int(good) < len(data) {
-		n, err := decodeRecord(data[good:], &rec)
-		if err != nil {
-			if !last {
-				_ = f.Close()
-				return nil, fmt.Errorf("journal: segment %s offset %d: %w", filepath.Base(path), good, err)
-			}
-			// Torn tail: drop everything from the first bad frame on.
-			if terr := f.Truncate(good); terr != nil {
-				_ = f.Close()
-				return nil, fmt.Errorf("journal: truncating torn tail of %s: %w", filepath.Base(path), terr)
-			}
-			break
-		}
-		seg.pos = append(seg.pos, good)
-		seg.lastTime = rec.Time
-		good += int64(n)
-	}
-	seg.size = good
-	if _, err := f.Seek(seg.size, 0); err != nil {
-		_ = f.Close()
-		return nil, fmt.Errorf("journal: %w", err)
-	}
-	return seg, nil
-}
-
-// openAcks opens and scans the ack log, truncating its torn tail and
-// folding every record into the per-group maximum.
-func (j *Journal) openAcks() error {
-	path := filepath.Join(j.dir, ackLogName)
-	f, err := os.OpenFile(path, os.O_RDWR|os.O_CREATE, 0o644)
-	if err != nil {
-		return fmt.Errorf("journal: %w", err)
-	}
-	data, err := os.ReadFile(path)
-	if err != nil {
-		_ = f.Close()
-		return fmt.Errorf("journal: %w", err)
-	}
-	acked := make(map[string]int64)
-	good := int64(0)
-	for int(good) < len(data) {
-		group, offset, n, err := decodeAckRecord(data[good:])
-		if err != nil {
-			if terr := f.Truncate(good); terr != nil {
-				_ = f.Close()
-				return fmt.Errorf("journal: truncating torn ack log: %w", terr)
-			}
-			break
-		}
-		if offset > acked[group] {
-			acked[group] = offset
-		}
-		good += int64(n)
-	}
-	if _, err := f.Seek(good, 0); err != nil {
-		_ = f.Close()
-		return fmt.Errorf("journal: %w", err)
-	}
-	j.ackF, j.acked, j.ackSize = f, acked, good
-	return nil
-}
-
-// write is the file-write seam: the fault-injection hook, when armed,
-// stands in for os.File.Write.
-func (j *Journal) write(f *os.File, b []byte) (int, error) {
-	if j.writeHook != nil {
-		return j.writeHook(f, b)
-	}
-	return f.Write(b)
 }
 
 // Append writes one record and returns its offset. The record is framed,
@@ -472,36 +391,15 @@ func (j *Journal) Append(rec *Record) (int64, error) {
 			}
 		}
 	}
-	if _, werr := j.write(seg.f, buf); werr != nil {
-		// A short or failed write leaves torn bytes at the tail. Restore
-		// the segment to its last committed state — truncate back to the
-		// committed size AND re-seek the file position to match: without
-		// the seek the next append would write past the truncation point
-		// and leave a zero-filled gap that Open rejects as interior
-		// corruption once the segment is no longer last. If the
-		// restoration itself fails the tear cannot be removed, so further
-		// appends (which would stack records Open can never reach behind
-		// the tear) are refused until a reopen repairs the tail.
-		j.restoreTailLocked(seg, werr)
-		return 0, fmt.Errorf("journal: append: %w", werr)
+	at := seg.size
+	if err := j.appendLog(seg.logFile, buf, &j.appendErr); err != nil {
+		return 0, fmt.Errorf("journal: append: %w", err)
 	}
-	if j.sync == SyncAlways {
-		if serr := seg.f.Sync(); serr != nil {
-			// SyncAlways promises durability on return; a record that
-			// cannot be synced is dropped, not half-committed — restore
-			// the tail exactly like a failed write so the in-memory index
-			// and the file position stay consistent.
-			j.restoreTailLocked(seg, serr)
-			return 0, fmt.Errorf("journal: sync: %w", serr)
-		}
-	}
-	seg.pos = append(seg.pos, seg.size)
-	seg.size += int64(len(buf))
+	seg.pos = append(seg.pos, at)
 	seg.lastTime = rec.Time
 	j.written = offset + 1
 
 	if j.sync == SyncBatch {
-		seg.dirty = true
 		j.unsynced += int64(len(buf))
 		if j.unsynced >= j.batchBytes {
 			if ferr := j.flushLocked(); ferr != nil {
@@ -514,19 +412,6 @@ func (j *Journal) Append(rec *Record) (int64, error) {
 	}
 	j.commitLocked()
 	return offset, nil
-}
-
-// restoreTailLocked puts a segment back in its last committed state after
-// a failed write or sync: truncate to the committed size and re-seek the
-// file position there. A restoration failure is sticky — see appendErr.
-func (j *Journal) restoreTailLocked(seg *segment, cause error) {
-	if terr := seg.f.Truncate(seg.size); terr != nil {
-		j.appendErr = fmt.Errorf("tail restore after %v: truncate: %w", cause, terr)
-		return
-	}
-	if _, serr := seg.f.Seek(seg.size, 0); serr != nil {
-		j.appendErr = fmt.Errorf("tail restore after %v: seek: %w", cause, serr)
-	}
 }
 
 // commitLocked publishes everything written: advance the readable bound,
@@ -553,46 +438,32 @@ func (j *Journal) timedFlush() {
 	_ = j.flushLocked()
 }
 
-// flushLocked fsyncs every dirty segment (and a dirty ack log), then
-// publishes the written-but-unpublished records. No-op when nothing is
-// pending.
+// flushLocked fsyncs every dirty segment and the ack log, then publishes
+// the written-but-unpublished records. No-op when nothing is pending.
 func (j *Journal) flushLocked() error {
 	if j.flushTimer != nil {
 		j.flushTimer.Stop()
 		j.flushTimer = nil
 	}
 	for _, seg := range j.segs {
-		if !seg.dirty {
-			continue
-		}
-		if err := seg.f.Sync(); err != nil {
+		if err := seg.sync(); err != nil {
 			// The batch cannot reach stable storage, so its records must
 			// not be published as durable; fail closed until reopen.
 			j.appendErr = fmt.Errorf("batch sync: %w", err)
 			return j.appendErr
 		}
-		seg.dirty = false
 	}
 	j.unsynced = 0
-	j.syncDirtyAcks()
+	// Ack persistence is best-effort between fsyncs — a lost ack only
+	// re-delivers — so a failure leaves the ack log dirty for the next
+	// pass.
+	j.acks.mu.Lock()
+	_ = j.acks.log.sync()
+	j.acks.mu.Unlock()
 	if j.written != j.next.Load() {
 		j.commitLocked()
 	}
 	return nil
-}
-
-// syncDirtyAcks flushes batched ack writes alongside the append batch.
-// Ack persistence is best-effort between fsyncs — a lost ack only
-// re-delivers — so a failure leaves ackDirty set for the next pass.
-func (j *Journal) syncDirtyAcks() {
-	j.ackMu.Lock()
-	defer j.ackMu.Unlock()
-	if !j.ackDirty || j.ackF == nil {
-		return
-	}
-	if err := j.ackF.Sync(); err == nil {
-		j.ackDirty = false
-	}
 }
 
 // Sync forces any batch-buffered appends (and acks) to stable storage and
@@ -635,22 +506,13 @@ func (j *Journal) compactLocked() (CompactStats, error) {
 		return st, nil
 	}
 
-	// minAck is the offset every group has reached; -1 when no group
-	// exists (nothing is ack-covered — deleting on an empty quorum would
-	// drop data the first group to appear still wants).
-	minAck := int64(-1)
-	j.ackMu.Lock()
-	for _, off := range j.acked {
-		if minAck < 0 || off < minAck {
-			minAck = off
-		}
-	}
-	j.ackMu.Unlock()
-
 	// All three criteria produce prefixes (segments are offset- and
 	// time-ordered), so the pass reduces to one prefix length. The active
 	// (last) segment is never a candidate: it keeps the offset counter
-	// recoverable and the append path simple.
+	// recoverable and the append path simple. minAck is -1 when no group
+	// exists: deleting on an empty quorum would drop data the first group
+	// to appear still wants.
+	minAck := j.acks.min()
 	acked := 0
 	for acked < len(j.segs)-1 {
 		seg := j.segs[acked]
@@ -669,10 +531,7 @@ func (j *Journal) compactLocked() (CompactStats, error) {
 	if j.retainBytes > 0 {
 		// Count the active segment at its full roll threshold so the
 		// budget keeps holding as it fills between rolls.
-		total := j.segSize - j.segs[len(j.segs)-1].size
-		if total < 0 {
-			total = 0 // oversized single-record segment
-		}
+		total := max(j.segSize-j.segs[len(j.segs)-1].size, 0) // 0: an oversized single-record segment
 		for _, seg := range j.segs {
 			total += seg.size
 		}
@@ -691,105 +550,32 @@ func (j *Journal) compactLocked() (CompactStats, error) {
 	// a gap) and leaves the rest for the next one.
 	removed := 0
 	var err error
-	for i := 0; i < del; i++ {
-		seg := j.segs[i]
+	for ; removed < del; removed++ {
+		seg := j.segs[removed]
 		if rerr := os.Remove(filepath.Join(j.dir, segmentName(seg.base))); rerr != nil {
 			err = fmt.Errorf("journal: compact: %w", rerr)
 			break
 		}
 		_ = seg.f.Close()
-		removed++
 	}
 	if removed == 0 {
 		return st, err
 	}
 	j.segs = j.segs[removed:]
 	j.first.Store(j.segs[0].base)
-	if removed <= acked {
-		st.AckedSegments = removed
-	} else {
-		st.AckedSegments = acked
-		st.RetentionSegments = removed - acked
-	}
+	st.AckedSegments = min(removed, acked)
+	st.RetentionSegments = removed - st.AckedSegments
 	st.FirstOffset = j.segs[0].base
 	// Fold the ack log down to one record per group. A crash between the
 	// unlinks above and this rewrite just leaves the longer log, which
 	// max-wins folding absorbs at the next open.
-	if aerr := j.compactAcks(); aerr != nil && err == nil {
+	if aerr := j.rewriteAcks(); aerr != nil && err == nil {
 		err = aerr
 	}
 	if j.onCompact != nil {
 		j.onCompact(st)
 	}
 	return st, err
-}
-
-// compactAcks rewrites the ack log as one record per group, staged
-// through a scratch file and renamed into place so the rewrite is
-// all-or-nothing.
-func (j *Journal) compactAcks() error {
-	j.ackMu.Lock()
-	defer j.ackMu.Unlock()
-	if j.ackF == nil {
-		return errClosed
-	}
-	buf := j.ackBuf[:0]
-	var err error
-	for group, off := range j.acked {
-		if buf, err = appendAckRecord(buf, group, off); err != nil {
-			return err
-		}
-	}
-	j.ackBuf = buf
-	tmp := filepath.Join(j.dir, ackTmpName)
-	f, err := os.OpenFile(tmp, os.O_WRONLY|os.O_CREATE|os.O_TRUNC, 0o644)
-	if err != nil {
-		return fmt.Errorf("journal: compact acks: %w", err)
-	}
-	if _, err := f.Write(buf); err != nil {
-		_ = f.Close()
-		_ = os.Remove(tmp)
-		return fmt.Errorf("journal: compact acks: %w", err)
-	}
-	if j.sync != SyncNever {
-		if err := f.Sync(); err != nil {
-			_ = f.Close()
-			_ = os.Remove(tmp)
-			return fmt.Errorf("journal: compact acks: %w", err)
-		}
-	}
-	if err := f.Close(); err != nil {
-		_ = os.Remove(tmp)
-		return fmt.Errorf("journal: compact acks: %w", err)
-	}
-	path := filepath.Join(j.dir, ackLogName)
-	if err := os.Rename(tmp, path); err != nil {
-		_ = os.Remove(tmp)
-		return fmt.Errorf("journal: compact acks: %w", err)
-	}
-	nf, err := os.OpenFile(path, os.O_RDWR, 0o644)
-	if err != nil {
-		// The old handle writes to the renamed-over inode — invisible to
-		// the next open. Fail the ack log closed rather than lose acks
-		// silently.
-		_ = j.ackF.Close()
-		j.ackF = nil
-		j.ackErr = fmt.Errorf("reopen after rewrite: %w", err)
-		return fmt.Errorf("journal: compact acks: %w", err)
-	}
-	if _, err := nf.Seek(int64(len(buf)), 0); err != nil {
-		_ = nf.Close()
-		_ = j.ackF.Close()
-		j.ackF = nil
-		j.ackErr = fmt.Errorf("reopen after rewrite: %w", err)
-		return fmt.Errorf("journal: compact acks: %w", err)
-	}
-	old := j.ackF
-	j.ackF = nf
-	j.ackSize = int64(len(buf))
-	j.ackDirty = false
-	_ = old.Close()
-	return nil
 }
 
 // activeSegmentLocked returns the segment the next append goes to, or nil
@@ -819,7 +605,7 @@ func (j *Journal) newSegmentLocked(base int64) (*segment, error) {
 	if err != nil {
 		return nil, fmt.Errorf("journal: roll segment: %w", err)
 	}
-	seg := &segment{base: base, f: f}
+	seg := &segment{logFile: &logFile{f: f}, base: base}
 	j.segs = append(j.segs, seg)
 	return seg, nil
 }
@@ -861,13 +647,11 @@ func (j *Journal) Read(offset int64, rec *Record) error {
 	// compaction can close the file under us — re-check the floor on
 	// failure so the caller sees the compaction, not a bare I/O error.
 	buf := make([]byte, end-start)
-	if _, err := f.ReadAt(buf, start); err != nil {
-		if offset < j.first.Load() {
-			return fmt.Errorf("%w: %d", ErrOffsetCompacted, offset)
-		}
-		return fmt.Errorf("journal: read offset %d: %w", offset, err)
+	_, err := f.ReadAt(buf, start)
+	if err == nil {
+		_, err = decodeRecord(buf, rec)
 	}
-	if _, err := decodeRecord(buf, rec); err != nil {
+	if err != nil {
 		if offset < j.first.Load() {
 			return fmt.Errorf("%w: %d", ErrOffsetCompacted, offset)
 		}
@@ -890,95 +674,18 @@ func (j *Journal) FirstOffset() int64 { return j.first.Load() }
 // channel, so the wait cannot miss it.
 func (j *Journal) AppendSignal() <-chan struct{} { return *j.signal.Load() }
 
-// Ack records a consumer group's cumulative progress: every record below
-// offset is processed. Acks are idempotent max-wins — an offset at or
-// below the group's current mark is a no-op, so duplicated, reordered or
-// replayed acks can never regress a group.
-func (j *Journal) Ack(group string, offset int64) error {
-	if group == "" {
-		return errors.New("journal: empty ack group")
-	}
-	if offset < 0 {
-		return fmt.Errorf("journal: negative ack offset %d", offset)
-	}
-	j.ackMu.Lock()
-	defer j.ackMu.Unlock()
-	if j.ackF == nil {
-		return errClosed
-	}
-	if j.ackErr != nil {
-		return fmt.Errorf("journal: ack: %w", j.ackErr)
-	}
-	if offset <= j.acked[group] {
-		return nil
-	}
-	buf, err := appendAckRecord(j.ackBuf[:0], group, offset)
-	if err != nil {
-		return err
-	}
-	j.ackBuf = buf
-	if _, werr := j.write(j.ackF, buf); werr != nil {
-		// Same discipline as Append: a failed write leaves torn bytes at
-		// the tail, and every later ack would stack behind the tear where
-		// openAcks silently discards it — the group would re-deliver work
-		// it already finished. Truncate back to the committed length and
-		// re-seek; if the restoration fails, refuse further acks until a
-		// reopen repairs the tail.
-		if terr := j.ackF.Truncate(j.ackSize); terr != nil {
-			j.ackErr = fmt.Errorf("tail restore after %v: truncate: %w", werr, terr)
-		} else if _, serr := j.ackF.Seek(j.ackSize, 0); serr != nil {
-			j.ackErr = fmt.Errorf("tail restore after %v: seek: %w", werr, serr)
-		}
-		return fmt.Errorf("journal: ack: %w", werr)
-	}
-	j.ackSize += int64(len(buf))
-	switch j.sync {
-	case SyncAlways:
-		if err := j.ackF.Sync(); err != nil {
-			return fmt.Errorf("journal: ack sync: %w", err)
-		}
-	case SyncBatch:
-		// Ride the append batch's fsync cadence; a power cut between
-		// flushes only loses acks, which re-deliver.
-		j.ackDirty = true
-	}
-	j.acked[group] = offset
-	return nil
-}
-
-// Acked returns a group's cumulative acked offset — the offset replay
-// resumes from. An unknown group is at zero: the whole log is unacked.
-func (j *Journal) Acked(group string) int64 {
-	j.ackMu.Lock()
-	defer j.ackMu.Unlock()
-	return j.acked[group]
-}
-
 // Close closes the journal's files, flushing any pending SyncBatch batch
-// first. Appends and reads fail afterwards.
+// first. Appends, acks and reads fail afterwards.
 func (j *Journal) Close() error {
 	j.mu.Lock()
+	defer j.mu.Unlock()
 	var err error
 	if !j.closed && j.sync == SyncBatch {
 		err = j.flushLocked()
 	}
-	if j.flushTimer != nil {
-		j.flushTimer.Stop()
-		j.flushTimer = nil
-	}
 	if cerr := j.closeLocked(); err == nil {
 		err = cerr
 	}
-	j.mu.Unlock()
-
-	j.ackMu.Lock()
-	if j.ackF != nil {
-		if cerr := j.ackF.Close(); err == nil {
-			err = cerr
-		}
-		j.ackF = nil
-	}
-	j.ackMu.Unlock()
 	return err
 }
 
@@ -992,6 +699,9 @@ func (j *Journal) closeLocked() error {
 		if cerr := seg.f.Close(); err == nil {
 			err = cerr
 		}
+	}
+	if cerr := j.acks.close(); err == nil {
+		err = cerr
 	}
 	return err
 }

@@ -14,7 +14,8 @@ import (
 //
 // (all integers big-endian). The CRC covers the payload only; a torn
 // write, a zeroed tail or a flipped bit fails the checksum and marks the
-// end of the recoverable log. An event-record payload is
+// end of the recoverable log. sealFrame builds the header and openFrame
+// checks it, for both kinds of payload. An event-record payload is
 //
 //	u8  version (recordVersion)
 //	u8  flags (flagHasLabels)
@@ -72,6 +73,38 @@ type Record struct {
 	Image []byte
 }
 
+// sealFrame fills in the header of the frame that starts at dst[base] —
+// frameHeaderLen reserved bytes followed by the payload — and returns dst.
+func sealFrame(dst []byte, base int) ([]byte, error) {
+	if len(dst)-base > maxRecordSize {
+		return dst[:base], fmt.Errorf("journal: record too large (%d bytes, max %d)", len(dst)-base, maxRecordSize)
+	}
+	payload := dst[base+frameHeaderLen:]
+	binary.BigEndian.PutUint32(dst[base:], uint32(len(payload)))
+	binary.BigEndian.PutUint32(dst[base+4:], crc32.Checksum(payload, castagnoli))
+	return dst, nil
+}
+
+// openFrame checks the frame at the front of b and returns its payload and
+// framed length. A truncated frame, a length past maxRecordSize or a CRC
+// mismatch is ErrCorruptRecord.
+func openFrame(b []byte) ([]byte, int, error) {
+	if len(b) < frameHeaderLen {
+		return nil, 0, fmt.Errorf("%w: truncated frame header", ErrCorruptRecord)
+	}
+	n := frameHeaderLen + int(binary.BigEndian.Uint32(b))
+	if n > maxRecordSize {
+		return nil, 0, fmt.Errorf("%w: length %d exceeds record bound", ErrCorruptRecord, n-frameHeaderLen)
+	}
+	if len(b) < n {
+		return nil, 0, fmt.Errorf("%w: truncated payload", ErrCorruptRecord)
+	}
+	if crc32.Checksum(b[frameHeaderLen:n], castagnoli) != binary.BigEndian.Uint32(b[4:]) {
+		return nil, 0, fmt.Errorf("%w: CRC mismatch", ErrCorruptRecord)
+	}
+	return b[frameHeaderLen:n], n, nil
+}
+
 // appendRecord appends the framed wire form of rec to dst.
 func appendRecord(dst []byte, rec *Record) ([]byte, error) {
 	if len(rec.Topic) > 0xFFFF {
@@ -83,20 +116,12 @@ func appendRecord(dst []byte, rec *Record) ([]byte, error) {
 	if rec.Split < 0 || rec.Split > len(rec.Image) {
 		return dst, fmt.Errorf("journal: image split %d out of range [0,%d]", rec.Split, len(rec.Image))
 	}
-	payloadLen := 1 + 1 + 8 + 4 + 2 + len(rec.Topic) + 4 + len(rec.Image)
 	flags := byte(0)
 	if rec.Labels != "" {
 		flags |= flagHasLabels
-		payloadLen += 2 + len(rec.Labels)
 	}
-	if frameHeaderLen+payloadLen > maxRecordSize {
-		return dst, fmt.Errorf("journal: record too large (%d bytes, max %d)", frameHeaderLen+payloadLen, maxRecordSize)
-	}
-
 	base := len(dst)
-	dst = binary.BigEndian.AppendUint32(dst, uint32(payloadLen))
-	dst = append(dst, 0, 0, 0, 0) // CRC backfilled below
-	dst = append(dst, recordVersion, flags)
+	dst = append(dst, 0, 0, 0, 0, 0, 0, 0, 0, recordVersion, flags)
 	dst = binary.BigEndian.AppendUint64(dst, uint64(rec.Time))
 	dst = binary.BigEndian.AppendUint32(dst, uint32(rec.Split))
 	dst = binary.BigEndian.AppendUint16(dst, uint16(len(rec.Topic)))
@@ -107,10 +132,7 @@ func appendRecord(dst []byte, rec *Record) ([]byte, error) {
 	}
 	dst = binary.BigEndian.AppendUint32(dst, uint32(len(rec.Image)))
 	dst = append(dst, rec.Image...)
-
-	crc := crc32.Checksum(dst[base+frameHeaderLen:], castagnoli)
-	binary.BigEndian.PutUint32(dst[base+4:], crc)
-	return dst, nil
+	return sealFrame(dst, base)
 }
 
 // decodeRecord parses one framed record from the front of b into rec and
@@ -119,19 +141,9 @@ func appendRecord(dst []byte, rec *Record) ([]byte, error) {
 // recovery treats every such failure as the torn tail of the log. The
 // decoded Topic, Labels and Image are copied out of b.
 func decodeRecord(b []byte, rec *Record) (int, error) {
-	if len(b) < frameHeaderLen {
-		return 0, fmt.Errorf("%w: truncated frame header", ErrCorruptRecord)
-	}
-	payloadLen := int(binary.BigEndian.Uint32(b))
-	if frameHeaderLen+payloadLen > maxRecordSize {
-		return 0, fmt.Errorf("%w: length %d exceeds record bound", ErrCorruptRecord, payloadLen)
-	}
-	if len(b) < frameHeaderLen+payloadLen {
-		return 0, fmt.Errorf("%w: truncated payload", ErrCorruptRecord)
-	}
-	payload := b[frameHeaderLen : frameHeaderLen+payloadLen]
-	if crc32.Checksum(payload, castagnoli) != binary.BigEndian.Uint32(b[4:]) {
-		return 0, fmt.Errorf("%w: CRC mismatch", ErrCorruptRecord)
+	payload, n, err := openFrame(b)
+	if err != nil {
+		return 0, err
 	}
 	if len(payload) < 1+1+8+4+2 {
 		return 0, fmt.Errorf("%w: payload too short", ErrCorruptRecord)
@@ -139,7 +151,6 @@ func decodeRecord(b []byte, rec *Record) (int, error) {
 	if payload[0] != recordVersion {
 		return 0, fmt.Errorf("%w: unknown record version %d", ErrCorruptRecord, payload[0])
 	}
-	flags := payload[1]
 	rec.Time = int64(binary.BigEndian.Uint64(payload[2:]))
 	split := int(binary.BigEndian.Uint32(payload[10:]))
 	p := payload[14:]
@@ -153,7 +164,7 @@ func decodeRecord(b []byte, rec *Record) (int, error) {
 	p = p[topicLen:]
 
 	rec.Labels = ""
-	if flags&flagHasLabels != 0 {
+	if payload[1]&flagHasLabels != 0 {
 		if len(p) < 2 {
 			return 0, fmt.Errorf("%w: truncated label length", ErrCorruptRecord)
 		}
@@ -179,7 +190,7 @@ func decodeRecord(b []byte, rec *Record) (int, error) {
 	}
 	rec.Split = split
 	rec.Image = append([]byte(nil), p...)
-	return frameHeaderLen + payloadLen, nil
+	return n, nil
 }
 
 // Ack records are framed identically; their payload is
@@ -196,34 +207,20 @@ func appendAckRecord(dst []byte, group string, offset int64) ([]byte, error) {
 	if len(group) > 0xFFFF {
 		return dst, fmt.Errorf("journal: group too long (%d bytes)", len(group))
 	}
-	payloadLen := 2 + len(group) + 8
 	base := len(dst)
-	dst = binary.BigEndian.AppendUint32(dst, uint32(payloadLen))
-	dst = append(dst, 0, 0, 0, 0)
+	dst = append(dst, 0, 0, 0, 0, 0, 0, 0, 0)
 	dst = binary.BigEndian.AppendUint16(dst, uint16(len(group)))
 	dst = append(dst, group...)
 	dst = binary.BigEndian.AppendUint64(dst, uint64(offset))
-	crc := crc32.Checksum(dst[base+frameHeaderLen:], castagnoli)
-	binary.BigEndian.PutUint32(dst[base+4:], crc)
-	return dst, nil
+	return sealFrame(dst, base)
 }
 
 // decodeAckRecord parses one framed ack record from the front of b,
 // returning the framed length consumed.
 func decodeAckRecord(b []byte) (group string, offset int64, n int, err error) {
-	if len(b) < frameHeaderLen {
-		return "", 0, 0, fmt.Errorf("%w: truncated frame header", ErrCorruptRecord)
-	}
-	payloadLen := int(binary.BigEndian.Uint32(b))
-	if frameHeaderLen+payloadLen > maxRecordSize {
-		return "", 0, 0, fmt.Errorf("%w: length %d exceeds record bound", ErrCorruptRecord, payloadLen)
-	}
-	if len(b) < frameHeaderLen+payloadLen {
-		return "", 0, 0, fmt.Errorf("%w: truncated payload", ErrCorruptRecord)
-	}
-	payload := b[frameHeaderLen : frameHeaderLen+payloadLen]
-	if crc32.Checksum(payload, castagnoli) != binary.BigEndian.Uint32(b[4:]) {
-		return "", 0, 0, fmt.Errorf("%w: CRC mismatch", ErrCorruptRecord)
+	payload, n, err := openFrame(b)
+	if err != nil {
+		return "", 0, 0, err
 	}
 	if len(payload) < 2+8 {
 		return "", 0, 0, fmt.Errorf("%w: ack payload too short", ErrCorruptRecord)
@@ -232,7 +229,5 @@ func decodeAckRecord(b []byte) (group string, offset int64, n int, err error) {
 	if len(payload) != 2+groupLen+8 {
 		return "", 0, 0, fmt.Errorf("%w: ack group length mismatch", ErrCorruptRecord)
 	}
-	group = string(payload[2 : 2+groupLen])
-	offset = int64(binary.BigEndian.Uint64(payload[2+groupLen:]))
-	return group, offset, frameHeaderLen + payloadLen, nil
+	return string(payload[2 : 2+groupLen]), int64(binary.BigEndian.Uint64(payload[2+groupLen:])), n, nil
 }

@@ -1,10 +1,13 @@
 package journal
 
 import (
+	"bytes"
 	"errors"
+	"fmt"
 	"os"
 	"path/filepath"
 	"testing"
+	"time"
 )
 
 // The crash-recovery matrix: every way a crash can tear the log —
@@ -212,4 +215,202 @@ func TestRecoveryTornAckLog(t *testing.T) {
 	// The one ack record is torn, so the group folds back to zero — and
 	// the journal still opens, reads and appends.
 	verifyRecovered(t, dir, 0)
+}
+
+// crashHistory is what one run of the scripted history was told: the
+// appends and acks that returned nil, and how many file writes it made.
+type crashHistory struct {
+	writes   int
+	appended []*Record // successful appends, in offset order
+	acked    map[string]int64
+}
+
+// errTorn is the error a torn write returns.
+var errTorn = errors.New("injected write error")
+
+// crashRecord is record i of the scripted history. It comes in three
+// sizes — unlabelled, one label, two labels — so that a torn record can be
+// followed by a larger one that no longer fits the segment: the roll then
+// seals whatever bytes the tear left behind.
+func crashRecord(i int) *Record {
+	rec := testRecord(i)
+	switch i % 4 {
+	case 2:
+		rec.Labels = ""
+	case 3:
+		rec.Labels += ",label:conf:ward-b"
+	}
+	return rec
+}
+
+// runCrashHistory opens a journal in dir and runs the scripted history:
+// twelve appends across four segment rolls, acks from two groups and one
+// Compact that deletes two segments and rewrites the ack log. When
+// tearAt > 0 the tearAt-th file write is torn — half its bytes land, then
+// it fails — and the operation that made it must fail with errTorn while
+// every other operation succeeds. With stop set the history ends at the
+// tear as a crash would, torn bytes and all; otherwise it carries on and
+// the live journal is checked.
+func runCrashHistory(t *testing.T, dir string, policy SyncPolicy, tearAt int, stop bool) *crashHistory {
+	t.Helper()
+	j, err := Open(dir, Options{SegmentSize: 256, Sync: policy})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer j.Close()
+	j.batchInterval = time.Hour // only the script's Sync publishes a batch
+	h := &crashHistory{acked: make(map[string]int64)}
+	torn := false
+	var crash func() // writes the torn bytes again, past any tail restore
+	j.writeHook = func(f *os.File, b []byte) (int, error) {
+		h.writes++
+		if h.writes != tearAt {
+			return f.Write(b)
+		}
+		torn = true
+		half := append([]byte(nil), b[:len(b)/2]...)
+		crash = func() { _, _ = f.Write(half) } // a discarded staging file is closed: no-op
+		n, _ := f.Write(half)
+		return n, errTorn
+	}
+
+	appendRec := func(i int) func() error {
+		return func() error {
+			rec := crashRecord(i)
+			off, err := j.Append(rec)
+			if err == nil {
+				if off != int64(len(h.appended)) {
+					t.Fatalf("append %d at offset %d, want %d", i, off, len(h.appended))
+				}
+				h.appended = append(h.appended, rec)
+			}
+			return err
+		}
+	}
+	ack := func(group string, offset int64) func() error {
+		return func() error {
+			err := j.Ack(group, offset)
+			if err == nil {
+				h.acked[group] = max(h.acked[group], offset)
+			}
+			return err
+		}
+	}
+	compact := func() error { _, err := j.Compact(); return err }
+	script := []func() error{
+		appendRec(0), appendRec(1), appendRec(2), appendRec(3), ack("a", 2),
+		appendRec(4), appendRec(5), appendRec(6), ack("b", 1), ack("a", 5), j.Sync,
+		appendRec(7), appendRec(8), ack("b", 6), ack("a", 8), compact,
+		appendRec(9), appendRec(10), appendRec(11), ack("a", 11), ack("b", 9), j.Sync,
+	}
+	for i, op := range script {
+		wasTorn := torn
+		err := op()
+		if tornHere := torn && !wasTorn; tornHere != (err != nil) || (err != nil && !errors.Is(err, errTorn)) {
+			t.Fatalf("step %d: err = %v, want the torn write's error exactly when this step tore (tore: %v)", i, err, tornHere)
+		}
+		if torn && stop {
+			// Stopping is a crash mid-write: the torn bytes stay on disk,
+			// where no tail restore ever ran.
+			crash()
+			return h
+		}
+	}
+	j.writeHook = nil
+	checkCrashHistory(t, j, dir, policy, h)
+	return h
+}
+
+// checkCrashHistory asserts j holds exactly h: every successful append,
+// byte for byte at dense offsets, from a FirstOffset that is a segment
+// base; compacted offsets fail loudly; each group's ack is its largest
+// successful one. Then it appends one more (large) record at NextOffset,
+// closes j and reopens it to read that record back, adding it to h.
+func checkCrashHistory(t *testing.T, j *Journal, dir string, policy SyncPolicy, h *crashHistory) {
+	t.Helper()
+	first, next := j.FirstOffset(), j.NextOffset()
+	if next != int64(len(h.appended)) {
+		t.Fatalf("NextOffset = %d, want %d successful appends", next, len(h.appended))
+	}
+	names, err := segmentNames(dir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(names) == 0 || names[0] != segmentName(first) {
+		t.Fatalf("FirstOffset %d is not the first segment's base (segments %v)", first, names)
+	}
+	var rec Record
+	for off := int64(0); off < next; off++ {
+		err := j.Read(off, &rec)
+		if off < first {
+			if !errors.Is(err, ErrOffsetCompacted) {
+				t.Fatalf("Read(%d) below FirstOffset %d: %v, want ErrOffsetCompacted", off, first, err)
+			}
+			continue
+		}
+		if err != nil {
+			t.Fatalf("Read(%d): %v", off, err)
+		}
+		if want := h.appended[off]; rec.Time != want.Time || rec.Topic != want.Topic ||
+			rec.Labels != want.Labels || rec.Split != want.Split || !bytes.Equal(rec.Image, want.Image) {
+			t.Fatalf("Read(%d) = %+v, want %+v", off, rec, *want)
+		}
+	}
+	for _, group := range []string{"a", "b"} {
+		if got, want := j.Acked(group), h.acked[group]; got != want {
+			t.Fatalf("Acked(%s) = %d, want %d", group, got, want)
+		}
+	}
+
+	// The log still appends at NextOffset, and the append survives a
+	// reopen: any torn bytes left at the tail would now sit in front of it,
+	// or inside a segment its roll sealed.
+	extra := crashRecord(99)
+	if off := mustAppend(t, j, extra); off != next {
+		t.Fatalf("append after the history at %d, want %d", off, next)
+	}
+	h.appended = append(h.appended, extra)
+	if err := j.Close(); err != nil {
+		t.Fatal(err)
+	}
+	j, err = Open(dir, Options{SegmentSize: 256, Sync: policy})
+	if err != nil {
+		t.Fatalf("reopen after the extra append: %v", err)
+	}
+	defer j.Close()
+	if err := j.Read(next, &rec); err != nil || !bytes.Equal(rec.Image, extra.Image) {
+		t.Fatalf("Read(%d) after reopen: %v", next, err)
+	}
+}
+
+// TestRecoveryEveryWrite enumerates the crash points instead of picking
+// them: the scripted history is run once per file write it makes, with
+// that write torn, under SyncNever and SyncBatch, and either carried on
+// past the tear or stopped there. Reopened, the journal must hold exactly
+// what reported success — the torn append or ack, and nothing else, is
+// missing — and keep appending.
+func TestRecoveryEveryWrite(t *testing.T) {
+	for _, policy := range []SyncPolicy{SyncNever, SyncBatch} {
+		dir := t.TempDir()
+		writes := runCrashHistory(t, dir, policy, 0, false).writes
+		if writes < 19 { // twelve appends and seven advancing acks, at least
+			t.Fatalf("%v: history made %d writes, want at least 19", policy, writes)
+		}
+		if names, err := segmentNames(dir); err != nil || len(names) == 0 || names[0] != segmentName(5) {
+			t.Fatalf("%v: untorn history left segments %v (%v), want the first two compacted", policy, names, err)
+		}
+		for k := 1; k <= writes; k++ {
+			for _, stop := range []bool{false, true} {
+				t.Run(fmt.Sprintf("%v/tear%02d/stop=%v", policy, k, stop), func(t *testing.T) {
+					dir := t.TempDir()
+					h := runCrashHistory(t, dir, policy, k, stop)
+					j, err := Open(dir, Options{SegmentSize: 256, Sync: policy})
+					if err != nil {
+						t.Fatalf("reopen: %v", err)
+					}
+					checkCrashHistory(t, j, dir, policy, h)
+				})
+			}
+		}
+	}
 }

@@ -10,8 +10,9 @@ import (
 
 // Compaction, retention and batched-fsync coverage: the moving lower
 // bound (FirstOffset), acked-prefix deletion, the time/size windows, the
-// soak-style byte-budget invariant, SyncBatch publish semantics, and the
-// fault-injection regressions for the failed-write recovery paths.
+// soak-style byte-budget invariant, SyncBatch publish semantics, and two
+// named failed-write regressions. TestRecoveryEveryWrite enumerates every
+// failed-write crash point; the two here pin the historic shapes by name.
 
 // segmentBytes sums the directory's segment file sizes.
 func segmentBytes(t *testing.T, dir string) int64 {
@@ -412,12 +413,12 @@ func TestSyncBatchCloseFlushes(t *testing.T) {
 	}
 }
 
-// TestRecoveryAppendWriteError is the satellite-1 regression: a transient
-// failed/short segment write must not corrupt the log. Before the fix the
-// error path truncated without re-seeking the file position, so the next
-// append wrote past EOF and left a zero-filled gap — recovered reads lost
-// every record stacked after the tear (or, once the segment rolled, Open
-// refused the whole journal as interior corruption).
+// TestRecoveryAppendWriteError: a transient failed/short segment write
+// must not corrupt the log. An error path that truncates without
+// re-seeking the file position makes the next append write past EOF and
+// leave a zero-filled gap — recovered reads lose every record stacked
+// after the tear (or, once the segment rolls, Open refuses the whole
+// journal as interior corruption).
 func TestRecoveryAppendWriteError(t *testing.T) {
 	dir := t.TempDir()
 	j, err := Open(dir, Options{SegmentSize: 1 << 20})
@@ -469,11 +470,10 @@ func TestRecoveryAppendWriteError(t *testing.T) {
 	}
 }
 
-// TestRecoveryAckWriteError is the satellite-2 regression: a transient
-// failed ack write must not poison the ack log. Before the fix the torn
-// bytes stayed at the tail, every later ack stacked behind the tear, and
-// openAcks silently discarded them all at the next open — the group
-// re-delivered work it had already acked.
+// TestRecoveryAckWriteError: a transient failed ack write must not poison
+// the ack log. Torn bytes left at the tail would put every later ack
+// behind the tear, and the open-time scan would discard them all at the
+// next open — the group would re-deliver work it had already acked.
 func TestRecoveryAckWriteError(t *testing.T) {
 	dir := t.TempDir()
 	j, err := Open(dir, Options{})

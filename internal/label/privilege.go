@@ -182,22 +182,6 @@ func (pv *Privileges) HasAll(p Privilege, labels Set) bool {
 	return true
 }
 
-// Clearance filters the given confidentiality labels down to those the
-// principal has clearance for; it is used by the broker to narrow
-// subscriptions.
-func (pv *Privileges) Cleared(labels Set) Set {
-	var out Set
-	for l := range labels {
-		if pv.Has(Clearance, l) {
-			if out == nil {
-				out = make(Set)
-			}
-			out[l] = struct{}{}
-		}
-	}
-	return out
-}
-
 // Clone returns an independent copy of the privilege set.
 func (pv *Privileges) Clone() *Privileges {
 	out := NewPrivileges()

@@ -77,8 +77,8 @@ func BenchmarkFrameEncode(b *testing.B) {
 // whose ownership transfers to the consumer).
 func TestDecodeViewAllocs(t *testing.T) {
 	var wire bytes.Buffer
-	if err := WriteFrame(&wire, messageFrame()); err != nil {
-		t.Fatalf("WriteFrame: %v", err)
+	if err := new(Encoder).Encode(&wire, messageFrame()); err != nil {
+		t.Fatalf("Encode: %v", err)
 	}
 	raw := bytes.NewReader(wire.Bytes())
 	br := bufio.NewReaderSize(raw, 32*1024)
@@ -111,11 +111,11 @@ func TestDecoderShedsLargeBuffer(t *testing.T) {
 	small := NewFrame(CmdSend)
 	small.SetHeader(HdrDestination, "/t")
 	var wire bytes.Buffer
-	if err := WriteFrame(&wire, big); err != nil {
-		t.Fatalf("WriteFrame: %v", err)
+	if err := new(Encoder).Encode(&wire, big); err != nil {
+		t.Fatalf("Encode: %v", err)
 	}
-	if err := WriteFrame(&wire, small); err != nil {
-		t.Fatalf("WriteFrame: %v", err)
+	if err := new(Encoder).Encode(&wire, small); err != nil {
+		t.Fatalf("Encode: %v", err)
 	}
 	dec := NewDecoder(&wire)
 	for i := 0; i < 2; i++ {
@@ -131,8 +131,8 @@ func TestDecoderShedsLargeBuffer(t *testing.T) {
 	// oversized frame must drop the previous view's buffer reference when
 	// the next DecodeView starts, even though no further frame arrives.
 	var bigOnly bytes.Buffer
-	if err := WriteFrame(&bigOnly, big); err != nil {
-		t.Fatalf("WriteFrame: %v", err)
+	if err := new(Encoder).Encode(&bigOnly, big); err != nil {
+		t.Fatalf("Encode: %v", err)
 	}
 	idle := NewDecoder(&bigOnly)
 	if _, err := idle.DecodeView(); err != nil {
@@ -149,8 +149,8 @@ func TestDecoderShedsLargeBuffer(t *testing.T) {
 
 func BenchmarkFrameDecode(b *testing.B) {
 	var wire bytes.Buffer
-	if err := WriteFrame(&wire, messageFrame()); err != nil {
-		b.Fatalf("WriteFrame: %v", err)
+	if err := new(Encoder).Encode(&wire, messageFrame()); err != nil {
+		b.Fatalf("Encode: %v", err)
 	}
 	raw := bytes.NewReader(wire.Bytes())
 	br := bufio.NewReaderSize(raw, 32*1024)
@@ -168,8 +168,8 @@ func BenchmarkFrameDecode(b *testing.B) {
 
 func BenchmarkFrameDecodeView(b *testing.B) {
 	var wire bytes.Buffer
-	if err := WriteFrame(&wire, messageFrame()); err != nil {
-		b.Fatalf("WriteFrame: %v", err)
+	if err := new(Encoder).Encode(&wire, messageFrame()); err != nil {
+		b.Fatalf("Encode: %v", err)
 	}
 	raw := bytes.NewReader(wire.Bytes())
 	br := bufio.NewReaderSize(raw, 32*1024)

@@ -9,8 +9,8 @@ import (
 
 // conformanceCase is one canonical wire frame with its expected decode, or
 // an expected decode failure. The corpus pins the wire dialect every
-// decode path must speak identically: the reusable Decoder (map and view
-// forms) and the legacy ReadFrame.
+// decode path must speak identically: the Decoder's map and view forms,
+// fresh and reused.
 type conformanceCase struct {
 	name string
 	wire string
@@ -192,20 +192,15 @@ func (o decodeOutcome) equal(p decodeOutcome) bool {
 }
 
 // TestWireConformance runs the canonical corpus through every decode path
-// and checks each against the expected frame and against the others:
-// legacy ReadFrame, a persistent Decoder.Decode (scratch reuse across the
-// whole corpus is part of what is under test), and the map-free
-// DecodeView materialised and read through the view API.
+// and checks each against the expected frame and against the others: a
+// fresh Decoder.Decode, a persistent one (scratch reuse across the whole
+// corpus is part of what is under test), and the map-free DecodeView
+// materialised and read through the view API.
 func TestWireConformance(t *testing.T) {
 	persistent := NewDecoder(strings.NewReader("")) // replaced below per case
 	for _, tc := range conformanceCorpus() {
 		t.Run(tc.name, func(t *testing.T) {
 			want := decodeOutcome{err: tc.wantErr, command: tc.command, headers: tc.headers, body: tc.body}
-
-			legacy := outcomeOf(ReadFrame(bufio.NewReader(strings.NewReader(tc.wire))))
-			if !legacy.equal(want) {
-				t.Errorf("ReadFrame = %+v, want %+v", legacy, want)
-			}
 
 			fresh := outcomeOf(NewDecoder(strings.NewReader(tc.wire)).Decode())
 			if !fresh.equal(want) {
@@ -244,24 +239,18 @@ func TestWireConformance(t *testing.T) {
 				return
 			}
 
-			// Encode→decode round-trip: both encoders produce identical
-			// bytes, and decoding them reproduces the frame.
+			// Encode→decode round-trip: decoding the encoded bytes
+			// reproduces the frame.
 			f := &Frame{Command: tc.command, Headers: tc.headers}
 			if tc.body != "" {
 				f.Body = []byte(tc.body)
 			}
-			var viaWriteFrame, viaEncoder bytes.Buffer
-			if err := WriteFrame(&viaWriteFrame, f); err != nil {
-				t.Fatalf("WriteFrame: %v", err)
-			}
+			var viaEncoder bytes.Buffer
 			var enc Encoder
 			if err := enc.Encode(&viaEncoder, f); err != nil {
 				t.Fatalf("Encode: %v", err)
 			}
-			if !bytes.Equal(viaWriteFrame.Bytes(), viaEncoder.Bytes()) {
-				t.Errorf("WriteFrame and Encoder bytes differ:\n%q\n%q", viaWriteFrame.Bytes(), viaEncoder.Bytes())
-			}
-			back := outcomeOf(ReadFrame(bufio.NewReader(bytes.NewReader(viaEncoder.Bytes()))))
+			back := outcomeOf(NewDecoder(bytes.NewReader(viaEncoder.Bytes())).Decode())
 			if !back.equal(want) {
 				t.Errorf("encode→decode = %+v, want %+v", back, want)
 			}

@@ -14,11 +14,11 @@ import (
 // the connection's lifetime.
 const maxRetainedDecodeBuf = 64 * 1024
 
-// Decoder decodes STOMP frames from a stream. It is the allocation-aware
-// counterpart of ReadFrame: the line buffer, the header scratch buffer and
-// the span slice are reused across frames, commands and common header keys
-// are interned, and DecodeView exposes the headers map-free. A Decoder is
-// not safe for concurrent use; each connection read loop owns one.
+// Decoder decodes STOMP frames from a stream. The line buffer, the header
+// scratch buffer and the span slice are reused across frames, commands and
+// common header keys are interned, and DecodeView exposes the headers
+// map-free. A Decoder is not safe for concurrent use; each connection read
+// loop owns one.
 type Decoder struct {
 	r     *bufio.Reader
 	line  []byte
@@ -386,13 +386,4 @@ func unescapeHeaderBytes(b []byte) (string, error) {
 		return "", err
 	}
 	return string(out), nil
-}
-
-// ReadFrame decodes one frame from r. It skips heart-beat newlines between
-// frames and returns io.EOF at a clean end of stream. It is a convenience
-// wrapper for callers without a persistent Decoder; connection read loops
-// hold one to reuse its scratch buffers across frames.
-func ReadFrame(r *bufio.Reader) (*Frame, error) {
-	d := Decoder{r: r}
-	return d.Decode()
 }

@@ -4,27 +4,26 @@ import (
 	"io"
 	"strconv"
 	"strings"
-	"sync"
 )
 
 // maxRetainedEncodeBuf bounds the scratch capacity an Encoder keeps
 // between frames; encoding one huge body must not pin its buffer forever.
 const maxRetainedEncodeBuf = 64 * 1024
 
-// Encoder encodes STOMP frames. It is the allocation-free counterpart of
-// WriteFrame: each frame is assembled into a scratch buffer reused across
-// Encode calls and handed to the destination in a single Write, with the
-// deterministic (sorted) header order preserved via a reused
-// insertion-sorted key slice. An Encoder is not safe for concurrent use;
-// each connection writer owns one.
+// Encoder encodes STOMP frames. Each frame is assembled into a scratch
+// buffer reused across Encode calls and handed to the destination in a
+// single Write, with the deterministic (sorted) header order preserved via
+// a reused insertion-sorted key slice. An Encoder is not safe for
+// concurrent use; each connection writer owns one. The zero value is
+// ready to use.
 type Encoder struct {
 	buf  []byte
 	keys []string
 }
 
 // Encode writes one frame to w. A content-length header is always emitted
-// so bodies may contain NUL bytes. The wire bytes are identical to
-// WriteFrame's.
+// so bodies may contain NUL bytes. It is the reference encoding every
+// image encoder's bytes are checked against.
 func (e *Encoder) Encode(w io.Writer, f *Frame) error {
 	if f.Command == "" {
 		return protoErrorf("cannot write frame with empty command")
@@ -90,16 +89,4 @@ func appendEscapedHeader(b []byte, s string) []byte {
 		}
 	}
 	return b
-}
-
-var encoderPool = sync.Pool{New: func() any { return new(Encoder) }}
-
-// WriteFrame encodes a frame to w. A content-length header is always
-// emitted so bodies may contain NUL bytes. It is a convenience wrapper
-// over a pooled Encoder; connection writers hold their own.
-func WriteFrame(w io.Writer, f *Frame) error {
-	enc := encoderPool.Get().(*Encoder)
-	err := enc.Encode(w, f)
-	encoderPool.Put(enc)
-	return err
 }

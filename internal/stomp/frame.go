@@ -25,7 +25,7 @@
 //     event without copying).
 //   - The header map is materialised lazily — FrameView.Materialize — only
 //     for callers that mutate headers or retain the frame; Decoder.Decode
-//     and ReadFrame remain as that compatibility path.
+//     remains as that compatibility path.
 //
 // # Encode fast path
 //

@@ -1,7 +1,6 @@
 package stomp
 
 import (
-	"bufio"
 	"bytes"
 	"errors"
 	"io"
@@ -12,12 +11,12 @@ import (
 func roundTrip(t *testing.T, f *Frame) *Frame {
 	t.Helper()
 	var buf bytes.Buffer
-	if err := WriteFrame(&buf, f); err != nil {
-		t.Fatalf("WriteFrame: %v", err)
+	if err := new(Encoder).Encode(&buf, f); err != nil {
+		t.Fatalf("Encode: %v", err)
 	}
-	back, err := ReadFrame(bufio.NewReader(&buf))
+	back, err := NewDecoder(&buf).Decode()
 	if err != nil {
-		t.Fatalf("ReadFrame: %v", err)
+		t.Fatalf("Decode: %v", err)
 	}
 	return back
 }
@@ -74,9 +73,9 @@ func TestBodyWithNulBytes(t *testing.T) {
 
 func TestReadFrameWithoutContentLength(t *testing.T) {
 	raw := "SEND\ndestination:/t\n\nhello\x00"
-	f, err := ReadFrame(bufio.NewReader(strings.NewReader(raw)))
+	f, err := NewDecoder(strings.NewReader(raw)).Decode()
 	if err != nil {
-		t.Fatalf("ReadFrame: %v", err)
+		t.Fatalf("Decode: %v", err)
 	}
 	if string(f.Body) != "hello" {
 		t.Errorf("body = %q", f.Body)
@@ -85,9 +84,9 @@ func TestReadFrameWithoutContentLength(t *testing.T) {
 
 func TestReadFrameSkipsHeartbeats(t *testing.T) {
 	raw := "\n\n\nSEND\ndestination:/t\n\n\x00"
-	f, err := ReadFrame(bufio.NewReader(strings.NewReader(raw)))
+	f, err := NewDecoder(strings.NewReader(raw)).Decode()
 	if err != nil {
-		t.Fatalf("ReadFrame: %v", err)
+		t.Fatalf("Decode: %v", err)
 	}
 	if f.Command != CmdSend {
 		t.Errorf("Command = %q", f.Command)
@@ -111,9 +110,9 @@ func TestReadFrameErrors(t *testing.T) {
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
-			_, err := ReadFrame(bufio.NewReader(strings.NewReader(tc.raw)))
+			_, err := NewDecoder(strings.NewReader(tc.raw)).Decode()
 			if err == nil {
-				t.Fatalf("ReadFrame(%q) succeeded", tc.raw)
+				t.Fatalf("NewDecoder(%q).Decode() succeeded", tc.raw)
 			}
 		})
 	}
@@ -126,7 +125,7 @@ func TestReadFrameUnterminatedBodyBounded(t *testing.T) {
 	var buf bytes.Buffer
 	buf.WriteString("SEND\ndestination:/t\n\n")
 	buf.Write(bytes.Repeat([]byte{'x'}, MaxBodyLen+64*1024))
-	_, err := ReadFrame(bufio.NewReader(&buf))
+	_, err := NewDecoder(&buf).Decode()
 	var pe *ProtocolError
 	if !errors.As(err, &pe) || !strings.Contains(pe.Msg, "exceeds limit") {
 		t.Fatalf("err = %v, want body-limit protocol error", err)
@@ -134,12 +133,12 @@ func TestReadFrameUnterminatedBodyBounded(t *testing.T) {
 }
 
 func TestReadFrameCleanEOF(t *testing.T) {
-	_, err := ReadFrame(bufio.NewReader(strings.NewReader("")))
+	_, err := NewDecoder(strings.NewReader("")).Decode()
 	if !errors.Is(err, io.EOF) {
 		t.Errorf("err = %v, want io.EOF", err)
 	}
 	// EOF after heart-beats is also clean.
-	_, err = ReadFrame(bufio.NewReader(strings.NewReader("\n\n")))
+	_, err = NewDecoder(strings.NewReader("\n\n")).Decode()
 	if !errors.Is(err, io.EOF) {
 		t.Errorf("err after heartbeats = %v, want io.EOF", err)
 	}
@@ -147,9 +146,9 @@ func TestReadFrameCleanEOF(t *testing.T) {
 
 func TestRepeatedHeaderFirstWins(t *testing.T) {
 	raw := "SEND\ndestination:/a\ndestination:/b\n\n\x00"
-	f, err := ReadFrame(bufio.NewReader(strings.NewReader(raw)))
+	f, err := NewDecoder(strings.NewReader(raw)).Decode()
 	if err != nil {
-		t.Fatalf("ReadFrame: %v", err)
+		t.Fatalf("Decode: %v", err)
 	}
 	if f.Header(HdrDestination) != "/a" {
 		t.Errorf("destination = %q, want /a", f.Header(HdrDestination))
@@ -157,8 +156,8 @@ func TestRepeatedHeaderFirstWins(t *testing.T) {
 }
 
 func TestWriteFrameEmptyCommand(t *testing.T) {
-	if err := WriteFrame(io.Discard, &Frame{}); err == nil {
-		t.Error("WriteFrame with empty command succeeded")
+	if err := new(Encoder).Encode(io.Discard, &Frame{}); err == nil {
+		t.Error("Encode with empty command succeeded")
 	}
 }
 
@@ -185,9 +184,9 @@ func TestEncodeImageRoutingHeaders(t *testing.T) {
 	if err := enc.EncodeImage(&buf, NewMessageImage(base.Headers, base.Body), "sub:7", "m-3-", 42); err != nil {
 		t.Fatalf("EncodeImage: %v", err)
 	}
-	back, err := ReadFrame(bufio.NewReader(&buf))
+	back, err := NewDecoder(&buf).Decode()
 	if err != nil {
-		t.Fatalf("ReadFrame: %v", err)
+		t.Fatalf("Decode: %v", err)
 	}
 	if got := back.Header(HdrSubscription); got != "sub:7" {
 		t.Errorf("subscription = %q", got)

@@ -1,7 +1,6 @@
 package stomp
 
 import (
-	"bufio"
 	"bytes"
 	"strconv"
 	"strings"
@@ -12,8 +11,8 @@ import (
 // cross-path invariants the conformance corpus pins on canonical frames:
 //
 //   - no decode path may panic, whatever the input;
-//   - ReadFrame, a fresh Decoder.Decode, and DecodeView (materialised)
-//     agree on success/failure and, on success, on the decoded frame;
+//   - Decoder.Decode and DecodeView (materialised) agree on
+//     success/failure and, on success, on the decoded frame;
 //   - decoded bodies respect MaxBodyLen on every path;
 //   - a decoded frame re-encodes and decodes to itself (round-trip
 //     stability), so anything the decoder accepts is representable.
@@ -27,25 +26,22 @@ func FuzzDecode(f *testing.F) {
 	f.Add(bytes.Repeat([]byte{'\n'}, 64))                             // heart-beats, clean EOF
 
 	f.Fuzz(func(t *testing.T, data []byte) {
-		legacy, errLegacy := ReadFrame(bufio.NewReader(bytes.NewReader(data)))
 		fresh, errFresh := NewDecoder(bytes.NewReader(data)).Decode()
 		view, errView := NewDecoder(bytes.NewReader(data)).DecodeView()
 
-		if (errLegacy == nil) != (errFresh == nil) || (errLegacy == nil) != (errView == nil) {
-			t.Fatalf("decode paths disagree on error: ReadFrame=%v Decode=%v DecodeView=%v",
-				errLegacy, errFresh, errView)
+		if (errFresh == nil) != (errView == nil) {
+			t.Fatalf("decode paths disagree on error: Decode=%v DecodeView=%v", errFresh, errView)
 		}
-		if errLegacy != nil {
+		if errFresh != nil {
 			return
 		}
 
 		materialised := view.Materialize()
-		if !framesEquivalent(legacy, fresh) || !framesEquivalent(legacy, materialised) {
-			t.Fatalf("decode paths disagree:\nReadFrame:  %v\nDecode:     %v\nDecodeView: %v",
-				legacy, fresh, materialised)
+		if !framesEquivalent(fresh, materialised) {
+			t.Fatalf("decode paths disagree:\nDecode:     %v\nDecodeView: %v", fresh, materialised)
 		}
-		if len(legacy.Body) > MaxBodyLen || len(view.Body) > MaxBodyLen {
-			t.Fatalf("decoded body of %d bytes exceeds MaxBodyLen", len(legacy.Body))
+		if len(fresh.Body) > MaxBodyLen || len(view.Body) > MaxBodyLen {
+			t.Fatalf("decoded body of %d bytes exceeds MaxBodyLen", len(fresh.Body))
 		}
 		// View accessors agree with the materialised map.
 		for k, v := range materialised.Headers {
@@ -56,15 +52,15 @@ func FuzzDecode(f *testing.F) {
 
 		// Round-trip stability: re-encode and decode back.
 		var buf bytes.Buffer
-		if err := WriteFrame(&buf, legacy); err != nil {
+		if err := new(Encoder).Encode(&buf, fresh); err != nil {
 			t.Fatalf("re-encode of decoded frame failed: %v", err)
 		}
-		back, err := ReadFrame(bufio.NewReader(&buf))
+		back, err := NewDecoder(&buf).Decode()
 		if err != nil {
 			t.Fatalf("re-decode failed: %v", err)
 		}
-		if !framesEquivalent(legacy, back) {
-			t.Fatalf("round trip changed frame:\nbefore: %v\nafter:  %v", legacy, back)
+		if !framesEquivalent(fresh, back) {
+			t.Fatalf("round trip changed frame:\nbefore: %v\nafter:  %v", fresh, back)
 		}
 	})
 }

@@ -1,7 +1,6 @@
 package stomp
 
 import (
-	"bufio"
 	"bytes"
 	"errors"
 	"io"
@@ -71,7 +70,7 @@ func checkRouted(t *testing.T, name string, wire []byte, f *Frame, r Route) {
 	if want := routedOracle(t, f, r); !bytes.Equal(wire, want) {
 		t.Errorf("%s: delivery bytes differ from the reference encoding:\n got %q\nwant %q", name, wire, want)
 	}
-	back, err := ReadFrame(bufio.NewReader(bytes.NewReader(wire)))
+	back, err := NewDecoder(bytes.NewReader(wire)).Decode()
 	if err != nil {
 		t.Fatalf("%s: decode delivery: %v", name, err)
 	}

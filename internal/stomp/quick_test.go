@@ -42,15 +42,15 @@ func randString(rnd *rand.Rand, minLen, maxLen int) string {
 	return string(out)
 }
 
-// TestQuickFrameRoundTrip: any frame the writer accepts must decode to an
+// TestQuickFrameRoundTrip: any frame the encoder accepts must decode to an
 // identical frame.
 func TestQuickFrameRoundTrip(t *testing.T) {
 	prop := func(qf quickFrame) bool {
 		var buf bytes.Buffer
-		if err := WriteFrame(&buf, qf.F); err != nil {
+		if err := new(Encoder).Encode(&buf, qf.F); err != nil {
 			return false
 		}
-		back, err := ReadFrame(bufio.NewReader(&buf))
+		back, err := NewDecoder(&buf).Decode()
 		if err != nil {
 			return false
 		}
@@ -86,33 +86,25 @@ func framesEquivalent(a, b *Frame) bool {
 	return true
 }
 
-// TestQuickEncoderDecoderAgree: on the random frame corpus, the reusable
-// Encoder emits bytes identical to WriteFrame, and the reusable Decoder
-// and ReadFrame decode those bytes to the same frame — the original. The
-// scratch-buffer reuse across iterations is part of what is under test.
+// TestQuickEncoderDecoderAgree: on the random frame corpus, a reused
+// Encoder emits bytes identical to a fresh one's, and they decode to the
+// original frame. The scratch-buffer reuse across iterations is part of
+// what is under test.
 func TestQuickEncoderDecoderAgree(t *testing.T) {
 	var enc Encoder
 	prop := func(qf quickFrame) bool {
-		var legacy, pooled bytes.Buffer
-		if err := WriteFrame(&legacy, qf.F); err != nil {
+		var fresh, reused bytes.Buffer
+		if err := new(Encoder).Encode(&fresh, qf.F); err != nil {
 			return false
 		}
-		if err := enc.Encode(&pooled, qf.F); err != nil {
+		if err := enc.Encode(&reused, qf.F); err != nil {
 			return false
 		}
-		if !bytes.Equal(legacy.Bytes(), pooled.Bytes()) {
+		if !bytes.Equal(fresh.Bytes(), reused.Bytes()) {
 			return false
 		}
-		dec := NewDecoder(bytes.NewReader(pooled.Bytes()))
-		fromDecoder, err := dec.Decode()
-		if err != nil {
-			return false
-		}
-		fromReadFrame, err := ReadFrame(bufio.NewReader(&legacy))
-		if err != nil {
-			return false
-		}
-		return framesEquivalent(qf.F, fromDecoder) && framesEquivalent(fromDecoder, fromReadFrame)
+		back, err := NewDecoder(&reused).Decode()
+		return err == nil && framesEquivalent(qf.F, back)
 	}
 	if err := quick.Check(prop, &quick.Config{MaxCount: 500}); err != nil {
 		t.Error(err)
@@ -147,13 +139,13 @@ func TestQuickStreamOfFrames(t *testing.T) {
 	prop := func(frames []quickFrame) bool {
 		var buf bytes.Buffer
 		for _, qf := range frames {
-			if err := WriteFrame(&buf, qf.F); err != nil {
+			if err := new(Encoder).Encode(&buf, qf.F); err != nil {
 				return false
 			}
 		}
 		r := bufio.NewReader(&buf)
 		for _, qf := range frames {
-			back, err := ReadFrame(r)
+			back, err := NewDecoder(r).Decode()
 			if err != nil {
 				return false
 			}
