@@ -79,9 +79,9 @@ func BenchmarkNetworkPipeline(b *testing.B) {
 			name += "/durable"
 			if batchSync {
 				// The batched-sync variant runs the same journaled publish
-				// path under journal.SyncBatch: fsyncs coalesced by bytes or
-				// interval, with records published only once their batch is
-				// synced. It prices the durability upgrade against the
+				// path under journal.SyncBatch: fsyncs group-committed by the
+				// journal's syncer, with records published only once their
+				// batch is synced. It prices the durability upgrade against the
 				// no-fsync durable series (CI holds it to the same 1.5x ns/op
 				// and per-trigger allocation budgets as the durable series).
 				name += "-batched-sync"

@@ -162,9 +162,10 @@ type ServerConfig struct {
 	// bytes; zero selects the journal default (64 MiB).
 	JournalSegmentSize int64
 	// JournalSync is the journal fsync policy; the zero value is
-	// journal.SyncNever. journal.SyncBatch coalesces fsyncs at the
-	// journal's byte/interval thresholds and only publishes a record for
-	// replay once its batch is on stable storage.
+	// journal.SyncNever. journal.SyncBatch group-commits fsyncs on a
+	// per-journal syncer (everything written while one fsync runs is
+	// covered by the next) and only publishes a record for replay once its
+	// batch is on stable storage.
 	JournalSync journal.SyncPolicy
 	// JournalRetentionAge, when positive, expires journal segments whose
 	// newest record is older — acked or not; retention is the storage

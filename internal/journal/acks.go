@@ -63,9 +63,9 @@ func (a *ackTable) close() error {
 // Ack records a consumer group's cumulative progress: every record below
 // offset is processed. Acks are idempotent max-wins — an offset at or
 // below the group's current mark is a no-op, so duplicated, reordered or
-// replayed acks can never regress a group. Under SyncBatch the ack rides
-// the append batch's fsync: a power cut between flushes only loses acks,
-// which re-deliver.
+// replayed acks can never regress a group. Under SyncBatch the ack wakes
+// the syncer as an append does and rides its next fsync: a power cut
+// before it only loses acks, which re-deliver.
 func (j *Journal) Ack(group string, offset int64) error {
 	if group == "" {
 		return errors.New("journal: empty ack group")
@@ -94,6 +94,7 @@ func (j *Journal) Ack(group string, offset int64) error {
 		return fmt.Errorf("journal: ack: %w", err)
 	}
 	a.acked[group] = offset
+	j.kickSyncer()
 	return nil
 }
 
@@ -129,8 +130,9 @@ func (j *Journal) rewriteAcks() error {
 	}
 	staged := &logFile{f: f}
 	// A failed staged file is removed, so its restore failure is not kept.
-	if err = j.appendLog(staged, buf, new(error)); err == nil {
-		err = staged.sync()
+	if err = j.appendLog(staged, buf, new(error)); err == nil && staged.dirty {
+		err = j.fsync(f)
+		staged.dirty = false
 	}
 	if err == nil {
 		err = os.Rename(tmp, filepath.Join(j.dir, ackLogName))

@@ -34,9 +34,10 @@
 // Offsets are dense record indexes starting at zero; [FirstOffset,
 // NextOffset) is the readable range. The fsync policy is explicit:
 // SyncNever trusts the OS page cache, SyncAlways syncs every append, and
-// SyncBatch coalesces fsyncs at a byte/interval threshold — a batched
-// record is only published (readable, and so replayable-as-durable) once
-// its batch has reached stable storage.
+// SyncBatch group-commits: one syncer goroutine per journal fsyncs
+// whatever was written since its last pass, and a record is only
+// published (readable, and so replayable-as-durable) once an fsync that
+// began after its write has returned.
 //
 // Segments and the ack log are one kind of file, a logFile: CRC-framed
 // (record.go: sealFrame builds a frame header, openFrame checks one) and
@@ -44,9 +45,10 @@
 // openLog scans it at Open and truncates a torn tail (or refuses a sealed
 // segment with a bad frame), Journal.appendLog writes through the one
 // write seam and restores the committed tail when a write or SyncAlways
-// fsync fails, and logFile.sync is the batch fsync. Every byte the journal
-// writes reaches disk through appendLog — the ack log's compaction rewrite
-// included — so a test that tears the k-th write enumerates every crash
+// fsync fails, and Journal.groupSync is the batch fsync. Every byte the
+// journal writes reaches disk through appendLog — the ack log's compaction
+// rewrite included — and every fsync goes through Journal.fsync, so a test
+// that tears the k-th write or fails the k-th fsync enumerates every crash
 // point.
 package journal
 
@@ -71,12 +73,15 @@ const (
 	// (the write hits the page cache) but not against power loss. The
 	// default, and what the durable fan-out benchmark measures.
 	SyncNever SyncPolicy = iota
-	// SyncBatch coalesces fsyncs: appends accumulate until 256 KiB are
-	// pending or 2 ms have elapsed since the first unsynced append
-	// (syncBatchBytes, syncBatchInterval), then one fsync covers the whole
-	// batch. A batched record is not published — NextOffset does not
-	// cover it and tailing replay cannot see it — until its batch is
-	// synced, so everything readable is also durable against power loss.
+	// SyncBatch group-commits: an append or ack wakes the journal's
+	// syncer and returns without waiting; the syncer fsyncs everything
+	// written before it woke, outside the append lock, and then publishes
+	// it. Records written during that fsync form the next batch, so a
+	// batch is one record under light load and everything that arrived
+	// during the previous fsync at saturation. A batched record is not
+	// published — NextOffset does not cover it and tailing replay cannot
+	// see it — until its batch is synced, so everything readable is also
+	// durable against power loss.
 	SyncBatch
 	// SyncAlways fsyncs after every event append and every ack.
 	SyncAlways
@@ -112,14 +117,6 @@ func (p SyncPolicy) String() string {
 // defaultSegmentSize is the segment roll threshold when Options leaves it
 // zero.
 const defaultSegmentSize = 64 << 20
-
-// The SyncBatch thresholds: a batch is synced (and its records published)
-// once this many bytes are pending, or this long after its first append,
-// whichever comes first.
-const (
-	syncBatchBytes    = 256 << 10
-	syncBatchInterval = 2 * time.Millisecond
-)
 
 // segmentSuffix names segment files: "<base offset, 20 digits>.seg".
 const segmentSuffix = ".seg"
@@ -198,18 +195,26 @@ type segment struct {
 // concurrent use; appends are serialised, reads run concurrently with
 // appends (a reader never sees a record before NextOffset covers it).
 //
-// Lock order: mu before acks.mu.
+// Lock order: syncMu before mu before acks.mu.
 type Journal struct {
-	dir     string
-	segSize int64
-	sync    SyncPolicy
-	// batchBytes and batchInterval are the SyncBatch thresholds, set from
-	// syncBatchBytes and syncBatchInterval; tests lower them.
-	batchBytes    int64
-	batchInterval time.Duration
-	retainAge     time.Duration
-	retainBytes   int64
-	onCompact     func(CompactStats)
+	dir         string
+	segSize     int64
+	sync        SyncPolicy
+	retainAge   time.Duration
+	retainBytes int64
+	onCompact   func(CompactStats)
+
+	// syncMu serialises group commits: the syncer's, and the ones Sync,
+	// Compact and Close run themselves. Holding it means no group-commit
+	// fsync is in flight, so no dirty flag a pass cleared hides unsynced
+	// bytes and no file is closed under a running fsync.
+	syncMu sync.Mutex
+	// kick wakes the SyncBatch syncer; its one slot coalesces the wakeups
+	// of every append and ack made while a pass runs. Nil under the other
+	// policies, which start no syncer. Closed by Close, which then waits
+	// for syncerDone.
+	kick       chan struct{}
+	syncerDone chan struct{}
 
 	// next is the offset the next append publishes — the exclusive upper
 	// bound of readable offsets. Advanced only after the record is fully
@@ -234,10 +239,9 @@ type Journal struct {
 	// next under SyncBatch (written-but-unpublished batch) and equals it
 	// otherwise.
 	written int64
-	// unsynced is the byte count of the pending SyncBatch batch;
-	// flushTimer is its interval alarm.
-	unsynced   int64
-	flushTimer *time.Timer
+	// syncingAcks is set while a group commit fsyncs the ack log outside
+	// mu: a roll's compaction must not close it then, so skips the fold.
+	syncingAcks bool
 	// appendErr is sticky: set when a failed write's tail restoration (or
 	// a batch fsync) fails, leaving the log in a state a further append
 	// would corrupt. Every later append fails with it — fail closed; a
@@ -246,9 +250,11 @@ type Journal struct {
 
 	acks ackTable
 
-	// writeHook, when non-nil, intercepts every file write (appendLog) —
-	// the fault-injection seam the recovery tests use.
+	// writeHook and syncHook, when non-nil, intercept every file write
+	// (appendLog) and every fsync (Journal.fsync) — the fault-injection
+	// seams the recovery tests use. Set before the first append.
 	writeHook func(f *os.File, b []byte) (int, error)
+	syncHook  func(f *os.File) error
 	// now is the clock RetentionAge compares against, injectable in
 	// tests.
 	now func() int64
@@ -276,21 +282,23 @@ func Open(dir string, opts Options) (*Journal, error) {
 	// authoritative.
 	_ = os.Remove(filepath.Join(dir, ackTmpName))
 	j := &Journal{
-		dir:           dir,
-		segSize:       opts.SegmentSize,
-		sync:          opts.Sync,
-		batchBytes:    syncBatchBytes,
-		batchInterval: syncBatchInterval,
-		retainAge:     opts.RetentionAge,
-		retainBytes:   opts.RetentionBytes,
-		onCompact:     opts.OnCompact,
-		now:           func() int64 { return time.Now().UnixNano() },
+		dir:         dir,
+		segSize:     opts.SegmentSize,
+		sync:        opts.Sync,
+		retainAge:   opts.RetentionAge,
+		retainBytes: opts.RetentionBytes,
+		onCompact:   opts.OnCompact,
+		now:         func() int64 { return time.Now().UnixNano() },
 	}
 	ch := make(chan struct{})
 	j.signal.Store(&ch)
 	if err := j.openFiles(); err != nil {
 		j.closeLocked()
 		return nil, err
+	}
+	if j.sync == SyncBatch {
+		j.kick, j.syncerDone = make(chan struct{}, 1), make(chan struct{})
+		go j.syncer()
 	}
 	return j, nil
 }
@@ -357,8 +365,9 @@ func segmentNames(dir string) ([]string, error) {
 // Append writes one record and returns its offset. The record is framed,
 // written with a single write call and committed (made visible to
 // NextOffset and the append signal) only afterwards — under SyncBatch
-// only after its batch is fsynced — so a crash can tear at most the
-// records not yet published, exactly what Open's tail truncation repairs.
+// only once the syncer's next fsync returns, which Append does not wait
+// for — so a crash can tear at most the records not yet published,
+// exactly what Open's tail truncation repairs.
 func (j *Journal) Append(rec *Record) (int64, error) {
 	j.mu.Lock()
 	defer j.mu.Unlock()
@@ -383,12 +392,12 @@ func (j *Journal) Append(rec *Record) (int64, error) {
 		}
 		// Rolling is where the retention windows are enforced: the
 		// just-sealed segment is now a deletion candidate. Unlink failures
-		// are left for the next pass; only a sticky failure (a batch fsync
-		// that could not complete) fails this append.
+		// are left for the next pass. A pass that deletes also folds the
+		// ack log, which fsyncs the staged file unless SyncNever: under
+		// SyncBatch the one fsync an append can wait for, once per such
+		// roll.
 		if j.retainAge > 0 || j.retainBytes > 0 {
-			if _, cerr := j.compactLocked(); cerr != nil && j.appendErr != nil {
-				return 0, fmt.Errorf("journal: append: %w", j.appendErr)
-			}
+			_, _ = j.compactLocked()
 		}
 	}
 	at := seg.size
@@ -398,83 +407,102 @@ func (j *Journal) Append(rec *Record) (int64, error) {
 	seg.pos = append(seg.pos, at)
 	seg.lastTime = rec.Time
 	j.written = offset + 1
-
 	if j.sync == SyncBatch {
-		j.unsynced += int64(len(buf))
-		if j.unsynced >= j.batchBytes {
-			if ferr := j.flushLocked(); ferr != nil {
-				return 0, fmt.Errorf("journal: sync: %w", ferr)
-			}
-		} else if j.flushTimer == nil {
-			j.flushTimer = time.AfterFunc(j.batchInterval, j.timedFlush)
-		}
-		return offset, nil
+		j.kickSyncer()
+	} else {
+		j.commitLocked(j.written)
 	}
-	j.commitLocked()
 	return offset, nil
 }
 
-// commitLocked publishes everything written: advance the readable bound,
-// then wake tailing readers. A reader that grabbed the signal before this
-// commit sees the close; a reader that grabs it after sees the advanced
-// NextOffset.
-func (j *Journal) commitLocked() {
-	j.next.Store(j.written)
+// commitLocked publishes every record below upTo: advance the readable
+// bound, then wake tailing readers. A reader that grabbed the signal
+// before this commit sees the close; a reader that grabs it after sees the
+// advanced NextOffset.
+func (j *Journal) commitLocked(upTo int64) {
+	j.next.Store(upTo)
 	ch := make(chan struct{})
 	old := j.signal.Swap(&ch)
 	close(*old)
 }
 
-// timedFlush is the SyncBatch interval alarm: sync and publish whatever
-// accumulated. A flush failure is sticky in appendErr and surfaces on the
-// next Append.
-func (j *Journal) timedFlush() {
-	j.mu.Lock()
-	defer j.mu.Unlock()
-	j.flushTimer = nil
-	if j.closed {
-		return
+// kickSyncer wakes the SyncBatch syncer without blocking: a wakeup already
+// pending covers this one too. A no-op under the other policies (kick is
+// nil). Callers hold mu or acks.mu, so a closed journal is never kicked.
+func (j *Journal) kickSyncer() {
+	select {
+	case j.kick <- struct{}{}:
+	default:
 	}
-	_ = j.flushLocked()
 }
 
-// flushLocked fsyncs every dirty segment and the ack log, then publishes
-// the written-but-unpublished records. No-op when nothing is pending.
-func (j *Journal) flushLocked() error {
-	if j.flushTimer != nil {
-		j.flushTimer.Stop()
-		j.flushTimer = nil
+// syncer is the SyncBatch group-commit loop, one per journal, started by
+// Open and ended by Close closing kick. A pass's failure is sticky in
+// appendErr and surfaces on the next Append or Sync.
+func (j *Journal) syncer() {
+	defer close(j.syncerDone)
+	for range j.kick {
+		_ = j.Sync()
 	}
-	for _, seg := range j.segs {
-		if err := seg.sync(); err != nil {
-			// The batch cannot reach stable storage, so its records must
-			// not be published as durable; fail closed until reopen.
-			j.appendErr = fmt.Errorf("batch sync: %w", err)
-			return j.appendErr
-		}
-	}
-	j.unsynced = 0
-	// Ack persistence is best-effort between fsyncs — a lost ack only
-	// re-delivers — so a failure leaves the ack log dirty for the next
-	// pass.
-	j.acks.mu.Lock()
-	_ = j.acks.log.sync()
-	j.acks.mu.Unlock()
-	if j.written != j.next.Load() {
-		j.commitLocked()
-	}
-	return nil
 }
 
-// Sync forces any batch-buffered appends (and acks) to stable storage and
-// publishes them. Meaningful under SyncBatch; a no-op otherwise.
-func (j *Journal) Sync() error {
+// groupSync is one group commit, run with syncMu held: under mu it records
+// the written bound and takes the dirty files, then fsyncs them with mu
+// released — appends carry on and become the next batch — and then
+// publishes up to the recorded bound. A failed fsync publishes nothing and
+// is sticky in appendErr: the batch cannot reach stable storage, so it
+// must never read as durable (a reopen recovers it).
+func (j *Journal) groupSync() error {
 	j.mu.Lock()
 	defer j.mu.Unlock()
 	if j.closed {
 		return errClosed
 	}
-	return j.flushLocked()
+	upTo := j.written
+	if j.appendErr != nil && upTo > j.next.Load() {
+		return j.appendErr // what a failed pass left unpublished stays so
+	}
+	var dirty []*logFile
+	for _, seg := range j.segs {
+		if seg.dirty {
+			seg.dirty = false
+			dirty = append(dirty, seg.logFile)
+		}
+	}
+	j.acks.mu.Lock()
+	if l := j.acks.log; l.dirty {
+		l.dirty, j.syncingAcks = false, true
+		dirty = append(dirty, l)
+	}
+	j.acks.mu.Unlock()
+
+	j.mu.Unlock()
+	var err error
+	for _, l := range dirty {
+		if err = j.fsync(l.f); err != nil {
+			break
+		}
+	}
+	j.mu.Lock()
+
+	j.syncingAcks = false
+	if err != nil {
+		j.appendErr = fmt.Errorf("batch sync: %w", err)
+		return j.appendErr
+	}
+	if upTo > j.next.Load() {
+		j.commitLocked(upTo)
+	}
+	return nil
+}
+
+// Sync forces any batch-buffered appends (and acks) to stable storage and
+// publishes them, waiting for a pass the syncer has in flight first.
+// Meaningful under SyncBatch; a no-op otherwise.
+func (j *Journal) Sync() error {
+	j.syncMu.Lock()
+	defer j.syncMu.Unlock()
+	return j.groupSync()
 }
 
 // Compact runs one compaction pass: delete every non-active prefix
@@ -485,23 +513,22 @@ func (j *Journal) Sync() error {
 // a shorter contiguous log that Open accepts as an already-compacted
 // prefix. Returns what the pass deleted and the new FirstOffset.
 func (j *Journal) Compact() (CompactStats, error) {
+	j.syncMu.Lock()
+	defer j.syncMu.Unlock()
+	// Sync first, so that a batch written before the call is published
+	// and its segments become candidates.
+	if err := j.groupSync(); err != nil {
+		return CompactStats{FirstOffset: j.first.Load()}, err
+	}
 	j.mu.Lock()
 	defer j.mu.Unlock()
-	if j.closed {
-		return CompactStats{}, errClosed
-	}
 	return j.compactLocked()
 }
 
-// compactLocked is Compact with mu held; segment rolls call it too.
+// compactLocked is Compact with mu held; segment rolls call it too, with
+// the syncer possibly mid-fsync.
 func (j *Journal) compactLocked() (CompactStats, error) {
 	st := CompactStats{FirstOffset: j.first.Load()}
-	// Flush first: compaction reasons about the published bound, and an
-	// unflushed batch could leave written-but-unpublished records inside
-	// a deletion candidate.
-	if err := j.flushLocked(); err != nil {
-		return st, err
-	}
 	if len(j.segs) == 0 {
 		return st, nil
 	}
@@ -540,6 +567,11 @@ func (j *Journal) compactLocked() (CompactStats, error) {
 			del++
 		}
 	}
+	// Nor is a segment holding a record no group commit has published:
+	// it is not durable yet, and the syncer may be fsyncing it.
+	for del > 0 && j.segs[del].base > j.next.Load() {
+		del--
+	}
 	if del == 0 {
 		return st, nil
 	}
@@ -566,11 +598,14 @@ func (j *Journal) compactLocked() (CompactStats, error) {
 	st.AckedSegments = min(removed, acked)
 	st.RetentionSegments = removed - st.AckedSegments
 	st.FirstOffset = j.segs[0].base
-	// Fold the ack log down to one record per group. A crash between the
-	// unlinks above and this rewrite just leaves the longer log, which
-	// max-wins folding absorbs at the next open.
-	if aerr := j.rewriteAcks(); aerr != nil && err == nil {
-		err = aerr
+	// Fold the ack log down to one record per group — unless the syncer
+	// is fsyncing it; a later pass folds then. A crash between the unlinks
+	// above and this rewrite just leaves the longer log, which max-wins
+	// folding absorbs at the next open.
+	if !j.syncingAcks {
+		if aerr := j.rewriteAcks(); aerr != nil && err == nil {
+			err = aerr
+		}
 	}
 	if j.onCompact != nil {
 		j.onCompact(st)
@@ -674,17 +709,23 @@ func (j *Journal) FirstOffset() int64 { return j.first.Load() }
 // channel, so the wait cannot miss it.
 func (j *Journal) AppendSignal() <-chan struct{} { return *j.signal.Load() }
 
-// Close closes the journal's files, flushing any pending SyncBatch batch
-// first. Appends, acks and reads fail afterwards.
+// Close closes the journal's files, syncing any pending SyncBatch batch
+// first, and returns once the syncer has exited. Appends, acks and reads
+// fail afterwards.
 func (j *Journal) Close() error {
-	j.mu.Lock()
-	defer j.mu.Unlock()
-	var err error
-	if !j.closed && j.sync == SyncBatch {
-		err = j.flushLocked()
+	j.syncMu.Lock()
+	err := j.groupSync()
+	if errors.Is(err, errClosed) {
+		err = nil
 	}
+	j.mu.Lock()
 	if cerr := j.closeLocked(); err == nil {
 		err = cerr
+	}
+	j.mu.Unlock()
+	j.syncMu.Unlock()
+	if j.syncerDone != nil {
+		<-j.syncerDone
 	}
 	return err
 }
@@ -702,6 +743,11 @@ func (j *Journal) closeLocked() error {
 	}
 	if cerr := j.acks.close(); err == nil {
 		err = cerr
+	}
+	// Last: once closed and acks.close have run, no Append (checks closed
+	// under mu) or Ack (checks the log under acks.mu) kicks again.
+	if j.kick != nil {
+		close(j.kick)
 	}
 	return err
 }

@@ -10,14 +10,17 @@ import (
 // logFile is one CRC-framed append-only file: a segment or the ack log.
 // It is the one place the rules for such a file live — Open's torn-tail
 // scan (openLog), the write-then-restore append (Journal.appendLog) and
-// the batch sync (sync) — and none of them asks which file it serves.
+// the group commit's dirty flag — and none of them asks which file it
+// serves.
 type logFile struct {
 	f *os.File
 	// size is the committed length: what the open-time scan accepted plus
 	// every append that succeeded, and the point a failed append restores.
 	size int64
-	// dirty marks bytes appended and not yet fsynced; SyncNever never sets
-	// it, so only SyncBatch's flush ever finds it set.
+	// dirty marks bytes appended under SyncBatch that no group commit has
+	// taken yet. Guarded by the owner's lock (mu for a segment, acks.mu
+	// for the ack log); a group commit clears it when it takes the file,
+	// before its fsync returns.
 	dirty bool
 }
 
@@ -68,9 +71,19 @@ func (j *Journal) write(f *os.File, b []byte) (int, error) {
 	return f.Write(b)
 }
 
+// fsync is the file-sync seam every journal fsync goes through: the
+// fault-injection hook, when armed, stands in for os.File.Sync.
+func (j *Journal) fsync(f *os.File) error {
+	if j.syncHook != nil {
+		return j.syncHook(f)
+	}
+	return f.Sync()
+}
+
 // appendLog appends b to l with one write through the write seam — every
 // journal byte reaches a file this way — and fsyncs it under SyncAlways,
-// which promises durability on return. A failed write or fsync leaves
+// which promises durability on return; under SyncBatch it marks l dirty
+// for the group commit. A failed write or fsync leaves
 // torn or unpromised bytes, so l is restored to its committed length:
 // truncated AND re-seeked, or the next append would land past the
 // truncation point and leave a zero-filled gap that Open rejects as
@@ -80,11 +93,8 @@ func (j *Journal) write(f *os.File, b []byte) (int, error) {
 // file's later appends until a reopen repairs the tail.
 func (j *Journal) appendLog(l *logFile, b []byte, sticky *error) error {
 	_, err := j.write(l.f, b)
-	if err == nil && j.sync != SyncNever {
-		l.dirty = true
-		if j.sync == SyncAlways {
-			err = l.sync()
-		}
+	if err == nil && j.sync == SyncAlways {
+		err = j.fsync(l.f)
 	}
 	if err != nil {
 		if terr := l.f.Truncate(l.size); terr != nil {
@@ -95,17 +105,6 @@ func (j *Journal) appendLog(l *logFile, b []byte, sticky *error) error {
 		return err
 	}
 	l.size += int64(len(b))
-	return nil
-}
-
-// sync fsyncs l if it holds bytes appended since the last sync.
-func (l *logFile) sync() error {
-	if !l.dirty {
-		return nil
-	}
-	if err := l.f.Sync(); err != nil {
-		return err
-	}
-	l.dirty = false
+	l.dirty = l.dirty || j.sync == SyncBatch
 	return nil
 }

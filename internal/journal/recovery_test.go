@@ -7,7 +7,6 @@ import (
 	"os"
 	"path/filepath"
 	"testing"
-	"time"
 )
 
 // The crash-recovery matrix: every way a crash can tear the log —
@@ -218,15 +217,23 @@ func TestRecoveryTornAckLog(t *testing.T) {
 }
 
 // crashHistory is what one run of the scripted history was told: the
-// appends and acks that returned nil, and how many file writes it made.
+// appends and acks that returned nil, and how many file writes and fsyncs
+// it made.
 type crashHistory struct {
-	writes   int
-	appended []*Record // successful appends, in offset order
-	acked    map[string]int64
+	writes, syncs int
+	appended      []*Record // successful appends, in offset order
+	acked         map[string]int64
+	// failed is set once the failing fsync has run; unsyncedFrom is
+	// NextOffset as it found it.
+	failed       bool
+	unsyncedFrom int64
 }
 
-// errTorn is the error a torn write returns.
-var errTorn = errors.New("injected write error")
+// errTorn is the error a torn write returns; errSync is a failed fsync's.
+var (
+	errTorn = errors.New("injected write error")
+	errSync = errors.New("injected fsync error")
+)
 
 // crashRecord is record i of the scripted history. It comes in three
 // sizes — unlabelled, one label, two labels — so that a torn record can be
@@ -245,21 +252,34 @@ func crashRecord(i int) *Record {
 
 // runCrashHistory opens a journal in dir and runs the scripted history:
 // twelve appends across four segment rolls, acks from two groups and one
-// Compact that deletes two segments and rewrites the ack log. When
-// tearAt > 0 the tearAt-th file write is torn — half its bytes land, then
-// it fails — and the operation that made it must fail with errTorn while
-// every other operation succeeds. With stop set the history ends at the
-// tear as a crash would, torn bytes and all; otherwise it carries on and
-// the live journal is checked.
-func runCrashHistory(t *testing.T, dir string, policy SyncPolicy, tearAt int, stop bool) *crashHistory {
+// Compact that deletes two segments and rewrites the ack log. Each step is
+// followed by a Sync, so that under SyncBatch the step's group commit is
+// over before the next step and the history makes the same fsyncs, in the
+// same order, on every run. When tearAt > 0 the tearAt-th file write is
+// torn — half its bytes land, then it fails — and the operation that made
+// it must fail with errTorn while every other operation succeeds. With
+// stop set the history ends at the tear as a crash would, torn bytes and
+// all; otherwise it carries on and the live journal is checked. When
+// failSyncAt > 0 the failSyncAt-th fsync fails instead (see
+// TestRecoveryEverySync).
+func runCrashHistory(t *testing.T, dir string, policy SyncPolicy, tearAt, failSyncAt int, stop bool) *crashHistory {
 	t.Helper()
 	j, err := Open(dir, Options{SegmentSize: 256, Sync: policy})
 	if err != nil {
 		t.Fatal(err)
 	}
 	defer j.Close()
-	j.batchInterval = time.Hour // only the script's Sync publishes a batch
 	h := &crashHistory{acked: make(map[string]int64)}
+	// Under SyncBatch the syncer may make the fsync, but it holds syncMu
+	// to do so and the step's Sync waits for syncMu: h is only read after.
+	j.syncHook = func(f *os.File) error {
+		h.syncs++
+		if h.syncs != failSyncAt {
+			return f.Sync()
+		}
+		h.failed, h.unsyncedFrom = true, j.NextOffset()
+		return errSync
+	}
 	torn := false
 	var crash func() // writes the torn bytes again, past any tail restore
 	j.writeHook = func(f *os.File, b []byte) (int, error) {
@@ -304,19 +324,52 @@ func runCrashHistory(t *testing.T, dir string, policy SyncPolicy, tearAt int, st
 		appendRec(9), appendRec(10), appendRec(11), ack("a", 11), ack("b", 9), j.Sync,
 	}
 	for i, op := range script {
-		wasTorn := torn
+		wasTorn, wasFailed := torn, h.failed
 		err := op()
-		if tornHere := torn && !wasTorn; tornHere != (err != nil) || (err != nil && !errors.Is(err, errTorn)) {
-			t.Fatalf("step %d: err = %v, want the torn write's error exactly when this step tore (tore: %v)", i, err, tornHere)
-		}
 		if torn && stop {
 			// Stopping is a crash mid-write: the torn bytes stay on disk,
 			// where no tail restore ever ran.
 			crash()
 			return h
 		}
+		serr := j.Sync()
+		if failSyncAt == 0 {
+			if tornHere := torn && !wasTorn; tornHere != (err != nil) || (err != nil && !errors.Is(err, errTorn)) || serr != nil {
+				t.Fatalf("step %d: err = %v (sync: %v), want the torn write's error exactly when this step tore (tore: %v)", i, err, serr, tornHere)
+			}
+			continue
+		}
+		// A failed fsync fails its own step under SyncAlways (the record or
+		// ack is restored away); under SyncBatch a failed group commit fails
+		// closed, so later appends (and Syncs and Compacts while a batch is
+		// unpublished) fail with it. Nothing fails before it, and nothing
+		// fails with another error.
+		for _, e := range []error{err, serr} {
+			if e != nil && (!h.failed || !errors.Is(e, errSync)) {
+				t.Fatalf("step %d: %v (failed fsync %d run: %v)", i, e, failSyncAt, h.failed)
+			}
+		}
+		if policy == SyncAlways && h.failed && !wasFailed && err == nil {
+			t.Fatalf("step %d made the failing fsync and succeeded", i)
+		}
 	}
-	j.writeHook = nil
+	j.writeHook, j.syncHook = nil, nil
+	j.mu.Lock()
+	sticky := j.appendErr
+	j.mu.Unlock()
+	if sticky != nil {
+		// A group commit failed. Its batch never became readable while the
+		// journal was live: the bound never moved past where the failure
+		// found it.
+		var rec Record
+		if next := j.NextOffset(); next != h.unsyncedFrom {
+			t.Fatalf("NextOffset = %d after a failed batch sync at %d", next, h.unsyncedFrom)
+		}
+		if err := j.Read(h.unsyncedFrom, &rec); !errors.Is(err, ErrOffsetOutOfRange) {
+			t.Fatalf("Read(%d) of the failed batch: %v, want ErrOffsetOutOfRange", h.unsyncedFrom, err)
+		}
+		return h // failed closed; the caller's reopen recovers it
+	}
 	checkCrashHistory(t, j, dir, policy, h)
 	return h
 }
@@ -392,7 +445,7 @@ func checkCrashHistory(t *testing.T, j *Journal, dir string, policy SyncPolicy, 
 func TestRecoveryEveryWrite(t *testing.T) {
 	for _, policy := range []SyncPolicy{SyncNever, SyncBatch} {
 		dir := t.TempDir()
-		writes := runCrashHistory(t, dir, policy, 0, false).writes
+		writes := runCrashHistory(t, dir, policy, 0, 0, false).writes
 		if writes < 19 { // twelve appends and seven advancing acks, at least
 			t.Fatalf("%v: history made %d writes, want at least 19", policy, writes)
 		}
@@ -403,7 +456,7 @@ func TestRecoveryEveryWrite(t *testing.T) {
 			for _, stop := range []bool{false, true} {
 				t.Run(fmt.Sprintf("%v/tear%02d/stop=%v", policy, k, stop), func(t *testing.T) {
 					dir := t.TempDir()
-					h := runCrashHistory(t, dir, policy, k, stop)
+					h := runCrashHistory(t, dir, policy, k, 0, stop)
 					j, err := Open(dir, Options{SegmentSize: 256, Sync: policy})
 					if err != nil {
 						t.Fatalf("reopen: %v", err)
@@ -411,6 +464,38 @@ func TestRecoveryEveryWrite(t *testing.T) {
 					checkCrashHistory(t, j, dir, policy, h)
 				})
 			}
+		}
+	}
+}
+
+// TestRecoveryEverySync enumerates the fsync crash points the same way:
+// the scripted history is run once per fsync it makes, with that fsync
+// failed, under SyncBatch and SyncAlways. Under SyncAlways the append or
+// ack that made it fails and is restored away; under SyncBatch a failed
+// group commit publishes nothing of its batch and fails the journal
+// closed, which runCrashHistory checks while it is live. Reopened, the
+// journal must hold exactly what reported success — under SyncBatch that
+// includes the failed batch, whose records were written — and keep
+// appending.
+func TestRecoveryEverySync(t *testing.T) {
+	for _, policy := range []SyncPolicy{SyncBatch, SyncAlways} {
+		syncs := runCrashHistory(t, t.TempDir(), policy, 0, 0, false).syncs
+		if syncs < 20 { // twelve appends, seven advancing acks, one ack-log rewrite
+			t.Fatalf("%v: history made %d fsyncs, want at least 20", policy, syncs)
+		}
+		for k := 1; k <= syncs; k++ {
+			t.Run(fmt.Sprintf("%v/fail%02d", policy, k), func(t *testing.T) {
+				dir := t.TempDir()
+				h := runCrashHistory(t, dir, policy, 0, k, false)
+				if !h.failed {
+					t.Fatalf("fsync %d never ran", k)
+				}
+				j, err := Open(dir, Options{SegmentSize: 256, Sync: policy})
+				if err != nil {
+					t.Fatalf("reopen: %v", err)
+				}
+				checkCrashHistory(t, j, dir, policy, h)
+			})
 		}
 	}
 }

@@ -4,13 +4,16 @@ import (
 	"errors"
 	"os"
 	"path/filepath"
+	"strings"
+	"sync"
+	"sync/atomic"
 	"testing"
 	"time"
 )
 
 // Compaction, retention and batched-fsync coverage: the moving lower
 // bound (FirstOffset), acked-prefix deletion, the time/size windows, the
-// soak-style byte-budget invariant, SyncBatch publish semantics, and two
+// soak-style byte-budget invariant, SyncBatch group commit, and two
 // named failed-write regressions. TestRecoveryEveryWrite enumerates every
 // failed-write crash point; the two here pin the historic shapes by name.
 
@@ -306,22 +309,110 @@ func TestRecoveryCompactedPrefix(t *testing.T) {
 	}
 }
 
-// openSyncBatch opens a SyncBatch journal in dir with its batch
-// thresholds replaced by the given ones.
-func openSyncBatch(t *testing.T, dir string, batchBytes int64, batchInterval time.Duration) *Journal {
+// syncGate is a syncHook that counts fsyncs and holds one on request:
+// after hold, the next fsync reports its file's base name on entered and
+// blocks until hold's release is called; from then on fsyncs fail with the
+// error release was given, or run for real when it was nil.
+type syncGate struct {
+	mu      sync.Mutex
+	calls   int
+	armed   chan struct{} // the gate the next fsync waits on, nil when not held
+	fail    error
+	entered chan string
+}
+
+// openSyncBatch opens a SyncBatch journal in dir with a syncGate on its
+// fsync seam.
+func openSyncBatch(t *testing.T, dir string, opts Options) (*Journal, *syncGate) {
 	t.Helper()
-	j, err := Open(dir, Options{Sync: SyncBatch})
+	opts.Sync = SyncBatch
+	j, err := Open(dir, opts)
 	if err != nil {
 		t.Fatal(err)
 	}
-	j.batchBytes, j.batchInterval = batchBytes, batchInterval
-	return j
+	g := &syncGate{entered: make(chan string, 1)}
+	j.syncHook = g.fsync
+	return j, g
+}
+
+func (g *syncGate) fsync(f *os.File) error {
+	g.mu.Lock()
+	g.calls++
+	gate := g.armed
+	g.armed = nil
+	g.mu.Unlock()
+	if gate != nil {
+		g.entered <- filepath.Base(f.Name())
+		<-gate
+	}
+	g.mu.Lock()
+	fail := g.fail
+	g.mu.Unlock()
+	if fail != nil {
+		return fail
+	}
+	return f.Sync()
+}
+
+func (g *syncGate) count() int {
+	g.mu.Lock()
+	defer g.mu.Unlock()
+	return g.calls
+}
+
+// hold makes the next fsync block until release is called. Only a
+// release's first call counts: a test defers release(nil) so that failing
+// while an fsync is held does not leave Close waiting for it.
+func (g *syncGate) hold() (release func(fail error)) {
+	gate := make(chan struct{})
+	g.mu.Lock()
+	g.armed = gate
+	g.mu.Unlock()
+	var once sync.Once
+	return func(fail error) {
+		once.Do(func() {
+			g.mu.Lock()
+			g.fail = fail
+			g.mu.Unlock()
+			close(gate)
+		})
+	}
+}
+
+// waitHeld waits for a held fsync to begin and returns its file's name.
+func (g *syncGate) waitHeld(t *testing.T) string {
+	t.Helper()
+	select {
+	case name := <-g.entered:
+		return name
+	case <-time.After(5 * time.Second):
+		t.Fatal("no fsync began")
+		return ""
+	}
+}
+
+// waitPublished waits, on the append signal, until NextOffset reaches n.
+func waitPublished(t *testing.T, j *Journal, n int64) {
+	t.Helper()
+	for {
+		sig := j.AppendSignal()
+		if j.NextOffset() >= n {
+			return
+		}
+		select {
+		case <-sig:
+		case <-time.After(5 * time.Second):
+			t.Fatalf("NextOffset stuck at %d, want %d", j.NextOffset(), n)
+		}
+	}
 }
 
 func TestSyncBatchPublishesOnlyAfterFlush(t *testing.T) {
-	j := openSyncBatch(t, t.TempDir(), 1<<20, time.Hour) // byte threshold out of reach
+	j, g := openSyncBatch(t, t.TempDir(), Options{})
 	defer j.Close()
 
+	release := g.hold()
+	defer release(nil)
 	sig := j.AppendSignal()
 	off, err := j.Append(testRecord(0))
 	if err != nil {
@@ -330,66 +421,164 @@ func TestSyncBatchPublishesOnlyAfterFlush(t *testing.T) {
 	if off != 0 {
 		t.Fatalf("offset = %d, want 0", off)
 	}
-	// The record is written but its batch is not synced: it must not be
-	// published — not readable, no signal — until the flush.
+	g.waitHeld(t)
+	// The record is written and the fsync covering it has begun but not
+	// returned: it must not be published — not readable, no signal.
 	if got := j.NextOffset(); got != 0 {
-		t.Fatalf("NextOffset = %d before flush, want 0", got)
+		t.Fatalf("NextOffset = %d during the fsync, want 0", got)
 	}
 	select {
 	case <-sig:
-		t.Fatal("append signal fired before the batch was synced")
+		t.Fatal("append signal fired before the fsync returned")
 	default:
 	}
 	var rec Record
 	if err := j.Read(0, &rec); !errors.Is(err, ErrOffsetOutOfRange) {
-		t.Fatalf("Read before flush: got %v, want ErrOffsetOutOfRange", err)
+		t.Fatalf("Read during the fsync: got %v, want ErrOffsetOutOfRange", err)
 	}
 
-	if err := j.Sync(); err != nil {
-		t.Fatal(err)
-	}
-	if got := j.NextOffset(); got != 1 {
-		t.Fatalf("NextOffset = %d after flush, want 1", got)
-	}
-	select {
-	case <-sig:
-	default:
-		t.Fatal("append signal did not fire at flush")
-	}
-	if err := j.Read(0, &rec); err != nil {
-		t.Fatalf("Read after flush: %v", err)
-	}
-}
-
-func TestSyncBatchByteThresholdFlushes(t *testing.T) {
-	j := openSyncBatch(t, t.TempDir(), 1, time.Hour) // every append crosses the threshold
-	defer j.Close()
-	for i := 0; i < 5; i++ {
-		mustAppend(t, j, testRecord(i))
-		if got := j.NextOffset(); got != int64(i+1) {
-			t.Fatalf("NextOffset = %d after append %d, want %d (byte threshold must flush inline)", got, i, i+1)
-		}
-	}
-}
-
-func TestSyncBatchIntervalFlushes(t *testing.T) {
-	j := openSyncBatch(t, t.TempDir(), 1<<20, 5*time.Millisecond)
-	defer j.Close()
-	sig := j.AppendSignal()
-	mustAppend(t, j, testRecord(0))
+	release(nil)
 	select {
 	case <-sig:
 	case <-time.After(5 * time.Second):
-		t.Fatal("interval flush never published the batch")
+		t.Fatal("append signal did not fire once the fsync returned")
 	}
 	if got := j.NextOffset(); got != 1 {
-		t.Fatalf("NextOffset = %d after interval flush, want 1", got)
+		t.Fatalf("NextOffset = %d after the fsync, want 1", got)
 	}
+	if err := j.Read(0, &rec); err != nil {
+		t.Fatalf("Read after the fsync: %v", err)
+	}
+}
+
+// TestSyncBatchByteThresholdFlushes: the byte threshold it was named for
+// is gone — a batch is whatever was written while the previous fsync ran.
+// It checks that instead: appends made while one fsync is held return
+// without waiting for it, and are all published by exactly one following
+// fsync.
+func TestSyncBatchByteThresholdFlushes(t *testing.T) {
+	j, g := openSyncBatch(t, t.TempDir(), Options{})
+	defer j.Close()
+	release := g.hold()
+	defer release(nil)
+	appendNoWait(t, j, 0, 1)
+	g.waitHeld(t)
+	const n = 8
+	appendNoWait(t, j, 1, n)
+	if got := j.NextOffset(); got != 0 {
+		t.Fatalf("NextOffset = %d while the first fsync is held, want 0", got)
+	}
+	release(nil)
+	waitPublished(t, j, n)
+	if got := g.count(); got != 2 {
+		t.Fatalf("%d fsyncs published %d appends, want 2 (one for the first, one for the rest)", got, n)
+	}
+}
+
+// appendNoWait appends testRecord(from) up to testRecord(to-1), and fails
+// if that waits for an fsync.
+func appendNoWait(t *testing.T, j *Journal, from, to int) {
+	t.Helper()
+	done := make(chan struct{})
+	go func() {
+		defer close(done)
+		for i := from; i < to; i++ {
+			if _, err := j.Append(testRecord(i)); err != nil {
+				t.Errorf("Append %d: %v", i, err)
+			}
+		}
+	}()
+	select {
+	case <-done:
+	case <-time.After(5 * time.Second):
+		t.Fatal("Append waited for an fsync")
+	}
+}
+
+// TestSyncBatchIntervalFlushes: there is no interval any more — an append
+// wakes the syncer itself. It checks the nearest property instead: a lone
+// append is published, with no explicit Sync, by one fsync of its own.
+func TestSyncBatchIntervalFlushes(t *testing.T) {
+	j, g := openSyncBatch(t, t.TempDir(), Options{})
+	defer j.Close()
+	mustAppend(t, j, testRecord(0))
+	waitPublished(t, j, 1)
+	if got := g.count(); got != 1 {
+		t.Fatalf("%d fsyncs published one append, want 1", got)
+	}
+}
+
+// TestSyncBatchAckSyncedWithoutAppend: an ack after the last append of a
+// burst is fsynced by the syncer, not left until the next append, Sync,
+// Compact or Close.
+func TestSyncBatchAckSyncedWithoutAppend(t *testing.T) {
+	j, g := openSyncBatch(t, t.TempDir(), Options{})
+	defer j.Close()
+	// The syncer publishes the append: its wakeup is used up, and only the
+	// ack can wake it again.
+	mustAppend(t, j, testRecord(0))
+	waitPublished(t, j, 1)
+	release := g.hold()
+	defer release(nil)
+	if err := j.Ack("g", 1); err != nil {
+		t.Fatal(err)
+	}
+	if name := g.waitHeld(t); name != ackLogName {
+		t.Fatalf("the ack woke an fsync of %s, want %s", name, ackLogName)
+	}
+	release(nil)
+}
+
+// TestSyncBatchFailedSyncPublishesNothing: a failed fsync publishes no
+// record of its batch and fails the journal closed, and a reopen recovers
+// every record that was written.
+func TestSyncBatchFailedSyncPublishesNothing(t *testing.T) {
+	dir := t.TempDir()
+	j, g := openSyncBatch(t, dir, Options{})
+	defer j.Close()
+	mustAppend(t, j, testRecord(0))
+	if err := j.Sync(); err != nil {
+		t.Fatal(err)
+	}
+	release := g.hold()
+	defer release(nil)
+	mustAppend(t, j, testRecord(1))
+	g.waitHeld(t)
+	mustAppend(t, j, testRecord(2))
+	mustAppend(t, j, testRecord(3))
+	injected := errors.New("injected fsync error")
+	release(injected)
+	if err := j.Sync(); !errors.Is(err, injected) {
+		t.Fatalf("Sync after the failed fsync: %v, want the injected error", err)
+	}
+	if got := j.NextOffset(); got != 1 {
+		t.Fatalf("NextOffset = %d after the failed fsync, want 1", got)
+	}
+	var rec Record
+	if err := j.Read(1, &rec); !errors.Is(err, ErrOffsetOutOfRange) {
+		t.Fatalf("Read(1) of the failed batch: %v, want ErrOffsetOutOfRange", err)
+	}
+	if _, err := j.Append(testRecord(4)); !errors.Is(err, injected) {
+		t.Fatalf("Append after the failed fsync: %v, want the sticky injected error", err)
+	}
+	if err := j.Close(); !errors.Is(err, injected) {
+		t.Fatalf("Close: %v, want the sticky injected error", err)
+	}
+
+	j2, err := Open(dir, Options{Sync: SyncBatch})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer j2.Close()
+	if got := j2.NextOffset(); got != 4 {
+		t.Fatalf("reopened NextOffset = %d, want 4 written records", got)
+	}
+	readAll(t, j2)
 }
 
 func TestSyncBatchCloseFlushes(t *testing.T) {
 	dir := t.TempDir()
-	j := openSyncBatch(t, dir, 1<<20, time.Hour)
+	j, _ := openSyncBatch(t, dir, Options{})
 	const n = 4
 	for i := 0; i < n; i++ {
 		mustAppend(t, j, testRecord(i))
@@ -411,6 +600,165 @@ func TestSyncBatchCloseFlushes(t *testing.T) {
 	if got := j2.Acked("g"); got != 2 {
 		t.Fatalf("reopened Acked(g) = %d, want 2", got)
 	}
+}
+
+// TestSyncBatchHeldFsyncRace runs what can close or publish beside the
+// syncer while its fsync is held: a retention-on-roll, an explicit Sync, a
+// Compact that rewrites the ack log, and Close. None may publish a record
+// the held fsync covers, close a file under it (the syncer would then fail
+// "file already closed", which is sticky), delete a record no fsync has
+// covered, or let FirstOffset pass NextOffset; and the syncer must be gone
+// when Close returns.
+func TestSyncBatchHeldFsyncRace(t *testing.T) {
+	dir := t.TempDir()
+	var clock atomic.Int64
+	clock.Store(2000) // no record (timestamps 1000+i) has aged yet
+	j, g := openSyncBatch(t, dir, Options{SegmentSize: 256, RetentionAge: 5000})
+	j.now = clock.Load
+
+	stop := make(chan struct{})
+	watched := make(chan struct{})
+	go func() {
+		defer close(watched)
+		for {
+			sig := j.AppendSignal()
+			if first, next := j.FirstOffset(), j.NextOffset(); first > next {
+				t.Errorf("FirstOffset %d passed NextOffset %d", first, next)
+			}
+			select {
+			case <-sig:
+			case <-stop:
+				return
+			}
+		}
+	}()
+	defer func() { close(stop); <-watched }()
+
+	appended := int64(0)
+	appendRec := func() {
+		mustAppend(t, j, testRecord(int(appended)))
+		appended++
+	}
+	ack := func(off int64) {
+		if err := j.Ack("g", off); err != nil {
+			t.Fatal(err)
+		}
+	}
+	for i := 0; i < 12; i++ {
+		appendRec()
+	}
+	ack(1)
+	if err := j.Sync(); err != nil {
+		t.Fatal(err)
+	}
+	const published = 12
+
+	// Hold a pass on the ack log, write a record and another ack behind
+	// it, then let it go and hold the next pass: that one has both the
+	// record's segment and the ack log in flight.
+	releaseAcks := g.hold()
+	defer releaseAcks(nil)
+	ack(2)
+	if name := g.waitHeld(t); name != ackLogName {
+		t.Fatalf("held fsync of %s, want %s", name, ackLogName)
+	}
+	appendRec()
+	ack(3)
+	release := g.hold()
+	defer release(nil)
+	releaseAcks(nil)
+	if name := g.waitHeld(t); !strings.HasSuffix(name, segmentSuffix) {
+		t.Fatalf("held fsync of %s, want the segment record %d is in", name, published)
+	}
+	checkHeld := func(when string) {
+		t.Helper()
+		if first, next := j.FirstOffset(), j.NextOffset(); next != published || first > next {
+			t.Fatalf("%s: FirstOffset %d, NextOffset %d while the fsync is held, want NextOffset %d", when, first, next, published)
+		}
+	}
+
+	// Retention on roll, with every record past RetentionAge: it must
+	// neither wait for the held fsync, nor delete the segment under it
+	// (its records are unpublished), nor fold the ack log under it.
+	clock.Store(10000)
+	for j.FirstOffset() == 0 {
+		if appended > 30 {
+			t.Fatal("no roll expired the old segments")
+		}
+		appendRec()
+	}
+	checkHeld("after retention")
+
+	syncDone := make(chan error, 1)
+	go func() { syncDone <- j.Sync() }()
+	compactDone := make(chan error, 1)
+	go func() { _, err := j.Compact(); compactDone <- err }()
+	select {
+	case err := <-syncDone:
+		syncDone <- err
+	case <-time.After(20 * time.Millisecond):
+	}
+	checkHeld("after Sync and Compact")
+
+	release(nil)
+	for _, done := range []chan error{syncDone, compactDone} {
+		if err := <-done; err != nil {
+			t.Fatalf("Sync/Compact beside the held fsync: %v", err)
+		}
+	}
+	j.mu.Lock()
+	sticky := j.appendErr
+	j.mu.Unlock()
+	if sticky != nil {
+		t.Fatalf("sticky error after the held fsync: %v", sticky)
+	}
+	waitPublished(t, j, appended)
+	// Compact ran after the release: every sealed segment had aged, so
+	// only the active one is left, and the ack log is folded.
+	if names, err := segmentNames(dir); err != nil || len(names) != 1 {
+		t.Fatalf("segments after Compact: %v (%v), want only the active one", names, err)
+	}
+	readAll(t, j)
+	fold, err := appendAckRecord(nil, "g", 3)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if fi, err := os.Stat(filepath.Join(dir, ackLogName)); err != nil || fi.Size() != int64(len(fold)) {
+		t.Fatalf("ack log after Compact: %v, %v; want it folded to one record", fi, err)
+	}
+
+	// Close beside a held fsync: it waits for it, closes nothing under it,
+	// and returns only once the syncer has exited.
+	release = g.hold()
+	defer release(nil)
+	appendRec()
+	g.waitHeld(t)
+	closeDone := make(chan error, 1)
+	go func() { closeDone <- j.Close() }()
+	select {
+	case err := <-closeDone:
+		t.Fatalf("Close returned (%v) while an fsync was in flight", err)
+	case <-time.After(20 * time.Millisecond):
+	}
+	release(nil)
+	if err := <-closeDone; err != nil {
+		t.Fatalf("Close beside the held fsync: %v", err)
+	}
+	select {
+	case <-j.syncerDone:
+	default:
+		t.Fatal("syncer still running after Close returned")
+	}
+
+	j2, err := Open(dir, Options{SegmentSize: 256})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer j2.Close()
+	if got := j2.NextOffset(); got != appended {
+		t.Fatalf("reopened NextOffset = %d, want %d", got, appended)
+	}
+	readAll(t, j2)
 }
 
 // TestRecoveryAppendWriteError: a transient failed/short segment write
