@@ -58,11 +58,26 @@
 // by the delivery events' Release lifecycle, so credit reflects
 // callbacks the consumer engine actually completed, not frames it
 // merely received. Grants are idempotent (applied max-wins), stalls are
-// observable (ServerStats.CreditStalls, SessionStats.CreditParked, the
-// OnCreditStall hook), and subscriptions without the header keep the
-// exact uncredited wire behaviour. Unknown or malformed client frames
-// — ACKs without a usable grant, transactions — are answered with an
-// ERROR naming the command and counted in ServerStats.UnhandledFrames.
+// counted (ServerStats.CreditStalls and SessionStats.CreditStalls, with
+// the live depth in SessionStats.CreditParked), and subscriptions without
+// the header keep the exact uncredited wire behaviour. Unknown or
+// malformed client frames — ACKs without a usable grant, transactions —
+// are answered with an ERROR naming the command and counted in
+// ServerStats.UnhandledFrames.
+//
+// # When a revoke bites
+//
+// A delivery is decided when it enters a session writer's queue; in
+// process, when the broker calls its handler (an engine's per-subscription
+// queues lie after that point and are not re-checked). A policy mutation
+// stops every delivery not yet decided. Fan-out checks clearance at the
+// publish's policy generation; a credited subscription's parked
+// deliveries pass the same gate again when a grant drains them; and a
+// replay feed that waited for credit re-checks its record when the
+// generation moved during the wait. Each late refusal counts in
+// ServerStats.RevokedDeliveries. What a revoke cannot reach is what was
+// already decided: frames in a writer queue and in kernel buffers, which
+// ServerConfig.WriteTimeout, when set, bounds in time.
 package broker
 
 import (
@@ -106,21 +121,43 @@ type Stats struct {
 	RejectedPublish uint64
 }
 
-// clearanceSnapshot is a subscription's cached view of its principal's
-// privileges, tagged with the policy generation it was read at.
+// clearanceSnapshot is a principal's privileges, tagged with the policy
+// generation they were read at.
 type clearanceSnapshot struct {
 	gen   uint64
 	privs *label.Privileges
 }
 
+// clearance is the one clearance gate: it caches a principal's privileges
+// and re-reads them only when the policy generation moves. Live fan-out
+// (through Subscription), the credit drain and durable replay all decide
+// through it. Concurrent refreshes are benign (both compute the same
+// snapshot).
+type clearance struct {
+	principal string
+	snap      atomic.Pointer[clearanceSnapshot]
+}
+
+// clears reports whether the principal's privileges at policy generation
+// gen cover the confidentiality labels conf.
+func (c *clearance) clears(policy *label.Policy, gen uint64, conf label.Set) bool {
+	cs := c.snap.Load()
+	if cs == nil || cs.gen != gen {
+		cs = &clearanceSnapshot{gen: gen, privs: policy.PrivilegesOf(c.principal)}
+		c.snap.Store(cs)
+	}
+	return cs.privs.HasAll(label.Clearance, conf)
+}
+
 // Subscription is a registered subscription. Its topic pattern is compiled
 // once at Subscribe time into one of three route classes (exact topic,
-// "/*" prefix, "*" catch-all).
+// "/*" prefix, "*" catch-all). The embedded clearance gate holds the
+// principal.
 type Subscription struct {
-	id        uint64
-	idStr     string
-	principal string
-	topic     string
+	clearance
+	id    uint64
+	idStr string
+	topic string
 	// matchAll is set for the "*" pattern; prefix is non-empty for
 	// trailing-"/*" patterns and holds the prefix including the slash.
 	matchAll bool
@@ -132,11 +169,6 @@ type Subscription struct {
 	// the frozen published event itself instead of a per-subscriber
 	// Delivery copy.
 	wire bool
-
-	// clearance caches the principal's privileges; it is refreshed when
-	// the policy generation moves. Concurrent refreshes are benign (both
-	// compute the same snapshot).
-	clearance atomic.Pointer[clearanceSnapshot]
 }
 
 // ID returns the broker-unique subscription identifier.
@@ -271,9 +303,9 @@ func (b *Broker) subscribe(principal, topic, sel string, handler Handler, wire b
 	}
 	b.nextID++
 	sub := &Subscription{
+		clearance: clearance{principal: principal},
 		id:        b.nextID,
 		idStr:     "sub-" + strconv.FormatUint(b.nextID, 10),
-		principal: principal,
 		topic:     topic,
 		sel:       compiled,
 		hasSel:    compiled.Source() != "",
@@ -499,16 +531,9 @@ func (b *Broker) Publish(principal string, ev *event.Event) error {
 // and invokes matching handlers.
 func (b *Broker) deliverAll(subs []*Subscription, ev *event.Event, conf label.Set, gen uint64, ctr *deliveryCounters) {
 	for _, sub := range subs {
-		if !conf.IsEmpty() {
-			cs := sub.clearance.Load()
-			if cs == nil || cs.gen != gen {
-				cs = &clearanceSnapshot{gen: gen, privs: b.policy.PrivilegesOf(sub.principal)}
-				sub.clearance.Store(cs)
-			}
-			if !cs.privs.HasAll(label.Clearance, conf) {
-				ctr.filteredByLabel++
-				continue
-			}
+		if !conf.IsEmpty() && !sub.clears(b.policy, gen, conf) {
+			ctr.filteredByLabel++
+			continue
 		}
 		if sub.hasSel && !sub.sel.MatchesAttrs(ev.Attrs) {
 			ctr.filteredBySelector++

@@ -32,26 +32,6 @@ import (
 // exhausted before the overflow policy takes over.
 const creditPending = 32
 
-// CreditStallEvent describes a credited subscription whose window just ran
-// dry, reported through ServerConfig.OnCreditStall once per stall run: the
-// first delivery that parks raises it, and the run ends when a grant
-// drains the pending ring empty.
-type CreditStallEvent struct {
-	// SessionID and Login identify the stalled consumer's session.
-	SessionID uint64
-	Login     string
-	// Subscription is the client-chosen wire subscription id.
-	Subscription string
-	// Granted and Sent are the subscription's cumulative allowance and
-	// deliveries sent at the time of the stall (remaining credit is their
-	// difference, zero here by construction).
-	Granted int64
-	Sent    int64
-	// Parked is the pending-ring occupancy after the stalling delivery
-	// parked.
-	Parked int
-}
-
 // wireSub pairs a broker subscription with its optional credit window.
 // credit is nil for subscriptions that advertised no window — infinite
 // credit, the pre-credit wire behaviour. Durable subscriptions have no
@@ -181,7 +161,7 @@ func (s *Server) parkDelivery(ss *serverSession, ws *wireSub, clientSubID string
 	for {
 		if c.closed {
 			c.mu.Unlock()
-			s.dropDelivery(ss, clientSubID, ev, net.ErrClosed)
+			s.suppress(ss, clientSubID, ev, net.ErrClosed)
 			return
 		}
 		// Re-check under the lock: a grant may have drained the ring since
@@ -201,35 +181,21 @@ func (s *Server) parkDelivery(ss *serverSession, ws *wireSub, clientSubID string
 		case OverflowDropOldest:
 			oldest := c.popLocked()
 			c.mu.Unlock()
-			s.overflowDrop(ss, clientSubID, oldest)
+			s.suppress(ss, clientSubID, oldest, ErrSlowConsumer)
 			c.mu.Lock()
 		default: // OverflowDropNewest, OverflowDisconnect
 			c.mu.Unlock()
-			s.overflowDrop(ss, clientSubID, ev)
+			s.suppress(ss, clientSubID, ev, ErrSlowConsumer)
 			return
 		}
 	}
 	c.pushLocked(ev)
 	firstStall := !c.stalled
 	c.stalled = true
-	var stall CreditStallEvent
-	if firstStall {
-		stall = CreditStallEvent{
-			SessionID:    ss.sess.ID(),
-			Login:        ss.sess.Login(),
-			Subscription: clientSubID,
-			Granted:      c.granted.Load(),
-			Sent:         c.sent.Load(),
-			Parked:       c.n,
-		}
-	}
 	c.mu.Unlock()
 	if firstStall {
 		s.creditStalls.Add(1)
 		ss.creditStalls.Add(1)
-		if s.cfg.OnCreditStall != nil {
-			s.cfg.OnCreditStall(stall)
-		}
 	}
 }
 
@@ -239,6 +205,11 @@ func (s *Server) parkDelivery(ss *serverSession, ws *wireSub, clientSubID string
 // no-op. Runs on the granting session's read goroutine; the ring lock is
 // held across the drain so parked order is preserved against concurrent
 // publishers.
+//
+// A parked delivery is not yet decided, so each one passes the clearance
+// gate again, at the current policy generation, before it claims credit:
+// one the subscriber is no longer cleared for is dropped and counted in
+// RevokedDeliveries.
 func (s *Server) creditGrant(ss *serverSession, clientSubID string, ws *wireSub, grant int64) {
 	c := ws.credit
 	for {
@@ -250,6 +221,7 @@ func (s *Server) creditGrant(ss *serverSession, clientSubID string, ws *wireSub,
 			break
 		}
 	}
+	policy := s.broker.Policy()
 	c.mu.Lock()
 	defer c.mu.Unlock()
 	// Wake waiters blocked on the window itself (replay feeds in
@@ -257,11 +229,17 @@ func (s *Server) creditGrant(ss *serverSession, clientSubID string, ws *wireSub,
 	// broadcasts per popped slot.
 	c.space.Broadcast()
 	for c.n > 0 && !c.closed {
-		if !c.claim() {
+		conf := c.ring[c.head].Labels.Confidentiality()
+		cleared := conf.IsEmpty() || ws.sub.clears(policy, policy.Generation(), conf)
+		if cleared && !c.claim() {
 			return
 		}
 		ev := c.popLocked()
 		c.space.Broadcast()
+		if !cleared {
+			s.revokedDeliveries.Add(1)
+			continue
+		}
 		s.sendDelivery(ss, clientSubID, ev)
 	}
 	if c.n == 0 {
@@ -271,10 +249,15 @@ func (s *Server) creditGrant(ss *serverSession, clientSubID string, ws *wireSub,
 	}
 }
 
-// closeCredit tears down a credited subscription: parked deliveries are
-// dropped (accounted like deliveries to a closed session) and publishers
-// blocked on a full ring are released to observe closed.
-func (s *Server) closeCredit(ss *serverSession, clientSubID string, ws *wireSub) {
+// closeSub tears a wire subscription down: its live registration, its
+// replay feed, and its credit window, whose parked deliveries are dropped
+// as to a closed session; publishers blocked on a full ring are released
+// to observe closed.
+func (s *Server) closeSub(ss *serverSession, clientSubID string, ws *wireSub) {
+	s.broker.Unsubscribe(ws.sub)
+	if ws.replay != nil {
+		ws.replay.stop()
+	}
 	c := ws.credit
 	if c == nil {
 		return
@@ -289,6 +272,6 @@ func (s *Server) closeCredit(ss *serverSession, clientSubID string, ws *wireSub)
 	c.space.Broadcast()
 	c.mu.Unlock()
 	for _, ev := range dropped {
-		s.dropDelivery(ss, clientSubID, ev, net.ErrClosed)
+		s.suppress(ss, clientSubID, ev, net.ErrClosed)
 	}
 }

@@ -53,9 +53,6 @@ import (
 type journalStore struct {
 	dir  string
 	opts journal.Options
-	// onCompact, when non-nil, observes every compaction pass on any of
-	// the store's journals, tagged with the owning topic.
-	onCompact func(topic string, st journal.CompactStats)
 
 	mu sync.Mutex
 	m  map[string]*journal.Journal
@@ -101,11 +98,7 @@ func (st *journalStore) open(topic string) (*journal.Journal, error) {
 	if j := st.m[topic]; j != nil {
 		return j, nil
 	}
-	opts := st.opts
-	if cb := st.onCompact; cb != nil {
-		opts.OnCompact = func(cs journal.CompactStats) { cb(topic, cs) }
-	}
-	j, err := journal.Open(filepath.Join(st.dir, url.PathEscape(topic)), opts)
+	j, err := journal.Open(filepath.Join(st.dir, url.PathEscape(topic)), st.opts)
 	if err != nil {
 		return nil, err
 	}
@@ -196,19 +189,11 @@ func (s *Server) journalError(topic string, err error) {
 	s.cfg.Logf("broker: durable append for %s: %v", topic, err)
 }
 
-// journalCompacted is the per-store compaction observer: fold the pass
-// into the server counters and forward it to the OnRetention hook.
-func (s *Server) journalCompacted(topic string, cs journal.CompactStats) {
+// journalCompacted is every journal's compaction observer: it folds the
+// pass into the server counters.
+func (s *Server) journalCompacted(cs journal.CompactStats) {
 	s.compactedSegments.Add(uint64(cs.AckedSegments))
 	s.retentionDeletes.Add(uint64(cs.RetentionSegments))
-	if s.cfg.OnRetention != nil {
-		s.cfg.OnRetention(RetentionEvent{
-			Topic:             topic,
-			AckedSegments:     cs.AckedSegments,
-			RetentionSegments: cs.RetentionSegments,
-			FirstOffset:       cs.FirstOffset,
-		})
-	}
 }
 
 // CompactJournals runs an explicit compaction pass over every open
@@ -237,9 +222,10 @@ func (s *Server) isDurableTopic(topic string) bool {
 }
 
 // replayFeed is the per-durable-subscription tailing goroutine's handle:
-// the journal it reads, the consumer group whose acks it applies, and the
-// stop signal teardown closes.
+// the journal it reads, the consumer's clearance gate, the consumer group
+// whose acks it applies, and the stop signal teardown closes.
 type replayFeed struct {
+	clearance
 	j        *journal.Journal
 	group    string
 	done     chan struct{}
@@ -254,7 +240,7 @@ func (f *replayFeed) stop() {
 // header. The subscription is journal-only: no live broker registration,
 // so the consumer has exactly one delivery path (the journal tail) and
 // resumed replay can never race a live delivery into a duplicate.
-func (s *Server) subscribeDurable(ss *serverSession, clientID, topic, sel, creditHdr, offStr, group string) error {
+func (s *Server) subscribeDurable(ss *serverSession, ws *wireSub, clientID, topic, sel, offStr, group string) error {
 	if s.journals == nil {
 		return errors.New("broker: durable subscription on a server with no journal directory configured")
 	}
@@ -303,14 +289,7 @@ func (s *Server) subscribeDurable(ss *serverSession, clientID, topic, sel, credi
 		start = first
 	}
 
-	ws := &wireSub{replay: &replayFeed{j: j, group: group, done: make(chan struct{})}}
-	if creditHdr != "" {
-		window, err := stomp.ParseCredit(creditHdr)
-		if err != nil {
-			return err
-		}
-		ws.credit = newCreditState(window)
-	}
+	ws.replay = &replayFeed{clearance: clearance{principal: ss.sess.Login()}, j: j, group: group, done: make(chan struct{})}
 	s.mu.Lock()
 	ss.subs[clientID] = ws
 	s.mu.Unlock()
@@ -327,20 +306,18 @@ func (s *Server) subscribeDurable(ss *serverSession, clientID, topic, sel, credi
 // skipped and counted, never delivered — so revoking a privilege after an
 // event was written is honoured on every later replay, fail closed (an
 // unparsable persisted header is treated as undeliverable, not as
-// unlabelled).
+// unlabelled). A record that waited for credit is checked again if the
+// policy generation moved during the wait: it is not decided until it is
+// queued.
 func (s *Server) runReplay(ss *serverSession, ws *wireSub, clientSubID, topic string, start int64) {
 	f := ws.replay
-	login := ss.sess.Login()
+	policy := s.broker.Policy()
 	next := start
 
 	// Consecutive records of one topic usually share their label header;
-	// memoise the parse, and the clearance snapshot against the policy
-	// generation (same discipline as live delivery's cached clearance).
-	var lastHdr string
-	var lastConf label.Set
-	var lastHdrOK bool
-	var privs *label.Privileges
-	var privsGen uint64
+	// memoise the parse (an unlabelled record's header parses to the empty
+	// set). The feed's clearance gate caches the privileges.
+	lastHdr, lastConf, lastHdrOK := "", label.Set(nil), true
 
 	var rec journal.Record
 	for {
@@ -368,48 +345,47 @@ func (s *Server) runReplay(ss *serverSession, ws *wireSub, clientSubID, topic st
 						continue
 					}
 				}
-				s.dropDelivery(ss, clientSubID, nil, err)
+				s.suppress(ss, clientSubID, nil, err)
 				return
 			}
-			if rec.Labels != "" {
-				if rec.Labels != lastHdr {
-					set, err := label.ParseSet(rec.Labels)
-					lastHdr = rec.Labels
-					lastHdrOK = err == nil
-					lastConf = set.Confidentiality()
-					if err != nil {
-						s.cfg.Logf("broker: replay %s offset %d: bad label header: %v", rec.Topic, next, err)
-					}
+			if rec.Labels != lastHdr {
+				set, err := label.ParseSet(rec.Labels)
+				lastHdr = rec.Labels
+				lastHdrOK = err == nil
+				lastConf = set.Confidentiality()
+				if err != nil {
+					s.cfg.Logf("broker: replay %s offset %d: bad label header: %v", rec.Topic, next, err)
 				}
-				if !lastHdrOK {
-					// Fail closed: an unreadable label header means the
-					// record's protection is unknown, so nobody gets it.
-					s.replayFiltered.Add(1)
+			}
+			// Fail closed: an unreadable label header means the record's
+			// protection is unknown, so nobody gets it.
+			gen := policy.Generation()
+			if !lastHdrOK || (!lastConf.IsEmpty() && !f.clears(policy, gen, lastConf)) {
+				s.replayFiltered.Add(1)
+				next++
+				continue
+			}
+			// Pace with the consumer's credit window, when it advertised
+			// one; waitClaim returns false only at teardown. A record
+			// refused after its claim gives the credit back, which is safe
+			// because the feed is the window's only claimant.
+			if ws.credit != nil {
+				if !ws.credit.waitClaim() {
+					return
+				}
+				if g := policy.Generation(); g != gen && !lastConf.IsEmpty() && !f.clears(policy, g, lastConf) {
+					ws.credit.sent.Add(-1)
+					s.revokedDeliveries.Add(1)
 					next++
 					continue
 				}
-				if !lastConf.IsEmpty() {
-					if gen := s.broker.Policy().Generation(); privs == nil || privsGen != gen {
-						privs, privsGen = s.broker.Policy().PrivilegesOf(login), gen
-					}
-					if !privs.HasAll(label.Clearance, lastConf) {
-						s.replayFiltered.Add(1)
-						next++
-						continue
-					}
-				}
-			}
-			// Pace with the consumer's credit window, when it advertised
-			// one; waitClaim returns false only at teardown.
-			if ws.credit != nil && !ws.credit.waitClaim() {
-				return
 			}
 			// The feed paces itself with the credit window, so the blocking
 			// enqueue is the back-pressure it wants.
 			img := stomp.RawMessageImage(rec.Image, rec.Split)
 			route := stomp.Route{Subscription: clientSubID, IDPrefix: ss.idPrefix, Seq: ss.msgSeq.Add(1), Offset: next, HasOffset: true}
 			if _, err := ss.sess.Deliver(img, route, stomp.EnqueueBlock, nil); err != nil {
-				s.dropDelivery(ss, clientSubID, nil, err)
+				s.suppress(ss, clientSubID, nil, err)
 				return
 			}
 			s.replayDeliveries.Add(1)

@@ -1,0 +1,140 @@
+package broker
+
+import (
+	"bytes"
+	"runtime"
+	"strconv"
+	"testing"
+	"time"
+
+	"safeweb/internal/event"
+	"safeweb/internal/label"
+	"safeweb/internal/stomp"
+)
+
+// mdt7 is the label testPolicy clears "cleared" for.
+var mdt7 = label.MustParsePattern("label:conf:ecric.org.uk/mdt/7")
+
+// TestCreditRevokeStopsParkedDeliveries pins when a revoke bites on the
+// live path: a parked delivery is not yet decided, so a grant that drains
+// the ring after the subscriber's clearance was revoked delivers none of
+// it. Each refusal is counted in RevokedDeliveries (not FilteredByLabel,
+// which counts fan-out decisions), the ring empties, and the credit the
+// refused deliveries never claimed is still there for the next one.
+func TestCreditRevokeStopsParkedDeliveries(t *testing.T) {
+	const topic = "/c/revoke"
+	p := testPolicy()
+	b := New(p)
+	srv, err := NewServer("127.0.0.1:0", b, ServerConfig{
+		Logf: t.Logf,
+		OnDeliveryError: func(_ uint64, _ string, _ *event.Event, err error) {
+			t.Errorf("unexpected delivery drop: %v", err)
+		},
+	})
+	if err != nil {
+		t.Fatalf("NewServer: %v", err)
+	}
+	t.Cleanup(func() {
+		_ = srv.Close()
+		b.Close()
+	})
+
+	conn, rd := rawDurableConn(t, srv.Addr(), "cleared")
+	rawSubscribe(t, conn, rd, topic, "c-0", map[string]string{stomp.HdrCredit: "1"})
+	publish := func(seq int, labels ...label.Label) {
+		t.Helper()
+		if err := b.Publish("producer", event.New(topic, map[string]string{"seq": strconv.Itoa(seq)}, labels...)); err != nil {
+			t.Fatalf("Publish seq %d: %v", seq, err)
+		}
+	}
+	// Window 1: seq 0 goes out, seq 1..5 park.
+	for seq := 0; seq < 6; seq++ {
+		publish(seq, label.Conf("ecric.org.uk/mdt/7"))
+	}
+	if seq, _ := rawReadOffsetMessage(t, conn, rd); seq != 0 {
+		t.Fatalf("first delivery seq %d, want 0", seq)
+	}
+	parked := func() int {
+		ss := srv.SessionStats()
+		if len(ss) != 1 {
+			t.Fatalf("SessionStats = %d sessions, want 1", len(ss))
+		}
+		return ss[0].CreditParked
+	}
+	if got := parked(); got != 5 {
+		t.Fatalf("CreditParked = %d, want 5", got)
+	}
+
+	if !p.Revoke("cleared", label.Clearance, mdt7) {
+		t.Fatal("Revoke did not find the grant")
+	}
+	rawAck(t, conn, "c-0", "100", "")
+	waitFor(t, "parked deliveries refused", func() bool { return srv.Stats().RevokedDeliveries == 5 })
+	if got := parked(); got != 0 {
+		t.Errorf("CreditParked = %d after the drain, want 0", got)
+	}
+	rawExpectSilence(t, conn, rd, 100*time.Millisecond)
+
+	// The subscription lives on with its credit unspent: an event the
+	// subscriber may still read goes straight out.
+	publish(6)
+	if seq, _ := rawReadOffsetMessage(t, conn, rd); seq != 6 {
+		t.Fatalf("after the refused drain: seq %d, want 6", seq)
+	}
+	st := srv.Stats()
+	if st.RevokedDeliveries != 5 || st.DroppedDeliveries != 0 || st.OverflowDrops != 0 {
+		t.Errorf("RevokedDeliveries %d, DroppedDeliveries %d, OverflowDrops %d; want 5, 0, 0",
+			st.RevokedDeliveries, st.DroppedDeliveries, st.OverflowDrops)
+	}
+	if got := b.Stats().FilteredByLabel; got != 0 {
+		t.Errorf("FilteredByLabel = %d, want 0 (fan-out cleared every publish)", got)
+	}
+}
+
+// TestCreditRevokeDuringReplayWait pins the same rule on the durable path:
+// a replay feed checks a record, then waits for credit; a revoke during
+// that wait stops the record. The refusal gives the claimed credit back,
+// so the next record the subscriber may read goes out on the same grant.
+func TestCreditRevokeDuringReplayWait(t *testing.T) {
+	const topic = "/d/revoke"
+	p := testPolicy()
+	b, srv := startDurableBroker(t, p, t.TempDir(), topic)
+
+	for seq, labels := range [][]label.Label{{label.Conf("ecric.org.uk/mdt/7")}, {label.Conf("ecric.org.uk/mdt/7")}, nil} {
+		if err := b.Publish("producer", event.New(topic, map[string]string{"seq": strconv.Itoa(seq)}, labels...)); err != nil {
+			t.Fatalf("Publish seq %d: %v", seq, err)
+		}
+	}
+	conn, rd := rawDurableConn(t, srv.Addr(), "cleared")
+	rawSubscribe(t, conn, rd, topic, "d-0", map[string]string{
+		stomp.HdrCredit: "1",
+		stomp.HdrOffset: "earliest",
+	})
+	if seq, off := rawReadOffsetMessage(t, conn, rd); seq != 0 || off != "0" {
+		t.Fatalf("first delivery seq %d offset %q, want 0 at 0", seq, off)
+	}
+	// The feed has checked record 1 against the standing clearance once it
+	// blocks for credit.
+	waitFor(t, "replay feed waiting for credit", func() bool {
+		buf := make([]byte, 1<<20)
+		return bytes.Contains(buf[:runtime.Stack(buf, true)], []byte("(*creditState).waitClaim"))
+	})
+
+	if !p.Revoke("cleared", label.Clearance, mdt7) {
+		t.Fatal("Revoke did not find the grant")
+	}
+	// A grant of 2 covers exactly one more delivery: record 2 can only go
+	// out if refusing record 1 gave its credit back.
+	rawAck(t, conn, "d-0", "2", "")
+	if seq, off := rawReadOffsetMessage(t, conn, rd); seq != 2 || off != "2" {
+		t.Fatalf("after revoke: seq %d offset %q, want the unlabelled record 2 (record 1 must not be delivered)", seq, off)
+	}
+	// The feed counts a delivery once it is queued, which can be after
+	// the frame reached the peer.
+	waitFor(t, "replay deliveries counted", func() bool { return srv.Stats().ReplayDeliveries >= 2 })
+	st := srv.Stats()
+	if st.RevokedDeliveries != 1 || st.ReplayFiltered != 0 || st.ReplayDeliveries != 2 {
+		t.Errorf("RevokedDeliveries %d, ReplayFiltered %d, ReplayDeliveries %d; want 1, 0, 2",
+			st.RevokedDeliveries, st.ReplayFiltered, st.ReplayDeliveries)
+	}
+}

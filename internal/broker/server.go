@@ -88,26 +88,6 @@ var ErrSlowConsumer = errors.New("broker: delivery dropped: slow consumer write 
 // OverflowDisconnect evicts a session.
 const overflowEvictAfter = 8
 
-// SlowConsumerEvent describes a session the overflow policy has acted on,
-// reported through ServerConfig.OnSlowConsumer: once when a run of
-// consecutive overflows begins (Evicted false) and once if the session is
-// evicted (Evicted true).
-type SlowConsumerEvent struct {
-	// SessionID and Login identify the slow session.
-	SessionID uint64
-	Login     string
-	// Subscription is the client-chosen subscription id of the delivery
-	// that tripped the policy.
-	Subscription string
-	// Policy is the server's configured overflow policy.
-	Policy OverflowPolicy
-	// Evicted reports whether the session is being disconnected.
-	Evicted bool
-	// OverflowDrops is the session's total suppressed-delivery count at
-	// the time of the event.
-	OverflowDrops uint64
-}
-
 // ServerConfig configures the STOMP network front of a broker.
 type ServerConfig struct {
 	// Authenticate validates CONNECT credentials; nil accepts everyone
@@ -135,20 +115,13 @@ type ServerConfig struct {
 	// an event that matched a subscription but could not be marshalled
 	// for the wire, could not be written to a closed or write-failed
 	// session, or was suppressed by the overflow policy (err is then
-	// ErrSlowConsumer; ev is nil when a queued delivery was evicted by
-	// OverflowDropOldest after its publish returned). A mediating broker
-	// must leave an audit trail for any suppressed flow, so nil falls
-	// back to Logf; every drop is also counted in Stats(). The hook runs
-	// on the delivering (publish) goroutine and must not block.
+	// ErrSlowConsumer, for drop-oldest evictions too). ev is the event
+	// not delivered; it is nil only for a journal record a durable replay
+	// could not read or write. A mediating broker must leave an audit
+	// trail for any suppressed flow, so nil falls back to Logf; every drop
+	// is also counted in Stats(). The hook runs on the delivering goroutine
+	// and must not block.
 	OnDeliveryError func(sessionID uint64, subscription string, ev *event.Event, err error)
-	// OnSlowConsumer observes sessions the overflow policy acts on: the
-	// start of each consecutive-overflow run and every eviction. Runs on
-	// the delivering (publish) goroutine and must not block.
-	OnSlowConsumer func(ev SlowConsumerEvent)
-	// OnCreditStall observes credited subscriptions whose delivery window
-	// ran dry: raised once per stall run, when the first delivery parks.
-	// Runs on the delivering (publish) goroutine and must not block.
-	OnCreditStall func(ev CreditStallEvent)
 	// Durable lists topic patterns (same grammar as SUBSCRIBE
 	// destinations: exact, trailing "/*", or "*") whose publishes are
 	// appended to per-topic journals under JournalDir; consumers replay
@@ -175,29 +148,12 @@ type ServerConfig struct {
 	// journal directory: oldest segments are deleted first until the
 	// total fits. Enforced on every segment roll and on CompactJournals.
 	JournalRetentionBytes int64
-	// OnRetention observes every journal compaction pass that deleted
-	// segments — by ack coverage or by the retention windows. Runs with
-	// journal locks held and must not block or call back into the server.
-	OnRetention func(ev RetentionEvent)
 	// OnJournalError observes durable-journal append failures: a publish
 	// on a durable topic that could not be journaled. A durable topic
 	// silently ceasing to be durable would defeat the audit trail, so nil
 	// falls back to Logf; every failure is also counted in Stats. Runs on
 	// the publishing goroutine and must not block.
 	OnJournalError func(topic string, err error)
-}
-
-// RetentionEvent describes one journal compaction pass that deleted
-// segments from a durable topic's journal.
-type RetentionEvent struct {
-	Topic string
-	// AckedSegments counts segments deleted because every consumer
-	// group's cumulative ack covered them; RetentionSegments counts
-	// segments deleted by the time/size retention windows.
-	AckedSegments     int
-	RetentionSegments int
-	// FirstOffset is the journal's new lowest retained offset.
-	FirstOffset int64
 }
 
 // ServerStats counts network-front activity not visible in the core
@@ -238,6 +194,11 @@ type ServerStats struct {
 	// closed).
 	ReplayDeliveries uint64
 	ReplayFiltered   uint64
+	// RevokedDeliveries counts deliveries a policy change stopped after
+	// they were matched but before they were decided: parked deliveries
+	// a credit grant found no longer cleared, and journal records a replay
+	// feed found no longer cleared after waiting for credit.
+	RevokedDeliveries uint64
 	// CompactedSegments counts journal segments deleted because every
 	// consumer group's ack covered them; RetentionDeletes counts segments
 	// the time/size retention windows deleted regardless of acks.
@@ -296,6 +257,7 @@ type Server struct {
 	journalAppendErrors atomic.Uint64
 	replayDeliveries    atomic.Uint64
 	replayFiltered      atomic.Uint64
+	revokedDeliveries   atomic.Uint64
 	compactedSegments   atomic.Uint64
 	retentionDeletes    atomic.Uint64
 	clampedResumes      atomic.Uint64
@@ -374,8 +336,8 @@ func NewServer(addr string, b *Broker, cfg ServerConfig) (*Server, error) {
 			Sync:           cfg.JournalSync,
 			RetentionAge:   cfg.JournalRetentionAge,
 			RetentionBytes: cfg.JournalRetentionBytes,
+			OnCompact:      srv.journalCompacted,
 		})
-		srv.journals.onCompact = srv.journalCompacted
 		// Recover every existing journal now: torn tails are truncated and
 		// ack tables rebuilt before the first publish or subscribe, and a
 		// corrupt log fails construction instead of a consumer.
@@ -463,6 +425,7 @@ func (s *Server) Stats() ServerStats {
 		JournalAppendErrors:   s.journalAppendErrors.Load(),
 		ReplayDeliveries:      s.replayDeliveries.Load(),
 		ReplayFiltered:        s.replayFiltered.Load(),
+		RevokedDeliveries:     s.revokedDeliveries.Load(),
 		CompactedSegments:     s.compactedSegments.Load(),
 		RetentionDeletes:      s.retentionDeletes.Load(),
 		ClampedResumes:        s.clampedResumes.Load(),
@@ -533,11 +496,7 @@ func (s *Server) OnDisconnect(sess *stomp.Session) {
 		return
 	}
 	for id, ws := range ss.subs {
-		s.broker.Unsubscribe(ws.sub)
-		if ws.replay != nil {
-			ws.replay.stop()
-		}
-		s.closeCredit(ss, id, ws)
+		s.closeSub(ss, id, ws)
 	}
 }
 
@@ -568,13 +527,6 @@ func (s *Server) OnFrameView(sess *stomp.Session, v *stomp.FrameView) error {
 		}
 		topic := v.Headers.Header(stomp.HdrDestination)
 		sel := v.Headers.Header(stomp.HdrSelector)
-		// An offset or group header makes this a durable subscription: it
-		// is fed from the topic's journal tail instead of the live fan-out
-		// (one delivery path, so resume cannot duplicate), with clearance
-		// re-enforced per record at read time.
-		if offStr, group := v.Headers.Header(stomp.HdrOffset), v.Headers.Header(stomp.HdrGroup); offStr != "" || group != "" {
-			return s.subscribeDurable(ss, clientID, topic, sel, v.Headers.Header(stomp.HdrCredit), offStr, group)
-		}
 		// An optional credit header arms a delivery window for the
 		// subscription; without it the wire behaviour is unchanged —
 		// infinite credit, no per-subscription state.
@@ -585,6 +537,13 @@ func (s *Server) OnFrameView(sess *stomp.Session, v *stomp.FrameView) error {
 				return err
 			}
 			ws.credit = newCreditState(window)
+		}
+		// An offset or group header makes this a durable subscription: it
+		// is fed from the topic's journal tail instead of the live fan-out
+		// (one delivery path, so resume cannot duplicate), with clearance
+		// re-enforced per record at read time.
+		if offStr, group := v.Headers.Header(stomp.HdrOffset), v.Headers.Header(stomp.HdrGroup); offStr != "" || group != "" {
+			return s.subscribeDurable(ss, ws, clientID, topic, sel, offStr, group)
 		}
 		// A wire subscription: delivery only serialises the event, so the
 		// broker hands over the frozen original — every session
@@ -610,14 +569,9 @@ func (s *Server) OnFrameView(sess *stomp.Session, v *stomp.FrameView) error {
 		ws := ss.subs[clientID]
 		delete(ss.subs, clientID)
 		s.mu.Unlock()
-		if ws == nil {
-			return nil
+		if ws != nil {
+			s.closeSub(ss, clientID, ws)
 		}
-		s.broker.Unsubscribe(ws.sub)
-		if ws.replay != nil {
-			ws.replay.stop()
-		}
-		s.closeCredit(ss, clientID, ws)
 		return nil
 
 	case stomp.CmdAck:
@@ -722,112 +676,69 @@ func (s *Server) deliver(ss *serverSession, ws *wireSub, clientSubID string, ev 
 // whether a session whose delivery queue is full may block the publisher
 // (OverflowBlock), loses the incoming delivery (drop-newest, disconnect:
 // not queued) or loses its oldest queued ones (drop-oldest: each reported
-// through queueEvict on this goroutine). Either way a matched delivery is
-// never lost silently: marshal and write failures are counted in
-// DroppedDeliveries, policy drops in OverflowDrops, and every one is
-// reported through OnDeliveryError.
+// through queueEvict on this goroutine). Whatever is not queued goes to
+// suppress.
 func (s *Server) sendDelivery(ss *serverSession, clientSubID string, ev *event.Event) {
 	img, err := ev.WireImage()
-	if err != nil {
-		s.dropDelivery(ss, clientSubID, ev, err)
-		return
+	if err == nil {
+		route := stomp.Route{Subscription: clientSubID, IDPrefix: ss.idPrefix, Seq: ss.msgSeq.Add(1)}
+		var queued bool
+		if queued, err = ss.sess.Deliver(img, route, s.enqueue, ev); err == nil && !queued {
+			err = ErrSlowConsumer
+		}
 	}
-	route := stomp.Route{Subscription: clientSubID, IDPrefix: ss.idPrefix, Seq: ss.msgSeq.Add(1)}
-	queued, err := ss.sess.Deliver(img, route, s.enqueue, ev)
 	switch {
 	case err != nil:
-		// A delivery lost to a closed or write-failed session must be as
-		// visible as a marshal failure.
-		s.dropDelivery(ss, clientSubID, ev, err)
-	case !queued:
-		s.overflowDrop(ss, clientSubID, ev)
-	case s.enqueue == stomp.EnqueueTry:
+		s.suppress(ss, clientSubID, ev, err)
+	case s.cfg.Overflow == OverflowDisconnect:
 		ss.consecOverflows.Store(0)
 	}
 }
 
-// overflowDrop accounts one delivery suppressed by a non-blocking
-// overflow policy and applies the eviction rule: the first overflow of a
-// run raises OnSlowConsumer, and under OverflowDisconnect a run reaching
-// the eviction threshold disconnects the session.
-func (s *Server) overflowDrop(ss *serverSession, clientSubID string, ev *event.Event) {
-	s.overflowDrops.Add(1)
-	total := ss.overflowDrops.Add(1)
-	s.reportDelivery(ss, clientSubID, ev, ErrSlowConsumer)
-	run := ss.consecOverflows.Add(1)
-	if run == 1 && s.cfg.OnSlowConsumer != nil {
-		s.cfg.OnSlowConsumer(SlowConsumerEvent{
-			SessionID:     ss.sess.ID(),
-			Login:         ss.sess.Login(),
-			Subscription:  clientSubID,
-			Policy:        s.cfg.Overflow,
-			OverflowDrops: total,
-		})
-	}
-	if s.cfg.Overflow == OverflowDisconnect && run >= overflowEvictAfter {
-		s.evict(ss, clientSubID, total)
-	}
-}
-
-// evict disconnects a session that persistently cannot keep up. Kill
+// suppress is the one account of a matched delivery the network front
+// does not put on the wire, so none is lost silently. ErrSlowConsumer — an
+// overflow drop, or a drop-oldest eviction from the write queue or the
+// credit ring — counts in OverflowDrops for the server and the session;
+// anything else (a marshal failure, a closed or failed session) counts in
+// DroppedDeliveries. Each is then reported through OnDeliveryError, or
+// Logf when that is nil. Under OverflowDisconnect a run of
+// overflowEvictAfter consecutive overflows then evicts the session: Kill
 // severs the transport without waiting for the backlog (the peer has
-// stopped reading), so this is safe on the publishing goroutine; the
-// session's read loop observes the closed connection and the ordinary
-// disconnect path tears the subscriptions down.
-func (s *Server) evict(ss *serverSession, clientSubID string, drops uint64) {
-	if ss.evicted.Swap(true) {
-		return
+// stopped reading), so this is safe on the publishing goroutine, and the
+// session's read loop runs the ordinary disconnect teardown.
+func (s *Server) suppress(ss *serverSession, subscription string, ev *event.Event, err error) {
+	var evict bool
+	var drops uint64
+	if errors.Is(err, ErrSlowConsumer) {
+		s.overflowDrops.Add(1)
+		drops = ss.overflowDrops.Add(1)
+		evict = s.cfg.Overflow == OverflowDisconnect && ss.consecOverflows.Add(1) >= overflowEvictAfter
+	} else {
+		s.droppedDeliveries.Add(1)
 	}
-	s.slowEvictions.Add(1)
-	if s.cfg.OnSlowConsumer != nil {
-		s.cfg.OnSlowConsumer(SlowConsumerEvent{
-			SessionID:     ss.sess.ID(),
-			Login:         ss.sess.Login(),
-			Subscription:  clientSubID,
-			Policy:        s.cfg.Overflow,
-			Evicted:       true,
-			OverflowDrops: drops,
-		})
+	if s.cfg.OnDeliveryError != nil {
+		s.cfg.OnDeliveryError(ss.sess.ID(), subscription, ev, err)
+	} else {
+		s.cfg.Logf("broker: dropped delivery to session %d sub %s: %v", ss.sess.ID(), subscription, err) //lint:ignore hotpathlock drop reporting runs only after a delivery already failed
 	}
-	s.cfg.Logf("broker: evicting slow consumer session %d (%s): %d deliveries dropped",
-		ss.sess.ID(), ss.sess.Login(), drops) //lint:ignore hotpathlock eviction is terminal for the session; the formatting cost is irrelevant
-	_ = ss.sess.Kill()
+	if evict && !ss.evicted.Swap(true) {
+		s.slowEvictions.Add(1)
+		s.cfg.Logf("broker: evicting slow consumer session %d (%s): %d deliveries dropped",
+			ss.sess.ID(), ss.sess.Login(), drops) //lint:ignore hotpathlock eviction is terminal for the session; the formatting cost is irrelevant
+		_ = ss.sess.Kill()
+	}
 }
 
 // queueEvict is the stomp-layer callback for deliveries evicted from a
-// session's queue by OverflowDropOldest: account them exactly like a
-// policy drop. The payload is the delivered event when the frame came
-// through deliver; nil is tolerated for defence in depth.
+// session's queue by OverflowDropOldest. The payload is the delivered
+// event. A session that has already departed still counts server-side.
 func (s *Server) queueEvict(sess *stomp.Session, subscription string, payload any) {
 	s.mu.Lock()
 	ss := s.sessions[sess.ID()]
 	s.mu.Unlock()
+	if ss == nil {
+		ss = &serverSession{sess: sess}
+	}
 	ev, _ := payload.(*event.Event)
-	s.overflowDrops.Add(1)
-	if ss != nil {
-		ss.overflowDrops.Add(1)
-		s.reportDelivery(ss, subscription, ev, ErrSlowConsumer)
-		return
-	}
-	s.reportDeliveryError(sess.ID(), subscription, ev, ErrSlowConsumer)
-}
-
-// dropDelivery records a matched delivery the network front had to drop
-// for transport reasons (marshal failure, closed or write-failed
-// session).
-func (s *Server) dropDelivery(ss *serverSession, clientSubID string, ev *event.Event, err error) {
-	s.droppedDeliveries.Add(1)
-	s.reportDelivery(ss, clientSubID, ev, err)
-}
-
-func (s *Server) reportDelivery(ss *serverSession, clientSubID string, ev *event.Event, err error) {
-	s.reportDeliveryError(ss.sess.ID(), clientSubID, ev, err)
-}
-
-func (s *Server) reportDeliveryError(sessionID uint64, clientSubID string, ev *event.Event, err error) {
-	if s.cfg.OnDeliveryError != nil {
-		s.cfg.OnDeliveryError(sessionID, clientSubID, ev, err)
-		return
-	}
-	s.cfg.Logf("broker: dropped delivery to session %d sub %s: %v", sessionID, clientSubID, err) //lint:ignore hotpathlock drop reporting runs only after a delivery already failed
+	s.suppress(ss, subscription, ev, ErrSlowConsumer)
 }

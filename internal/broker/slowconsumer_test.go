@@ -189,8 +189,6 @@ func TestChaosSlowConsumers(t *testing.T) {
 		var slowDrops, otherDrops atomic.Uint64
 		var dropMu sync.Mutex
 		dropSessions := make(map[uint64]bool)
-		var slowMu sync.Mutex
-		var slowEvents []broker.SlowConsumerEvent
 		srv, err := broker.NewServer("127.0.0.1:0", br, broker.ServerConfig{
 			Logf:          t.Logf,
 			Overflow:      overflow,
@@ -204,11 +202,6 @@ func TestChaosSlowConsumers(t *testing.T) {
 				dropMu.Lock()
 				dropSessions[sessionID] = true
 				dropMu.Unlock()
-			},
-			OnSlowConsumer: func(ev broker.SlowConsumerEvent) {
-				slowMu.Lock()
-				slowEvents = append(slowEvents, ev)
-				slowMu.Unlock()
 			},
 		})
 		if err != nil {
@@ -381,21 +374,21 @@ func TestChaosSlowConsumers(t *testing.T) {
 			}
 		}
 		dropMu.Unlock()
-		slowMu.Lock()
-		foundEvict := false
-		for _, ev := range slowEvents {
-			if ev.SessionID != stalledID || ev.Login != "stalled" || ev.Policy != overflow {
-				t.Errorf("SlowConsumerEvent %+v, want session %d login stalled policy %v", ev, stalledID, overflow)
-			}
-			if ev.Evicted {
-				foundEvict = true
+		// Per session, every overflow drop is the stalled session's.
+		for _, ss := range srv.SessionStats() {
+			switch {
+			case ss.ID == stalledID && ss.OverflowDrops != stats.OverflowDrops:
+				t.Errorf("stalled session OverflowDrops = %d, want the server's %d", ss.OverflowDrops, stats.OverflowDrops)
+			case ss.ID != stalledID && ss.OverflowDrops != 0:
+				t.Errorf("session %d (%s) OverflowDrops = %d; only the stalled session may overflow", ss.ID, ss.Login, ss.OverflowDrops)
 			}
 		}
-		slowMu.Unlock()
-		if stats.SlowConsumerEvictions > 0 {
-			if !foundEvict {
-				t.Error("session evicted but no Evicted SlowConsumerEvent hooked")
-			}
+		switch {
+		case overflow != broker.OverflowDisconnect && stats.SlowConsumerEvictions != 0:
+			t.Errorf("SlowConsumerEvictions = %d under %v, which never evicts", stats.SlowConsumerEvictions, overflow)
+		case stats.SlowConsumerEvictions > 1:
+			t.Errorf("SlowConsumerEvictions = %d; one stalled session is evicted once", stats.SlowConsumerEvictions)
+		case stats.SlowConsumerEvictions == 1:
 			// The eviction must really tear the session down: the read
 			// loop observes the killed connection and the disconnect path
 			// removes the session (and its subscriptions) from the server.
@@ -416,8 +409,6 @@ func TestChaosSlowConsumers(t *testing.T) {
 				}
 				time.Sleep(time.Millisecond)
 			}
-		} else if foundEvict {
-			t.Error("Evicted SlowConsumerEvent hooked but SlowConsumerEvictions is 0")
 		}
 	}
 
