@@ -209,7 +209,10 @@ func BenchmarkClearanceCheck(b *testing.B) {
 
 // BenchmarkSelectorMatch isolates content-based subscription matching.
 func BenchmarkSelectorMatch(b *testing.B) {
-	sel := selector.MustParse("type = 'cancer' AND stage BETWEEN 1 AND 3 AND hospital LIKE 'hospital-%'")
+	sel, err := selector.Parse("type = 'cancer' AND stage BETWEEN 1 AND 3 AND hospital LIKE 'hospital-%'")
+	if err != nil {
+		b.Fatal(err)
+	}
 	attrs := map[string]string{"type": "cancer", "stage": "2", "hospital": "hospital-1"}
 	b.ReportAllocs()
 	for i := 0; i < b.N; i++ {

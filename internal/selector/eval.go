@@ -1,62 +1,19 @@
 package selector
 
 import (
+	"cmp"
+	"fmt"
+	"regexp"
 	"strconv"
+	"strings"
+	"unicode/utf8"
 )
 
-// tri is SQL three-valued logic: true, false or unknown. Unknown arises
-// from NULL (missing attributes) and propagates through comparisons and
-// arithmetic; AND/OR/NOT follow the Kleene truth tables.
-type tri int
-
-const (
-	triFalse tri = iota
-	triTrue
-	triUnknown
-)
-
-func (t tri) isTrue() bool { return t == triTrue }
-
-func triOf(b bool) tri {
-	if b {
-		return triTrue
-	}
-	return triFalse
-}
-
-func (t tri) not() tri {
-	switch t {
-	case triTrue:
-		return triFalse
-	case triFalse:
-		return triTrue
-	default:
-		return triUnknown
-	}
-}
-
-func (t tri) and(o tri) tri {
-	if t == triFalse || o == triFalse {
-		return triFalse
-	}
-	if t == triUnknown || o == triUnknown {
-		return triUnknown
-	}
-	return triTrue
-}
-
-func (t tri) or(o tri) tri {
-	if t == triTrue || o == triTrue {
-		return triTrue
-	}
-	if t == triUnknown || o == triUnknown {
-		return triUnknown
-	}
-	return triFalse
-}
+// eval computes a compiled production's value for an event's attributes.
+type eval func(attrs map[string]string) value
 
 // valueKind enumerates runtime value types during evaluation.
-type valueKind int
+type valueKind uint8
 
 const (
 	kindNull valueKind = iota
@@ -66,17 +23,16 @@ const (
 )
 
 // value is a runtime value: NULL, string, number or boolean. Event
-// attributes enter evaluation as strings and are coerced to numbers when
-// the other comparison operand is numeric, matching the paper's untyped
-// string attribute model.
+// attributes enter evaluation as strings and are read as numbers when the
+// other comparison operand is numeric, matching the paper's untyped
+// string attribute model. A condition is a boolean, or NULL for unknown;
+// the zero value is NULL.
 type value struct {
 	kind valueKind
 	s    string
 	f    float64
 	b    bool
 }
-
-var nullValue = value{kind: kindNull}
 
 func strValue(s string) value  { return value{kind: kindString, s: s} }
 func numValue(f float64) value { return value{kind: kindNumber, f: f} }
@@ -90,9 +46,8 @@ func (v value) asNumber() (float64, bool) {
 	case kindString:
 		f, err := strconv.ParseFloat(v.s, 64)
 		return f, err == nil
-	default:
-		return 0, false
 	}
+	return 0, false
 }
 
 // asBool attempts boolean interpretation.
@@ -111,225 +66,208 @@ func (v value) asBool() (bool, bool) {
 	return false, false
 }
 
-// ---- node evaluation ----
-
-func (e identExpr) eval(env Env) value {
-	s, ok := env.Lookup(e.name)
-	if !ok {
-		return nullValue
+// truth reads a value as a condition: NULL is unknown, a boolean or a
+// string spelling one is itself, and anything else is false.
+func truth(v value) value {
+	if v.kind == kindNull || v.kind == kindBool {
+		return v
 	}
-	return strValue(s)
+	b, _ := v.asBool()
+	return boolValue(b)
 }
 
-func (e stringLit) eval(Env) value { return strValue(e.val) }
-func (e numberLit) eval(Env) value { return numValue(e.val) }
-func (e boolLit) eval(Env) value   { return boolValue(e.val) }
+func isFalse(v value) bool { return v.kind == kindBool && !v.b }
 
-func (e notExpr) eval(env Env) value {
-	return triToValue(valueToTri(e.inner.eval(env)).not())
+// not, and and or follow the Kleene truth tables. and and or skip their
+// right operand when the left one decides the result; evaluation has no
+// side effects, so only the cost differs.
+func not(e eval) eval {
+	return func(attrs map[string]string) value {
+		v := truth(e(attrs))
+		v.b = v.kind == kindBool && !v.b
+		return v
+	}
 }
 
-func (e negExpr) eval(env Env) value {
-	f, ok := e.inner.eval(env).asNumber()
-	if !ok {
-		return nullValue
-	}
-	return numValue(-f)
-}
-
-func (e binaryExpr) eval(env Env) value {
-	switch e.op {
-	case opAnd:
-		return triToValue(valueToTri(e.l.eval(env)).and(valueToTri(e.r.eval(env))))
-	case opOr:
-		return triToValue(valueToTri(e.l.eval(env)).or(valueToTri(e.r.eval(env))))
-	}
-
-	lv := e.l.eval(env)
-	rv := e.r.eval(env)
-	switch e.op {
-	case opAdd, opSub, opMul, opDiv:
-		lf, lok := lv.asNumber()
-		rf, rok := rv.asNumber()
-		if !lok || !rok {
-			return nullValue
+func and(l, r eval) eval {
+	return func(attrs map[string]string) value {
+		x := truth(l(attrs))
+		if isFalse(x) {
+			return x
 		}
-		switch e.op {
-		case opAdd:
-			return numValue(lf + rf)
-		case opSub:
-			return numValue(lf - rf)
-		case opMul:
-			return numValue(lf * rf)
-		default:
-			if rf == 0 {
-				return nullValue // SQL: division by zero yields NULL here
+		return both(x, truth(r(attrs)))
+	}
+}
+
+// both is the Kleene AND of two conditions.
+func both(x, y value) value {
+	if isFalse(x) || x.kind == kindNull && y.b {
+		return x
+	}
+	return y
+}
+
+func or(l, r eval) eval {
+	return func(attrs map[string]string) value {
+		x := truth(l(attrs))
+		if x.b {
+			return x
+		}
+		y := truth(r(attrs))
+		if x.kind == kindNull && isFalse(y) {
+			return x // unknown OR false
+		}
+		return y
+	}
+}
+
+// arith lifts a numeric operator to operands that coerce to numbers;
+// anything else makes the result NULL.
+func arith(op func(x, y float64) value) func(l, r eval) eval {
+	return func(l, r eval) eval {
+		return func(attrs map[string]string) value {
+			x, xok := l(attrs).asNumber()
+			y, yok := r(attrs).asNumber()
+			if !xok || !yok {
+				return value{}
 			}
-			return numValue(lf / rf)
+			return op(x, y)
 		}
-	case opEq, opNeq, opLt, opLe, opGt, opGe:
-		return triToValue(compare(e.op, lv, rv))
 	}
-	return nullValue
+}
+
+// cmpOp is a comparison operator.
+type cmpOp uint8
+
+const (
+	eq cmpOp = iota
+	ne
+	lt
+	le
+	gt
+	ge
+)
+
+func compared(op cmpOp, l, r eval) eval {
+	return func(attrs map[string]string) value { return compare(op, l(attrs), r(attrs)) }
+}
+
+// between is BETWEEN. It evaluates its subject once: nested as another
+// BETWEEN's subject, a subject evaluated twice would double the cost
+// with each level.
+func between(e, lo, hi eval) eval {
+	return func(attrs map[string]string) value {
+		v := e(attrs)
+		return both(compare(ge, v, lo(attrs)), compare(le, v, hi(attrs)))
+	}
 }
 
 // compare implements the comparison operators with NULL propagation and
-// numeric coercion: if either operand is a number (or both coerce), compare
-// numerically; booleans compare with = and <> only; otherwise compare as
-// strings.
-func compare(op binaryOp, l, r value) tri {
-	if l.kind == kindNull || r.kind == kindNull {
-		return triUnknown
-	}
-
-	// Boolean comparison (= and <> only).
-	if l.kind == kindBool || r.kind == kindBool {
+// numeric coercion: booleans compare with = and <> only; if either
+// operand is a number, both compare as numbers; otherwise as strings.
+func compare(op cmpOp, l, r value) value {
+	switch {
+	case l.kind == kindNull || r.kind == kindNull:
+		return value{}
+	case l.kind == kindBool || r.kind == kindBool:
 		lb, lok := l.asBool()
 		rb, rok := r.asBool()
-		if !lok || !rok {
-			return triFalse
-		}
-		switch op {
-		case opEq:
-			return triOf(lb == rb)
-		case opNeq:
-			return triOf(lb != rb)
-		default:
-			return triFalse
-		}
-	}
-
-	// Numeric comparison when either side is a number literal and the
-	// other coerces.
-	if l.kind == kindNumber || r.kind == kindNumber {
+		return boolValue(lok && rok && (op == eq && lb == rb || op == ne && lb != rb))
+	case l.kind == kindNumber || r.kind == kindNumber:
 		lf, lok := l.asNumber()
 		rf, rok := r.asNumber()
 		if lok && rok {
-			switch op {
-			case opEq:
-				return triOf(lf == rf)
-			case opNeq:
-				return triOf(lf != rf)
-			case opLt:
-				return triOf(lf < rf)
-			case opLe:
-				return triOf(lf <= rf)
-			case opGt:
-				return triOf(lf > rf)
-			case opGe:
-				return triOf(lf >= rf)
+			return boolValue(order(op, lf, rf))
+		}
+		// A number against a non-numeric string: equal is false,
+		// ordering is unknown.
+		if op == eq || op == ne {
+			return boolValue(op == ne)
+		}
+		return value{}
+	}
+	return boolValue(order(op, l.s, r.s))
+}
+
+// order applies op to two numbers or two strings.
+func order[T cmp.Ordered](op cmpOp, a, b T) bool {
+	switch op {
+	case eq:
+		return a == b
+	case ne:
+		return a != b
+	case lt:
+		return a < b
+	case le:
+		return a <= b
+	case gt:
+		return a > b
+	}
+	return a >= b
+}
+
+// inList is IN: NULL for a NULL subject, else whether it equals an item.
+func inList(e eval, items []string) eval {
+	return func(attrs map[string]string) value {
+		v := e(attrs)
+		if v.kind == kindNull {
+			return v
+		}
+		for _, item := range items {
+			if compare(eq, v, strValue(item)).b {
+				return boolValue(true)
 			}
 		}
-		// A number compared against a non-numeric string: equal is
-		// false, ordering is unknown.
-		if op == opEq {
-			return triFalse
-		}
-		if op == opNeq {
-			return triTrue
-		}
-		return triUnknown
+		return boolValue(false)
 	}
-
-	// String comparison.
-	switch op {
-	case opEq:
-		return triOf(l.s == r.s)
-	case opNeq:
-		return triOf(l.s != r.s)
-	case opLt:
-		return triOf(l.s < r.s)
-	case opLe:
-		return triOf(l.s <= r.s)
-	case opGt:
-		return triOf(l.s > r.s)
-	case opGe:
-		return triOf(l.s >= r.s)
-	}
-	return triUnknown
 }
 
-func (e betweenExpr) eval(env Env) value {
-	ge := compare(opGe, e.subject.eval(env), e.lo.eval(env))
-	le := compare(opLe, e.subject.eval(env), e.hi.eval(env))
-	result := ge.and(le)
-	if e.negated {
-		result = result.not()
-	}
-	return triToValue(result)
-}
-
-func (e inExpr) eval(env Env) value {
-	v := e.subject.eval(env)
-	if v.kind == kindNull {
-		return nullValue
-	}
-	found := false
-	for _, item := range e.items {
-		if compare(opEq, v, strValue(item)) == triTrue {
-			found = true
-			break
+// like is [NOT] LIKE: NULL for a NULL subject, false for a boolean one
+// whether negated or not, else whether the subject's text matches re.
+func like(e eval, re *regexp.Regexp, negated bool) eval {
+	return func(attrs map[string]string) value {
+		switch v := e(attrs); v.kind {
+		case kindString:
+			return boolValue(re.MatchString(v.s) != negated)
+		case kindNumber:
+			return boolValue(re.MatchString(strconv.FormatFloat(v.f, 'g', -1, 64)) != negated)
+		case kindBool:
+			return boolValue(false)
+		default:
+			return v
 		}
 	}
-	if e.negated {
-		found = !found
-	}
-	return triToValue(triOf(found))
 }
 
-func (e likeExpr) eval(env Env) value {
-	v := e.subject.eval(env)
-	if v.kind == kindNull {
-		return nullValue
+// compileLike translates a SQL LIKE pattern ('%' any run, '_' any one
+// character, with optional escape character) into an anchored regexp.
+// It walks the pattern by rune, so a character is a code point.
+func compileLike(pattern, escape string) (*regexp.Regexp, error) {
+	esc, n := utf8.DecodeRuneInString(escape)
+	if n != len(escape) {
+		return nil, fmt.Errorf("selector: ESCAPE must be a single character, got %q", escape)
 	}
-	var subject string
-	switch v.kind {
-	case kindString:
-		subject = v.s
-	case kindNumber:
-		subject = strconv.FormatFloat(v.f, 'g', -1, 64)
-	default:
-		return triToValue(triFalse)
-	}
-	matched := e.re.MatchString(subject)
-	if e.negated {
-		matched = !matched
-	}
-	return triToValue(triOf(matched))
-}
-
-func (e isNullExpr) eval(env Env) value {
-	isNull := e.subject.eval(env).kind == kindNull
-	if e.negated {
-		isNull = !isNull
-	}
-	return triToValue(triOf(isNull))
-}
-
-// valueToTri interprets an evaluation result as a condition.
-func valueToTri(v value) tri {
-	switch v.kind {
-	case kindNull:
-		return triUnknown
-	case kindBool:
-		return triOf(v.b)
-	case kindString:
-		if b, ok := v.asBool(); ok {
-			return triOf(b)
+	var b strings.Builder
+	b.WriteString(`(?s)\A`)
+	quoted := false
+	for _, c := range pattern {
+		switch {
+		case quoted:
+			quoted = false
+			b.WriteString(regexp.QuoteMeta(string(c)))
+		case n > 0 && c == esc:
+			quoted = true
+		case c == '%':
+			b.WriteString(".*")
+		case c == '_':
+			b.WriteString(".")
+		default:
+			b.WriteString(regexp.QuoteMeta(string(c)))
 		}
-		return triFalse
-	default:
-		return triFalse
 	}
-}
-
-// triToValue reifies a condition back into a value for nested boolean
-// expressions.
-func triToValue(t tri) value {
-	switch t {
-	case triUnknown:
-		return nullValue
-	default:
-		return boolValue(t == triTrue)
+	if quoted {
+		return nil, fmt.Errorf("selector: dangling escape in LIKE pattern %q", pattern)
 	}
+	b.WriteString(`\z`)
+	return regexp.Compile(b.String())
 }

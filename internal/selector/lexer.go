@@ -3,16 +3,39 @@
 // "An optional SQL-92 selector header specifies content-based
 // subscriptions."
 //
-// The grammar is the JMS message-selector subset of SQL-92: comparison
-// operators, arithmetic, AND/OR/NOT, BETWEEN, IN, LIKE (with ESCAPE),
-// IS [NOT] NULL, string and numeric literals, and identifiers that name
-// event attributes. Because SafeWeb event attributes are untyped strings
-// (§4.1), the evaluator coerces attribute values numerically when they are
-// compared against numbers.
+// The grammar is the JMS message-selector subset of SQL-92, loosest
+// binding first:
 //
-// Evaluation follows SQL three-valued logic: comparisons involving a
-// missing attribute yield "unknown", and a selector accepts an event only
-// if the whole expression evaluates to true.
+//	selector   = or
+//	or         = and { OR and }
+//	and        = not { AND not }
+//	not        = NOT not | comparison
+//	comparison = sum [ ( "=" | "<>" | "<" | "<=" | ">" | ">=" ) sum
+//	                 | [ NOT ] BETWEEN sum AND sum
+//	                 | [ NOT ] IN "(" string { "," string } ")"
+//	                 | [ NOT ] LIKE string [ ESCAPE string ]
+//	                 | IS [ NOT ] NULL ]
+//	sum        = product { ( "+" | "-" ) product }
+//	product    = unary { ( "*" | "/" ) unary }
+//	unary      = ( "+" | "-" ) unary | primary
+//	primary    = "(" or ")" | string | number | TRUE | FALSE | identifier
+//
+// Keywords are case-insensitive. A string is single-quoted, a doubled
+// quote standing for one; a number is digits with an optional fraction and
+// exponent; an identifier names an event attribute and may contain
+// letters, digits, '_', '$', '.' and '-'. LIKE's '%' matches any run of
+// characters and '_' any one character, where a character is a Unicode
+// code point, not a byte; ESCAPE names one character that quotes the
+// next. A selector may hold at most 256 tokens, and matching evaluates
+// each of its productions at most once: the broker evaluates every
+// subscriber's selector on the publishing goroutine.
+//
+// Because SafeWeb event attributes are untyped strings (§4.1), an
+// attribute compared against a number is read as a number. Evaluation
+// follows SQL three-valued logic: a missing attribute is NULL, a
+// comparison involving NULL is unknown, arithmetic on NULL or division
+// by zero is NULL, and a selector accepts an event only if the whole
+// expression is true.
 package selector
 
 import (
@@ -20,60 +43,37 @@ import (
 	"strings"
 )
 
-// tokenKind enumerates lexical token types.
-type tokenKind int
+// maxTokens bounds the tokens in one selector.
+const maxTokens = 256
+
+// space holds the bytes that separate tokens.
+const space = " \t\n\r"
+
+// tokenKind tells literals, identifiers and symbols apart.
+type tokenKind uint8
 
 const (
-	tokEOF tokenKind = iota + 1
+	tokEOF tokenKind = iota
 	tokIdent
 	tokString
 	tokNumber
-	tokEq     // =
-	tokNeq    // <>
-	tokLt     // <
-	tokLe     // <=
-	tokGt     // >
-	tokGe     // >=
-	tokPlus   // +
-	tokMinus  // -
-	tokStar   // *
-	tokSlash  // /
-	tokLParen // (
-	tokRParen // )
-	tokComma  // ,
-
-	// Keywords (case-insensitive).
-	tokAnd
-	tokOr
-	tokNot
-	tokBetween
-	tokIn
-	tokLike
-	tokIs
-	tokNull
-	tokEscape
-	tokTrue
-	tokFalse
+	tokSymbol // an operator, punctuation or keyword, spelled in text
 )
 
-var _keywords = map[string]tokenKind{
-	"AND":     tokAnd,
-	"OR":      tokOr,
-	"NOT":     tokNot,
-	"BETWEEN": tokBetween,
-	"IN":      tokIn,
-	"LIKE":    tokLike,
-	"IS":      tokIs,
-	"NULL":    tokNull,
-	"ESCAPE":  tokEscape,
-	"TRUE":    tokTrue,
-	"FALSE":   tokFalse,
+// keywords are reserved words; a symbol token spells one in upper case.
+var keywords = map[string]bool{
+	"AND": true, "OR": true, "NOT": true, "BETWEEN": true, "IN": true, "LIKE": true,
+	"IS": true, "NULL": true, "ESCAPE": true, "TRUE": true, "FALSE": true,
 }
 
-// token is a lexical token with its source position for error reporting.
+// operators are the punctuation symbols, each two-character one ahead of
+// its one-character prefix.
+var operators = []string{"<>", "<=", ">=", "=", "<", ">", "+", "-", "*", "/", "(", ")", ","}
+
+// token is a lexical token with its source offset for error reporting.
 type token struct {
 	kind tokenKind
-	text string // literal text: identifier name, string contents, number
+	text string // identifier name, string contents, number or symbol
 	pos  int
 }
 
@@ -93,16 +93,6 @@ func (e *SyntaxError) Error() string {
 	return fmt.Sprintf("selector: %s at offset %d in %q", e.Msg, e.Pos, e.Input)
 }
 
-// lexer scans a selector expression into tokens.
-type lexer struct {
-	input string
-	pos   int
-}
-
-func (l *lexer) errorf(pos int, format string, args ...any) error {
-	return &SyntaxError{Input: l.input, Pos: pos, Msg: fmt.Sprintf(format, args...)}
-}
-
 func isDigit(c byte) bool { return c >= '0' && c <= '9' }
 
 func isIdentStart(c byte) bool {
@@ -113,137 +103,100 @@ func isIdentPart(c byte) bool {
 	return isIdentStart(c) || isDigit(c) || c == '.' || c == '-'
 }
 
-// next scans and returns the next token.
-func (l *lexer) next() (token, error) {
-	for l.pos < len(l.input) && (l.input[l.pos] == ' ' || l.input[l.pos] == '\t' || l.input[l.pos] == '\n' || l.input[l.pos] == '\r') {
-		l.pos++
+// next scans the token after the current one into p.tok. After an error
+// it leaves p.tok at EOF.
+func (p *parser) next() {
+	if p.err != nil {
+		return
 	}
-	start := l.pos
-	if l.pos >= len(l.input) {
-		return token{kind: tokEOF, pos: start}, nil
+	in := p.input
+	for p.pos < len(in) && strings.IndexByte(space, in[p.pos]) >= 0 {
+		p.pos++
 	}
-	c := l.input[l.pos]
-	switch {
-	case c == '(':
-		l.pos++
-		return token{kind: tokLParen, pos: start}, nil
-	case c == ')':
-		l.pos++
-		return token{kind: tokRParen, pos: start}, nil
-	case c == ',':
-		l.pos++
-		return token{kind: tokComma, pos: start}, nil
-	case c == '+':
-		l.pos++
-		return token{kind: tokPlus, pos: start}, nil
-	case c == '-':
-		l.pos++
-		return token{kind: tokMinus, pos: start}, nil
-	case c == '*':
-		l.pos++
-		return token{kind: tokStar, pos: start}, nil
-	case c == '/':
-		l.pos++
-		return token{kind: tokSlash, pos: start}, nil
-	case c == '=':
-		l.pos++
-		return token{kind: tokEq, pos: start}, nil
-	case c == '<':
-		l.pos++
-		if l.pos < len(l.input) {
-			switch l.input[l.pos] {
-			case '>':
-				l.pos++
-				return token{kind: tokNeq, pos: start}, nil
-			case '=':
-				l.pos++
-				return token{kind: tokLe, pos: start}, nil
+	start := p.pos
+	p.tok = token{kind: tokEOF, pos: start}
+	if start == len(in) {
+		return
+	}
+	if p.tokens++; p.tokens > maxTokens {
+		p.failf("more than %d tokens", maxTokens)
+		return
+	}
+	switch c := in[start]; {
+	case c == '\'':
+		p.scanString()
+	case isDigit(c):
+		p.scanNumber()
+	case isIdentStart(c):
+		for p.pos < len(in) && isIdentPart(in[p.pos]) {
+			p.pos++
+		}
+		word := in[start:p.pos]
+		if upper := strings.ToUpper(word); keywords[upper] {
+			p.tok = token{kind: tokSymbol, text: upper, pos: start}
+		} else {
+			p.tok = token{kind: tokIdent, text: word, pos: start}
+		}
+	default:
+		for _, op := range operators {
+			if strings.HasPrefix(in[start:], op) {
+				p.pos += len(op)
+				p.tok = token{kind: tokSymbol, text: op, pos: start}
+				return
 			}
 		}
-		return token{kind: tokLt, pos: start}, nil
-	case c == '>':
-		l.pos++
-		if l.pos < len(l.input) && l.input[l.pos] == '=' {
-			l.pos++
-			return token{kind: tokGe, pos: start}, nil
-		}
-		return token{kind: tokGt, pos: start}, nil
-	case c == '\'':
-		return l.scanString()
-	case isDigit(c):
-		return l.scanNumber()
-	case isIdentStart(c):
-		return l.scanIdent()
-	default:
-		return token{}, l.errorf(start, "unexpected character %q", c)
+		p.failf("unexpected character %q", c)
 	}
 }
 
-// scanString scans a single-quoted SQL string literal; ” is an escaped
-// quote.
-func (l *lexer) scanString() (token, error) {
-	start := l.pos
-	l.pos++ // opening quote
-	var b strings.Builder
-	for l.pos < len(l.input) {
-		c := l.input[l.pos]
-		if c == '\'' {
-			if l.pos+1 < len(l.input) && l.input[l.pos+1] == '\'' {
-				b.WriteByte('\'')
-				l.pos += 2
-				continue
-			}
-			l.pos++
-			return token{kind: tokString, text: b.String(), pos: start}, nil
+// scanString scans a single-quoted SQL string literal, in which a
+// doubled quote stands for one.
+func (p *parser) scanString() {
+	start := p.pos
+	for i := start + 1; i < len(p.input); i++ {
+		if p.input[i] != '\'' {
+			continue
 		}
-		b.WriteByte(c)
-		l.pos++
+		if i+1 < len(p.input) && p.input[i+1] == '\'' {
+			i++
+			continue
+		}
+		p.pos = i + 1
+		p.tok = token{kind: tokString, text: strings.ReplaceAll(p.input[start+1:i], "''", "'"), pos: start}
+		return
 	}
-	return token{}, l.errorf(start, "unterminated string literal")
+	p.failf("unterminated string literal")
 }
 
 // scanNumber scans an integer or decimal literal with optional exponent.
-func (l *lexer) scanNumber() (token, error) {
-	start := l.pos
-	for l.pos < len(l.input) && isDigit(l.input[l.pos]) {
-		l.pos++
-	}
-	if l.pos < len(l.input) && l.input[l.pos] == '.' {
-		l.pos++
-		if l.pos >= len(l.input) || !isDigit(l.input[l.pos]) {
-			return token{}, l.errorf(start, "malformed number")
-		}
-		for l.pos < len(l.input) && isDigit(l.input[l.pos]) {
-			l.pos++
+func (p *parser) scanNumber() {
+	in, start := p.input, p.pos
+	digits := func() {
+		for p.pos < len(in) && isDigit(in[p.pos]) {
+			p.pos++
 		}
 	}
-	if l.pos < len(l.input) && (l.input[l.pos] == 'e' || l.input[l.pos] == 'E') {
-		save := l.pos
-		l.pos++
-		if l.pos < len(l.input) && (l.input[l.pos] == '+' || l.input[l.pos] == '-') {
-			l.pos++
+	digits()
+	if p.pos < len(in) && in[p.pos] == '.' {
+		p.pos++
+		if p.pos >= len(in) || !isDigit(in[p.pos]) {
+			p.failf("malformed number")
+			return
 		}
-		if l.pos >= len(l.input) || !isDigit(l.input[l.pos]) {
-			// "12e" is the number 12 followed by identifier "e"; back off.
-			l.pos = save
+		digits()
+	}
+	if p.pos < len(in) && (in[p.pos] == 'e' || in[p.pos] == 'E') {
+		save := p.pos
+		p.pos++
+		if p.pos < len(in) && (in[p.pos] == '+' || in[p.pos] == '-') {
+			p.pos++
+		}
+		if p.pos < len(in) && isDigit(in[p.pos]) {
+			digits()
 		} else {
-			for l.pos < len(l.input) && isDigit(l.input[l.pos]) {
-				l.pos++
-			}
+			// "12e" is the number 12 followed by identifier "e"; back off.
+			p.pos = save
 		}
 	}
-	return token{kind: tokNumber, text: l.input[start:l.pos], pos: start}, nil
-}
-
-// scanIdent scans an identifier or keyword.
-func (l *lexer) scanIdent() (token, error) {
-	start := l.pos
-	for l.pos < len(l.input) && isIdentPart(l.input[l.pos]) {
-		l.pos++
-	}
-	word := l.input[start:l.pos]
-	if kind, ok := _keywords[strings.ToUpper(word)]; ok {
-		return token{kind: kind, text: word, pos: start}, nil
-	}
-	return token{kind: tokIdent, text: word, pos: start}, nil
+	p.tok = token{kind: tokNumber, text: in[start:p.pos], pos: start}
 }

