@@ -586,6 +586,12 @@ type Bus interface {
 	Subscribe(topic, sel string, handler Handler) (string, error)
 	// Unsubscribe cancels a subscription by id.
 	Unsubscribe(id string) error
+	// Flush returns once the broker has handled every event published on
+	// the bus and every delivery the broker queued for the bus before the
+	// call has reached its handler. It must not be called from a delivery
+	// handler, and a durable (journal-tail) subscription's feed is outside
+	// it.
+	Flush() error
 	// Close releases the bus.
 	Close() error
 }
@@ -636,6 +642,10 @@ func (e *Endpoint) Unsubscribe(id string) error {
 	e.broker.Unsubscribe(sub)
 	return nil
 }
+
+// Flush implements Bus. In process, publish and delivery are synchronous,
+// so there is nothing to settle.
+func (e *Endpoint) Flush() error { return nil }
 
 // Close implements Bus: it cancels this endpoint's subscriptions but
 // leaves the broker running.

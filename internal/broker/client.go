@@ -23,9 +23,9 @@ type ClientConfig struct {
 	Passcode string
 	// TLS enables transport security.
 	TLS *tls.Config
-	// SendTimeout bounds each windowed publish's receipt wait (zero means
-	// 10 seconds). Without PublishWindow publishes are fire-and-forget and
-	// it bounds nothing.
+	// SendTimeout bounds each receipt wait: a windowed publish's and
+	// Flush's (zero means 10 seconds). Without PublishWindow publishes are
+	// fire-and-forget and it bounds no publish.
 	SendTimeout time.Duration
 	// OnError receives asynchronous errors (decode failures, server
 	// errors); nil drops them. With PublishWindow > 0 it runs on the read
@@ -377,17 +377,22 @@ func (c *Client) Publish(ev *event.Event) error {
 	return c.conn.SendImage(img)
 }
 
-// Flush blocks until every windowed publish accepted so far is confirmed
-// by the broker, returning the first error the window hit (receipt
-// refused, timed out, or connection lost). Without PublishWindow it is a
-// no-op: fire-and-forget publishes have nothing outstanding to settle.
-// The error is sticky — once the window fails, Flush and Publish keep
-// reporting it; reconnect to recover.
+// Flush implements Bus. It blocks until every windowed publish accepted
+// so far is confirmed by the broker, returning the first error the window
+// hit (receipt refused, timed out, or connection lost; sticky — Flush and
+// Publish keep reporting it, reconnect to recover). Then it takes one
+// receipt on the subscription connection (stomp.Client.Sync), after which
+// the broker has handled every fire-and-forget publish sent before it and
+// every delivery the broker queued for this client until then has reached
+// its handler. It must not be called from a delivery handler, whose read
+// loop the receipt needs.
 func (c *Client) Flush() error {
-	if c.win == nil {
-		return nil
+	if c.win != nil {
+		if err := c.win.flush(); err != nil {
+			return err
+		}
 	}
-	return c.win.flush()
+	return c.conn.Sync(c.cfg.SendTimeout)
 }
 
 // Subscribe implements Bus. Deliveries are decoded map-free: the STOMP
@@ -480,12 +485,12 @@ func (c *Client) Unsubscribe(id string) error {
 // Close implements Bus with a graceful disconnect of both connections.
 // It is a publish barrier: outstanding windowed publishes are flushed
 // first, so a producer that closes cleanly knows every accepted publish
-// reached the broker — a Flush error (some publish was never confirmed)
+// reached the broker — a window error (some publish was never confirmed)
 // is reported in preference to disconnect errors.
 func (c *Client) Close() error {
-	flushErr := c.Flush()
-	var pubErr error
+	var flushErr, pubErr error
 	if c.win != nil {
+		flushErr = c.win.flush()
 		pubErr = c.win.conn.Disconnect(5 * time.Second)
 	}
 	return cmp.Or(flushErr, c.conn.Disconnect(5*time.Second), pubErr)

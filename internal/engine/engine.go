@@ -22,9 +22,10 @@ import (
 	"errors"
 	"fmt"
 	"log"
+	"maps"
+	"slices"
 	"sync"
 	"sync/atomic"
-	"time"
 
 	"safeweb/internal/broker"
 	"safeweb/internal/event"
@@ -103,9 +104,6 @@ type Engine struct {
 	units  map[string]*unitRuntime
 	closed bool
 
-	pending  pendingTracker // in-flight events across all queues
-	procGate watermarkGate  // wakes Drain when processed moves
-
 	processed      atomic.Uint64
 	callbackErrors atomic.Uint64
 	flowViolations atomic.Uint64
@@ -162,7 +160,9 @@ func (q *subQueue) close() {
 
 // queuedEvent is one delivery handed from a bus read goroutine to a
 // subscription worker. It travels by value through the queue channel, so
-// the per-event heap allocation of a pointer-typed queue is gone.
+// the per-event heap allocation of a pointer-typed queue is gone. A nil ev
+// is a Drain marker: the worker calls cb with nil arguments and runs no
+// callback.
 type queuedEvent struct {
 	ev *event.Event
 	cb Callback
@@ -275,122 +275,54 @@ func (e *Engine) AddUnit(u Unit) error {
 	return nil
 }
 
-// Drain blocks until every queued event has been processed and the engine
-// has been quiescent for a short interval. It is intended for tests and
-// benchmarks that publish a batch and then assert on results; external
-// publishers must be quiescent while draining. The quiescence interval
-// covers deliveries still in flight on broker connections (with the
-// networked broker, events travel over TCP and are not yet counted while
-// on the wire).
+// Drain blocks until the engine is quiescent: until a round passes in
+// which no callback ran. A round flushes every unit's bus twice — the
+// first pass settles what each bus published, the second what the broker
+// queued for each bus as a result (see broker.Bus.Flush) — then sends a
+// marker through every subscription queue and waits until every worker
+// has reached its marker. If no callback completed during the round,
+// nothing was left to propagate and Drain returns; otherwise it runs
+// another round. In process a round costs a pass over the queues; over
+// the networked broker each flush takes a receipt on the unit's
+// connection, so a delivery still on the wire is waited for, not guessed
+// at.
 //
-// Drain is event-driven: it waits on the pending tracker's gate and on a
-// processed-watermark gate armed against the current counter, so it wakes
-// the moment the pipeline moves instead of sleeping through poll
-// intervals, and returns as soon as a full quiescence window passes with
-// no movement.
+// Drain is intended for tests, benchmarks and imports that publish a
+// batch and then assert on results. External publishers must be
+// quiescent while draining. A durable (journal-tail) subscription is fed
+// by the broker's replay goroutine and is outside the barrier: Drain does
+// not wait for records the journal has yet to replay. A flush error (a
+// dead or closed bus) is logged and the round goes on; a dead bus
+// delivers nothing more.
 func (e *Engine) Drain() {
 	for {
-		e.pending.wait()
 		before := e.processed.Load()
-		gate := e.procGate.arm()
-		if e.processed.Load() != before || e.pending.count() != 0 {
-			continue // moved while arming; not quiescent
-		}
-		timer := time.NewTimer(drainQuiesceWindow)
-		select {
-		case <-gate:
-			timer.Stop() // a callback completed: wire deliveries were in flight
-		case <-timer.C:
-			if e.pending.count() == 0 && e.processed.Load() == before {
-				return
+		e.mu.Lock()
+		units := slices.Collect(maps.Values(e.units))
+		e.mu.Unlock()
+		for range 2 {
+			for _, rt := range units {
+				if err := rt.bus.Flush(); err != nil {
+					e.cfg.Logf("engine: drain: flush unit %q: %v", rt.name, err)
+				}
 			}
 		}
-	}
-}
-
-// drainQuiesceWindow is how long Drain requires the pipeline to sit still
-// before declaring it quiescent; it covers deliveries on the wire that no
-// counter has seen yet.
-const drainQuiesceWindow = 2 * time.Millisecond
-
-// watermarkGate wakes waiters when a counter they watch has moved. The
-// hot-path cost when nobody waits is one atomic load.
-type watermarkGate struct {
-	gate atomic.Pointer[chan struct{}]
-}
-
-// bump signals any armed gate; callers invoke it after advancing the
-// watched counter.
-func (g *watermarkGate) bump() {
-	if g.gate.Load() == nil {
-		return
-	}
-	if ch := g.gate.Swap(nil); ch != nil {
-		close(*ch)
-	}
-}
-
-// arm returns a channel closed by the next bump. Concurrent waiters share
-// one gate.
-func (g *watermarkGate) arm() chan struct{} {
-	for {
-		if ch := g.gate.Load(); ch != nil {
-			return *ch
+		// A registered unit's queues are frozen: Subscribe works only
+		// during Init, before the unit enters e.units.
+		var reached sync.WaitGroup
+		marker := queuedEvent{cb: func(*Context, *event.Event) error { reached.Done(); return nil }}
+		for _, rt := range units {
+			for _, q := range rt.queues {
+				reached.Add(1)
+				if !q.push(marker) {
+					reached.Done() // a closed queue counts as reached
+				}
+			}
 		}
-		nc := make(chan struct{})
-		if g.gate.CompareAndSwap(nil, &nc) {
-			return nc
-		}
-	}
-}
-
-// pendingTracker counts in-flight events. Unlike sync.WaitGroup it
-// permits add() racing wait() from zero, which happens with networked
-// brokers where deliveries arrive on connection read goroutines.
-//
-// The tracker is lock-free on the hot path: every delivered event costs
-// one atomic add on enqueue and one on completion, instead of the two
-// mutex acquisitions of a mutex+cond design. Waiters install a gate
-// channel that zero-crossings close.
-type pendingTracker struct {
-	n    atomic.Int64
-	gate atomic.Pointer[chan struct{}]
-}
-
-func (p *pendingTracker) add(delta int) {
-	if p.n.Add(int64(delta)) <= 0 {
-		if ch := p.gate.Swap(nil); ch != nil {
-			close(*ch)
-		}
-	}
-}
-
-func (p *pendingTracker) count() int {
-	return int(p.n.Load())
-}
-
-func (p *pendingTracker) wait() {
-	for {
-		if p.n.Load() <= 0 {
+		reached.Wait()
+		if e.processed.Load() == before {
 			return
 		}
-		ch := p.gate.Load()
-		if ch == nil {
-			nc := make(chan struct{})
-			if !p.gate.CompareAndSwap(nil, &nc) {
-				continue // another waiter installed a gate; share it
-			}
-			ch = &nc
-			// Re-check: a zero-crossing between the count check and the
-			// gate install would have found no gate to close.
-			if p.n.Load() <= 0 {
-				if c := p.gate.Swap(nil); c != nil {
-					close(*c)
-				}
-				return
-			}
-		}
-		<-*ch
 	}
 }
 
@@ -402,19 +334,16 @@ func (e *Engine) Stop() {
 		return
 	}
 	e.closed = true
-	units := make([]*unitRuntime, 0, len(e.units))
-	for _, rt := range e.units {
-		units = append(units, rt)
-	}
+	units := slices.Collect(maps.Values(e.units))
 	e.mu.Unlock()
 
-	// Stop inflow first, then drain. rt.queues is frozen once e.closed is
-	// set (Subscribe rejects under the engine lock), so the snapshot read
-	// in shutdown is race-free.
+	// Stop inflow first, then drain: shutdown closes each queue and waits
+	// for its worker, which runs the backlog first. rt.queues is frozen
+	// once e.closed is set (Subscribe rejects under the engine lock), so
+	// the snapshot read in shutdown is race-free.
 	for _, rt := range units {
 		_ = rt.bus.Close()
 	}
-	e.pending.wait()
 	for _, rt := range units {
 		rt.shutdown()
 	}
@@ -430,7 +359,6 @@ func (e *Engine) Stop() {
 // so the consumer steady state allocates no Event per callback. Both
 // non-retention rules are hard contracts, not guidelines.
 func (e *Engine) runCallback(ctx *Context, rt *unitRuntime, cb Callback, ev *event.Event) {
-	defer e.pending.add(-1)
 	ctx.engine = e
 	ctx.rt = rt
 	ctx.labels = ev.Labels // __LABELS__ initialised to the event's labels (§4.3)
@@ -445,8 +373,6 @@ func (e *Engine) runCallback(ctx *Context, rt *unitRuntime, cb Callback, ev *eve
 	ctx.engine = nil // invalidate retained contexts
 	ctx.rt = nil
 	ctx.labels = nil
-	e.processed.Add(1)
-	e.procGate.bump()
 	if err != nil {
 		e.callbackErrors.Add(1)
 		if e.cfg.OnCallbackError != nil {
@@ -459,6 +385,11 @@ func (e *Engine) runCallback(ctx *Context, rt *unitRuntime, cb Callback, ev *eve
 	// delivery-consumed point: a networked bus's credit replenishment
 	// (broker.ClientConfig.SubscribeCredit) rides it via NotifyRelease.
 	ev.Release()
+	// Counted last, so a credit grant the release sends is on its
+	// connection before the count moves: a Drain round that sees no
+	// movement flushes behind every grant, and the delivery a grant
+	// releases from the broker's pending ring cannot slip past it.
+	e.processed.Add(1)
 }
 
 // InitContext is the restricted capability surface available to a unit
@@ -510,15 +441,17 @@ func (c *InitContext) Subscribe(topic, sel string, cb Callback) error {
 		// per-callback Context allocation is gone from the dispatch path.
 		var ctx Context
 		for qe := range queue.ch {
+			if qe.ev == nil {
+				qe.cb(nil, nil) // a Drain marker
+				continue
+			}
 			e.runCallback(&ctx, rt, qe.cb, qe.ev)
 		}
 	}()
 
 	_, err := rt.bus.Subscribe(topic, sel, func(ev *event.Event) {
-		e.pending.add(1)
 		if !queue.push(queuedEvent{ev: ev, cb: cb}) {
-			e.pending.add(-1) // engine stopping; late delivery dropped
-			ev.Release()
+			ev.Release() // engine stopping; late delivery dropped
 		}
 	})
 	if err != nil {

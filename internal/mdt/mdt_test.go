@@ -316,27 +316,43 @@ func TestDMZReadOnly(t *testing.T) {
 	}
 }
 
+// TestNetworkBrokerDeployment: the same pipeline over the STOMP network
+// broker (the paper's deployment shape) — fire-and-forget, with every unit
+// publishing through the windowed fast path (pipelined receipt-confirmed
+// SENDs on dedicated publish connections), and with credit-windowed
+// subscriptions — serves every route to every account exactly as an
+// in-process deployment of the same registry does. ImportAll's Sync is
+// what makes that hold: it returns only once nothing is left on the wire.
 func TestNetworkBrokerDeployment(t *testing.T) {
-	// The same pipeline over the STOMP network broker (the paper's
-	// deployment shape).
-	d := deployTest(t, DeployConfig{Registry: regTiny(), NetworkBroker: true})
-	m := firstMDTWithRecords(t, d)
-	status, _ := httpGet(t, d, "/records/"+m, m)
-	if status != http.StatusOK {
-		t.Errorf("network deployment records status = %d", status)
-	}
-}
-
-func TestNetworkBrokerWindowedDeployment(t *testing.T) {
-	// The networked pipeline again, with every unit publishing through
-	// the windowed async fast path: pipelined receipt-confirmed SENDs on
-	// dedicated publish connections instead of fire-and-forget.
-	d := deployTest(t, DeployConfig{Registry: regTiny(), NetworkBroker: true,
-		Client: broker.ClientConfig{PublishWindow: 16}})
-	m := firstMDTWithRecords(t, d)
-	status, _ := httpGet(t, d, "/records/"+m, m)
-	if status != http.StatusOK {
-		t.Errorf("windowed network deployment records status = %d", status)
+	ref := deployTest(t, DeployConfig{Registry: regTiny()})
+	paths, accounts := portalPaths(t, ref), portalAccounts(ref)
+	for _, tc := range []struct {
+		name   string
+		client broker.ClientConfig
+	}{
+		{"fire-and-forget", broker.ClientConfig{}},
+		{"window", broker.ClientConfig{PublishWindow: 16}},
+		{"credit", broker.ClientConfig{SubscribeCredit: 8}},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			d := deployTest(t, DeployConfig{Registry: regTiny(), NetworkBroker: true, Client: tc.client})
+			served := 0
+			for _, account := range accounts {
+				for _, path := range paths {
+					got := serve(d.Frontend, path, account, d.Creds[account])
+					want := serve(ref.Frontend, path, account, ref.Creds[account])
+					if got.status != want.status || got.body != want.body {
+						t.Errorf("GET %s as %s: %d %q, in process %d %q", path, account, got.status, got.body, want.status, want.body)
+					}
+					if want.status == http.StatusOK {
+						served++
+					}
+				}
+			}
+			if served == 0 {
+				t.Fatal("no request was served")
+			}
+		})
 	}
 }
 

@@ -53,6 +53,7 @@ type Client struct {
 	receipts map[string]chan struct{}
 	nextID   uint64
 	closed   bool
+	closing  bool // DISCONNECT sent: the read loop's EOF is not an error
 
 	// inHandler is set while the read loop runs a subscription handler. A
 	// SubscribeView issued from inside a handler cannot wait for its RECEIPT
@@ -140,7 +141,7 @@ func (c *Client) readLoop(dec *Decoder) {
 		v, err := dec.DecodeView()
 		if err != nil {
 			c.mu.Lock()
-			closed := c.closed
+			closed := c.closed || c.closing
 			c.mu.Unlock()
 			if !closed && c.cfg.OnError != nil {
 				c.cfg.OnError(fmt.Errorf("stomp: read: %w", err))
@@ -360,8 +361,25 @@ func (c *Client) sendWithReceipt(f *Frame, timeout time.Duration) error {
 	return r.Wait(timeout)
 }
 
+// Sync returns once the broker has handled every frame this connection
+// sent before it, and every frame the broker queued for the connection
+// until then has been read and its handler run. It takes one receipt on a
+// frame the broker treats as a no-op: an UNSUBSCRIBE of an id outside the
+// "sub-N" namespace. It must not be called from a subscription handler,
+// whose read loop the receipt needs. A zero timeout means 10 seconds.
+func (c *Client) Sync(timeout time.Duration) error {
+	f := NewFrame(CmdUnsubscribe)
+	f.SetHeader(HdrID, "sync")
+	return c.sendWithReceipt(f, timeout)
+}
+
 // Disconnect performs a graceful DISCONNECT with receipt, then closes.
+// The connection's end that follows is expected, so it is not reported
+// through OnError.
 func (c *Client) Disconnect(timeout time.Duration) error {
+	c.mu.Lock()
+	c.closing = true
+	c.mu.Unlock()
 	f := NewFrame(CmdDisconnect)
 	err := c.sendWithReceipt(f, timeout)
 	closeErr := c.Close()

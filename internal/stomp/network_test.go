@@ -4,6 +4,7 @@ import (
 	"errors"
 	"strconv"
 	"sync"
+	"sync/atomic"
 	"testing"
 	"time"
 )
@@ -154,6 +155,60 @@ func TestClientDisconnectGraceful(t *testing.T) {
 	// Idempotent close.
 	if err := client.Close(); err != nil {
 		t.Errorf("Close after Disconnect: %v", err)
+	}
+}
+
+// TestDisconnectReportsNoError: the broker closes the connection after its
+// DISCONNECT receipt, and the read loop's EOF that follows is the clean
+// close the client asked for, not an error to report.
+func TestDisconnectReportsNoError(t *testing.T) {
+	srv := startEchoServer(t, nil)
+	var reported atomic.Int64
+	for i := 0; i < 50; i++ {
+		client, err := Dial(srv.Addr(), ClientConfig{Login: "u", OnError: func(err error) {
+			reported.Add(1)
+			t.Logf("OnError: %v", err)
+		}})
+		if err != nil {
+			t.Fatalf("Dial: %v", err)
+		}
+		if err := client.Disconnect(5 * time.Second); err != nil {
+			t.Fatalf("Disconnect: %v", err)
+		}
+	}
+	if n := reported.Load(); n != 0 {
+		t.Errorf("50 clean disconnects made %d OnError calls, want 0", n)
+	}
+}
+
+// TestSyncAfterDeliveries: Sync returns only once every MESSAGE the server
+// queued before its receipt has been handled. The echo server sends each
+// SEND back before it handles the next frame, so after Sync every echo
+// has reached the handler.
+func TestSyncAfterDeliveries(t *testing.T) {
+	srv := startEchoServer(t, nil)
+	client, err := Dial(srv.Addr(), ClientConfig{Login: "u"})
+	if err != nil {
+		t.Fatalf("Dial: %v", err)
+	}
+	defer client.Close()
+	var handled atomic.Int64
+	if _, err := client.SubscribeView("/topic", "", nil, func(*FrameView) { handled.Add(1) }); err != nil {
+		t.Fatalf("SubscribeView: %v", err)
+	}
+	img := sendImage("/topic", nil, []byte("payload"))
+	for round := int64(1); round <= 20; round++ {
+		for i := 0; i < 10; i++ {
+			if err := client.SendImage(img); err != nil {
+				t.Fatalf("SendImage: %v", err)
+			}
+		}
+		if err := client.Sync(5 * time.Second); err != nil {
+			t.Fatalf("Sync: %v", err)
+		}
+		if got := handled.Load(); got != 10*round {
+			t.Fatalf("after Sync %d: %d echoes handled, want %d", round, got, 10*round)
+		}
 	}
 }
 
