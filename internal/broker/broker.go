@@ -54,8 +54,8 @@
 // (32 deep) once the window is exhausted, falling
 // back to the session's overflow policy only if the ring also fills.
 // The client replenishes by sending ACK frames carrying cumulative
-// credit grants — batched at the half-window low-water mark and driven
-// by the delivery events' Release lifecycle, so credit reflects
+// credit grants — one per connection write batch (stomp.AckSlot) and
+// driven by the delivery events' Release lifecycle, so credit reflects
 // callbacks the consumer engine actually completed, not frames it
 // merely received. Grants are idempotent (applied max-wins), stalls are
 // counted (ServerStats.CreditStalls and SessionStats.CreditStalls, with

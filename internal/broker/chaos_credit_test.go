@@ -200,8 +200,9 @@ func TestChaosCreditedConsumers(t *testing.T) {
 			feedSeen[seq]++
 			feedMu.Unlock()
 			consumed++
-			// Low-water replenishment, as the real client batches it: a
-			// cumulative grant once half the window has completed.
+			// Low-water replenishment: a cumulative grant once half the
+			// window has completed. Grants are cumulative, so a raw
+			// consumer may batch them however it likes.
 			if next := consumed + window; next-granted >= window/2 {
 				granted = next
 				g := stomp.NewFrame(stomp.CmdAck)

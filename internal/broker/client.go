@@ -54,9 +54,9 @@ type ClientConfig struct {
 	// this client creates: each SUBSCRIBE advertises a delivery window of
 	// that many messages, and the client replenishes it automatically as
 	// deliveries complete — when the engine (or any consumer) releases a
-	// delivery event (Event.Release), the client counts it consumed and,
-	// once half the window has completed, sends a cumulative credit grant
-	// on an ACK frame (about two control frames per window). The broker
+	// delivery event (Event.Release), the client raises its cumulative
+	// credit grant, which an ACK frame carries (one per release at idle,
+	// one per write batch under load; see stomp.AckSlot). The broker
 	// parks deliveries beyond the window server-side instead of flooding
 	// the connection, so a consumer that falls behind sheds load at the
 	// broker — before the write queue, where the overflow policy would
@@ -67,9 +67,10 @@ type ClientConfig struct {
 	// creates a durable one: the SUBSCRIBE carries a group header, so the
 	// broker feeds the subscription from the topic's journal, resuming at
 	// the group's cumulative acked offset, and the client acks progress
-	// automatically as deliveries are released (cumulative, piggybacked on
-	// credit grants when SubscribeCredit is also set). Durable topics must
-	// be configured on the server (ServerConfig.Durable).
+	// automatically as deliveries are released (cumulative, on the same
+	// ACK frames as credit grants when SubscribeCredit is also set).
+	// Durable topics must be configured on the server
+	// (ServerConfig.Durable).
 	DurableGroup string
 	// DurableOffset, when non-empty, adds an explicit replay start to
 	// every subscription: "earliest", "next", or a decimal offset. It wins
@@ -135,21 +136,22 @@ func (w *pubWindow) publish(img *stomp.WireImage) error {
 		w.err = fmt.Errorf("broker: windowed publish: %w", err)
 		return w.err
 	}
-	switch {
-	case w.head == len(w.inflight):
-		w.inflight = w.inflight[:0]
-		w.head = 0
-	case w.head >= w.size:
-		// Compact the settled prefix so a continuously publishing window
-		// keeps the slice (and the receipts the dead prefix would pin)
-		// bounded by the window size, not by total publishes.
-		n := copy(w.inflight, w.inflight[w.head:])
-		clear(w.inflight[n:])
-		w.inflight = w.inflight[:n]
-		w.head = 0
+	// Compact the settled prefix so a continuously publishing window
+	// keeps the slice (and the receipts the dead prefix would pin)
+	// bounded by the window size, not by total publishes.
+	if w.head == len(w.inflight) || w.head >= w.size {
+		w.inflight, w.head = compact(w.inflight, w.head), 0
 	}
 	w.inflight = append(w.inflight, r)
 	return nil
+}
+
+// compact moves the outstanding suffix q[head:] of a FIFO to the front of
+// its array and returns it, zeroing the vacated slots.
+func compact[T any](q []T, head int) []T {
+	n := copy(q, q[head:])
+	clear(q[n:])
+	return q[:n]
 }
 
 // waitHeadLocked settles the oldest outstanding receipt. On failure the
@@ -192,121 +194,92 @@ func (w *pubWindow) flush() error {
 	return w.err
 }
 
-// creditTracker replenishes one credited subscription's delivery window.
-// It rides the delivery lifecycle the engine already has: every delivery
-// event carries a NotifyRelease hook bound to done, so a completed
-// callback — Event.Release at the engine's callback-completion point —
-// counts as consumption without wrapping the handler.
+// ackTracker turns the delivery-release lifecycle of one credited or
+// grouped durable subscription into its connection's ack slot. Every
+// delivery event carries a NotifyRelease hook, so a completed callback —
+// Event.Release at the engine's callback-completion point — is what
+// grants credit and acks offsets, without wrapping the handler.
 //
-// granted is the cumulative allowance last sent to the broker; consumed
-// counts completed deliveries. A grant is sent when the next allowance
-// (consumed + window) is at least half a window ahead of the last one —
-// batching replenishment to about two ACK frames per window — and restates
-// the cumulative total, so duplicated or reordered grants are idempotent
-// on the broker.
-type creditTracker struct {
-	conn    *stomp.Client
-	window  int64
+// The credit grant is the window plus the deliveries released so far.
+// The offset frontier moves across the completed prefix only: replayed
+// deliveries arrive in offset order but may complete out of order under a
+// concurrent engine, and clearance filtering leaves gaps in the offsets,
+// so acking offset n+1 states that every delivered record at or below n
+// has finished processing — the journal's cumulative-ack contract. Both
+// reach the slot as cumulative maxima, so a duplicate or reordered frame
+// is a no-op on the broker.
+type ackTracker struct {
+	// slot is bound at the first delivery, on the connection read
+	// goroutine, from its subscription header (deliveries can arrive
+	// before SubscribeView returns the id); every release is downstream
+	// of a delivery, so the write happens-before all reads.
+	slot    *stomp.AckSlot
+	window  int64 // credit window; zero when uncredited
 	onError func(error)
-	// subID is the wire subscription id, captured from the first
-	// delivery's subscription header on the connection read goroutine before
-	// the handler runs; every done call is downstream of a delivery, so
-	// the write happens-before all reads.
-	subID string
-	// doneFn is the pre-bound done method value, created once so the
-	// per-delivery NotifyRelease costs no allocation.
-	doneFn func()
-
+	// doneFn releases a delivery without an offset; bound once, so its
+	// NotifyRelease costs no allocation.
+	doneFn   func()
 	consumed atomic.Int64
-	granted  atomic.Int64
-}
-
-// done records one consumed delivery and sends a batched cumulative grant
-// when half the window has completed. Safe for concurrent use: the CAS on
-// granted elects exactly one sender per batch.
-func (t *creditTracker) done() {
-	consumed := t.consumed.Add(1)
-	for {
-		g := t.granted.Load()
-		next := consumed + t.window
-		if next-g < (t.window+1)/2 {
-			return
-		}
-		if t.granted.CompareAndSwap(g, next) {
-			err := t.conn.SendCreditGrant(t.subID, next)
-			if err != nil && !errors.Is(err, net.ErrClosed) && t.onError != nil {
-				t.onError(fmt.Errorf("broker: credit grant for %s: %w", t.subID, err))
-			}
-			return
-		}
-	}
-}
-
-// offsetTracker turns the delivery-release lifecycle of one durable
-// subscription into cumulative offset acks. Replayed deliveries arrive in
-// increasing offset order but may complete (Release) out of order under a
-// concurrent engine, and clearance filtering leaves gaps in the offset
-// sequence — so the tracker keeps the delivered offsets in arrival order
-// and advances the acked frontier only across the completed prefix:
-// acking offset n+1 states that every delivered record at or below n has
-// finished processing, which is exactly the journal's cumulative-ack
-// contract. Acks restate the frontier and apply max-wins broker-side, so
-// a duplicate or reordered frame is a no-op.
-type offsetTracker struct {
-	conn    *stomp.Client
-	credit  *creditTracker // non-nil: piggyback the credit grant on each ack
-	onError func(error)
-	// subID is captured from the first delivery's subscription header on
-	// the connection read goroutine, like creditTracker.subID.
-	subID string
 
 	mu      sync.Mutex
-	pending []int64 // delivered offsets in arrival order (increasing)
-	settled map[int64]bool
-	acked   int64
+	pending []int64 // delivered offsets in arrival order; pending[head:] outstanding
+	head    int
+	settled map[int64]bool // completed ahead of the frontier
 }
 
-// delivered records one replayed delivery's offset, in arrival order.
-// Runs on the connection read goroutine before the handler sees the event.
-func (t *offsetTracker) delivered(off int64) {
+// delivered records a replayed delivery's offset in arrival order and
+// returns it, or -1 when the frame carries none. It runs on the
+// connection read goroutine before the handler sees the event.
+func (t *ackTracker) delivered(h *stomp.HeaderView) int64 {
+	b, _ := h.GetBytes(stomp.HdrDeliveryOffset)
+	off, err := strconv.ParseInt(string(b), 10, 64)
+	if err != nil || off < 0 {
+		return -1
+	}
 	t.mu.Lock()
+	// Compact the settled prefix rather than let append reallocate: the
+	// FIFO stays bounded by the outstanding deliveries, not the total.
+	if n := len(t.pending); t.head == n || (n == cap(t.pending) && t.head >= n/2) {
+		t.pending, t.head = compact(t.pending, t.head), 0
+	}
 	t.pending = append(t.pending, off)
 	t.mu.Unlock()
+	return off
 }
 
-// released marks one delivery completed and, when the completed prefix
-// advanced, sends the new cumulative frontier — piggybacking the credit
-// window's cumulative grant on the same ACK frame when credit flow
-// control is armed, so a durable credited consumer pays one control frame
-// where it would otherwise pay two.
-func (t *offsetTracker) released(off int64) {
-	t.mu.Lock()
-	if t.settled == nil {
-		t.settled = make(map[int64]bool)
+// released completes one delivery (off is its offset, or -1) and hands
+// the new frontier and grant to the slot.
+func (t *ackTracker) released(off int64) {
+	var frontier, grant int64
+	if off >= 0 {
+		frontier = t.settle(off)
 	}
-	t.settled[off] = true
-	frontier := t.acked
-	for len(t.pending) > 0 && t.settled[t.pending[0]] {
-		delete(t.settled, t.pending[0])
-		frontier = t.pending[0] + 1
-		t.pending = t.pending[1:]
+	if t.window > 0 {
+		grant = t.consumed.Add(1) + t.window
 	}
-	if frontier <= t.acked {
-		t.mu.Unlock()
-		return
+	if err := t.slot.Ack(frontier, grant); err != nil && !errors.Is(err, net.ErrClosed) && t.onError != nil {
+		t.onError(fmt.Errorf("broker: ack: %w", err))
 	}
-	t.acked = frontier
-	subID := t.subID
-	t.mu.Unlock()
+}
 
-	var grant int64
-	if t.credit != nil {
-		grant = t.credit.granted.Load()
+// settle marks the delivery at off completed and returns the frontier
+// past the completed prefix, or 0 when an earlier delivery is unfinished.
+func (t *ackTracker) settle(off int64) int64 {
+	t.mu.Lock()
+	defer t.mu.Unlock()
+	var frontier int64
+	for ; t.head < len(t.pending); t.head++ {
+		p := t.pending[t.head]
+		if p != off && !t.settled[p] {
+			break
+		}
+		delete(t.settled, p)
+		frontier = p + 1
 	}
-	err := t.conn.SendOffsetAck(subID, frontier, grant)
-	if err != nil && !errors.Is(err, net.ErrClosed) && t.onError != nil {
-		t.onError(fmt.Errorf("broker: offset ack for %s: %w", subID, err))
+	if frontier == 0 {
+		t.settled[off] = true
 	}
+	return frontier
 }
 
 var _ Bus = (*Client)(nil)
@@ -397,52 +370,34 @@ func (c *Client) Flush() error {
 
 // Subscribe implements Bus. Deliveries are decoded map-free: the STOMP
 // frame view feeds event.UnmarshalView in a single pass, with body
-// ownership handed to the event. With SubscribeCredit set, the
-// SUBSCRIBE advertises a delivery window and a creditTracker replenishes
-// it as deliveries are released.
+// ownership handed to the event. A credited or grouped durable
+// subscription gets an ackTracker, which grants credit and acks offsets
+// as deliveries are released. An anonymous durable subscription acks no
+// offsets: the broker has no group to record them for.
 func (c *Client) Subscribe(topic, sel string, handler Handler) (string, error) {
-	var tr *creditTracker
-	var extra map[string]string
+	extra := make(map[string]string, 3)
 	if c.cfg.SubscribeCredit > 0 {
-		tr = &creditTracker{conn: c.conn, window: int64(c.cfg.SubscribeCredit), onError: c.cfg.OnError}
-		tr.granted.Store(tr.window)
-		tr.doneFn = tr.done
-		extra = map[string]string{stomp.HdrCredit: strconv.Itoa(c.cfg.SubscribeCredit)}
+		extra[stomp.HdrCredit] = strconv.Itoa(c.cfg.SubscribeCredit)
 	}
-	var ot *offsetTracker
-	if c.cfg.DurableGroup != "" || c.cfg.DurableOffset != "" {
-		ot = &offsetTracker{conn: c.conn, credit: tr, onError: c.cfg.OnError}
-		if extra == nil {
-			extra = make(map[string]string, 2)
-		}
-		if c.cfg.DurableGroup != "" {
-			extra[stomp.HdrGroup] = c.cfg.DurableGroup
-		}
-		if c.cfg.DurableOffset != "" {
-			extra[stomp.HdrOffset] = c.cfg.DurableOffset
-		}
+	if c.cfg.DurableGroup != "" {
+		extra[stomp.HdrGroup] = c.cfg.DurableGroup
 	}
-	raw, err := c.conn.SubscribeView(topic, sel, extra, func(v *stomp.FrameView) {
-		if tr != nil && tr.subID == "" {
-			// First delivery: the wire subscription id (which deliveries can
-			// carry before SubscribeView even returns) names the grants.
-			tr.subID = v.Headers.Header(stomp.HdrSubscription)
-		}
-		// A replayed delivery carries its journal offset; record it now so
-		// the ack frontier tracks arrival order, and ack it when the
-		// delivery is released (or immediately, if it cannot be decoded —
-		// an undecodable frame must not stall the frontier forever).
-		var off int64
-		hasOff := false
-		if ot != nil {
-			if ot.subID == "" {
-				ot.subID = v.Headers.Header(stomp.HdrSubscription)
+	if c.cfg.DurableOffset != "" {
+		extra[stomp.HdrOffset] = c.cfg.DurableOffset
+	}
+	var t *ackTracker
+	if c.cfg.SubscribeCredit > 0 || c.cfg.DurableGroup != "" {
+		t = &ackTracker{window: int64(c.cfg.SubscribeCredit), onError: c.cfg.OnError, settled: make(map[int64]bool)}
+		t.doneFn = func() { t.released(-1) }
+	}
+	return c.conn.SubscribeView(topic, sel, extra, func(v *stomp.FrameView) {
+		off := int64(-1)
+		if t != nil {
+			if t.slot == nil {
+				t.slot = c.conn.AckSlot(v.Headers.Header(stomp.HdrSubscription))
 			}
-			if s := v.Headers.Header(stomp.HdrDeliveryOffset); s != "" {
-				if n, perr := strconv.ParseInt(s, 10, 64); perr == nil {
-					off, hasOff = n, true
-					ot.delivered(n)
-				}
+			if c.cfg.DurableGroup != "" {
+				off = t.delivered(&v.Headers)
 			}
 		}
 		// Delivery unmarshal: the event comes from the delivery pool and
@@ -451,13 +406,11 @@ func (c *Client) Subscribe(topic, sel string, handler Handler) (string, error) {
 		// retain it past their own return.
 		ev, err := event.UnmarshalViewDelivery(&v.Headers, v.Body, &c.cache)
 		if err != nil {
-			if tr != nil {
-				// The broker spent a credit on this delivery; an undecodable
-				// frame still consumes it, or the window would leak shut.
-				tr.doneFn()
-			}
-			if hasOff {
-				ot.released(off)
+			// The broker spent a credit on this delivery and its offset
+			// must not stall the frontier: an undecodable frame is
+			// released at once.
+			if t != nil {
+				t.released(off)
 			}
 			if c.cfg.OnError != nil {
 				c.cfg.OnError(err)
@@ -465,16 +418,13 @@ func (c *Client) Subscribe(topic, sel string, handler Handler) (string, error) {
 			return
 		}
 		switch {
-		case hasOff && tr != nil:
-			ev.NotifyRelease(func() { ot.released(off); tr.doneFn() })
-		case hasOff:
-			ev.NotifyRelease(func() { ot.released(off) })
-		case tr != nil:
-			ev.NotifyRelease(tr.doneFn)
+		case off >= 0:
+			ev.NotifyRelease(func() { t.released(off) })
+		case t != nil:
+			ev.NotifyRelease(t.doneFn)
 		}
 		handler(ev)
 	})
-	return raw, err
 }
 
 // Unsubscribe implements Bus.

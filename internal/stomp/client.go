@@ -373,6 +373,53 @@ func (c *Client) Sync(timeout time.Duration) error {
 	return c.sendWithReceipt(f, timeout)
 }
 
+// AckSlot is one subscription's acknowledgement state on a client
+// connection: the cumulative offset frontier and credit grant the
+// consumer has reached, and whether an ACK frame carrying them is queued.
+// A release stores the new values and queues the slot only when it is not
+// already queued; the connection writer reads the values when it reaches
+// the slot, so every release between the enqueue and the encode folds
+// into one frame. An idle connection still sends one ACK per release,
+// while a busy one sends one per drained write batch. Both values are
+// cumulative maxima, so the broker applies the frame as it would any ACK.
+type AckSlot struct {
+	fw     *frameWriter
+	sub    string
+	offset atomic.Int64 // cumulative offset ack; 0 sends no offset header
+	credit atomic.Int64 // cumulative credit grant; 0 sends no credit header
+	queued atomic.Bool
+}
+
+// AckSlot returns a new ack slot for the subscription on this connection.
+func (c *Client) AckSlot(subscription string) *AckSlot {
+	return &AckSlot{fw: c.fw, sub: subscription}
+}
+
+// Ack raises the slot's offset frontier to offset and its credit grant to
+// credit (a value not above the current one changes nothing) and, if
+// either moved and no ACK for the slot is queued, queues one. It is safe
+// for concurrent use and never blocks on more than the queue.
+func (s *AckSlot) Ack(offset, credit int64) error {
+	moved := raise(&s.offset, offset)
+	if !raise(&s.credit, credit) && !moved {
+		return nil
+	}
+	if !s.queued.CompareAndSwap(false, true) {
+		return nil // the queued frame has yet to load the values
+	}
+	return s.fw.send(outFrame{ack: s})
+}
+
+// raise stores v in a if it is larger, reporting whether it did.
+func raise(a *atomic.Int64, v int64) bool {
+	for cur := a.Load(); v > cur; cur = a.Load() {
+		if a.CompareAndSwap(cur, v) {
+			return true
+		}
+	}
+	return false
+}
+
 // Disconnect performs a graceful DISCONNECT with receipt, then closes.
 // The connection's end that follows is expected, so it is not reported
 // through OnError.

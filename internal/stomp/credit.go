@@ -17,10 +17,10 @@ import "strconv"
 //     regression of the window — so the sender needs no delivery
 //     tracking handshake, just a monotonic counter.
 //
-// This file holds the pieces both ends share: the header name, the
-// fail-closed parser, and the client-side grant sender. The broker-side
-// accounting (per-subscription atomic windows, the pending ring) lives in
-// package broker.
+// This file holds the pieces both ends share: the header name and the
+// fail-closed parser. A client sends grants through a subscription's
+// AckSlot (client.go). The broker-side accounting (per-subscription
+// atomic windows, the pending ring) lives in package broker.
 
 // HdrCredit is the header carrying a delivery window on SUBSCRIBE and a
 // cumulative replenishment grant on ACK.
@@ -39,17 +39,4 @@ func ParseCredit(s string) (int64, error) {
 		return 0, protoErrorf("credit header %q: must be positive", s)
 	}
 	return n, nil
-}
-
-// SendCreditGrant sends an ACK frame granting the subscription a
-// cumulative delivery allowance of grant messages. Grants are cumulative:
-// each one restates the total allowance, so senders may batch (one grant
-// per half-window consumed) and the wire may reorder or duplicate them
-// without the window ever regressing. Fire-and-forget, like the MESSAGE
-// deliveries it answers.
-func (c *Client) SendCreditGrant(subscription string, grant int64) error {
-	f := NewFrame(CmdAck)
-	f.SetHeader(HdrSubscription, subscription)
-	f.SetHeader(HdrCredit, strconv.FormatInt(grant, 10))
-	return c.writeFrame(f)
 }

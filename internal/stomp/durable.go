@@ -23,9 +23,10 @@ import "strconv"
 //     the reserved HdrDeliveryOffset header, which is what the consumer
 //     acks once its handler completes.
 //
-// This file holds the shared pieces: header names, fail-closed parsers,
-// and the client-side ack sender. Journal storage and the replay feed
-// live in packages journal and broker.
+// This file holds the shared pieces: header names and fail-closed
+// parsers. A client sends offset acks, and credit grants with them,
+// through a subscription's AckSlot (client.go). Journal storage and the
+// replay feed live in packages journal and broker.
 
 // HdrOffset is the SUBSCRIBE header selecting a replay start position and
 // the ACK header carrying a cumulative offset ack.
@@ -84,21 +85,4 @@ func ParseOffsetAck(s string) (int64, error) {
 		return 0, protoErrorf("offset ack %q: must be non-negative", s)
 	}
 	return n, nil
-}
-
-// SendOffsetAck sends an ACK frame recording cumulative replay progress
-// for the subscription: every journal record below offset is processed.
-// When credit is positive the frame also restates the subscription's
-// cumulative credit grant — both acks are idempotent maxima, so
-// piggybacking one frame for both costs nothing and halves the ack
-// traffic of a durable credited consumer. Fire-and-forget, like
-// SendCreditGrant.
-func (c *Client) SendOffsetAck(subscription string, offset int64, credit int64) error {
-	f := NewFrame(CmdAck)
-	f.SetHeader(HdrSubscription, subscription)
-	f.SetHeader(HdrOffset, strconv.FormatInt(offset, 10))
-	if credit > 0 {
-		f.SetHeader(HdrCredit, strconv.FormatInt(credit, 10))
-	}
-	return c.writeFrame(f)
 }

@@ -76,9 +76,9 @@
 // a consumer's queue has already filled. The proactive half rides the
 // protocol itself: a SUBSCRIBE frame may advertise a delivery window in a
 // credit header, and the consumer replenishes it with ACK frames carrying
-// a cumulative grant (Client.SendCreditGrant). Grants are cumulative and
-// idempotent, so they batch — steady state is about two control frames
-// per window, not per message — and tolerate duplication or reordering.
+// a cumulative grant (an AckSlot). Grants are cumulative and idempotent,
+// so they coalesce — a busy consumer sends one per write batch, not one
+// per message — and tolerate duplication or reordering.
 // See credit.go for the shared header name and the fail-closed parser;
 // the broker-side window accounting lives in package broker. A SUBSCRIBE
 // without the credit header is byte-identical to today's wire behaviour.

@@ -231,3 +231,30 @@ func (e *Encoder) encodeReceipt(w io.Writer, id string) error {
 	_, err := w.Write(b)
 	return err
 }
+
+// encodeAck writes the ACK frame for an ack slot straight from the
+// scratch buffer. It clears queued before it loads the values: a release
+// that stores after the load then finds the slot unqueued and queues
+// another frame, so no value is left behind. The wire bytes are
+// Encoder.Encode's for the ACK frame with the same headers.
+//
+//safeweb:hotpath
+func (e *Encoder) encodeAck(w io.Writer, s *AckSlot) error {
+	s.queued.Store(false)
+	credit, offset := s.credit.Load(), s.offset.Load()
+	b := append(e.buf[:0], CmdAck+"\n"...)
+	if credit > 0 {
+		b = append(strconv.AppendInt(append(b, HdrCredit+":"...), credit, 10), '\n')
+	}
+	if offset > 0 {
+		b = append(strconv.AppendInt(append(b, HdrOffset+":"...), offset, 10), '\n')
+	}
+	b = append(b, HdrSubscription+":"...)
+	b = appendEscapedHeader(b, s.sub)
+	b = append(b, "\n"+HdrContentLength+":0\n\n\x00"...)
+	if cap(b) <= maxRetainedEncodeBuf {
+		e.buf = b[:0]
+	}
+	_, err := w.Write(b)
+	return err
+}

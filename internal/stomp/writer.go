@@ -52,19 +52,22 @@ const (
 	EnqueueEvict
 )
 
-// outFrame is one queued frame in exactly one of four kinds: a control
+// outFrame is one queued frame in exactly one of five kinds: a control
 // frame (f set) encoded in full; a routed MESSAGE delivery (img set and
 // route naming a subscription), where only the route's per-delivery
 // headers are encoded around the shared preencoded image; a producer
 // SEND image (img set, no subscription) with an optional receipt splice;
-// or a RECEIPT (neither f nor img: receipt is the id being confirmed),
-// a control frame the encoder emits from its scratch buffer.
+// an ACK (ack set), encoded from the slot's values when the writer
+// reaches it; or a RECEIPT (none of f, img and ack: receipt is the id
+// being confirmed). ACK and RECEIPT are control frames the encoder emits
+// from its scratch buffer.
 // flush forces an immediate flush after the frame. payload is an opaque
 // caller handle (the broker's event) reported back if the delivery is
 // evicted by an EnqueueEvict enqueue; it is never touched otherwise.
 type outFrame struct {
 	f       *Frame
 	img     *WireImage
+	ack     *AckSlot
 	route   Route
 	receipt string
 	payload any
@@ -303,6 +306,8 @@ func (fw *frameWriter) write(of outFrame) {
 	fw.armDeadline()
 	var err error
 	switch {
+	case of.ack != nil:
+		err = fw.enc.encodeAck(fw.bw, of.ack)
 	case of.img == nil && of.f == nil:
 		err = fw.enc.encodeReceipt(fw.bw, of.receipt)
 	case of.img == nil:
