@@ -21,9 +21,9 @@ import (
 // TestDurableDeliveryAllocs pins what a durable credited consumer's
 // steady-state delivery allocates on the client, from the read loop's
 // decode to the release that acks it: the body, and the NotifyRelease
-// closure that carries the offset. The offset is read in place, the
-// pending FIFO compacts instead of reallocating, and the ACK is the slot
-// the connection writer encodes from its scratch buffer. A stand-in broker
+// closure that carries the delivery's number. The number is a counter on
+// the read loop, the frontier needs no FIFO, and the ACK is the slot the
+// connection writer encodes from its scratch buffer. A stand-in broker
 // answers the handshake and the subscription, then only discards what the
 // client sends, so every allocation counted is the client's.
 func TestDurableDeliveryAllocs(t *testing.T) {
@@ -101,7 +101,6 @@ func TestDurableDeliveryAllocs(t *testing.T) {
 			f.SetHeader(stomp.HdrDestination, "/d/allocs")
 			f.SetHeader(stomp.HdrSubscription, sub)
 			f.SetHeader(stomp.HdrMessageID, "m-"+strconv.Itoa(off))
-			f.SetHeader(stomp.HdrDeliveryOffset, strconv.Itoa(1_000_000+off))
 			f.Body = []byte("payload")
 			if err := enc.Encode(&buf, f); err != nil {
 				t.Fatalf("Encode: %v", err)

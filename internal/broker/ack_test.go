@@ -2,13 +2,19 @@ package broker
 
 import (
 	"bufio"
+	"bytes"
 	"io"
+	"math/rand"
 	"net"
 	"strconv"
+	"strings"
 	"sync"
 	"sync/atomic"
 	"testing"
+	"time"
 
+	"safeweb/internal/event"
+	"safeweb/internal/label"
 	"safeweb/internal/stomp"
 )
 
@@ -168,5 +174,398 @@ func TestDurableTailAckNotStranded(t *testing.T) {
 			waitFor(t, "every delivery", func() bool { return len(seqs()) == n })
 			waitFor(t, "the tail ack", func() bool { return j.Acked("g") == n })
 		})
+	}
+}
+
+// ackCount sends an ACK of the subscription's first k deliveries and
+// reads frames up to its receipt, keeping them on the tap.
+func ackCount(c *tapConn, sub string, k int) {
+	c.t.Helper()
+	c.send(stomp.CmdAck, stomp.HdrSubscription, sub, stomp.HdrOffset, strconv.Itoa(k), stomp.HdrReceipt, "ack-"+strconv.Itoa(k))
+	c.next(stomp.CmdReceipt)
+}
+
+// publishRecords publishes n events with seq attributes from..from+n-1
+// and the given labels, in process.
+func publishRecords(t *testing.T, b *Broker, topic string, from, n int, labels ...label.Label) {
+	t.Helper()
+	for seq := from; seq < from+n; seq++ {
+		ev := event.New(topic, map[string]string{"seq": strconv.Itoa(seq)}, labels...)
+		if err := b.Publish("producer", ev); err != nil {
+			t.Fatalf("Publish seq %d: %v", seq, err)
+		}
+	}
+}
+
+// readSeqs reads n MESSAGE frames and returns their seq attributes.
+func readSeqs(c *tapConn, n int) []int {
+	c.t.Helper()
+	seqs := make([]int, n)
+	for i := range seqs {
+		f := c.next(stomp.CmdMessage)
+		seq, err := strconv.Atoi(f.Header("seq"))
+		if err != nil {
+			c.t.Fatalf("MESSAGE without numeric seq: %v", f)
+		}
+		seqs[i] = seq
+	}
+	return seqs
+}
+
+// feedUnacked reports how many deliveries the replay feed of subscription
+// sub remembers, and the capacity holding them.
+func feedUnacked(srv *Server, sub string) (n, capacity int) {
+	srv.mu.Lock()
+	defer srv.mu.Unlock()
+	for _, ss := range srv.sessions {
+		if ws := ss.subs[sub]; ws != nil && ws.replay != nil {
+			f := ws.replay
+			f.mu.Lock()
+			n, capacity = len(f.offs)-f.head, cap(f.offs)
+			f.mu.Unlock()
+		}
+	}
+	return n, capacity
+}
+
+// TestDurableAckCountNoOps: an ACK of zero deliveries, a stale count and a
+// repeated one change nothing and are not errors.
+func TestDurableAckCountNoOps(t *testing.T) {
+	const topic = "/d/noop"
+	b, srv := startDurableBroker(t, testPolicy(), t.TempDir(), topic)
+	j, err := srv.journals.open(topic)
+	if err != nil {
+		t.Fatalf("journal: %v", err)
+	}
+	publishRecords(t, b, topic, 0, 3)
+	c := dialTap(t, srv.Addr(), "consumer")
+	c.send(stomp.CmdSubscribe, stomp.HdrID, "d-0", stomp.HdrDestination, topic, stomp.HdrGroup, "g")
+	readSeqs(c, 3)
+
+	ackCount(c, "d-0", 0)
+	if got := j.Acked("g"); got != 0 {
+		t.Fatalf("after offset:0 Acked = %d, want 0", got)
+	}
+	ackCount(c, "d-0", 2)
+	if got := j.Acked("g"); got != 2 {
+		t.Fatalf("after offset:2 Acked = %d, want 2", got)
+	}
+	for _, k := range []int{1, 2, 0} {
+		ackCount(c, "d-0", k)
+		if got := j.Acked("g"); got != 2 {
+			t.Fatalf("after stale offset:%d Acked = %d, want 2", k, got)
+		}
+	}
+	ackCount(c, "d-0", 3)
+	if got := j.Acked("g"); got != 3 {
+		t.Fatalf("after offset:3 Acked = %d, want 3", got)
+	}
+	if got := srv.Stats().UnhandledFrames; got != 0 {
+		t.Errorf("UnhandledFrames = %d, want 0", got)
+	}
+}
+
+// TestDurableAckCountAboveDelivered: an ACK of more deliveries than the
+// subscription was sent is refused with an ERROR, counted, and moves no
+// mark — a credit grant on the same frame included.
+func TestDurableAckCountAboveDelivered(t *testing.T) {
+	const topic = "/d/above"
+	b, srv := startDurableBroker(t, testPolicy(), t.TempDir(), topic)
+	j, err := srv.journals.open(topic)
+	if err != nil {
+		t.Fatalf("journal: %v", err)
+	}
+	publishRecords(t, b, topic, 0, 5)
+	c := dialTap(t, srv.Addr(), "consumer")
+	c.send(stomp.CmdSubscribe, stomp.HdrID, "d-0", stomp.HdrDestination, topic, stomp.HdrGroup, "g", stomp.HdrCredit, "3")
+	readSeqs(c, 3)
+	ackCount(c, "d-0", 1)
+
+	c.send(stomp.CmdAck, stomp.HdrSubscription, "d-0", stomp.HdrOffset, "4", stomp.HdrCredit, "5")
+	c.next(stomp.CmdError)
+	if got := srv.Stats().UnhandledFrames; got != 1 {
+		t.Errorf("UnhandledFrames = %d, want 1", got)
+	}
+	if got := j.Acked("g"); got != 1 {
+		t.Errorf("Acked = %d, want 1 (the refused frame moves no mark)", got)
+	}
+	if got := srv.Stats().ReplayDeliveries; got != 3 {
+		t.Errorf("ReplayDeliveries = %d, want 3 (the refused frame grants no credit)", got)
+	}
+}
+
+// TestDurableAckCountKeepsWithheld: a record withheld between visible
+// deliveries #k and #k+1 stays above the mark an ack of k persists, so a
+// clearance granted before the group resumes delivers it.
+func TestDurableAckCountKeepsWithheld(t *testing.T) {
+	const topic = "/d/withheld"
+	p := testPolicy()
+	b, srv := startDurableBroker(t, p, t.TempDir(), topic)
+	j, err := srv.journals.open(topic)
+	if err != nil {
+		t.Fatalf("journal: %v", err)
+	}
+	mdt9 := label.Conf("ecric.org.uk/mdt/9")
+	publishRecords(t, b, topic, 0, 2)
+	publishRecords(t, b, topic, 2, 1, mdt9)
+	publishRecords(t, b, topic, 3, 1)
+
+	first := dialTap(t, srv.Addr(), "cleared")
+	first.send(stomp.CmdSubscribe, stomp.HdrID, "d-0", stomp.HdrDestination, topic, stomp.HdrGroup, "g")
+	if got := readSeqs(first, 3); !sameSeqs(got, []int{0, 1, 3}) {
+		t.Fatalf("first deliveries = %v, want [0 1 3]", got)
+	}
+	ackCount(first, "d-0", 2)
+	if got := j.Acked("g"); got != 2 {
+		t.Fatalf("Acked = %d, want 2: one past delivery #2, below the withheld record", got)
+	}
+	_ = first.conn.Close()
+
+	p.Grant("cleared", label.Clearance, label.MustParsePattern("label:conf:ecric.org.uk/mdt/9"))
+	resumed := dialTap(t, srv.Addr(), "cleared")
+	resumed.send(stomp.CmdSubscribe, stomp.HdrID, "d-0", stomp.HdrDestination, topic, stomp.HdrGroup, "g")
+	if got := readSeqs(resumed, 2); !sameSeqs(got, []int{2, 3}) {
+		t.Fatalf("resumed deliveries = %v, want [2 3]: the record withheld before is cleared now", got)
+	}
+}
+
+// TestDurableAckCountCap: a grouped consumer that reads far ahead of its
+// acks holds the feed's memory at maxUnackedReplay. An ack naming a
+// forgotten delivery is a no-op; a later ack still moves the mark, to one
+// past its last received record and no further.
+func TestDurableAckCountCap(t *testing.T) {
+	const (
+		topic = "/d/cap"
+		n     = maxUnackedReplay + 10
+	)
+	b, srv := startDurableBroker(t, testPolicy(), t.TempDir(), topic)
+	j, err := srv.journals.open(topic)
+	if err != nil {
+		t.Fatalf("journal: %v", err)
+	}
+	publishRecords(t, b, topic, 0, n)
+	c := dialTap(t, srv.Addr(), "consumer")
+	c.send(stomp.CmdSubscribe, stomp.HdrID, "d-0", stomp.HdrDestination, topic, stomp.HdrGroup, "g")
+	readSeqs(c, n)
+	c.frames = nil
+	waitFor(t, "every record queued", func() bool { return srv.Stats().ReplayDeliveries == n })
+	if got, capacity := feedUnacked(srv, "d-0"); got != maxUnackedReplay || capacity > 2*maxUnackedReplay {
+		t.Fatalf("feed remembers %d deliveries in %d slots, want %d in at most %d", got, capacity, maxUnackedReplay, 2*maxUnackedReplay)
+	}
+
+	ackCount(c, "d-0", 5)
+	if got := j.Acked("g"); got != 0 {
+		t.Fatalf("ack of a forgotten delivery: Acked = %d, want 0", got)
+	}
+	ackCount(c, "d-0", n-1)
+	if got := j.Acked("g"); got != n-1 {
+		t.Fatalf("Acked = %d, want %d", got, n-1)
+	}
+	ackCount(c, "d-0", n)
+	if got := j.Acked("g"); got != n {
+		t.Fatalf("Acked = %d, want %d (one past the last received record)", got, n)
+	}
+	if got, _ := feedUnacked(srv, "d-0"); got != 0 {
+		t.Errorf("feed remembers %d deliveries after the full ack, want 0", got)
+	}
+}
+
+// TestDurableAckCountEvictedFrameLags: under OverflowDropOldest a live
+// delivery can evict a queued replay frame. The consumer then counts
+// fewer deliveries than the broker queued, so its acks name earlier
+// deliveries: the mark lags what the consumer received, never leads it.
+// The evicted record itself is lost, as any evicted delivery is.
+func TestDurableAckCountEvictedFrameLags(t *testing.T) {
+	const (
+		topic = "/d/evict"
+		live  = "/live/evict"
+	)
+	b := New(testPolicy())
+	srv, err := NewServer("127.0.0.1:0", b, ServerConfig{
+		Logf:          t.Logf,
+		Durable:       []string{topic},
+		JournalDir:    t.TempDir(),
+		Overflow:      OverflowDropOldest,
+		WriteQueueLen: 4,
+	})
+	if err != nil {
+		t.Fatalf("NewServer: %v", err)
+	}
+	t.Cleanup(func() {
+		_ = srv.Close()
+		b.Close()
+	})
+	j, err := srv.journals.open(topic)
+	if err != nil {
+		t.Fatalf("journal: %v", err)
+	}
+
+	c := dialTap(t, srv.Addr(), "consumer")
+	c.send(stomp.CmdSubscribe, stomp.HdrID, "l-0", stomp.HdrDestination, live, stomp.HdrReceipt, "r-sub")
+	c.next(stomp.CmdReceipt)
+	c.send(stomp.CmdSubscribe, stomp.HdrID, "d-0", stomp.HdrDestination, topic, stomp.HdrGroup, "g")
+
+	// Publish 16 KiB records, not reading, until the session's queue is
+	// full of replay frames and the feed has fallen far behind: its
+	// writer is stalled on the unread connection.
+	body := bytes.Repeat([]byte("r"), 16<<10)
+	records := 0
+	for {
+		sent := srv.Stats().ReplayDeliveries
+		if st := srv.SessionStats(); len(st) == 1 && st[0].QueueDepth == st[0].QueueCap && uint64(records)-sent >= 64 {
+			break
+		}
+		if records == 4000 {
+			t.Fatal("the replay feed never stalled on the session's writer queue")
+		}
+		ev := event.New(topic, map[string]string{"seq": strconv.Itoa(records)})
+		ev.Body = body
+		if err := b.Publish("producer", ev); err != nil {
+			t.Fatalf("Publish: %v", err)
+		}
+		records++
+	}
+	if err := b.Publish("producer", event.New(live, map[string]string{"seq": "live"})); err != nil {
+		t.Fatalf("Publish live: %v", err)
+	}
+	evicted := int(srv.Stats().OverflowDrops)
+	if evicted == 0 {
+		t.Fatal("the live delivery evicted nothing")
+	}
+
+	// Read everything: once every record is queued, a sync receipt
+	// follows the last replay frame.
+	for {
+		done := srv.Stats().ReplayDeliveries == uint64(records)
+		c.sync()
+		if done {
+			break
+		}
+	}
+	replayed, last := 0, -1
+	for _, raw := range c.frames {
+		f, err := stomp.NewDecoder(strings.NewReader(raw)).Decode()
+		if err != nil {
+			t.Fatalf("decode kept frame: %v", err)
+		}
+		if f.Command == stomp.CmdMessage && f.Header(stomp.HdrSubscription) == "d-0" {
+			replayed++
+			last, _ = strconv.Atoi(f.Header("seq"))
+		}
+	}
+	if replayed != records-evicted || last != records-1 {
+		t.Fatalf("received %d replay frames up to seq %d, want %d of %d (%d evicted) up to %d",
+			replayed, last, records-evicted, records, evicted, records-1)
+	}
+
+	ackCount(c, "d-0", replayed)
+	if mark := int(j.Acked("g")); mark != replayed || mark > last+1 {
+		t.Errorf("Acked = %d, want %d: one past delivery #%d as the broker counted, below the last received record %d",
+			mark, replayed, replayed, last)
+	}
+}
+
+// TestDurableAckFrontierRandomOrder: a grouped client that releases its
+// deliveries in random order acks, each time, the longest released
+// prefix — never a delivery behind an unreleased one.
+func TestDurableAckFrontierRandomOrder(t *testing.T) {
+	const n = 64
+	ln, err := net.Listen("tcp", "127.0.0.1:0")
+	if err != nil {
+		t.Fatalf("Listen: %v", err)
+	}
+	defer ln.Close()
+	// A stand-in broker answers the handshake and the subscription, then
+	// records the highest offset ack the client sends.
+	var acked atomic.Int64
+	accepted, served := make(chan net.Conn, 1), make(chan struct{})
+	go func() {
+		defer close(served)
+		conn, err := ln.Accept()
+		if err != nil {
+			return
+		}
+		defer conn.Close()
+		dec := stomp.NewDecoder(bufio.NewReader(conn))
+		var enc stomp.Encoder
+		for _, reply := range []string{stomp.CmdConnected, stomp.CmdReceipt} {
+			f, err := dec.Decode()
+			if err != nil {
+				return
+			}
+			r := stomp.NewFrame(reply)
+			if id := f.Header(stomp.HdrReceipt); id != "" {
+				r.SetHeader(stomp.HdrReceiptID, id)
+			}
+			if enc.Encode(conn, r) != nil {
+				return
+			}
+		}
+		accepted <- conn
+		for {
+			f, err := dec.Decode()
+			if err != nil {
+				return
+			}
+			if off, err := strconv.ParseInt(f.Header(stomp.HdrOffset), 10, 64); err == nil && f.Command == stomp.CmdAck {
+				acked.Store(max(acked.Load(), off))
+			}
+		}
+	}()
+
+	c, err := DialBus(ln.Addr().String(), ClientConfig{Login: "consumer", DurableGroup: "g"})
+	if err != nil {
+		t.Fatalf("DialBus: %v", err)
+	}
+	defer func() {
+		c.AbruptClose()
+		_ = ln.Close()
+		<-served
+	}()
+	held := make(chan *event.Event, n)
+	sub, err := c.Subscribe("/d/order", "", func(ev *event.Event) {
+		held <- ev //lint:ignore noretain a bare client recycles a delivery only at Release, which the test calls later in its own order
+	})
+	if err != nil {
+		t.Fatalf("Subscribe: %v", err)
+	}
+	conn := <-accepted
+	var buf bytes.Buffer
+	var enc stomp.Encoder
+	for i := 0; i < n; i++ {
+		f := stomp.NewFrame(stomp.CmdMessage)
+		f.SetHeader(stomp.HdrDestination, "/d/order")
+		f.SetHeader(stomp.HdrSubscription, sub)
+		f.SetHeader(stomp.HdrMessageID, "m-"+strconv.Itoa(i))
+		f.SetHeader("seq", strconv.Itoa(i))
+		if err := enc.Encode(&buf, f); err != nil {
+			t.Fatalf("Encode: %v", err)
+		}
+	}
+	if _, err := conn.Write(buf.Bytes()); err != nil {
+		t.Fatalf("write: %v", err)
+	}
+	evs := make([]*event.Event, n)
+	for range evs {
+		ev := <-held
+		seq, _ := strconv.Atoi(ev.Attr("seq"))
+		evs[seq] = ev
+	}
+
+	released := make([]bool, n)
+	prefix := 0
+	for _, i := range rand.New(rand.NewSource(7)).Perm(n) {
+		evs[i].Release()
+		released[i] = true
+		for prefix < n && released[prefix] {
+			prefix++
+		}
+		deadline := time.Now().Add(5 * time.Second)
+		for acked.Load() != int64(prefix) {
+			if got := acked.Load(); got > int64(prefix) || time.Now().After(deadline) {
+				t.Fatalf("after releasing %d: acked %d, want the released prefix %d", i, got, prefix)
+			}
+			time.Sleep(time.Millisecond)
+		}
 	}
 }

@@ -78,6 +78,19 @@
 // ServerStats.RevokedDeliveries. What a revoke cannot reach is what was
 // already decided: frames in a writer queue and in kernel buffers, which
 // ServerConfig.WriteTimeout, when set, bounds in time.
+//
+// # What the broker's own headers tell a consumer
+//
+// A MESSAGE carries the event's headers plus two the broker adds:
+// subscription, the consumer's own id, and message-id, numbered by the
+// session's counter. A durable consumer's ACK carries a count of its own
+// deliveries. All three number only frames sent to that consumer, so
+// events it may not see leave no trace in them: a replayed MESSAGE is
+// routed exactly as a live one, no journal offset goes on the wire, and a
+// durable start is "earliest", "next" or the group's mark, never a
+// position a consumer could probe. TestDurableNoninterference holds every
+// frame a consumer receives byte-identical across histories that differ
+// only in events outside its clearance.
 package broker
 
 import (

@@ -66,16 +66,18 @@ type ClientConfig struct {
 	// DurableGroup, when non-empty, makes every subscription this client
 	// creates a durable one: the SUBSCRIBE carries a group header, so the
 	// broker feeds the subscription from the topic's journal, resuming at
-	// the group's cumulative acked offset, and the client acks progress
-	// automatically as deliveries are released (cumulative, on the same
-	// ACK frames as credit grants when SubscribeCredit is also set).
+	// the group's acked mark, and the client acks progress automatically
+	// as deliveries are released (cumulative, on the same ACK frames as
+	// credit grants when SubscribeCredit is also set).
 	// Durable topics must be configured on the server
 	// (ServerConfig.Durable).
 	DurableGroup string
 	// DurableOffset, when non-empty, adds an explicit replay start to
-	// every subscription: "earliest", "next", or a decimal offset. It wins
-	// over the group's acked mark; with DurableGroup empty it creates
-	// anonymous durable subscriptions whose progress is not persisted.
+	// every subscription: "earliest" or "next". It wins over the group's
+	// acked mark; with DurableGroup empty it creates anonymous durable
+	// subscriptions whose progress is not persisted. The client acks a
+	// count of its own deliveries, not journal offsets, and the broker
+	// refuses an absolute start: journal offsets never reach a consumer.
 	DurableOffset string
 }
 
@@ -198,16 +200,16 @@ func (w *pubWindow) flush() error {
 // grouped durable subscription into its connection's ack slot. Every
 // delivery event carries a NotifyRelease hook, so a completed callback —
 // Event.Release at the engine's callback-completion point — is what
-// grants credit and acks offsets, without wrapping the handler.
+// grants credit and acks progress, without wrapping the handler.
 //
 // The credit grant is the window plus the deliveries released so far.
-// The offset frontier moves across the completed prefix only: replayed
-// deliveries arrive in offset order but may complete out of order under a
-// concurrent engine, and clearance filtering leaves gaps in the offsets,
-// so acking offset n+1 states that every delivered record at or below n
-// has finished processing — the journal's cumulative-ack contract. Both
-// reach the slot as cumulative maxima, so a duplicate or reordered frame
-// is a no-op on the broker.
+// The offset ack is a count: the subscription's MESSAGEs are numbered
+// from 1 in arrival order, and the frontier moves across the completed
+// prefix only, because deliveries may complete out of order under a
+// concurrent engine. Acking k states that the first k deliveries have
+// finished processing; the broker maps k back to its journal. Both reach
+// the slot as cumulative maxima, so a duplicate or reordered frame is a
+// no-op on the broker.
 type ackTracker struct {
 	// slot is bound at the first delivery, on the connection read
 	// goroutine, from its subscription header (deliveries can arrive
@@ -216,43 +218,24 @@ type ackTracker struct {
 	slot    *stomp.AckSlot
 	window  int64 // credit window; zero when uncredited
 	onError func(error)
-	// doneFn releases a delivery without an offset; bound once, so its
+	// doneFn releases a delivery without a number; bound once, so its
 	// NotifyRelease costs no allocation.
 	doneFn   func()
 	consumed atomic.Int64
+	// arrived numbers the deliveries; only the read goroutine touches it.
+	arrived int64
 
-	mu      sync.Mutex
-	pending []int64 // delivered offsets in arrival order; pending[head:] outstanding
-	head    int
-	settled map[int64]bool // completed ahead of the frontier
+	mu       sync.Mutex
+	frontier int64          // deliveries 1..frontier are released
+	settled  map[int64]bool // released ahead of the frontier
 }
 
-// delivered records a replayed delivery's offset in arrival order and
-// returns it, or -1 when the frame carries none. It runs on the
-// connection read goroutine before the handler sees the event.
-func (t *ackTracker) delivered(h *stomp.HeaderView) int64 {
-	b, _ := h.GetBytes(stomp.HdrDeliveryOffset)
-	off, err := strconv.ParseInt(string(b), 10, 64)
-	if err != nil || off < 0 {
-		return -1
-	}
-	t.mu.Lock()
-	// Compact the settled prefix rather than let append reallocate: the
-	// FIFO stays bounded by the outstanding deliveries, not the total.
-	if n := len(t.pending); t.head == n || (n == cap(t.pending) && t.head >= n/2) {
-		t.pending, t.head = compact(t.pending, t.head), 0
-	}
-	t.pending = append(t.pending, off)
-	t.mu.Unlock()
-	return off
-}
-
-// released completes one delivery (off is its offset, or -1) and hands
-// the new frontier and grant to the slot.
-func (t *ackTracker) released(off int64) {
+// released completes delivery n (or a delivery without a number, n = 0)
+// and hands the new frontier and grant to the slot.
+func (t *ackTracker) released(n int64) {
 	var frontier, grant int64
-	if off >= 0 {
-		frontier = t.settle(off)
+	if n > 0 {
+		frontier = t.settle(n)
 	}
 	if t.window > 0 {
 		grant = t.consumed.Add(1) + t.window
@@ -262,24 +245,19 @@ func (t *ackTracker) released(off int64) {
 	}
 }
 
-// settle marks the delivery at off completed and returns the frontier
-// past the completed prefix, or 0 when an earlier delivery is unfinished.
-func (t *ackTracker) settle(off int64) int64 {
+// settle marks delivery n released and returns the frontier past the
+// released prefix, or 0 when an earlier delivery is unfinished.
+func (t *ackTracker) settle(n int64) int64 {
 	t.mu.Lock()
 	defer t.mu.Unlock()
-	var frontier int64
-	for ; t.head < len(t.pending); t.head++ {
-		p := t.pending[t.head]
-		if p != off && !t.settled[p] {
-			break
-		}
-		delete(t.settled, p)
-		frontier = p + 1
+	if n != t.frontier+1 {
+		t.settled[n] = true
+		return 0
 	}
-	if frontier == 0 {
-		t.settled[off] = true
+	for t.frontier = n; t.settled[t.frontier+1]; t.frontier++ {
+		delete(t.settled, t.frontier+1)
 	}
-	return frontier
+	return t.frontier
 }
 
 var _ Bus = (*Client)(nil)
@@ -371,9 +349,9 @@ func (c *Client) Flush() error {
 // Subscribe implements Bus. Deliveries are decoded map-free: the STOMP
 // frame view feeds event.UnmarshalView in a single pass, with body
 // ownership handed to the event. A credited or grouped durable
-// subscription gets an ackTracker, which grants credit and acks offsets
+// subscription gets an ackTracker, which grants credit and acks progress
 // as deliveries are released. An anonymous durable subscription acks no
-// offsets: the broker has no group to record them for.
+// progress: the broker has no group to record it for.
 func (c *Client) Subscribe(topic, sel string, handler Handler) (string, error) {
 	extra := make(map[string]string, 3)
 	if c.cfg.SubscribeCredit > 0 {
@@ -388,16 +366,17 @@ func (c *Client) Subscribe(topic, sel string, handler Handler) (string, error) {
 	var t *ackTracker
 	if c.cfg.SubscribeCredit > 0 || c.cfg.DurableGroup != "" {
 		t = &ackTracker{window: int64(c.cfg.SubscribeCredit), onError: c.cfg.OnError, settled: make(map[int64]bool)}
-		t.doneFn = func() { t.released(-1) }
+		t.doneFn = func() { t.released(0) }
 	}
 	return c.conn.SubscribeView(topic, sel, extra, func(v *stomp.FrameView) {
-		off := int64(-1)
+		var n int64
 		if t != nil {
 			if t.slot == nil {
 				t.slot = c.conn.AckSlot(v.Headers.Header(stomp.HdrSubscription))
 			}
 			if c.cfg.DurableGroup != "" {
-				off = t.delivered(&v.Headers)
+				t.arrived++
+				n = t.arrived
 			}
 		}
 		// Delivery unmarshal: the event comes from the delivery pool and
@@ -406,11 +385,11 @@ func (c *Client) Subscribe(topic, sel string, handler Handler) (string, error) {
 		// retain it past their own return.
 		ev, err := event.UnmarshalViewDelivery(&v.Headers, v.Body, &c.cache)
 		if err != nil {
-			// The broker spent a credit on this delivery and its offset
+			// The broker spent a credit on this delivery and its number
 			// must not stall the frontier: an undecodable frame is
 			// released at once.
 			if t != nil {
-				t.released(off)
+				t.released(n)
 			}
 			if c.cfg.OnError != nil {
 				c.cfg.OnError(err)
@@ -418,8 +397,8 @@ func (c *Client) Subscribe(topic, sel string, handler Handler) (string, error) {
 			return
 		}
 		switch {
-		case off >= 0:
-			ev.NotifyRelease(func() { t.released(off) })
+		case n > 0:
+			ev.NotifyRelease(func() { t.released(n) })
 		case t != nil:
 			ev.NotifyRelease(t.doneFn)
 		}

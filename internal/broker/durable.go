@@ -29,18 +29,24 @@ import (
 //   - A SUBSCRIBE carrying an offset or group header becomes a durable
 //     subscription: instead of registering with the live fan-out, a
 //     replay feed goroutine tails the topic's journal from the resolved
-//     start offset — the group's acked offset, or the explicit offset
-//     header ("earliest", "next", or an absolute offset, which wins over
-//     the group's mark. New publishes reach the consumer through the
+//     start — the group's acked mark, or the explicit offset header
+//     ("earliest" or "next", which wins over the group's mark). There is
+//     no absolute start. New publishes reach the consumer through the
 //     journal tail, ordered and gap-free, so a resumed consumer can never
 //     see an event twice from two delivery paths.
 //
-//   - Each replayed MESSAGE carries its journal offset in the reserved
-//     delivery-offset header; the consumer acks cumulative progress on
-//     the ACK frame (offset header), optionally alongside a credit grant.
-//     Acks persist via the journal's max-wins ack log, so redelivery
-//     after a crash or resubscribe is exactly the unacked suffix —
-//     at-least-once delivery with idempotent acks.
+//   - Journal offsets never leave the broker. A replayed MESSAGE is
+//     routed exactly as a live one, and the consumer acks a count: the
+//     ACK's offset header k says its first k deliveries on the
+//     subscription are processed. A grouped feed keeps the journal offset
+//     of each delivery it has queued and not yet seen acked (replayFeed's
+//     FIFO), and persists one past delivery #k's offset through the
+//     journal's max-wins ack log. Records withheld from the consumer are
+//     never numbered, so the persisted mark stops just past the last
+//     processed delivery, and a record withheld after it is read again —
+//     and delivered, if the consumer has been cleared since — on resume.
+//     Redelivery after a crash or resubscribe is exactly the unacked
+//     suffix: at-least-once delivery with idempotent acks.
 //
 //   - Replay paces itself with the subscription's credit window when one
 //     was advertised (creditState.waitClaim), and otherwise with the
@@ -221,6 +227,12 @@ func (s *Server) isDurableTopic(topic string) bool {
 	return s.journals != nil && s.journals.has(topic)
 }
 
+// maxUnackedReplay caps the deliveries a grouped feed remembers while it
+// waits for their ack. A consumer that reads further ahead of its acks
+// loses the oldest entries, and an ack that names one is a no-op: the
+// group's mark can lag (more redelivery on resume), never lead.
+const maxUnackedReplay = 4096
+
 // replayFeed is the per-durable-subscription tailing goroutine's handle:
 // the journal it reads, the consumer's clearance gate, the consumer group
 // whose acks it applies, and the stop signal teardown closes.
@@ -230,6 +242,55 @@ type replayFeed struct {
 	group    string
 	done     chan struct{}
 	stopOnce sync.Once
+
+	// mu guards a grouped feed's unacked deliveries: sent counts the
+	// deliveries queued so far, and offs[head:] holds the journal offsets
+	// of the newest len(offs)-head of them, oldest first.
+	mu   sync.Mutex
+	offs []int64
+	head int
+	sent int64
+}
+
+// record notes the journal offset of the delivery the feed is about to
+// queue, before the consumer can ack it. An anonymous feed records
+// nothing: it has no mark to persist.
+func (f *replayFeed) record(off int64) {
+	if f.group == "" {
+		return
+	}
+	f.mu.Lock()
+	if len(f.offs)-f.head == maxUnackedReplay {
+		f.head++
+	}
+	if n := len(f.offs); f.head == n || (n == cap(f.offs) && f.head >= n/2) {
+		f.offs, f.head = compact(f.offs, f.head), 0
+	}
+	f.offs = append(f.offs, off)
+	f.sent++
+	f.mu.Unlock()
+}
+
+// mark maps an ack of the consumer's first k deliveries to the journal
+// mark to persist, one past delivery #k's offset, and forgets the
+// deliveries up to #k. It returns 0, nothing to persist, when the feed is
+// anonymous or k is 0, already acked, or names an entry the cap dropped.
+// A k above the deliveries sent is an error.
+func (f *replayFeed) mark(k int64) (int64, error) {
+	if f.group == "" {
+		return 0, nil
+	}
+	f.mu.Lock()
+	defer f.mu.Unlock()
+	if k > f.sent {
+		return 0, fmt.Errorf("ack of %d deliveries, but %d were sent", k, f.sent)
+	}
+	i := int64(len(f.offs)) - (f.sent - k) // one past delivery #k's entry
+	if i <= int64(f.head) {
+		return 0, nil
+	}
+	f.head = int(i)
+	return f.offs[i-1] + 1, nil
 }
 
 func (f *replayFeed) stop() {
@@ -260,23 +321,19 @@ func (s *Server) subscribeDurable(ss *serverSession, ws *wireSub, clientID, topi
 
 	// The explicit offset header wins over the group's acked mark, so an
 	// operator can rewind or skip a group; a plain group resume starts at
-	// exactly the first unacked record.
+	// exactly the first unacked record. An absolute start is refused: by
+	// probing starts a consumer could find where its records sit in the
+	// journal, and so how many it may not see.
 	var start int64
-	if offStr != "" {
-		spec, err := stomp.ParseOffsetSpec(offStr)
-		if err != nil {
-			return err
-		}
-		switch {
-		case spec.Earliest:
-			start = 0
-		case spec.Next:
-			start = j.NextOffset()
-		default:
-			start = spec.At
-		}
-	} else {
+	switch offStr {
+	case "":
 		start = j.Acked(group)
+	case "earliest":
+		start = 0
+	case "next":
+		start = j.NextOffset()
+	default:
+		return fmt.Errorf("broker: offset header %q: a durable start is earliest or next", offStr)
 	}
 	// Clamp to the retained range: compaction or retention may have
 	// deleted the records below FirstOffset ("earliest" asks for offset
@@ -381,9 +438,11 @@ func (s *Server) runReplay(ss *serverSession, ws *wireSub, clientSubID, topic st
 				}
 			}
 			// The feed paces itself with the credit window, so the blocking
-			// enqueue is the back-pressure it wants.
+			// enqueue is the back-pressure it wants. The offset is recorded
+			// first, so no ack can name a delivery the feed does not know.
+			f.record(next)
 			img := stomp.RawMessageImage(rec.Image, rec.Split)
-			route := stomp.Route{Subscription: clientSubID, IDPrefix: ss.idPrefix, Seq: ss.msgSeq.Add(1), Offset: next, HasOffset: true}
+			route := stomp.Route{Subscription: clientSubID, IDPrefix: ss.idPrefix, Seq: ss.msgSeq.Add(1)}
 			if _, err := ss.sess.Deliver(img, route, stomp.EnqueueBlock, nil); err != nil {
 				s.suppress(ss, clientSubID, nil, err)
 				return
@@ -397,16 +456,4 @@ func (s *Server) runReplay(ss *serverSession, ws *wireSub, clientSubID, topic st
 		case <-sig:
 		}
 	}
-}
-
-// replayAck applies a consumer's cumulative offset ack. Anonymous durable
-// subscriptions (no group header) have no persistent identity to record
-// progress for, so their acks are benign no-ops; grouped acks persist
-// through the journal's max-wins ack log.
-func (s *Server) replayAck(ws *wireSub, offset int64) error {
-	f := ws.replay
-	if f.group == "" {
-		return nil
-	}
-	return f.j.Ack(f.group, offset)
 }

@@ -6,6 +6,7 @@ import (
 	"net"
 	"os"
 	"strconv"
+	"strings"
 	"sync"
 	"testing"
 	"time"
@@ -97,6 +98,24 @@ func sameSeqs(got, want []int) bool {
 		}
 	}
 	return true
+}
+
+// settleReplay waits until the server's replay feeds have read want
+// records in all, delivered or withheld, then flushes each client: a
+// flush's receipt follows every frame queued on that connection before
+// it, so every delivery has reached its handler and none is still on the
+// way when the caller compares.
+func settleReplay(t *testing.T, srv *Server, want uint64, clients ...*Client) {
+	t.Helper()
+	waitFor(t, "replay feeds to read every record", func() bool {
+		st := srv.Stats()
+		return st.ReplayDeliveries+st.ReplayFiltered == want
+	})
+	for _, c := range clients {
+		if err := c.Flush(); err != nil {
+			t.Fatalf("Flush: %v", err)
+		}
+	}
 }
 
 // TestDurableBacklogAndLiveTail is the happy path end to end: publishes
@@ -192,8 +211,8 @@ func TestDurableResumeAfterDisconnect(t *testing.T) {
 	if _, err := second.Subscribe(topic, "", h2); err != nil {
 		t.Fatalf("resubscribe: %v", err)
 	}
-	waitFor(t, "resumed replay", func() bool { return len(seqs2()) == 3 })
-	time.Sleep(100 * time.Millisecond) // no extra deliveries trickle in
+	// The first incarnation read records 0-5, the second 3-5.
+	settleReplay(t, srv, 6+3, second)
 	if got := seqs2(); !sameSeqs(got, []int{3, 4, 5}) {
 		t.Fatalf("resumed deliveries = %v, want exactly the unacked suffix [3 4 5]", got)
 	}
@@ -242,8 +261,8 @@ func TestDurableReplayClearanceRevoked(t *testing.T) {
 	if _, err := after.Subscribe(topic, "", ha); err != nil {
 		t.Fatalf("Subscribe after revoke: %v", err)
 	}
-	waitFor(t, "filtered replay", func() bool { return len(seqsAfter()) == 1 })
-	time.Sleep(100 * time.Millisecond)
+	// Each replay read both records.
+	settleReplay(t, srv, 2+2, after)
 	if got := seqsAfter(); !sameSeqs(got, []int{1}) {
 		t.Fatalf("post-revoke deliveries = %v, want only the unlabelled [1]", got)
 	}
@@ -318,9 +337,10 @@ func TestDurableReplayAcrossRestartZeroRemarshal(t *testing.T) {
 	}
 }
 
-// TestDurableOffsetSpecs covers the three explicit replay starts:
-// earliest rewinds to the log head, an absolute offset starts there, and
-// next skips the backlog entirely, delivering only later publishes.
+// TestDurableOffsetSpecs covers the two explicit replay starts: earliest
+// rewinds to the log head, and next skips the backlog entirely,
+// delivering only later publishes. An absolute start is refused
+// (TestDurableSubscribeValidation).
 func TestDurableOffsetSpecs(t *testing.T) {
 	const topic = "/d/off"
 	dir := t.TempDir()
@@ -334,31 +354,24 @@ func TestDurableOffsetSpecs(t *testing.T) {
 		return srv.Stats().DurableAppends == 4
 	})
 
-	subscribe := func(offset string) func() []int {
+	subscribe := func(offset string) (*Client, func() []int) {
 		c := dialDurable(t, srv.Addr(), "consumer", "", offset, 0)
 		h, seqs := seqCollector(t, func(int) bool { return true })
 		if _, err := c.Subscribe(topic, "", h); err != nil {
 			t.Fatalf("Subscribe offset=%s: %v", offset, err)
 		}
-		return seqs
+		return c, seqs
 	}
-	earliest := subscribe("earliest")
-	at2 := subscribe("2")
-	next := subscribe("next")
+	ce, earliest := subscribe("earliest")
+	cn, next := subscribe("next")
 
 	waitFor(t, "earliest backlog", func() bool { return len(earliest()) == 4 })
-	waitFor(t, "absolute backlog", func() bool { return len(at2()) == 2 })
 
 	publishDurableSeq(t, producer, topic, 4)
-	waitFor(t, "live tails", func() bool {
-		return len(earliest()) == 5 && len(at2()) == 3 && len(next()) == 1
-	})
-	time.Sleep(100 * time.Millisecond)
+	// earliest reads records 0-4, next reads record 4.
+	settleReplay(t, srv, 5+1, ce, cn)
 	if got := earliest(); !sameSeqs(got, []int{0, 1, 2, 3, 4}) {
 		t.Errorf("earliest = %v, want [0 1 2 3 4]", got)
-	}
-	if got := at2(); !sameSeqs(got, []int{2, 3, 4}) {
-		t.Errorf("offset 2 = %v, want [2 3 4]", got)
 	}
 	if got := next(); !sameSeqs(got, []int{4}) {
 		t.Errorf("next = %v, want [4]", got)
@@ -412,7 +425,9 @@ func rawSubscribe(t *testing.T, conn net.Conn, rd *bufio.Reader, topic, subID st
 }
 
 // rawReadOffsetMessage reads the next MESSAGE and returns its seq
-// attribute and delivery offset header.
+// attribute and its offset in the consumer's own count: the deliveries
+// the session sent before it, read from the message-id the session
+// numbers from 1. The raw connections here carry one subscription each.
 func rawReadOffsetMessage(t *testing.T, conn net.Conn, rd *bufio.Reader) (seq int, offset string) {
 	t.Helper()
 	_ = conn.SetReadDeadline(time.Now().Add(10 * time.Second))
@@ -428,7 +443,12 @@ func rawReadOffsetMessage(t *testing.T, conn net.Conn, rd *bufio.Reader) (seq in
 	if err != nil {
 		t.Fatalf("MESSAGE without numeric seq: %v", f)
 	}
-	return seq, f.Header(stomp.HdrDeliveryOffset)
+	id := f.Header(stomp.HdrMessageID)
+	n, err := strconv.Atoi(id[strings.LastIndexByte(id, '-')+1:])
+	if err != nil {
+		t.Fatalf("MESSAGE with message-id %q: %v", id, err)
+	}
+	return seq, strconv.Itoa(n - 1)
 }
 
 // rawExpectSilence asserts no frame arrives within d — in particular, no
@@ -571,6 +591,8 @@ func TestDurableSubscribeValidation(t *testing.T) {
 		map[string]string{stomp.HdrGroup: "g"})
 	expectSubscribeError("bad offset spec", topic,
 		map[string]string{stomp.HdrOffset: "latest-ish"})
+	expectSubscribeError("absolute offset", topic,
+		map[string]string{stomp.HdrOffset: "2"})
 }
 
 // TestDurableRetentionClampedResume drives compaction end to end: a group

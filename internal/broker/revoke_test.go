@@ -126,8 +126,8 @@ func TestCreditRevokeDuringReplayWait(t *testing.T) {
 	// A grant of 2 covers exactly one more delivery: record 2 can only go
 	// out if refusing record 1 gave its credit back.
 	rawAck(t, conn, "d-0", "2", "")
-	if seq, off := rawReadOffsetMessage(t, conn, rd); seq != 2 || off != "2" {
-		t.Fatalf("after revoke: seq %d offset %q, want the unlabelled record 2 (record 1 must not be delivered)", seq, off)
+	if seq, off := rawReadOffsetMessage(t, conn, rd); seq != 2 || off != "1" {
+		t.Fatalf("after revoke: seq %d offset %q, want the unlabelled record 2 as the second delivery (record 1 must not be delivered)", seq, off)
 	}
 	// The feed counts a delivery once it is queued, which can be after
 	// the frame reached the peer.

@@ -615,19 +615,27 @@ func (s *Server) OnFrameView(sess *stomp.Session, v *stomp.FrameView) error {
 			// error.
 			return nil
 		}
-		if cr != "" {
-			if ws.credit == nil {
-				return s.unhandledFrame("ACK credit grant for subscription " + subID + ", which subscribed without a credit window")
-			}
-			s.creditGrant(ss, subID, ws, grant)
+		if cr != "" && ws.credit == nil {
+			return s.unhandledFrame("ACK credit grant for subscription " + subID + ", which subscribed without a credit window")
 		}
+		// An offset ack counts the subscription's processed deliveries; the
+		// feed maps the count to its journal mark before anything is
+		// applied, so a count it never delivered rejects the whole frame.
+		var mark int64
 		if offStr != "" {
 			if ws.replay == nil {
 				return s.unhandledFrame("ACK offset for subscription " + subID + ", which is not durable")
 			}
-			if err := s.replayAck(ws, offset); err != nil {
-				return err
+			var err error
+			if mark, err = ws.replay.mark(offset); err != nil {
+				return s.unhandledFrame("ACK offset for subscription " + subID + ": " + err.Error())
 			}
+		}
+		if cr != "" {
+			s.creditGrant(ss, subID, ws, grant)
+		}
+		if mark > 0 {
+			return ws.replay.j.Ack(ws.replay.group, mark)
 		}
 		return nil
 

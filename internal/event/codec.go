@@ -106,7 +106,6 @@ var skippedHeaders = map[string]struct{}{
 	"subscription": {}, "message-id": {}, "content-length": {},
 	"receipt": {}, "receipt-id": {}, "id": {}, "ack": {},
 	"selector": {}, "transaction": {},
-	stomp.HdrDeliveryOffset: {},
 }
 
 // skippedHeader reports whether a STOMP header is transport metadata

@@ -33,9 +33,9 @@ var (
 
 // checkAgainstOracle fails t unless Parse and the oracle both reject src
 // with the same error, or both accept it and give the same Source and
-// the same verdict on every environment. The one rejection the oracle
-// need not share is the token bound, for a selector over maxTokens
-// tokens. It reports whether src parsed.
+// the same verdict on every environment. The rejections the oracle need
+// not share are the bounds: a selector over maxTokens tokens, and a LIKE
+// pattern over maxLikePattern bytes. It reports whether src parsed.
 func checkAgainstOracle(t testing.TB, src string, envs []map[string]string) bool {
 	t.Helper()
 	got, err := Parse(src)
@@ -44,6 +44,12 @@ func checkAgainstOracle(t testing.TB, src string, envs []map[string]string) bool
 	if errors.As(err, &se) && strings.HasPrefix(se.Msg, "more than") {
 		if n := oracleTokens(src); n <= maxTokens {
 			t.Fatalf("Parse(%q) = %v, but it has %d tokens", src, err, n)
+		}
+		return false
+	}
+	if errors.As(err, &se) && strings.HasPrefix(se.Msg, "LIKE pattern longer") {
+		if len(src) <= maxLikePattern {
+			t.Fatalf("Parse(%q) = %v, but it is only %d bytes long", src, err, len(src))
 		}
 		return false
 	}
@@ -271,12 +277,10 @@ func likeUTF8(src string) bool {
 	return false
 }
 
-// FuzzSelectorOracle checks Parse and MatchesAttrs against the oracle on
-// arbitrary selector text, over fixed environments and one in which every
-// attribute holds the fuzzed value.
-func FuzzSelectorOracle(f *testing.F) {
+// oracleSeeds are FuzzSelectorOracle's seed inputs.
+func oracleSeeds() []string {
 	g := selGen{rand.New(rand.NewSource(1))}
-	for _, src := range []string{
+	return []string{
 		"type = 'cancer'",
 		"type = 'cancer' AND stage >= 2",
 		"a + b * 2 = 16 OR -a <> +b / 0",
@@ -292,7 +296,14 @@ func FuzzSelectorOracle(f *testing.F) {
 		orChain(65),
 		g.cond(3),
 		g.cond(4),
-	} {
+	}
+}
+
+// FuzzSelectorOracle checks Parse and MatchesAttrs against the oracle on
+// arbitrary selector text, over fixed environments and one in which every
+// attribute holds the fuzzed value.
+func FuzzSelectorOracle(f *testing.F) {
+	for _, src := range oracleSeeds() {
 		f.Add(src, "1")
 	}
 	envs := diffEnvs(rand.New(rand.NewSource(2)), 8)
@@ -336,6 +347,30 @@ func TestLikeMatchesByRune(t *testing.T) {
 	}
 	if _, err := Parse("a LIKE 'x' ESCAPE 'éé'"); err == nil {
 		t.Error("a two-character ESCAPE parsed")
+	}
+}
+
+// TestLikePatternBound: Parse accepts a LIKE pattern of maxLikePattern
+// bytes and refuses a longer one with a SyntaxError at the pattern, so a
+// 16 KB pattern never becomes a regexp. No fuzz seed trips the bound, the
+// pipeline workload's selector (the second seed) included.
+func TestLikePatternBound(t *testing.T) {
+	like := func(n int) string { return "a LIKE '" + strings.Repeat("%x", n/2) + "'" }
+	if _, err := Parse(like(maxLikePattern)); err != nil {
+		t.Fatalf("a %d-byte pattern: %v", maxLikePattern, err)
+	}
+	for _, n := range []int{maxLikePattern + 2, 16 << 10} {
+		_, err := Parse(like(n))
+		var se *SyntaxError
+		if !errors.As(err, &se) || se.Pos != len("a LIKE ") {
+			t.Errorf("a %d-byte pattern: err = %v, want a SyntaxError at offset %d", n, err, len("a LIKE "))
+		}
+	}
+	for _, src := range oracleSeeds() {
+		var se *SyntaxError
+		if _, err := Parse(src); errors.As(err, &se) && strings.HasPrefix(se.Msg, "LIKE pattern longer") {
+			t.Errorf("Parse(%q): %v", src, err)
+		}
 	}
 }
 

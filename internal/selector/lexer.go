@@ -46,6 +46,12 @@ import (
 // maxTokens bounds the tokens in one selector.
 const maxTokens = 256
 
+// maxLikePattern bounds a LIKE pattern's length in bytes. The regexp it
+// compiles to matches in |pattern| × |subject| steps, on the publishing
+// goroutine, and a string literal could otherwise be a whole 64 KiB
+// header.
+const maxLikePattern = 256
+
 // space holds the bytes that separate tokens.
 const space = " \t\n\r"
 

@@ -195,6 +195,10 @@ func (p *parser) comparison() eval {
 		if p.tok.kind != tokString {
 			p.failf("expected string pattern after LIKE")
 		}
+		if len(pattern) > maxLikePattern {
+			p.failf("LIKE pattern longer than %d bytes", maxLikePattern)
+			return l // compiling it is the cost the bound refuses
+		}
 		p.next()
 		if p.accept("ESCAPE") {
 			escape = p.tok.text

@@ -374,18 +374,19 @@ func (c *Client) Sync(timeout time.Duration) error {
 }
 
 // AckSlot is one subscription's acknowledgement state on a client
-// connection: the cumulative offset frontier and credit grant the
-// consumer has reached, and whether an ACK frame carrying them is queued.
-// A release stores the new values and queues the slot only when it is not
-// already queued; the connection writer reads the values when it reaches
-// the slot, so every release between the enqueue and the encode folds
-// into one frame. An idle connection still sends one ACK per release,
-// while a busy one sends one per drained write batch. Both values are
-// cumulative maxima, so the broker applies the frame as it would any ACK.
+// connection: the cumulative offset ack (a count of processed deliveries)
+// and credit grant the consumer has reached, and whether an ACK frame
+// carrying them is queued. A release stores the new values and queues the
+// slot only when it is not already queued; the connection writer reads
+// the values when it reaches the slot, so every release between the
+// enqueue and the encode folds into one frame. An idle connection still
+// sends one ACK per release, while a busy one sends one per drained write
+// batch. Both values are cumulative maxima, so the broker applies the
+// frame as it would any ACK.
 type AckSlot struct {
 	fw     *frameWriter
 	sub    string
-	offset atomic.Int64 // cumulative offset ack; 0 sends no offset header
+	offset atomic.Int64 // cumulative delivery count; 0 sends no offset header
 	credit atomic.Int64 // cumulative credit grant; 0 sends no credit header
 	queued atomic.Bool
 }
@@ -395,7 +396,7 @@ func (c *Client) AckSlot(subscription string) *AckSlot {
 	return &AckSlot{fw: c.fw, sub: subscription}
 }
 
-// Ack raises the slot's offset frontier to offset and its credit grant to
+// Ack raises the slot's offset ack to offset and its credit grant to
 // credit (a value not above the current one changes nothing) and, if
 // either moved and no ACK for the slot is queued, queues one. It is safe
 // for concurrent use and never blocks on more than the queue.

@@ -122,10 +122,8 @@ func (b *ImageBuilder) Finish(body []byte) WireImage {
 }
 
 // Route addresses one delivery of a shared MESSAGE image: the values of
-// the per-delivery headers that exist only on the wire. The zero Offset
-// with HasOffset unset means a live delivery; a replayed journal record
-// sets both, and its offset travels as HdrDeliveryOffset so a durable
-// consumer can ack cumulative progress.
+// the per-delivery headers that exist only on the wire. A live delivery
+// and a replayed journal record route alike.
 type Route struct {
 	// Subscription is the client-chosen subscription id.
 	Subscription string
@@ -133,9 +131,6 @@ type Route struct {
 	// decimal seq).
 	IDPrefix string
 	Seq      uint64
-	// Offset is the record's journal offset when HasOffset is set.
-	Offset    int64
-	HasOffset bool
 }
 
 // EncodeImage writes a preencoded MESSAGE image to w with the per-delivery
@@ -151,8 +146,7 @@ func (e *Encoder) EncodeImage(w io.Writer, img *WireImage, subscription, idPrefi
 }
 
 // encodeRouted is the one routing-header splice: the image's header
-// block, then subscription, message-id and (for a replayed record) the
-// delivery offset, then the image's tail. The stored image bytes are
+// block, then subscription and message-id, then the image's tail. The stored image bytes are
 // written as-is on both sides of the splice.
 //
 //safeweb:hotpath
@@ -170,12 +164,6 @@ func (e *Encoder) encodeRouted(w io.Writer, img *WireImage, r Route) error {
 	b = appendEscapedHeader(b, r.IDPrefix)
 	b = strconv.AppendUint(b, r.Seq, 10)
 	b = append(b, '\n')
-	if r.HasOffset {
-		b = append(b, HdrDeliveryOffset...)
-		b = append(b, ':')
-		b = strconv.AppendInt(b, r.Offset, 10)
-		b = append(b, '\n')
-	}
 	if cap(b) <= maxRetainedEncodeBuf {
 		e.buf = b[:0]
 	}
