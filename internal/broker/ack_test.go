@@ -3,6 +3,7 @@ package broker
 import (
 	"bufio"
 	"bytes"
+	"errors"
 	"io"
 	"math/rand"
 	"net"
@@ -370,19 +371,28 @@ func TestDurableAckCountCap(t *testing.T) {
 	}
 }
 
-// TestDurableAckCountEvictedFrameLags: under OverflowDropOldest a live
-// delivery can evict a queued replay frame. The consumer then counts
-// fewer deliveries than the broker queued, so its acks name earlier
-// deliveries: the mark lags what the consumer received, never leads it.
-// The evicted record itself is lost, as any evicted delivery is.
-func TestDurableAckCountEvictedFrameLags(t *testing.T) {
+// TestDurableReplayNeverEvicted: under OverflowDropOldest a live delivery
+// to a session whose queue is full of replay frames evicts none of them:
+// the live delivery is the one dropped, counted and reported as a
+// drop-newest is. The consumer receives every record, in order, and its
+// ack of everything it received moves the group's mark to records.
+func TestDurableReplayNeverEvicted(t *testing.T) {
 	const (
 		topic = "/d/evict"
 		live  = "/live/evict"
 	)
 	b := New(testPolicy())
+	var reported []string
+	var reportedMu sync.Mutex
 	srv, err := NewServer("127.0.0.1:0", b, ServerConfig{
-		Logf:          t.Logf,
+		Logf: t.Logf,
+		OnDeliveryError: func(_ uint64, sub string, _ *event.Event, err error) {
+			reportedMu.Lock()
+			defer reportedMu.Unlock()
+			if errors.Is(err, ErrSlowConsumer) {
+				reported = append(reported, sub)
+			}
+		},
 		Durable:       []string{topic},
 		JournalDir:    t.TempDir(),
 		Overflow:      OverflowDropOldest,
@@ -428,10 +438,14 @@ func TestDurableAckCountEvictedFrameLags(t *testing.T) {
 	if err := b.Publish("producer", event.New(live, map[string]string{"seq": "live"})); err != nil {
 		t.Fatalf("Publish live: %v", err)
 	}
-	evicted := int(srv.Stats().OverflowDrops)
-	if evicted == 0 {
-		t.Fatal("the live delivery evicted nothing")
+	if drops := srv.Stats().OverflowDrops; drops != 1 {
+		t.Fatalf("OverflowDrops = %d after one live publish to a full queue, want 1", drops)
 	}
+	reportedMu.Lock()
+	if len(reported) != 1 || reported[0] != "l-0" {
+		t.Errorf("reported drops on %v, want the live subscription l-0 alone", reported)
+	}
+	reportedMu.Unlock()
 
 	// Read everything: once every record is queued, a sync receipt
 	// follows the last replay frame.
@@ -442,26 +456,30 @@ func TestDurableAckCountEvictedFrameLags(t *testing.T) {
 			break
 		}
 	}
-	replayed, last := 0, -1
+	replayed := 0
 	for _, raw := range c.frames {
 		f, err := stomp.NewDecoder(strings.NewReader(raw)).Decode()
 		if err != nil {
 			t.Fatalf("decode kept frame: %v", err)
 		}
-		if f.Command == stomp.CmdMessage && f.Header(stomp.HdrSubscription) == "d-0" {
-			replayed++
-			last, _ = strconv.Atoi(f.Header("seq"))
+		if f.Command != stomp.CmdMessage {
+			continue
 		}
+		if sub := f.Header(stomp.HdrSubscription); sub != "d-0" {
+			t.Fatalf("received a frame for %s: the dropped live delivery reached the consumer", sub)
+		}
+		if seq := f.Header("seq"); seq != strconv.Itoa(replayed) {
+			t.Fatalf("replay frame #%d carries seq %s", replayed, seq)
+		}
+		replayed++
 	}
-	if replayed != records-evicted || last != records-1 {
-		t.Fatalf("received %d replay frames up to seq %d, want %d of %d (%d evicted) up to %d",
-			replayed, last, records-evicted, records, evicted, records-1)
+	if replayed != records {
+		t.Fatalf("received %d of %d replay frames", replayed, records)
 	}
 
 	ackCount(c, "d-0", replayed)
-	if mark := int(j.Acked("g")); mark != replayed || mark > last+1 {
-		t.Errorf("Acked = %d, want %d: one past delivery #%d as the broker counted, below the last received record %d",
-			mark, replayed, replayed, last)
+	if mark := int(j.Acked("g")); mark != records {
+		t.Errorf("Acked = %d after the consumer acked all it received, want %d", mark, records)
 	}
 }
 

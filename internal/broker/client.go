@@ -35,8 +35,8 @@ type ClientConfig struct {
 
 	// PublishWindow enables windowed asynchronous publishing when > 0:
 	// every publish is a receipt-tracked SEND, and up to PublishWindow of
-	// them may be in flight before Publish blocks on the oldest
-	// outstanding confirmation. Publishes still enter the connection's
+	// them may be in flight before Publish blocks until the oldest is
+	// confirmed. Publishes still enter the connection's
 	// single write queue in call order, so publish ordering is unchanged —
 	// the window removes the per-publish round trip, not the ordering. The
 	// first broker error (receipt timeout, connection loss, server
@@ -100,23 +100,23 @@ type Client struct {
 	win *pubWindow
 }
 
-// pubWindow tracks the receipt-confirmed SENDs in flight on the publish
-// connection. Receipts complete in send order (the broker processes a
-// connection's frames sequentially), so the in-flight set is a FIFO and
-// waiting on its head bounds the window. The first failure is sticky:
-// once a receipt is refused, times out, or the connection dies, every
-// later publish on this window fails fast with that error and Flush
-// reports it — a windowed producer can pipeline without ever having an
-// error swallowed between two Flush calls.
+// pubWindow counts the receipt-confirmed SENDs in flight on the publish
+// connection. The broker answers a connection's frames in order, so a
+// RECEIPT confirms every publish up to its number, and the window is
+// last, the receipt number of the newest publish, less the connection's
+// confirmed count: publish waits while that reaches size. The first
+// failure is sticky: once a receipt is refused, times out, or the
+// connection dies, every later publish on this window fails fast with
+// that error and Flush reports it — a windowed producer can pipeline
+// without ever having an error swallowed between two Flush calls.
 type pubWindow struct {
 	conn    *stomp.Client
-	size    int
+	size    uint64
 	timeout time.Duration
 
-	mu       sync.Mutex
-	inflight []*stomp.Receipt // FIFO; head..len(inflight) outstanding
-	head     int
-	err      error // sticky first failure
+	mu   sync.Mutex
+	last uint64 // receipt number of the newest publish
+	err  error  // sticky first failure
 }
 
 // publish sends one image through the window, blocking while the window
@@ -125,52 +125,30 @@ type pubWindow struct {
 func (w *pubWindow) publish(img *stomp.WireImage) error {
 	w.mu.Lock()
 	defer w.mu.Unlock()
+	if w.last >= w.size {
+		w.waitLocked(w.last - w.size + 1)
+	}
 	if w.err != nil {
 		return w.err
 	}
-	for len(w.inflight)-w.head >= w.size {
-		if err := w.waitHeadLocked(); err != nil {
-			return err
-		}
-	}
-	r, err := w.conn.SendImageAsync(img)
+	n, err := w.conn.SendImageAsync(img)
 	if err != nil {
 		w.err = fmt.Errorf("broker: windowed publish: %w", err)
 		return w.err
 	}
-	// Compact the settled prefix so a continuously publishing window
-	// keeps the slice (and the receipts the dead prefix would pin)
-	// bounded by the window size, not by total publishes.
-	if w.head == len(w.inflight) || w.head >= w.size {
-		w.inflight, w.head = compact(w.inflight, w.head), 0
-	}
-	w.inflight = append(w.inflight, r)
+	w.last = n
 	return nil
 }
 
-// compact moves the outstanding suffix q[head:] of a FIFO to the front of
-// its array and returns it, zeroing the vacated slots.
-func compact[T any](q []T, head int) []T {
-	n := copy(q, q[head:])
-	clear(q[n:])
-	return q[:n]
-}
-
-// waitHeadLocked settles the oldest outstanding receipt. On failure the
-// error becomes sticky and the remaining in-flight receipts are dropped:
-// the connection is dead or wedged, and their confirmations can never
-// arrive out of order with the one that failed.
-func (w *pubWindow) waitHeadLocked() error {
-	r := w.inflight[w.head]
-	w.inflight[w.head] = nil // settled receipts must not linger in the FIFO
-	w.head++
-	if err := r.Wait(w.timeout); err != nil {
+// waitLocked waits, unless the window has failed, until publish n is
+// confirmed; a failure becomes the sticky error.
+func (w *pubWindow) waitLocked(n uint64) {
+	if w.err != nil {
+		return
+	}
+	if err := w.conn.WaitReceipt(n, w.timeout); err != nil {
 		w.err = fmt.Errorf("broker: windowed publish: %w", err)
-		w.inflight = w.inflight[:0]
-		w.head = 0
-		return w.err
 	}
-	return nil
 }
 
 // stickyErr returns the window's sticky failure, if any. Publish checks
@@ -183,16 +161,12 @@ func (w *pubWindow) stickyErr() error {
 	return w.err
 }
 
-// flush settles every outstanding receipt and returns the window's sticky
-// error, if any.
+// flush waits until every publish is confirmed and returns the window's
+// sticky error, if any.
 func (w *pubWindow) flush() error {
 	w.mu.Lock()
 	defer w.mu.Unlock()
-	for w.err == nil && w.head < len(w.inflight) {
-		_ = w.waitHeadLocked() // error is sticky; loop exits on it
-	}
-	w.inflight = w.inflight[:0]
-	w.head = 0
+	w.waitLocked(w.last)
 	return w.err
 }
 
@@ -285,7 +259,7 @@ func DialBus(addr string, cfg ClientConfig) (*Client, error) {
 			_ = conn.Close()
 			return nil, err
 		}
-		c.win = &pubWindow{conn: pub, size: cfg.PublishWindow, timeout: cfg.SendTimeout}
+		c.win = &pubWindow{conn: pub, size: uint64(cfg.PublishWindow), timeout: cfg.SendTimeout}
 	}
 	return c, nil
 }

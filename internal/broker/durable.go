@@ -271,6 +271,14 @@ func (f *replayFeed) record(off int64) {
 	f.mu.Unlock()
 }
 
+// compact moves the outstanding suffix q[head:] of a FIFO to the front of
+// its array and returns it, zeroing the vacated slots.
+func compact[T any](q []T, head int) []T {
+	n := copy(q, q[head:])
+	clear(q[n:])
+	return q[:n]
+}
+
 // mark maps an ack of the consumer's first k deliveries to the journal
 // mark to persist, one past delivery #k's offset, and forgets the
 // deliveries up to #k. It returns 0, nothing to persist, when the feed is

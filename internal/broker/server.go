@@ -35,10 +35,12 @@ const (
 	// ErrSlowConsumer. Oldest queued deliveries survive — the backlog
 	// keeps its history and loses the present.
 	OverflowDropNewest
-	// OverflowDropOldest evicts the oldest queued deliveries to make room
-	// for the incoming one; each eviction is counted and reported like a
-	// drop. The backlog tracks the present and loses history — the usual
-	// choice for live feeds. Control frames are never evicted.
+	// OverflowDropOldest evicts the oldest queued live deliveries to make
+	// room for the incoming one; each eviction is counted and reported
+	// like a drop. The backlog tracks the present and loses history — the
+	// usual choice for live feeds. Control frames and a durable feed's
+	// replay frames are never evicted: while a replay frame is queued,
+	// the incoming live delivery is dropped instead.
 	OverflowDropOldest
 	// OverflowDisconnect drops the incoming delivery like
 	// OverflowDropNewest and evicts the whole session once
@@ -684,8 +686,8 @@ func (s *Server) deliver(ss *serverSession, ws *wireSub, clientSubID string, ev 
 // whether a session whose delivery queue is full may block the publisher
 // (OverflowBlock), loses the incoming delivery (drop-newest, disconnect:
 // not queued) or loses its oldest queued ones (drop-oldest: each reported
-// through queueEvict on this goroutine). Whatever is not queued goes to
-// suppress.
+// through queueEvict on this goroutine, as is the incoming one when a
+// replay frame is queued). Whatever is not queued goes to suppress.
 func (s *Server) sendDelivery(ss *serverSession, clientSubID string, ev *event.Event) {
 	img, err := ev.WireImage()
 	if err == nil {
@@ -737,8 +739,8 @@ func (s *Server) suppress(ss *serverSession, subscription string, ev *event.Even
 	}
 }
 
-// queueEvict is the stomp-layer callback for deliveries evicted from a
-// session's queue by OverflowDropOldest. The payload is the delivered
+// queueEvict is the stomp-layer callback for deliveries OverflowDropOldest
+// drops: evicted from a session's queue, or the incoming one. The payload is the delivered
 // event. A session that has already departed still counts server-side.
 func (s *Server) queueEvict(sess *stomp.Session, subscription string, payload any) {
 	s.mu.Lock()

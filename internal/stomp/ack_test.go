@@ -129,11 +129,9 @@ func TestDurableAcksCoalesce(t *testing.T) {
 	fw := newFrameWriter(server, workers*each, 0, nil)
 	defer fw.close()
 
-	// Wedge the writer in the write of a first delivery: nobody reads the
-	// pipe yet.
-	first := delivery("first", nil)
-	first.flush = true
-	if err := fw.send(first); err != nil {
+	// Wedge the writer in the write of a first delivery, larger than its
+	// buffer: nobody reads the pipe yet.
+	if err := fw.send(wedge(nil)); err != nil {
 		t.Fatalf("send: %v", err)
 	}
 	for deadline := time.Now().Add(5 * time.Second); len(fw.ch) != 0; time.Sleep(time.Millisecond) {

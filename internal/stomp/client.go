@@ -39,21 +39,35 @@ type ClientConfig struct {
 
 // Client is a STOMP client connection. All methods are safe for concurrent
 // use. Outbound frames pass through a write-coalescing writer goroutine
-// with a queue of 128 frames and no write deadline: bursts of SEND frames
-// are encoded back-to-back and flushed once per batch, while control
-// frames (SUBSCRIBE, DISCONNECT, anything carrying a receipt request)
-// flush immediately.
+// with a queue of 128 frames and no write deadline: whatever is queued
+// while it writes is encoded back-to-back and flushed once, when the
+// queue is drained.
+//
+// Receipts are a count. Every receipt-requesting frame takes the next
+// number, from 1, under the lock that enqueues it, and the id on the wire
+// is that decimal number. The broker handles a connection's frames in
+// order and answers each after handling it, so RECEIPT n confirms every
+// m ≤ n: the read loop keeps the highest number confirmed, and ignores a
+// RECEIPT naming anything else than a number sent.
 type Client struct {
 	cfg  ClientConfig
 	conn net.Conn
 	fw   *frameWriter
 
-	mu       sync.Mutex
-	subs     map[string]MessageViewHandler
-	receipts map[string]chan struct{}
-	nextID   uint64
-	closed   bool
-	closing  bool // DISCONNECT sent: the read loop's EOF is not an error
+	mu      sync.Mutex
+	subs    map[string]MessageViewHandler
+	nextID  uint64
+	closed  bool
+	closing bool // DISCONNECT sent: the read loop's EOF is not an error
+
+	// numberMu orders taking a receipt number with enqueueing its frame;
+	// last is the newest number taken. confirmed moves only on the read
+	// loop, which closes and clears wake, under wakeMu, when it does.
+	numberMu  sync.Mutex
+	last      atomic.Uint64
+	confirmed atomic.Uint64
+	wakeMu    sync.Mutex
+	wake      chan struct{}
 
 	// inHandler is set while the read loop runs a subscription handler. A
 	// SubscribeView issued from inside a handler cannot wait for its RECEIPT
@@ -82,7 +96,6 @@ func Dial(addr string, cfg ClientConfig) (*Client, error) {
 		cfg:      cfg,
 		conn:     conn,
 		subs:     make(map[string]MessageViewHandler),
-		receipts: make(map[string]chan struct{}),
 		readDone: make(chan struct{}),
 	}
 	// A write error kills the connection so the read loop unblocks and
@@ -128,7 +141,7 @@ func Dial(addr string, cfg ClientConfig) (*Client, error) {
 }
 
 func (c *Client) writeFrame(f *Frame) error {
-	return c.fw.send(outFrame{f: f, flush: frameNeedsFlush(f)})
+	return c.fw.send(outFrame{f: f})
 }
 
 func (c *Client) readLoop(dec *Decoder) {
@@ -161,13 +174,7 @@ func (c *Client) readLoop(dec *Decoder) {
 			}
 		case CmdReceipt:
 			rb, _ := v.Headers.GetBytes(HdrReceiptID)
-			c.mu.Lock()
-			ch := c.receipts[string(rb)]
-			delete(c.receipts, string(rb))
-			c.mu.Unlock()
-			if ch != nil {
-				close(ch)
-			}
+			c.confirm(rb)
 		case CmdError:
 			if c.cfg.OnError != nil {
 				c.cfg.OnError(fmt.Errorf("stomp: server error: %s: %s", v.Headers.Header(HdrMessage), v.Body))
@@ -185,103 +192,97 @@ func (c *Client) SendImage(img *WireImage) error {
 
 // SendImageReceipt is SendImage with a receipt: it blocks until the
 // broker confirms processing or the timeout elapses (zero means 10
-// seconds). Like every synchronous receipt send it flushes immediately —
-// the caller is already waiting, so batching would only add latency.
+// seconds).
 func (c *Client) SendImageReceipt(img *WireImage, timeout time.Duration) error {
-	r, err := c.sendImageReceipt(img, true)
+	n, err := c.SendImageAsync(img)
 	if err != nil {
 		return err
 	}
-	return r.Wait(timeout)
+	return c.WaitReceipt(n, timeout)
 }
 
-// Receipt tracks one receipt-confirmed frame in flight, for windowed
-// asynchronous publishing: the caller pipelines further sends and settles
-// confirmations later via Wait. Receipts for one connection complete in
-// send order (the broker processes frames sequentially), so waiting on
-// the oldest outstanding receipt bounds the whole window.
-type Receipt struct {
-	c  *Client
-	id string
-	ch chan struct{}
+// SendImageAsync enqueues a receipt-carrying SEND image and returns its
+// receipt number at once, for windowed publishing: the caller pipelines
+// further sends and settles confirmations later with WaitReceipt. The
+// writer encodes the number straight into the frame.
+func (c *Client) SendImageAsync(img *WireImage) (uint64, error) {
+	return c.sendNumbered(outFrame{img: img})
 }
 
-// SendImageAsync enqueues a receipt-carrying SEND image and returns
-// immediately with the pending receipt. Unlike the synchronous receipt
-// paths it does not force a flush: nothing blocks on this frame yet, so
-// it coalesces with the rest of the burst (the writer still flushes once
-// per drained batch).
-func (c *Client) SendImageAsync(img *WireImage) (*Receipt, error) {
-	return c.sendImageReceipt(img, false)
-}
-
-func (c *Client) sendImageReceipt(img *WireImage, flush bool) (*Receipt, error) {
-	rid, ch, err := c.registerReceipt()
-	if err != nil {
-		return nil, err
+// sendNumbered enqueues of with the next receipt number: a Frame carries
+// it as its receipt header, a SEND image as the number the writer
+// splices in. numberMu is held across the enqueue, even one waiting on a
+// full queue, because numbers must reach the queue in order; it delays
+// only other receipt senders, who would wait for the same queue.
+func (c *Client) sendNumbered(of outFrame) (uint64, error) {
+	c.numberMu.Lock()
+	defer c.numberMu.Unlock()
+	n := c.last.Load() + 1
+	if of.f != nil {
+		of.f.SetHeader(HdrReceipt, strconv.FormatUint(n, 10))
+	} else {
+		of.receiptNo = n
 	}
-	if err := c.fw.send(outFrame{img: img, receipt: rid, flush: flush}); err != nil {
-		c.dropReceipt(rid)
-		return nil, err
-	}
-	return &Receipt{c: c, id: rid, ch: ch}, nil
+	// Taken before the enqueue, so its RECEIPT cannot arrive first.
+	c.last.Store(n)
+	return n, c.fw.send(of)
 }
 
-// registerReceipt mints a receipt id and registers its wait channel; the
-// single receipt lifecycle shared by the synchronous and windowed paths.
-func (c *Client) registerReceipt() (string, chan struct{}, error) {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	if c.closed {
-		return "", nil, net.ErrClosed
+// confirm raises the confirmed count to the number a RECEIPT names and
+// wakes the waiters. An id that is not a number this connection sent, or
+// not above the count, changes nothing.
+func (c *Client) confirm(id []byte) {
+	if len(id) == 0 || id[0] == '0' {
+		return
 	}
-	c.nextID++
-	var buf [len("rcpt-") + 20]byte // 20 digits hold any uint64
-	rid := string(strconv.AppendUint(append(buf[:0], "rcpt-"...), c.nextID, 10))
-	ch := make(chan struct{})
-	c.receipts[rid] = ch
-	return rid, ch, nil
+	n, err := strconv.ParseUint(string(id), 10, 64)
+	if err != nil || n > c.last.Load() || n <= c.confirmed.Load() {
+		return
+	}
+	c.confirmed.Store(n)
+	c.wakeMu.Lock()
+	if c.wake != nil {
+		close(c.wake)
+		c.wake = nil
+	}
+	c.wakeMu.Unlock()
 }
 
-// dropReceipt deregisters a receipt that will never be waited on again.
-func (c *Client) dropReceipt(rid string) {
-	c.mu.Lock()
-	delete(c.receipts, rid)
-	c.mu.Unlock()
-}
-
-// Done returns a channel closed when the broker's RECEIPT arrives. It
-// does not observe connection failure; use Wait for that.
-func (r *Receipt) Done() <-chan struct{} { return r.ch }
-
-// Wait blocks until the broker confirms the frame, the connection dies,
-// or the timeout elapses (zero means 10 seconds). A confirmation that
-// already arrived wins over a concurrent connection teardown.
-func (r *Receipt) Wait(timeout time.Duration) error {
-	select {
-	case <-r.ch:
-		return nil
-	default:
-	}
+// WaitReceipt blocks until receipt n is confirmed — by RECEIPT n or any
+// later one — the connection dies, or the timeout elapses (zero means 10
+// seconds). A confirmation that already arrived wins over a concurrent
+// teardown.
+func (c *Client) WaitReceipt(n uint64, timeout time.Duration) error {
 	if timeout == 0 {
 		timeout = 10 * time.Second
 	}
-	timer := time.NewTimer(timeout)
-	defer timer.Stop()
-	select {
-	case <-r.ch:
-		return nil
-	case <-r.c.readDone:
-		// The read loop may have delivered the receipt just before dying.
-		select {
-		case <-r.ch:
+	var timer *time.Timer
+	for {
+		c.wakeMu.Lock()
+		if c.confirmed.Load() >= n {
+			c.wakeMu.Unlock()
 			return nil
-		default:
 		}
-		return net.ErrClosed
-	case <-timer.C:
-		r.c.dropReceipt(r.id)
-		return fmt.Errorf("stomp: receipt %s timed out after %v", r.id, timeout)
+		if c.wake == nil {
+			c.wake = make(chan struct{})
+		}
+		wake := c.wake
+		c.wakeMu.Unlock()
+		if timer == nil {
+			timer = time.NewTimer(timeout)
+			defer timer.Stop()
+		}
+		select {
+		case <-wake:
+		case <-c.readDone:
+			// The read loop may have confirmed n just before dying.
+			if c.confirmed.Load() >= n {
+				return nil
+			}
+			return net.ErrClosed
+		case <-timer.C:
+			return fmt.Errorf("stomp: receipt %d timed out after %v", n, timeout)
+		}
 	}
 }
 
@@ -346,19 +347,13 @@ func (c *Client) Unsubscribe(id string) error {
 	return c.writeFrame(f)
 }
 
-// sendWithReceipt attaches a receipt header, sends, and waits.
+// sendWithReceipt attaches the next receipt number, sends, and waits.
 func (c *Client) sendWithReceipt(f *Frame, timeout time.Duration) error {
-	rid, ch, err := c.registerReceipt()
+	n, err := c.sendNumbered(outFrame{f: f})
 	if err != nil {
 		return err
 	}
-	f.SetHeader(HdrReceipt, rid)
-	if err := c.writeFrame(f); err != nil {
-		c.dropReceipt(rid)
-		return err
-	}
-	r := Receipt{c: c, id: rid, ch: ch}
-	return r.Wait(timeout)
+	return c.WaitReceipt(n, timeout)
 }
 
 // Sync returns once the broker has handled every frame this connection

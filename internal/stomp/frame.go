@@ -44,11 +44,22 @@
 // event's fields straight in, event.Event.SendImage), and
 // Encoder.EncodeSendImage writes it with the per-publish receipt header
 // spliced at its canonical sorted position, so the bytes are identical to
-// encoding the same frame with the receipt in its header map. Receipt
-// tracking has an asynchronous form for windowed publishing:
-// Client.SendImageAsync returns a Receipt whose Wait settles later,
-// letting a producer keep a window of confirmed-in-order sends in flight
-// instead of paying a round trip per publish.
+// encoding the same frame with the receipt in its header map.
+//
+// # Receipts
+//
+// A client's receipts are a per-connection count: every
+// receipt-requesting frame carries the next decimal number, from 1, and
+// because the broker answers a connection's frames in order, RECEIPT n
+// confirms every m ≤ n. The client keeps one confirmed number, and a
+// RECEIPT naming anything but a number it sent changes nothing.
+// Client.SendImageAsync returns the number, which the connection writer
+// formats straight into the SEND, and Client.WaitReceipt settles it
+// later, so a producer keeps a window of sends in flight — a count, not a
+// set of pending receipts — instead of paying a round trip per publish.
+// Every writer, client or session, flushes only when it has drained its
+// queue or filled its buffer, so RECEIPTs queued while a session's writer
+// was busy leave in one write, as MESSAGE bursts do.
 //
 // # Flow control and slow consumers
 //
@@ -60,8 +71,11 @@
 // frames, and Session.Deliver for routed MESSAGE images, whose
 // EnqueueMode picks what a full queue does — EnqueueBlock waits (lossless
 // back-pressure), EnqueueTry fails fast and leaves the overflow decision
-// to the caller, and EnqueueEvict evicts the oldest queued deliveries —
-// never control frames — reporting each through ServerConfig.OnQueueEvict.
+// to the caller, and EnqueueEvict evicts the oldest queued deliveries
+// that were themselves enqueued with EnqueueEvict — never control frames,
+// and never a delivery enqueued otherwise, such as a durable feed's replay
+// frame: while one of those is queued, the incoming delivery is dropped
+// instead — reporting each drop through ServerConfig.OnQueueEvict.
 // ServerConfig.WriteTimeout arms a per-write deadline on each session,
 // re-armed before every encode and flush, so a peer making progress is
 // never penalised for batch size while a stalled one fails its connection

@@ -188,16 +188,32 @@ func (e *Encoder) EncodeSendImage(w io.Writer, img *WireImage, receipt string) e
 		_, err := w.Write(img.buf)
 		return err
 	}
-	if _, err := w.Write(img.buf[:img.rsplit:img.rsplit]); err != nil {
+	return e.spliceReceipt(w, img, appendEscapedHeader(append(e.buf[:0], HdrReceipt+":"...), receipt))
+}
+
+// encodeSendNumbered is EncodeSendImage for receipt number n, formatted
+// straight into the scratch buffer: the bytes are those of receipt
+// strconv.FormatUint(n, 10), with no string built. Zero asks for no
+// receipt.
+//
+//safeweb:hotpath
+func (e *Encoder) encodeSendNumbered(w io.Writer, img *WireImage, n uint64) error {
+	if n == 0 {
+		_, err := w.Write(img.buf)
 		return err
 	}
-	b := e.buf[:0]
-	b = append(b, HdrReceipt...)
-	b = append(b, ':')
-	b = appendEscapedHeader(b, receipt)
+	return e.spliceReceipt(w, img, strconv.AppendUint(append(e.buf[:0], HdrReceipt+":"...), n, 10))
+}
+
+// spliceReceipt writes img with the receipt header line b, built in the
+// scratch buffer without its newline, at the image's receipt position.
+func (e *Encoder) spliceReceipt(w io.Writer, img *WireImage, b []byte) error {
 	b = append(b, '\n')
 	if cap(b) <= maxRetainedEncodeBuf {
 		e.buf = b[:0]
+	}
+	if _, err := w.Write(img.buf[:img.rsplit:img.rsplit]); err != nil {
+		return err
 	}
 	if _, err := w.Write(b); err != nil {
 		return err

@@ -283,8 +283,8 @@ func TestServerCloseUnblocksClients(t *testing.T) {
 
 // TestBurstOrderingAndDelivery: a burst of SENDs coalesced through the
 // connection writers arrives complete and in order, and the trailing
-// receipt-confirmed SEND (which forces a flush) is processed after all of
-// them.
+// receipt-confirmed SEND, queued behind them and flushed with them, is
+// processed after all of them.
 func TestBurstOrderingAndDelivery(t *testing.T) {
 	srv := startEchoServer(t, nil)
 	client, err := Dial(srv.Addr(), ClientConfig{Login: "u"})

@@ -34,9 +34,9 @@ type SessionHandler interface {
 }
 
 // Session is one server-side client connection. Outbound frames pass
-// through a write-coalescing writer goroutine: MESSAGE bursts are encoded
-// back-to-back and flushed once per batch, while receipts, errors and
-// handshake responses flush immediately.
+// through a write-coalescing writer goroutine: whatever is queued while
+// it writes — MESSAGE bursts, RECEIPTs, errors — is encoded back-to-back
+// and flushed once, when the queue is drained.
 type Session struct {
 	id    uint64
 	login string
@@ -61,7 +61,7 @@ func (s *Session) Send(f *Frame) error {
 	if s.closed.Load() {
 		return net.ErrClosed
 	}
-	return s.fw.send(outFrame{f: f, flush: frameNeedsFlush(f)})
+	return s.fw.send(outFrame{f: f})
 }
 
 // Deliver queues one delivery of a preencoded MESSAGE image, routed to a
@@ -74,12 +74,15 @@ func (s *Session) Send(f *Frame) error {
 // mode says what a full queue does: EnqueueBlock waits for the writer to
 // drain (back-pressure), EnqueueTry returns (false, nil) immediately and
 // leaves the overflow decision to the caller, and EnqueueEvict makes room
-// by evicting the oldest queued deliveries — each reported synchronously
-// through ServerConfig.OnQueueEvict with the subscription and payload it
-// was enqueued with; control frames are never evicted (see
+// by evicting the oldest queued deliveries that were enqueued with
+// EnqueueEvict, or drops this one while a delivery enqueued otherwise is
+// queued — each drop reported synchronously through
+// ServerConfig.OnQueueEvict with the subscription and payload it was
+// enqueued with; control frames are never evicted (see
 // frameWriter.putEvicting for the ordering contract). payload is that
 // opaque report handle — the broker passes the delivered event. The
-// result is true when the delivery was queued.
+// result is true when the delivery was taken: queued, or, under
+// EnqueueEvict, dropped and reported.
 func (s *Session) Deliver(img *WireImage, r Route, mode EnqueueMode, payload any) (bool, error) {
 	if s.closed.Load() {
 		return false, net.ErrClosed
@@ -160,9 +163,10 @@ type ServerConfig struct {
 	// blocked behind its queue) forever. Zero disables the deadline; the
 	// close-time drain stays bounded by its own deadline either way.
 	WriteTimeout time.Duration
-	// OnQueueEvict observes deliveries evicted from a session's write
-	// queue by an EnqueueEvict Session.Deliver: subscription and payload
-	// are the values the delivery was enqueued with. A mediating broker
+	// OnQueueEvict observes deliveries an EnqueueEvict Session.Deliver
+	// drops: evicted from a session's write queue, or the incoming one
+	// itself. subscription and payload are the values the delivery was
+	// enqueued with. A mediating broker
 	// must account for every suppressed flow, so callers using that mode
 	// should set this. Runs on the goroutine performing the evicting
 	// enqueue and must not block.
@@ -343,14 +347,15 @@ func (s *Server) serveSession(sess *Session) {
 }
 
 // ack sends a RECEIPT if the frame asked for one: the id itself is queued
-// (a control frame, flushed at once) and the writer's encoder emits the
-// frame, so a receipt-tracked publish costs no Frame and no header map.
+// (a control frame, flushed with the writer's batch) and the writer's
+// encoder emits the frame, so a receipt-tracked publish costs no Frame
+// and no header map, and a burst of RECEIPTs leaves in one write.
 func (s *Server) ack(sess *Session, v *FrameView) {
 	receipt := v.Headers.Header(HdrReceipt)
 	if receipt == "" || sess.closed.Load() {
 		return
 	}
-	_ = sess.fw.send(outFrame{receipt: receipt, flush: true}) // best effort; client may already be gone
+	_ = sess.fw.send(outFrame{receipt: receipt}) // best effort; client may already be gone
 }
 
 func isClosedConn(err error) bool {

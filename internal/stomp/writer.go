@@ -47,8 +47,11 @@ const (
 	// EnqueueTry fails fast: a full queue reports "not queued" and leaves
 	// the overflow decision — drop, count, evict — to the caller.
 	EnqueueTry
-	// EnqueueEvict makes room by evicting the oldest queued deliveries —
-	// never control frames — reporting each through onEvict.
+	// EnqueueEvict makes room by evicting the oldest queued deliveries
+	// that were themselves enqueued with EnqueueEvict — never control
+	// frames — or, while a delivery enqueued otherwise is queued, drops
+	// the incoming one. Each dropped delivery is reported through onEvict,
+	// and the enqueue reports it taken.
 	EnqueueEvict
 )
 
@@ -56,32 +59,37 @@ const (
 // frame (f set) encoded in full; a routed MESSAGE delivery (img set and
 // route naming a subscription), where only the route's per-delivery
 // headers are encoded around the shared preencoded image; a producer
-// SEND image (img set, no subscription) with an optional receipt splice;
-// an ACK (ack set), encoded from the slot's values when the writer
-// reaches it; or a RECEIPT (none of f, img and ack: receipt is the id
-// being confirmed). ACK and RECEIPT are control frames the encoder emits
-// from its scratch buffer.
-// flush forces an immediate flush after the frame. payload is an opaque
-// caller handle (the broker's event) reported back if the delivery is
-// evicted by an EnqueueEvict enqueue; it is never touched otherwise.
+// SEND image (img set, no subscription) with receiptNo, when non-zero,
+// spliced in as its receipt header; an ACK (ack set), encoded from the
+// slot's values when the writer reaches it; or a RECEIPT (none of f, img
+// and ack: receipt is the id being confirmed). ACK and RECEIPT are
+// control frames the encoder emits from its scratch buffer.
+// evictable is set by an EnqueueEvict enqueue, the only kind whose frame
+// may be evicted. payload is an opaque caller handle (the broker's event)
+// reported back if the delivery is evicted; it is never touched
+// otherwise.
 type outFrame struct {
-	f       *Frame
-	img     *WireImage
-	ack     *AckSlot
-	route   Route
-	receipt string
-	payload any
-	flush   bool
+	f         *Frame
+	img       *WireImage
+	ack       *AckSlot
+	route     Route
+	receipt   string
+	receiptNo uint64
+	payload   any
+	evictable bool
 }
+
+// pinned reports whether of is a delivery that may not be evicted.
+func (of *outFrame) pinned() bool { return !of.evictable && of.route.Subscription != "" }
 
 // frameWriter is the write-coalescing frame sink of one connection. Sends
 // enqueue frames; a single writer goroutine encodes them with a reused
-// Encoder into a buffered writer and flushes once per drained batch, so N
-// MESSAGE frames to a busy subscriber cost ~1 syscall instead of N.
-// Frames whose flush flag is set (receipts, ERROR, handshake and other
-// control traffic) force an immediate flush, so request/response latency
-// is never traded for batching; ordering is preserved unconditionally by
-// the single queue.
+// Encoder into a 32 KiB buffered writer. It flushes when it has drained
+// the queue, or when the buffer fills, and at no other time: N frames
+// queued while the writer was busy — MESSAGE bursts, RECEIPTs, ACKs —
+// cost ~1 syscall instead of N, and a frame queued to an idle writer
+// leaves at once. Ordering is preserved unconditionally by the single
+// queue.
 //
 // The first write error is sticky: it is reported once to onError (which
 // should close the connection so the read side unblocks too), later sends
@@ -103,9 +111,15 @@ type frameWriter struct {
 	quit chan struct{} // closed by close()/kill() under mu; run() drains and exits
 	done chan struct{} // closed when the writer goroutine exits
 
-	// onEvict observes deliveries evicted by an EnqueueEvict enqueue; set
-	// once before the first send, nil when unused.
+	// onEvict observes deliveries an EnqueueEvict enqueue drops; set once
+	// before the first send, a no-op when unused.
 	onEvict func(of outFrame)
+
+	// pins counts queued deliveries that may not be evicted. Increments
+	// happen under evictMu, as does an evicting enqueue's look at the
+	// head, so an evicting enqueue that reads zero cannot pop one.
+	evictMu sync.Mutex
+	pins    atomic.Int64
 
 	// highWater tracks the deepest queue occupancy observed at enqueue
 	// time — the slow-consumer early-warning signal surfaced in stats.
@@ -136,6 +150,7 @@ func newFrameWriter(conn net.Conn, queueLen int, writeTimeout time.Duration, onE
 		ch:           make(chan outFrame, queueLen),
 		quit:         make(chan struct{}),
 		done:         make(chan struct{}),
+		onEvict:      func(outFrame) {},
 		onError:      onError,
 	}
 	go fw.run()
@@ -152,7 +167,8 @@ func (fw *frameWriter) send(of outFrame) error {
 // whether it was queued; only EnqueueTry can report (false, nil) — a full
 // queue it declined to wait for. It fails fast after a write error or
 // close. Queued means accepted, not that the frame reached the peer;
-// callers needing confirmation use receipts.
+// callers needing confirmation use receipts. A frame enqueued under
+// EnqueueEvict is evictable; no other is.
 //
 // An enqueue blocked on a full queue holds fw.mu's read side, which
 // close() needs for its write side — that is safe, not a deadlock: the
@@ -168,11 +184,20 @@ func (fw *frameWriter) enqueue(of outFrame, mode EnqueueMode) (bool, error) {
 	if fw.closed {
 		return false, net.ErrClosed
 	}
+	of.evictable = mode == EnqueueEvict
+	if of.pinned() {
+		fw.evictMu.Lock()
+		fw.pins.Add(1)
+		fw.evictMu.Unlock()
+	}
 	switch mode {
 	case EnqueueTry:
 		select {
 		case fw.ch <- of:
 		default:
+			if of.pinned() {
+				fw.pins.Add(-1)
+			}
 			return false, nil
 		}
 	case EnqueueEvict:
@@ -184,15 +209,17 @@ func (fw *frameWriter) enqueue(of outFrame, mode EnqueueMode) (bool, error) {
 	return true, nil
 }
 
-// putEvicting enqueues of, evicting queued deliveries (frames routed to
-// a subscription) from the head of the queue while it is full — the
-// drop-oldest overflow policy. Every evicted delivery is reported through
-// onEvict on the calling goroutine; the enqueue itself never blocks on a
-// stalled peer. Control frames (receipts, errors, handshake traffic)
-// encountered at the head are never dropped: they are re-enqueued at the
-// tail, which may reorder them relative to other control frames (each
-// carries its own correlation id) but never relative to deliveries,
-// which are only ever dropped, not reordered.
+// putEvicting enqueues the evictable delivery of, evicting queued
+// evictable deliveries from the head of the queue while it is full — the
+// drop-oldest overflow policy. A control frame (receipts, errors,
+// handshake traffic) at the head is never dropped: it is re-enqueued at
+// the tail, which may reorder it relative to other control frames (each
+// carries its own correlation id). While a delivery that may not be
+// evicted is queued, nothing ahead of it can be popped without putting
+// it behind its own successors, so the incoming delivery is dropped
+// instead. Deliveries are only ever dropped, never reordered, and each
+// one dropped is reported through onEvict on the calling goroutine; the
+// enqueue itself never blocks on a stalled peer.
 func (fw *frameWriter) putEvicting(of outFrame) {
 	for {
 		select {
@@ -200,12 +227,17 @@ func (fw *frameWriter) putEvicting(of outFrame) {
 			return
 		default:
 		}
+		fw.evictMu.Lock()
+		if fw.pins.Load() > 0 {
+			fw.evictMu.Unlock()
+			fw.onEvict(of)
+			return
+		}
 		select {
 		case old := <-fw.ch:
-			if old.route.Subscription != "" {
-				if fw.onEvict != nil {
-					fw.onEvict(old)
-				}
+			fw.evictMu.Unlock()
+			if old.evictable {
+				fw.onEvict(old)
 				continue
 			}
 			// A control frame must reach the peer: put it back. The slot
@@ -216,6 +248,7 @@ func (fw *frameWriter) putEvicting(of outFrame) {
 			fw.ch <- old
 		default:
 			// The writer drained the queue between attempts; retry.
+			fw.evictMu.Unlock()
 		}
 	}
 }
@@ -300,6 +333,9 @@ func (fw *frameWriter) drainQueued() {
 }
 
 func (fw *frameWriter) write(of outFrame) {
+	if of.pinned() {
+		fw.pins.Add(-1)
+	}
 	if fw.err.Load() != nil {
 		return // connection is dead; discard
 	}
@@ -315,14 +351,10 @@ func (fw *frameWriter) write(of outFrame) {
 	case of.route.Subscription != "":
 		err = fw.enc.encodeRouted(fw.bw, of.img, of.route)
 	default:
-		err = fw.enc.EncodeSendImage(fw.bw, of.img, of.receipt)
+		err = fw.enc.encodeSendNumbered(fw.bw, of.img, of.receiptNo)
 	}
 	if err != nil {
 		fw.fail(err)
-		return
-	}
-	if of.flush {
-		fw.flush()
 	}
 }
 
@@ -353,17 +385,4 @@ func (fw *frameWriter) fail(err error) {
 	if fw.onError != nil {
 		fw.onError(err)
 	}
-}
-
-// frameNeedsFlush classifies outbound frames for the coalescing writer:
-// bulk MESSAGE/SEND traffic is flushed once per drained batch, while
-// control frames — receipts, errors, handshakes, and anything carrying a
-// receipt request — flush immediately so a peer blocked on a response
-// never waits on batching.
-func frameNeedsFlush(f *Frame) bool {
-	switch f.Command {
-	case CmdMessage, CmdSend:
-		return f.Headers[HdrReceipt] != ""
-	}
-	return true
 }
