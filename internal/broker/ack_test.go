@@ -7,6 +7,7 @@ import (
 	"io"
 	"math/rand"
 	"net"
+	"runtime"
 	"strconv"
 	"strings"
 	"sync"
@@ -214,19 +215,26 @@ func readSeqs(c *tapConn, n int) []int {
 }
 
 // feedUnacked reports how many deliveries the replay feed of subscription
-// sub remembers, and the capacity holding them.
-func feedUnacked(srv *Server, sub string) (n, capacity int) {
+// sub has sent and not seen acked, and the slots its ring holds.
+func feedUnacked(srv *Server, sub string) (n int64, slots int) {
 	srv.mu.Lock()
 	defer srv.mu.Unlock()
 	for _, ss := range srv.sessions {
 		if ws := ss.subs[sub]; ws != nil && ws.replay != nil {
 			f := ws.replay
 			f.mu.Lock()
-			n, capacity = len(f.offs)-f.head, cap(f.offs)
+			n, slots = f.sent-f.acked, len(f.offs)
 			f.mu.Unlock()
 		}
 	}
-	return n, capacity
+	return n, slots
+}
+
+// feedWaiting reports whether a replay feed is parked waiting for its
+// window.
+func feedWaiting() bool {
+	buf := make([]byte, 1<<20)
+	return bytes.Contains(buf[:runtime.Stack(buf, true)], []byte("(*replayFeed).waitWindow"))
 }
 
 // TestDurableAckCountNoOps: an ACK of zero deliveries, a stale count and a
@@ -330,44 +338,68 @@ func TestDurableAckCountKeepsWithheld(t *testing.T) {
 	}
 }
 
-// TestDurableAckCountCap: a grouped consumer that reads far ahead of its
-// acks holds the feed's memory at maxUnackedReplay. An ack naming a
-// forgotten delivery is a no-op; a later ack still moves the mark, to one
-// past its last received record and no further.
-func TestDurableAckCountCap(t *testing.T) {
+// TestDurableUnackedWindow: a grouped feed waits once maxUnackedReplay of
+// its deliveries are unacked. A raw consumer that never acks receives
+// exactly that many; each ack lets as many more through as it acked, and
+// persists the exact mark, because the feed still knows every unacked
+// delivery's offset.
+func TestDurableUnackedWindow(t *testing.T) {
 	const (
-		topic = "/d/cap"
-		n     = maxUnackedReplay + 10
+		topic   = "/d/window"
+		records = maxUnackedReplay + 10
 	)
 	b, srv := startDurableBroker(t, testPolicy(), t.TempDir(), topic)
 	j, err := srv.journals.open(topic)
 	if err != nil {
 		t.Fatalf("journal: %v", err)
 	}
-	publishRecords(t, b, topic, 0, n)
+	publishRecords(t, b, topic, 0, records)
 	c := dialTap(t, srv.Addr(), "consumer")
 	c.send(stomp.CmdSubscribe, stomp.HdrID, "d-0", stomp.HdrDestination, topic, stomp.HdrGroup, "g")
-	readSeqs(c, n)
-	c.frames = nil
-	waitFor(t, "every record queued", func() bool { return srv.Stats().ReplayDeliveries == n })
-	if got, capacity := feedUnacked(srv, "d-0"); got != maxUnackedReplay || capacity > 2*maxUnackedReplay {
-		t.Fatalf("feed remembers %d deliveries in %d slots, want %d in at most %d", got, capacity, maxUnackedReplay, 2*maxUnackedReplay)
+
+	// parked waits for the feed to park in its window wait having queued
+	// sent deliveries, then checks that nothing beyond them reached the
+	// consumer.
+	parked := func(sent int) {
+		t.Helper()
+		waitFor(t, "the feed to wait for its window", feedWaiting)
+		if got := srv.Stats().ReplayDeliveries; got != uint64(sent) {
+			t.Fatalf("ReplayDeliveries = %d with the feed waiting, want %d", got, sent)
+		}
+		before := len(c.frames)
+		c.sync()
+		if extra := len(c.frames) - before - 1; extra != 0 {
+			t.Fatalf("%d frames arrived beyond the window of %d deliveries", extra, sent)
+		}
+		if got, slots := feedUnacked(srv, "d-0"); got > maxUnackedReplay || slots > maxUnackedReplay {
+			t.Fatalf("feed holds %d unacked deliveries in %d slots, want at most %d in at most %d", got, slots, maxUnackedReplay, maxUnackedReplay)
+		}
 	}
 
-	ackCount(c, "d-0", 5)
-	if got := j.Acked("g"); got != 0 {
-		t.Fatalf("ack of a forgotten delivery: Acked = %d, want 0", got)
+	if got := readSeqs(c, maxUnackedReplay); got[len(got)-1] != maxUnackedReplay-1 {
+		t.Fatalf("delivery #%d carries seq %d", maxUnackedReplay, got[len(got)-1])
 	}
-	ackCount(c, "d-0", n-1)
-	if got := j.Acked("g"); got != n-1 {
-		t.Fatalf("Acked = %d, want %d", got, n-1)
+	parked(maxUnackedReplay)
+
+	// An ack of 5 persists exactly 5 and opens the window by 5.
+	c.send(stomp.CmdAck, stomp.HdrSubscription, "d-0", stomp.HdrOffset, "5")
+	if got := readSeqs(c, 5); !sameSeqs(got, []int{4096, 4097, 4098, 4099, 4100}) {
+		t.Fatalf("after an ack of 5: seqs %v, want 4096..4100", got)
 	}
-	ackCount(c, "d-0", n)
-	if got := j.Acked("g"); got != n {
-		t.Fatalf("Acked = %d, want %d (one past the last received record)", got, n)
+	parked(maxUnackedReplay + 5)
+	if got := j.Acked("g"); got != 5 {
+		t.Fatalf("after an ack of 5: Acked = %d, want 5", got)
+	}
+
+	c.send(stomp.CmdAck, stomp.HdrSubscription, "d-0", stomp.HdrOffset, strconv.Itoa(maxUnackedReplay+5))
+	readSeqs(c, 5)
+	waitFor(t, "every record queued", func() bool { return srv.Stats().ReplayDeliveries == records })
+	ackCount(c, "d-0", records)
+	if got := j.Acked("g"); got != records {
+		t.Fatalf("after the full ack: Acked = %d, want %d", got, records)
 	}
 	if got, _ := feedUnacked(srv, "d-0"); got != 0 {
-		t.Errorf("feed remembers %d deliveries after the full ack, want 0", got)
+		t.Errorf("feed holds %d unacked deliveries after the full ack, want 0", got)
 	}
 }
 

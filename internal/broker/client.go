@@ -68,7 +68,10 @@ type ClientConfig struct {
 	// broker feeds the subscription from the topic's journal, resuming at
 	// the group's acked mark, and the client acks progress automatically
 	// as deliveries are released (cumulative, on the same ACK frames as
-	// credit grants when SubscribeCredit is also set).
+	// credit grants when SubscribeCredit is also set). A grouped consumer
+	// must ack: at most 4,096 of its deliveries can be unacked, and the
+	// broker sends no more until an ack comes, so a handler that never
+	// releases stalls its subscription there.
 	// Durable topics must be configured on the server
 	// (ServerConfig.Durable).
 	DurableGroup string

@@ -18,6 +18,10 @@ import (
 // place underneath as the safety net: it only acts once the pending ring
 // itself overflows, or for subscriptions that advertised no window.
 //
+// creditState serves live subscriptions only. A durable subscription's
+// replay feed is its own delivery source, so it parks nothing: it keeps
+// its window in replayFeed and waits there (durable.go).
+//
 // Accounting is two monotonic counters per wire subscription — granted
 // (the consumer's cumulative allowance) and sent (deliveries claimed
 // against it) — so remaining credit is granted-sent and a grant is
@@ -32,11 +36,12 @@ import (
 // exhausted before the overflow policy takes over.
 const creditPending = 32
 
-// wireSub pairs a broker subscription with its optional credit window.
-// credit is nil for subscriptions that advertised no window — infinite
-// credit, the pre-credit wire behaviour. Durable subscriptions have no
-// broker registration (sub is nil) and a replay feed instead: their
-// deliveries come from the journal tail, paced by the same credit window.
+// wireSub is one wire subscription: a live one's broker registration and
+// optional credit window (credit is nil for a subscription that advertised
+// no window — infinite credit, the pre-credit wire behaviour), or a
+// durable one's replay feed, which has no broker registration and no
+// creditState: its deliveries come from the journal tail, paced by the
+// window the feed keeps itself.
 type wireSub struct {
 	sub    *Subscription
 	credit *creditState
@@ -94,28 +99,6 @@ func (c *creditState) tryClaim() bool {
 		return false
 	}
 	return c.claim()
-}
-
-// waitClaim claims one credit, blocking until the window has room or the
-// subscription is torn down (closed: returns false). It is the replay
-// feed's pacing gate: the feed is its own delivery source, so instead of
-// parking events in the pending ring it simply waits — a grant's
-// Broadcast or closeCredit wakes it.
-func (c *creditState) waitClaim() bool {
-	if c.tryClaim() {
-		return true
-	}
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	for {
-		if c.closed {
-			return false
-		}
-		if c.claim() {
-			return true
-		}
-		c.space.Wait()
-	}
 }
 
 // claim CASes one credit out of the window, returning false when none
@@ -224,10 +207,6 @@ func (s *Server) creditGrant(ss *serverSession, clientSubID string, ws *wireSub,
 	policy := s.broker.Policy()
 	c.mu.Lock()
 	defer c.mu.Unlock()
-	// Wake waiters blocked on the window itself (replay feeds in
-	// waitClaim) even when nothing is parked — the ring drain below only
-	// broadcasts per popped slot.
-	c.space.Broadcast()
 	for c.n > 0 && !c.closed {
 		conf := c.ring[c.head].Labels.Confidentiality()
 		cleared := conf.IsEmpty() || ws.sub.clears(policy, policy.Generation(), conf)
@@ -249,10 +228,10 @@ func (s *Server) creditGrant(ss *serverSession, clientSubID string, ws *wireSub,
 	}
 }
 
-// closeSub tears a wire subscription down: its live registration, its
-// replay feed, and its credit window, whose parked deliveries are dropped
-// as to a closed session; publishers blocked on a full ring are released
-// to observe closed.
+// closeSub tears a wire subscription down: its live registration and
+// credit window, whose parked deliveries are dropped as to a closed
+// session (publishers blocked on a full ring are released to observe
+// closed), or its replay feed.
 func (s *Server) closeSub(ss *serverSession, clientSubID string, ws *wireSub) {
 	s.broker.Unsubscribe(ws.sub)
 	if ws.replay != nil {

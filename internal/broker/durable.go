@@ -40,7 +40,7 @@ import (
 //     ACK's offset header k says its first k deliveries on the
 //     subscription are processed. A grouped feed keeps the journal offset
 //     of each delivery it has queued and not yet seen acked (replayFeed's
-//     FIFO), and persists one past delivery #k's offset through the
+//     ring), and persists one past delivery #k's offset through the
 //     journal's max-wins ack log. Records withheld from the consumer are
 //     never numbered, so the persisted mark stops just past the last
 //     processed delivery, and a record withheld after it is read again —
@@ -48,10 +48,14 @@ import (
 //     Redelivery after a crash or resubscribe is exactly the unacked
 //     suffix: at-least-once delivery with idempotent acks.
 //
-//   - Replay paces itself with the subscription's credit window when one
-//     was advertised (creditState.waitClaim), and otherwise with the
-//     session write queue's own back-pressure; a replay feed can never
-//     flood a consumer that asked for flow control.
+//   - A replay feed paces itself in one place (replayFeed.waitWindow):
+//     before it queues a record it waits while the credit window, when
+//     the SUBSCRIBE advertised one, is used up, or while a grouped feed
+//     has maxUnackedReplay deliveries unacked. An ACK applies the count
+//     and the grant together and wakes the feed. So a feed never floods a
+//     consumer that asked for flow control, and a grouped feed keeps the
+//     offset of every unacked delivery: the mark an ack persists is exact.
+//     The session write queue's own back-pressure lies underneath.
 
 // journalStore opens and caches one Journal per durable topic. Topics
 // map to directories by URL path-escaping, which is stable, readable for
@@ -227,78 +231,98 @@ func (s *Server) isDurableTopic(topic string) bool {
 	return s.journals != nil && s.journals.has(topic)
 }
 
-// maxUnackedReplay caps the deliveries a grouped feed remembers while it
-// waits for their ack. A consumer that reads further ahead of its acks
-// loses the oldest entries, and an ack that names one is a no-op: the
-// group's mark can lag (more redelivery on resume), never lead.
+// maxUnackedReplay bounds a grouped feed's unacked deliveries: the feed
+// keeps the journal offset of each one until the consumer acks it, and
+// waits once this many are outstanding. A grouped consumer that never acks
+// therefore stops receiving after maxUnackedReplay deliveries.
 const maxUnackedReplay = 4096
 
 // replayFeed is the per-durable-subscription tailing goroutine's handle:
 // the journal it reads, the consumer's clearance gate, the consumer group
-// whose acks it applies, and the stop signal teardown closes.
+// whose acks it applies, its delivery window, and the stop signal
+// teardown closes.
 type replayFeed struct {
 	clearance
 	j        *journal.Journal
 	group    string
 	done     chan struct{}
 	stopOnce sync.Once
+	// wake is a one-slot doorbell: ack rings it, and a feed waiting for
+	// its window selects on it beside done.
+	wake chan struct{}
 
-	// mu guards a grouped feed's unacked deliveries: sent counts the
-	// deliveries queued so far, and offs[head:] holds the journal offsets
-	// of the newest len(offs)-head of them, oldest first.
-	mu   sync.Mutex
-	offs []int64
-	head int
-	sent int64
+	// mu guards the window: sent counts the deliveries queued, acked the
+	// count the consumer has acked, and granted its cumulative credit
+	// grant (zero: the SUBSCRIBE advertised no credit window). A grouped
+	// feed keeps delivery #d's journal offset in offs[(d-1)%maxUnackedReplay]
+	// until it is acked; the ring grows by append up to that size.
+	mu                   sync.Mutex
+	sent, acked, granted int64
+	offs                 []int64
 }
 
-// record notes the journal offset of the delivery the feed is about to
-// queue, before the consumer can ack it. An anonymous feed records
-// nothing: it has no mark to persist.
+// waitWindow blocks until the feed may queue one more delivery: its credit
+// window has room and, for a grouped feed, fewer than maxUnackedReplay
+// deliveries are unacked. It returns false at teardown.
+func (f *replayFeed) waitWindow() bool {
+	for {
+		f.mu.Lock()
+		open := (f.granted == 0 || f.sent < f.granted) && (f.group == "" || f.sent-f.acked < maxUnackedReplay)
+		f.mu.Unlock()
+		if open {
+			return true
+		}
+		select {
+		case <-f.done:
+			return false
+		case <-f.wake:
+		}
+	}
+}
+
+// record counts the delivery the feed is about to queue and, for a
+// grouped feed, keeps its journal offset — before the consumer can ack it.
 func (f *replayFeed) record(off int64) {
-	if f.group == "" {
-		return
-	}
 	f.mu.Lock()
-	if len(f.offs)-f.head == maxUnackedReplay {
-		f.head++
+	if f.group != "" {
+		if i := int(f.sent % maxUnackedReplay); i == len(f.offs) {
+			f.offs = append(f.offs, off)
+		} else {
+			f.offs[i] = off
+		}
 	}
-	if n := len(f.offs); f.head == n || (n == cap(f.offs) && f.head >= n/2) {
-		f.offs, f.head = compact(f.offs, f.head), 0
-	}
-	f.offs = append(f.offs, off)
 	f.sent++
 	f.mu.Unlock()
 }
 
-// compact moves the outstanding suffix q[head:] of a FIFO to the front of
-// its array and returns it, zeroing the vacated slots.
-func compact[T any](q []T, head int) []T {
-	n := copy(q, q[head:])
-	clear(q[n:])
-	return q[:n]
-}
-
-// mark maps an ack of the consumer's first k deliveries to the journal
-// mark to persist, one past delivery #k's offset, and forgets the
-// deliveries up to #k. It returns 0, nothing to persist, when the feed is
-// anonymous or k is 0, already acked, or names an entry the cap dropped.
-// A k above the deliveries sent is an error.
-func (f *replayFeed) mark(k int64) (int64, error) {
-	if f.group == "" {
-		return 0, nil
-	}
+// ack applies one ACK frame: k, the consumer's count of processed
+// deliveries, and grant, its cumulative credit grant (0 when the frame
+// carries none). It returns the journal mark to persist, one past delivery
+// #k's offset, or 0 when the feed is anonymous or k is 0 or already
+// acked. A k above the deliveries sent, or a grant to a feed with no
+// credit window, rejects the frame whole; otherwise the feed is woken.
+func (f *replayFeed) ack(k, grant int64) (int64, error) {
 	f.mu.Lock()
 	defer f.mu.Unlock()
-	if k > f.sent {
-		return 0, fmt.Errorf("ack of %d deliveries, but %d were sent", k, f.sent)
+	if grant > 0 && f.granted == 0 {
+		return 0, errors.New("a credit grant, but it subscribed without a credit window")
 	}
-	i := int64(len(f.offs)) - (f.sent - k) // one past delivery #k's entry
-	if i <= int64(f.head) {
-		return 0, nil
+	var mark int64
+	if f.group != "" {
+		if k > f.sent {
+			return 0, fmt.Errorf("ack of %d deliveries, but %d were sent", k, f.sent)
+		}
+		if k > f.acked {
+			f.acked = k
+			mark = f.offs[(k-1)%maxUnackedReplay] + 1
+		}
 	}
-	f.head = int(i)
-	return f.offs[i-1] + 1, nil
+	f.granted = max(f.granted, grant)
+	select {
+	case f.wake <- struct{}{}:
+	default:
+	}
+	return mark, nil
 }
 
 func (f *replayFeed) stop() {
@@ -308,8 +332,9 @@ func (f *replayFeed) stop() {
 // subscribeDurable handles a SUBSCRIBE carrying an offset or group
 // header. The subscription is journal-only: no live broker registration,
 // so the consumer has exactly one delivery path (the journal tail) and
-// resumed replay can never race a live delivery into a duplicate.
-func (s *Server) subscribeDurable(ss *serverSession, ws *wireSub, clientID, topic, sel, offStr, group string) error {
+// resumed replay can never race a live delivery into a duplicate. window
+// is the SUBSCRIBE's credit window, zero when it advertised none.
+func (s *Server) subscribeDurable(ss *serverSession, clientID, topic, sel, offStr, group string, window int64) error {
 	if s.journals == nil {
 		return errors.New("broker: durable subscription on a server with no journal directory configured")
 	}
@@ -354,11 +379,12 @@ func (s *Server) subscribeDurable(ss *serverSession, ws *wireSub, clientID, topi
 		start = first
 	}
 
-	ws.replay = &replayFeed{clearance: clearance{principal: ss.sess.Login()}, j: j, group: group, done: make(chan struct{})}
+	f := &replayFeed{clearance: clearance{principal: ss.sess.Login()}, j: j, group: group,
+		done: make(chan struct{}), wake: make(chan struct{}, 1), granted: window}
 	s.mu.Lock()
-	ss.subs[clientID] = ws
+	ss.subs[clientID] = &wireSub{replay: f}
 	s.mu.Unlock()
-	go s.runReplay(ss, ws, clientID, topic, start)
+	go s.runReplay(ss, f, clientID, topic, start)
 	return nil
 }
 
@@ -371,11 +397,10 @@ func (s *Server) subscribeDurable(ss *serverSession, ws *wireSub, clientID, topi
 // skipped and counted, never delivered — so revoking a privilege after an
 // event was written is honoured on every later replay, fail closed (an
 // unparsable persisted header is treated as undeliverable, not as
-// unlabelled). A record that waited for credit is checked again if the
-// policy generation moved during the wait: it is not decided until it is
-// queued.
-func (s *Server) runReplay(ss *serverSession, ws *wireSub, clientSubID, topic string, start int64) {
-	f := ws.replay
+// unlabelled). A record that waited for its window is checked again if
+// the policy generation moved during the wait: it is not decided until it
+// is queued.
+func (s *Server) runReplay(ss *serverSession, f *replayFeed, clientSubID, topic string, start int64) {
 	policy := s.broker.Policy()
 	next := start
 
@@ -430,24 +455,20 @@ func (s *Server) runReplay(ss *serverSession, ws *wireSub, clientSubID, topic st
 				next++
 				continue
 			}
-			// Pace with the consumer's credit window, when it advertised
-			// one; waitClaim returns false only at teardown. A record
-			// refused after its claim gives the credit back, which is safe
-			// because the feed is the window's only claimant.
-			if ws.credit != nil {
-				if !ws.credit.waitClaim() {
-					return
-				}
-				if g := policy.Generation(); g != gen && !lastConf.IsEmpty() && !f.clears(policy, g, lastConf) {
-					ws.credit.sent.Add(-1)
-					s.revokedDeliveries.Add(1)
-					next++
-					continue
-				}
+			// Wait for the window (credit, unacked deliveries); it closes
+			// only at teardown. A record refused after the wait was never
+			// counted, so it takes no room in the window.
+			if !f.waitWindow() {
+				return
 			}
-			// The feed paces itself with the credit window, so the blocking
-			// enqueue is the back-pressure it wants. The offset is recorded
-			// first, so no ack can name a delivery the feed does not know.
+			if g := policy.Generation(); g != gen && !lastConf.IsEmpty() && !f.clears(policy, g, lastConf) {
+				s.revokedDeliveries.Add(1)
+				next++
+				continue
+			}
+			// The feed paces itself with its window, so the blocking enqueue
+			// is the back-pressure it wants. The delivery is recorded first,
+			// so no ack can name a delivery the feed does not know.
 			f.record(next)
 			img := stomp.RawMessageImage(rec.Image, rec.Split)
 			route := stomp.Route{Subscription: clientSubID, IDPrefix: ss.idPrefix, Seq: ss.msgSeq.Add(1)}

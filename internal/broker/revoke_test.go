@@ -1,8 +1,6 @@
 package broker
 
 import (
-	"bytes"
-	"runtime"
 	"strconv"
 	"testing"
 	"time"
@@ -93,8 +91,8 @@ func TestCreditRevokeStopsParkedDeliveries(t *testing.T) {
 
 // TestCreditRevokeDuringReplayWait pins the same rule on the durable path:
 // a replay feed checks a record, then waits for credit; a revoke during
-// that wait stops the record. The refusal gives the claimed credit back,
-// so the next record the subscriber may read goes out on the same grant.
+// that wait stops the record. The refused record was never counted, so
+// the next record the subscriber may read goes out on the same grant.
 func TestCreditRevokeDuringReplayWait(t *testing.T) {
 	const topic = "/d/revoke"
 	p := testPolicy()
@@ -115,16 +113,13 @@ func TestCreditRevokeDuringReplayWait(t *testing.T) {
 	}
 	// The feed has checked record 1 against the standing clearance once it
 	// blocks for credit.
-	waitFor(t, "replay feed waiting for credit", func() bool {
-		buf := make([]byte, 1<<20)
-		return bytes.Contains(buf[:runtime.Stack(buf, true)], []byte("(*creditState).waitClaim"))
-	})
+	waitFor(t, "replay feed waiting for credit", feedWaiting)
 
 	if !p.Revoke("cleared", label.Clearance, mdt7) {
 		t.Fatal("Revoke did not find the grant")
 	}
 	// A grant of 2 covers exactly one more delivery: record 2 can only go
-	// out if refusing record 1 gave its credit back.
+	// out if the refused record 1 took no credit.
 	rawAck(t, conn, "d-0", "2", "")
 	if seq, off := rawReadOffsetMessage(t, conn, rd); seq != 2 || off != "1" {
 		t.Fatalf("after revoke: seq %d offset %q, want the unlabelled record 2 as the second delivery (record 1 must not be delivered)", seq, off)

@@ -199,7 +199,7 @@ type ServerStats struct {
 	// RevokedDeliveries counts deliveries a policy change stopped after
 	// they were matched but before they were decided: parked deliveries
 	// a credit grant found no longer cleared, and journal records a replay
-	// feed found no longer cleared after waiting for credit.
+	// feed found no longer cleared after waiting for its window.
 	RevokedDeliveries uint64
 	// CompactedSegments counts journal segments deleted because every
 	// consumer group's ack covered them; RetentionDeletes counts segments
@@ -527,25 +527,36 @@ func (s *Server) OnFrameView(sess *stomp.Session, v *stomp.FrameView) error {
 		if clientID == "" {
 			return fmt.Errorf("broker: SUBSCRIBE without id header")
 		}
+		// An id already in use is refused before anything is registered:
+		// replacing its entry would orphan the earlier subscription, which
+		// no UNSUBSCRIBE or teardown could then reach. Only this session's
+		// read goroutine writes ss.subs, so it may read it unlocked.
+		if ss.subs[clientID] != nil {
+			return s.unhandledFrame("SUBSCRIBE id " + clientID + " is already in use on this session")
+		}
 		topic := v.Headers.Header(stomp.HdrDestination)
 		sel := v.Headers.Header(stomp.HdrSelector)
 		// An optional credit header arms a delivery window for the
 		// subscription; without it the wire behaviour is unchanged —
 		// infinite credit, no per-subscription state.
-		ws := &wireSub{}
+		var window int64
 		if cr := v.Headers.Header(stomp.HdrCredit); cr != "" {
-			window, err := stomp.ParseCredit(cr)
-			if err != nil {
+			var err error
+			if window, err = stomp.ParseCredit(cr); err != nil {
 				return err
 			}
-			ws.credit = newCreditState(window)
 		}
 		// An offset or group header makes this a durable subscription: it
 		// is fed from the topic's journal tail instead of the live fan-out
 		// (one delivery path, so resume cannot duplicate), with clearance
-		// re-enforced per record at read time.
+		// re-enforced per record at read time and the window kept by its
+		// replay feed.
 		if offStr, group := v.Headers.Header(stomp.HdrOffset), v.Headers.Header(stomp.HdrGroup); offStr != "" || group != "" {
-			return s.subscribeDurable(ss, ws, clientID, topic, sel, offStr, group)
+			return s.subscribeDurable(ss, clientID, topic, sel, offStr, group, window)
+		}
+		ws := &wireSub{}
+		if window > 0 {
+			ws.credit = newCreditState(window)
 		}
 		// A wire subscription: delivery only serialises the event, so the
 		// broker hands over the frozen original — every session
@@ -617,28 +628,24 @@ func (s *Server) OnFrameView(sess *stomp.Session, v *stomp.FrameView) error {
 			// error.
 			return nil
 		}
-		if cr != "" && ws.credit == nil {
+		// A durable subscription's feed applies the count of processed
+		// deliveries and the grant together, or refuses the whole frame
+		// (a count it never delivered, a grant it has no window for).
+		if f := ws.replay; f != nil {
+			if mark, err := f.ack(offset, grant); err != nil {
+				return s.unhandledFrame("ACK for subscription " + subID + ": " + err.Error())
+			} else if mark > 0 {
+				return f.j.Ack(f.group, mark)
+			}
+			return nil
+		}
+		if offStr != "" {
+			return s.unhandledFrame("ACK offset for subscription " + subID + ", which is not durable")
+		}
+		if ws.credit == nil {
 			return s.unhandledFrame("ACK credit grant for subscription " + subID + ", which subscribed without a credit window")
 		}
-		// An offset ack counts the subscription's processed deliveries; the
-		// feed maps the count to its journal mark before anything is
-		// applied, so a count it never delivered rejects the whole frame.
-		var mark int64
-		if offStr != "" {
-			if ws.replay == nil {
-				return s.unhandledFrame("ACK offset for subscription " + subID + ", which is not durable")
-			}
-			var err error
-			if mark, err = ws.replay.mark(offset); err != nil {
-				return s.unhandledFrame("ACK offset for subscription " + subID + ": " + err.Error())
-			}
-		}
-		if cr != "" {
-			s.creditGrant(ss, subID, ws, grant)
-		}
-		if mark > 0 {
-			return ws.replay.j.Ack(ws.replay.group, mark)
-		}
+		s.creditGrant(ss, subID, ws, grant)
 		return nil
 
 	case stomp.CmdNack, stomp.CmdBegin, stomp.CmdCommit, stomp.CmdAbort:

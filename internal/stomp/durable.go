@@ -19,7 +19,9 @@ import "strconv"
 //     the journal. Like credit grants, these acks are cumulative and
 //     idempotent — a duplicated or reordered ack can only be a no-op. One
 //     ACK frame may carry an offset ack, a credit grant, or both; the
-//     broker applies whichever are present.
+//     broker applies both or, if either is invalid, neither. A grouped
+//     subscription must ack: the broker stops sending once 4,096 of its
+//     deliveries are unacked, and an ack reopens the window.
 //   - A replayed MESSAGE carries the same headers as a live one: there is
 //     no delivery-offset header, so a consumer cannot tell from its frames
 //     how many records it was not cleared for.
