@@ -3,13 +3,11 @@ package broker
 import (
 	"bufio"
 	"bytes"
-	"errors"
 	"io"
 	"math/rand"
 	"net"
 	"runtime"
 	"strconv"
-	"strings"
 	"sync"
 	"sync/atomic"
 	"testing"
@@ -400,118 +398,6 @@ func TestDurableUnackedWindow(t *testing.T) {
 	}
 	if got, _ := feedUnacked(srv, "d-0"); got != 0 {
 		t.Errorf("feed holds %d unacked deliveries after the full ack, want 0", got)
-	}
-}
-
-// TestDurableReplayNeverEvicted: under OverflowDropOldest a live delivery
-// to a session whose queue is full of replay frames evicts none of them:
-// the live delivery is the one dropped, counted and reported as a
-// drop-newest is. The consumer receives every record, in order, and its
-// ack of everything it received moves the group's mark to records.
-func TestDurableReplayNeverEvicted(t *testing.T) {
-	const (
-		topic = "/d/evict"
-		live  = "/live/evict"
-	)
-	b := New(testPolicy())
-	var reported []string
-	var reportedMu sync.Mutex
-	srv, err := NewServer("127.0.0.1:0", b, ServerConfig{
-		Logf: t.Logf,
-		OnDeliveryError: func(_ uint64, sub string, _ *event.Event, err error) {
-			reportedMu.Lock()
-			defer reportedMu.Unlock()
-			if errors.Is(err, ErrSlowConsumer) {
-				reported = append(reported, sub)
-			}
-		},
-		Durable:       []string{topic},
-		JournalDir:    t.TempDir(),
-		Overflow:      OverflowDropOldest,
-		WriteQueueLen: 4,
-	})
-	if err != nil {
-		t.Fatalf("NewServer: %v", err)
-	}
-	t.Cleanup(func() {
-		_ = srv.Close()
-		b.Close()
-	})
-	j, err := srv.journals.open(topic)
-	if err != nil {
-		t.Fatalf("journal: %v", err)
-	}
-
-	c := dialTap(t, srv.Addr(), "consumer")
-	c.send(stomp.CmdSubscribe, stomp.HdrID, "l-0", stomp.HdrDestination, live, stomp.HdrReceipt, "r-sub")
-	c.next(stomp.CmdReceipt)
-	c.send(stomp.CmdSubscribe, stomp.HdrID, "d-0", stomp.HdrDestination, topic, stomp.HdrGroup, "g")
-
-	// Publish 16 KiB records, not reading, until the session's queue is
-	// full of replay frames and the feed has fallen far behind: its
-	// writer is stalled on the unread connection.
-	body := bytes.Repeat([]byte("r"), 16<<10)
-	records := 0
-	for {
-		sent := srv.Stats().ReplayDeliveries
-		if st := srv.SessionStats(); len(st) == 1 && st[0].QueueDepth == st[0].QueueCap && uint64(records)-sent >= 64 {
-			break
-		}
-		if records == 4000 {
-			t.Fatal("the replay feed never stalled on the session's writer queue")
-		}
-		ev := event.New(topic, map[string]string{"seq": strconv.Itoa(records)})
-		ev.Body = body
-		if err := b.Publish("producer", ev); err != nil {
-			t.Fatalf("Publish: %v", err)
-		}
-		records++
-	}
-	if err := b.Publish("producer", event.New(live, map[string]string{"seq": "live"})); err != nil {
-		t.Fatalf("Publish live: %v", err)
-	}
-	if drops := srv.Stats().OverflowDrops; drops != 1 {
-		t.Fatalf("OverflowDrops = %d after one live publish to a full queue, want 1", drops)
-	}
-	reportedMu.Lock()
-	if len(reported) != 1 || reported[0] != "l-0" {
-		t.Errorf("reported drops on %v, want the live subscription l-0 alone", reported)
-	}
-	reportedMu.Unlock()
-
-	// Read everything: once every record is queued, a sync receipt
-	// follows the last replay frame.
-	for {
-		done := srv.Stats().ReplayDeliveries == uint64(records)
-		c.sync()
-		if done {
-			break
-		}
-	}
-	replayed := 0
-	for _, raw := range c.frames {
-		f, err := stomp.NewDecoder(strings.NewReader(raw)).Decode()
-		if err != nil {
-			t.Fatalf("decode kept frame: %v", err)
-		}
-		if f.Command != stomp.CmdMessage {
-			continue
-		}
-		if sub := f.Header(stomp.HdrSubscription); sub != "d-0" {
-			t.Fatalf("received a frame for %s: the dropped live delivery reached the consumer", sub)
-		}
-		if seq := f.Header("seq"); seq != strconv.Itoa(replayed) {
-			t.Fatalf("replay frame #%d carries seq %s", replayed, seq)
-		}
-		replayed++
-	}
-	if replayed != records {
-		t.Fatalf("received %d of %d replay frames", replayed, records)
-	}
-
-	ackCount(c, "d-0", replayed)
-	if mark := int(j.Acked("g")); mark != records {
-		t.Errorf("Acked = %d after the consumer acked all it received, want %d", mark, records)
 	}
 }
 

@@ -38,7 +38,7 @@
 // Client types expose it over the STOMP wire protocol with the paper's
 // label-header extensions. A Client is one STOMP connection, as a unit's
 // is in the paper (§4.2), plus a dedicated publish connection when its
-// publishes are windowed. The networked wire path is map-free in both
+// publishes are windowed or a live subscription is credited. The networked wire path is map-free in both
 // directions: deliveries share one preencoded MESSAGE image per published
 // event, and Client.Publish sends a frozen event's memoised SEND image
 // with no intermediate header map, either fire-and-forget or pipelined
@@ -53,6 +53,11 @@
 // parks matched deliveries in a bounded per-subscription pending ring
 // (32 deep) once the window is exhausted, falling
 // back to the session's overflow policy only if the ring also fills.
+// Under OverflowBlock a publish then waits for ring space, and every such
+// wait ends: at a grant, at the subscription's or the server's teardown,
+// or at ServerConfig.WriteTimeout, which evicts the consumer that stopped
+// granting. A live credited Client publishes on its own publish
+// connection, so no publish waits on the read loop its grants arrive on.
 // The client replenishes by sending ACK frames carrying cumulative
 // credit grants — one per connection write batch (stomp.AckSlot) and
 // driven by the delivery events' Release lifecycle, so credit reflects

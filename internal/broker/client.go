@@ -28,9 +28,10 @@ type ClientConfig struct {
 	// fire-and-forget and it bounds no publish.
 	SendTimeout time.Duration
 	// OnError receives asynchronous errors (decode failures, server
-	// errors); nil drops them. With PublishWindow > 0 it runs on the read
-	// goroutines of both connections, possibly concurrently, so it must be
-	// safe for concurrent use.
+	// errors); nil drops them. On a client with a publish connection (see
+	// PublishWindow and SubscribeCredit) it runs on the read goroutines of
+	// both connections, possibly concurrently, so it must be safe for
+	// concurrent use.
 	OnError func(error)
 
 	// PublishWindow enables windowed asynchronous publishing when > 0:
@@ -43,11 +44,11 @@ type ClientConfig struct {
 	// rejection) is sticky: later Publish calls fail fast with it and
 	// Flush reports it. Zero publishes fire-and-forget.
 	//
-	// Windowed publishes travel on a dedicated second connection: a
-	// consumer stalled on a full engine queue backpressures its
-	// subscription connection's read loop, and a RECEIPT stuck behind
-	// undelivered MESSAGE frames there would deadlock the window against
-	// the very callback waiting on it.
+	// Windowed publishes travel on a dedicated second connection, the
+	// publish connection: a consumer stalled on a full engine queue
+	// backpressures its subscription connection's read loop, and a RECEIPT
+	// stuck behind undelivered MESSAGE frames there would deadlock the
+	// window against the very callback waiting on it.
 	PublishWindow int
 
 	// SubscribeCredit arms credit-based flow control on every subscription
@@ -61,6 +62,13 @@ type ClientConfig struct {
 	// the connection, so a consumer that falls behind sheds load at the
 	// broker — before the write queue, where the overflow policy would
 	// start dropping. Zero disables credit: wire behaviour is unchanged.
+	//
+	// A live credited client (no DurableGroup or DurableOffset) sends
+	// every publish, fire-and-forget ones too, on the publish connection
+	// PublishWindow uses, dialled even when PublishWindow is zero. The
+	// broker may hold a publish until a full credit ring has room, and on
+	// the subscription connection that wait would hold up the very grants
+	// that make the room.
 	SubscribeCredit int
 
 	// DurableGroup, when non-empty, makes every subscription this client
@@ -88,18 +96,20 @@ type ClientConfig struct {
 // engine (or any producer/consumer) run in a different process or network
 // zone from the broker, as in the paper's ECRIC deployment where the event
 // broker is a separate service inside the Intranet (Fig. 4). It is one
-// STOMP connection, plus the publish window's own when PublishWindow > 0.
+// STOMP connection, plus a publish connection when PublishWindow > 0 or a
+// live subscription is credited.
 type Client struct {
 	cfg  ClientConfig
-	conn *stomp.Client // subscriptions, and publishes unless windowed
+	conn *stomp.Client // subscriptions
+	// pub carries every publish: conn itself, or the publish connection.
+	pub *stomp.Client
 
 	// cache memoises label-header parses and the topic string across
 	// deliveries. Every subscription handler runs on conn's read
 	// goroutine, so the cache is goroutine-confined.
 	cache event.DecodeCache
 
-	// win is the publish window and its connection; nil unless
-	// PublishWindow > 0.
+	// win is the publish window on pub; nil unless PublishWindow > 0.
 	win *pubWindow
 }
 
@@ -240,8 +250,8 @@ func (t *ackTracker) settle(n int64) int64 {
 var _ Bus = (*Client)(nil)
 
 // DialBus connects to a broker server: one STOMP connection, plus a
-// dedicated publish connection when windowed publishing is enabled (see
-// ClientConfig.PublishWindow).
+// dedicated publish connection when windowed publishing or live credit is
+// enabled (see ClientConfig.PublishWindow and SubscribeCredit).
 func DialBus(addr string, cfg ClientConfig) (*Client, error) {
 	dial := func() (*stomp.Client, error) {
 		return stomp.Dial(addr, stomp.ClientConfig{
@@ -255,14 +265,16 @@ func DialBus(addr string, cfg ClientConfig) (*Client, error) {
 	if err != nil {
 		return nil, err
 	}
-	c := &Client{cfg: cfg, conn: conn}
-	if cfg.PublishWindow > 0 {
-		pub, err := dial()
-		if err != nil {
+	c := &Client{cfg: cfg, conn: conn, pub: conn}
+	liveCredit := cfg.SubscribeCredit > 0 && cfg.DurableGroup == "" && cfg.DurableOffset == ""
+	if cfg.PublishWindow > 0 || liveCredit {
+		if c.pub, err = dial(); err != nil {
 			_ = conn.Close()
 			return nil, err
 		}
-		c.win = &pubWindow{conn: pub, size: uint64(cfg.PublishWindow), timeout: cfg.SendTimeout}
+	}
+	if cfg.PublishWindow > 0 {
+		c.win = &pubWindow{conn: c.pub, size: uint64(cfg.PublishWindow), timeout: cfg.SendTimeout}
 	}
 	return c, nil
 }
@@ -275,7 +287,7 @@ func DialBus(addr string, cfg ClientConfig) (*Client, error) {
 //
 // One connection carries every publish, so the broker observes a client's
 // publishes in publish order. With PublishWindow the SEND is
-// receipt-tracked and pipelined on the window's connection; otherwise it
+// receipt-tracked and pipelined on the publish connection; otherwise it
 // is fire-and-forget.
 //
 // A publish the client can prove never reached the wire — the fail-fast
@@ -302,23 +314,30 @@ func (c *Client) Publish(ev *event.Event) error {
 	if c.win != nil {
 		return c.win.publish(img)
 	}
-	return c.conn.SendImage(img)
+	return c.pub.SendImage(img)
 }
 
 // Flush implements Bus. It blocks until every windowed publish accepted
 // so far is confirmed by the broker, returning the first error the window
 // hit (receipt refused, timed out, or connection lost; sticky — Flush and
-// Publish keep reporting it, reconnect to recover). Then it takes one
-// receipt on the subscription connection (stomp.Client.Sync), after which
-// the broker has handled every fire-and-forget publish sent before it and
-// every delivery the broker queued for this client until then has reached
-// its handler. It must not be called from a delivery handler, whose read
-// loop the receipt needs.
+// Publish keep reporting it, reconnect to recover); without a window, a
+// receipt on a separate publish connection (stomp.Client.Sync) does the
+// same for its fire-and-forget publishes. Then it takes one receipt on the
+// subscription connection, after which the broker has handled every
+// fire-and-forget publish sent on it before the receipt and every delivery
+// the broker queued for this client until then has reached its handler.
+// It must not be called from a delivery handler, whose read loop the
+// receipt needs.
 func (c *Client) Flush() error {
-	if c.win != nil {
-		if err := c.win.flush(); err != nil {
-			return err
-		}
+	var err error
+	switch {
+	case c.win != nil:
+		err = c.win.flush()
+	case c.pub != c.conn:
+		err = c.pub.Sync(c.cfg.SendTimeout)
+	}
+	if err != nil {
+		return err
 	}
 	return c.conn.Sync(c.cfg.SendTimeout)
 }
@@ -397,7 +416,9 @@ func (c *Client) Close() error {
 	var flushErr, pubErr error
 	if c.win != nil {
 		flushErr = c.win.flush()
-		pubErr = c.win.conn.Disconnect(5 * time.Second)
+	}
+	if c.pub != c.conn {
+		pubErr = c.pub.Disconnect(5 * time.Second)
 	}
 	return cmp.Or(flushErr, c.conn.Disconnect(5*time.Second), pubErr)
 }

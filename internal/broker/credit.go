@@ -1,9 +1,11 @@
 package broker
 
 import (
+	"errors"
 	"net"
 	"sync"
 	"sync/atomic"
+	"time"
 
 	"safeweb/internal/event"
 )
@@ -51,10 +53,11 @@ type wireSub struct {
 // creditState is one wire subscription's flow-control window.
 //
 // The atomics are the fast path: tryClaim runs on the publishing goroutine
-// for every matched delivery and takes no lock. mu guards the pending ring
-// and the stall/closed flags; lock order is creditState.mu before
-// Server.mu (drain paths call into delivery accounting, which may take the
-// server lock) — never acquire creditState.mu while holding Server.mu.
+// for every matched delivery and takes no lock. mu guards the pending
+// ring, its wake channel and the stall/closed flags; lock order is
+// creditState.mu before Server.mu (drain paths call into delivery
+// accounting, which may take the server lock) — never acquire
+// creditState.mu while holding Server.mu.
 type creditState struct {
 	// granted is the consumer's cumulative delivery allowance; sent counts
 	// deliveries claimed against it. Remaining credit is granted-sent.
@@ -66,9 +69,10 @@ type creditState struct {
 	parked atomic.Int32
 
 	mu sync.Mutex
-	// space signals a freed ring slot to publishers blocked in
-	// parkDelivery under OverflowBlock.
-	space sync.Cond
+	// wake, when set, is what publishers blocked on a full ring under
+	// OverflowBlock wait on; wakeLocked closes and clears it once a grant
+	// frees a slot or the subscription closes.
+	wake chan struct{}
 	// ring is the bounded pending buffer, a circular queue of n events
 	// starting at head.
 	ring    []*event.Event
@@ -84,7 +88,6 @@ type creditState struct {
 func newCreditState(window int64) *creditState {
 	c := &creditState{ring: make([]*event.Event, creditPending)}
 	c.granted.Store(window)
-	c.space.L = &c.mu
 	return c
 }
 
@@ -132,12 +135,21 @@ func (c *creditState) popLocked() *event.Event {
 	return ev
 }
 
+// wakeLocked releases every publisher waiting for ring space.
+func (c *creditState) wakeLocked() {
+	if c.wake != nil {
+		close(c.wake)
+		c.wake = nil
+	}
+}
+
 // parkDelivery handles a matched delivery that could not claim credit: it
 // parks in the subscription's pending ring, and a full ring falls through
 // to the server's overflow policy — the PR 6 machinery acting as safety
 // net. Runs on the publishing goroutine; under OverflowBlock a full ring
-// blocks it (bounded by a grant, teardown, or eviction), mirroring the
-// write-queue semantics of the policy one layer down.
+// blocks it, as a full write queue does one layer down, until a grant
+// frees a slot, the subscription or the server closes, or WriteTimeout
+// passes.
 func (s *Server) parkDelivery(ss *serverSession, ws *wireSub, clientSubID string, ev *event.Event) {
 	c := ws.credit
 	c.mu.Lock()
@@ -158,19 +170,24 @@ func (s *Server) parkDelivery(ss *serverSession, ws *wireSub, clientSubID string
 		if c.n < len(c.ring) {
 			break
 		}
-		switch s.cfg.Overflow {
-		case OverflowBlock:
-			c.space.Wait()
-		case OverflowDropOldest:
-			oldest := c.popLocked()
-			c.mu.Unlock()
-			s.suppress(ss, clientSubID, oldest, ErrSlowConsumer)
-			c.mu.Lock()
-		default: // OverflowDropNewest, OverflowDisconnect
+		if s.cfg.Overflow != OverflowBlock {
 			c.mu.Unlock()
 			s.suppress(ss, clientSubID, ev, ErrSlowConsumer)
 			return
 		}
+		if c.wake == nil {
+			c.wake = make(chan struct{})
+		}
+		wake := c.wake
+		c.mu.Unlock()
+		if err := s.awaitSpace(wake); err != nil {
+			s.suppress(ss, clientSubID, ev, err)
+			if errors.Is(err, ErrSlowConsumer) {
+				s.evict(ss)
+			}
+			return
+		}
+		c.mu.Lock()
 	}
 	c.pushLocked(ev)
 	firstStall := !c.stalled
@@ -179,6 +196,29 @@ func (s *Server) parkDelivery(ss *serverSession, ws *wireSub, clientSubID string
 	if firstStall {
 		s.creditStalls.Add(1)
 		ss.creditStalls.Add(1)
+	}
+}
+
+// awaitSpace waits until wake closes, and fails with net.ErrClosed when
+// the server closes first, or with ErrSlowConsumer when WriteTimeout
+// passes first: the consumer has stopped granting, as a peer that fails
+// its write deadline has stopped reading, and the caller evicts it. The
+// wait may be the consumer's own read loop publishing to its own
+// subscription, which no grant can then reach; the bound ends it.
+func (s *Server) awaitSpace(wake <-chan struct{}) error {
+	var timeout <-chan time.Time
+	if s.cfg.WriteTimeout > 0 {
+		t := time.NewTimer(s.cfg.WriteTimeout)
+		defer t.Stop()
+		timeout = t.C
+	}
+	select {
+	case <-wake:
+		return nil
+	case <-s.closing:
+		return net.ErrClosed
+	case <-timeout:
+		return ErrSlowConsumer
 	}
 }
 
@@ -207,6 +247,7 @@ func (s *Server) creditGrant(ss *serverSession, clientSubID string, ws *wireSub,
 	policy := s.broker.Policy()
 	c.mu.Lock()
 	defer c.mu.Unlock()
+	defer c.wakeLocked()
 	for c.n > 0 && !c.closed {
 		conf := c.ring[c.head].Labels.Confidentiality()
 		cleared := conf.IsEmpty() || ws.sub.clears(policy, policy.Generation(), conf)
@@ -214,7 +255,6 @@ func (s *Server) creditGrant(ss *serverSession, clientSubID string, ws *wireSub,
 			return
 		}
 		ev := c.popLocked()
-		c.space.Broadcast()
 		if !cleared {
 			s.revokedDeliveries.Add(1)
 			continue
@@ -230,7 +270,7 @@ func (s *Server) creditGrant(ss *serverSession, clientSubID string, ws *wireSub,
 
 // closeSub tears a wire subscription down: its live registration and
 // credit window, whose parked deliveries are dropped as to a closed
-// session (publishers blocked on a full ring are released to observe
+// session (publishers waiting for ring space are woken to observe
 // closed), or its replay feed.
 func (s *Server) closeSub(ss *serverSession, clientSubID string, ws *wireSub) {
 	s.broker.Unsubscribe(ws.sub)
@@ -248,7 +288,7 @@ func (s *Server) closeSub(ss *serverSession, clientSubID string, ws *wireSub) {
 	for c.n > 0 {
 		dropped = append(dropped, c.popLocked())
 	}
-	c.space.Broadcast()
+	c.wakeLocked()
 	c.mu.Unlock()
 	for _, ev := range dropped {
 		s.suppress(ss, clientSubID, ev, net.ErrClosed)

@@ -2,9 +2,11 @@ package broker_test
 
 import (
 	"bufio"
+	"bytes"
 	"errors"
 	"net"
 	"os"
+	"runtime"
 	"strconv"
 	"sync"
 	"sync/atomic"
@@ -221,10 +223,35 @@ func waitFor(t testing.TB, what string, cond func() bool) {
 	}
 }
 
+// ringWaiting reports whether some publisher is waiting for space in a
+// full credit ring.
+func ringWaiting() bool {
+	buf := make([]byte, 1<<20)
+	return bytes.Contains(buf[:runtime.Stack(buf, true)], []byte("(*Server).awaitSpace"))
+}
+
+// closeWithin fails the test unless srv.Close returns within d.
+func closeWithin(t *testing.T, srv *broker.Server, d time.Duration) {
+	t.Helper()
+	closed := make(chan struct{})
+	go func() {
+		_ = srv.Close()
+		close(closed)
+	}()
+	select {
+	case <-closed:
+	case <-time.After(d):
+		t.Fatalf("Server.Close did not return within %v", d)
+	}
+}
+
 // TestCreditRingOverflowPolicies pins the fallback contract: when the
 // pending ring itself overflows, the delivery falls through to the
 // server's configured overflow policy — the reactive machinery stays the
-// safety net under credit, with its accounting intact.
+// safety net under credit, with its accounting intact. Under block the
+// wait for ring space ends at a grant, at WriteTimeout, which evicts the
+// consumer that stopped granting, or at Server.Close, even when the
+// waiting publisher is the consumer's own read loop.
 func TestCreditRingOverflowPolicies(t *testing.T) {
 	// Window 1, the server's 32-deep ring: seq 0 is sent, 1..32 park, 33
 	// overflows; the disconnect policy evicts on the 8th overflow in a row.
@@ -245,15 +272,28 @@ func TestCreditRingOverflowPolicies(t *testing.T) {
 			}
 		}
 	}
-	setup := func(t *testing.T, overflow broker.OverflowPolicy) (
+	// sendSeqs writes SENDs of seq from..to-1 to the ring's topic on conn.
+	sendSeqs := func(t *testing.T, conn net.Conn, from, to int) {
+		t.Helper()
+		for seq := from; seq < to; seq++ {
+			f := stomp.NewFrame(stomp.CmdSend)
+			f.SetHeader(stomp.HdrDestination, "/credit/ring")
+			f.SetHeader("seq", strconv.Itoa(seq))
+			if err := new(stomp.Encoder).Encode(conn, f); err != nil {
+				t.Fatalf("SEND seq %d: %v", seq, err)
+			}
+		}
+	}
+	setup := func(t *testing.T, overflow broker.OverflowPolicy, writeTimeout time.Duration) (
 		*broker.Broker, *broker.Server, net.Conn, *bufio.Reader, *atomic.Uint64,
 	) {
 		br := broker.New(label.NewPolicy())
 		t.Cleanup(func() { br.Close() })
 		var slowDrops atomic.Uint64
 		srv, err := broker.NewServer("127.0.0.1:0", br, broker.ServerConfig{
-			Logf:     t.Logf,
-			Overflow: overflow,
+			Logf:         t.Logf,
+			Overflow:     overflow,
+			WriteTimeout: writeTimeout,
 			OnDeliveryError: func(_ uint64, _ string, _ *event.Event, err error) {
 				if errors.Is(err, broker.ErrSlowConsumer) {
 					slowDrops.Add(1)
@@ -269,7 +309,7 @@ func TestCreditRingOverflowPolicies(t *testing.T) {
 	}
 
 	t.Run("drop-newest", func(t *testing.T) {
-		br, srv, conn, rd, slowDrops := setup(t, broker.OverflowDropNewest)
+		br, srv, conn, rd, slowDrops := setup(t, broker.OverflowDropNewest, 0)
 		publishSeqs(t, br, 0, ring+2)
 		if got := srv.Stats().OverflowDrops; got != 1 {
 			t.Errorf("OverflowDrops = %d, want 1 (seq %d over the full ring)", got, ring+1)
@@ -285,25 +325,8 @@ func TestCreditRingOverflowPolicies(t *testing.T) {
 		expectSilence(t, conn, rd, 200*time.Millisecond)
 	})
 
-	t.Run("drop-oldest", func(t *testing.T) {
-		br, srv, conn, rd, slowDrops := setup(t, broker.OverflowDropOldest)
-		publishSeqs(t, br, 0, ring+2)
-		if got := srv.Stats().OverflowDrops; got != 1 {
-			t.Errorf("OverflowDrops = %d, want 1 (oldest parked evicted)", got)
-		}
-		if got := slowDrops.Load(); got != 1 {
-			t.Errorf("ErrSlowConsumer reports = %d, want 1", got)
-		}
-		if got := readSeq(t, conn, rd); got != 0 {
-			t.Fatalf("first delivery seq %d, want 0", got)
-		}
-		sendGrant(t, conn, "c-0", "100")
-		readSeqs(t, conn, rd, 2, ring+2) // oldest parked gone, rest in order
-		expectSilence(t, conn, rd, 200*time.Millisecond)
-	})
-
 	t.Run("disconnect", func(t *testing.T) {
-		br, srv, _, _, slowDrops := setup(t, broker.OverflowDisconnect)
+		br, srv, _, _, slowDrops := setup(t, broker.OverflowDisconnect, 0)
 		publishSeqs(t, br, 0, 1+ring+evictAfter)
 		if got := srv.Stats().SlowConsumerEvictions; got != 1 {
 			t.Fatalf("SlowConsumerEvictions = %d, want 1 (%d consecutive ring overflows)", got, evictAfter)
@@ -330,7 +353,7 @@ func TestCreditRingOverflowPolicies(t *testing.T) {
 	})
 
 	t.Run("block", func(t *testing.T) {
-		br, _, conn, rd, _ := setup(t, broker.OverflowBlock)
+		br, _, conn, rd, _ := setup(t, broker.OverflowBlock, 0)
 		publishSeqs(t, br, 0, ring+1)
 		// The next publish must block on the full ring until a grant makes
 		// room — lossless back-pressure one layer up from the write queue.
@@ -354,6 +377,60 @@ func TestCreditRingOverflowPolicies(t *testing.T) {
 			t.Fatal("grant did not unblock the parked publisher")
 		}
 		readSeqs(t, conn, rd, 1, ring+2) // lossless, in order
+	})
+
+	t.Run("block/write-timeout", func(t *testing.T) {
+		br, srv, _, _, slowDrops := setup(t, broker.OverflowBlock, 200*time.Millisecond)
+		publishSeqs(t, br, 0, ring+1)
+		// The consumer never grants: the publisher waiting for ring space
+		// gives up at WriteTimeout, and the consumer is evicted.
+		published := make(chan error, 1)
+		go func() {
+			published <- br.Publish("producer", event.New("/credit/ring", map[string]string{"seq": strconv.Itoa(ring + 1)}))
+		}()
+		select {
+		case err := <-published:
+			if err != nil {
+				t.Fatalf("Publish: %v", err)
+			}
+		case <-time.After(2 * time.Second):
+			t.Fatal("a publish waiting on a consumer that never grants outlived WriteTimeout")
+		}
+		st := srv.Stats()
+		if st.SlowConsumerEvictions != 1 {
+			t.Errorf("SlowConsumerEvictions = %d, want 1", st.SlowConsumerEvictions)
+		}
+		if st.OverflowDrops != 1 || slowDrops.Load() != 1 {
+			t.Errorf("OverflowDrops = %d, ErrSlowConsumer reports = %d; want the timed-out delivery, 1 and 1", st.OverflowDrops, slowDrops.Load())
+		}
+		waitFor(t, "evicted session teardown", func() bool {
+			return len(srv.SessionStats()) == 0 && srv.Stats().DroppedDeliveries == ring
+		})
+	})
+
+	t.Run("block/close", func(t *testing.T) {
+		// One connection is the consumer and the publisher, with no
+		// WriteTimeout: its read loop waits for ring space that only its
+		// own grants could make. Close must still end the wait.
+		_, srv, conn, _, _ := setup(t, broker.OverflowBlock, 0)
+		sendSeqs(t, conn, 0, ring+2)
+		waitFor(t, "the read loop waiting for ring space", ringWaiting)
+		closeWithin(t, srv, 5*time.Second)
+		if got := srv.Stats().DroppedDeliveries; got != ring+1 {
+			t.Errorf("DroppedDeliveries = %d, want %d (the waiting delivery and the parked ring)", got, ring+1)
+		}
+	})
+
+	t.Run("block/shared-connection", func(t *testing.T) {
+		_, srv, conn, _, slowDrops := setup(t, broker.OverflowBlock, 200*time.Millisecond)
+		sendSeqs(t, conn, 0, ring+2)
+		waitFor(t, "the self-publishing consumer evicted", func() bool {
+			return srv.Stats().SlowConsumerEvictions == 1 && len(srv.SessionStats()) == 0
+		})
+		if st := srv.Stats(); st.OverflowDrops != 1 || slowDrops.Load() != 1 {
+			t.Errorf("OverflowDrops = %d, ErrSlowConsumer reports = %d; want 1 and 1", st.OverflowDrops, slowDrops.Load())
+		}
+		closeWithin(t, srv, 5*time.Second)
 	})
 }
 
@@ -665,4 +742,90 @@ func TestClientCreditReplenish(t *testing.T) {
 	if drops := srv.Stats().OverflowDrops; drops != 0 {
 		t.Errorf("OverflowDrops = %d, want 0 (credit parks, the consumer keeps up)", drops)
 	}
+}
+
+// TestCreditSelfPublish: a credited client that publishes to its own
+// subscription receives every event. Its publishes travel on the publish
+// connection, so the broker's wait for ring space never holds up the
+// grants that make the room.
+func TestCreditSelfPublish(t *testing.T) { runCreditedPublishers(t, 1) }
+
+// TestCreditCrossPublish: two credited clients, each publishing to the
+// topic the other subscribes to, both receive every event.
+func TestCreditCrossPublish(t *testing.T) { runCreditedPublishers(t, 2) }
+
+// runCreditedPublishers connects n clients with a credit window of 4.
+// Client i subscribes to topic i and publishes 500 fire-and-forget
+// events to topic i+1 mod n; its handler only releases. Every client
+// must receive its 500 events in order, and Server.Close must return
+// within 5 s. The exchange runs under its own deadline, so a wedged
+// broker fails the test instead of hanging it.
+func runCreditedPublishers(t *testing.T, n int) {
+	const events = 500
+	br := broker.New(label.NewPolicy())
+	t.Cleanup(br.Close)
+	srv, err := broker.NewServer("127.0.0.1:0", br, broker.ServerConfig{
+		Logf: t.Logf,
+		OnDeliveryError: func(_ uint64, _ string, _ *event.Event, err error) {
+			t.Errorf("delivery dropped: %v", err)
+		},
+	})
+	if err != nil {
+		t.Fatalf("NewServer: %v", err)
+	}
+	topic := func(i int) string { return "/loop/" + strconv.Itoa(i%n) }
+
+	exchange := func() error {
+		clients := make([]*broker.Client, n)
+		all := make([]chan struct{}, n)
+		for i := range clients {
+			cl, err := broker.DialBus(srv.Addr(), broker.ClientConfig{Login: "unit", SubscribeCredit: 4})
+			if err != nil {
+				return err
+			}
+			clients[i], all[i] = cl, make(chan struct{})
+			next, done := 0, all[i]
+			if _, err := cl.Subscribe(topic(i), "", func(ev *event.Event) {
+				if seq := ev.Attr("seq"); seq != strconv.Itoa(next) {
+					t.Errorf("%s: delivery %d carries seq %s", topic(i), next, seq)
+				}
+				ev.Release()
+				if next++; next == events {
+					close(done)
+				}
+			}); err != nil {
+				return err
+			}
+		}
+		for i, cl := range clients {
+			for seq := 0; seq < events; seq++ {
+				if err := cl.Publish(event.New(topic(i+1), map[string]string{"seq": strconv.Itoa(seq)})); err != nil {
+					return err
+				}
+			}
+		}
+		for i, cl := range clients {
+			if err := cl.Flush(); err != nil {
+				return err
+			}
+			<-all[i]
+		}
+		for _, cl := range clients {
+			if err := cl.Close(); err != nil {
+				return err
+			}
+		}
+		return nil
+	}
+	done := make(chan error, 1)
+	go func() { done <- exchange() }()
+	select {
+	case err := <-done:
+		if err != nil {
+			t.Fatal(err)
+		}
+	case <-time.After(10 * time.Second):
+		t.Fatal("credited clients did not receive every event within 10 s")
+	}
+	closeWithin(t, srv, 5*time.Second)
 }

@@ -472,7 +472,7 @@ func (s *Server) runReplay(ss *serverSession, f *replayFeed, clientSubID, topic 
 			f.record(next)
 			img := stomp.RawMessageImage(rec.Image, rec.Split)
 			route := stomp.Route{Subscription: clientSubID, IDPrefix: ss.idPrefix, Seq: ss.msgSeq.Add(1)}
-			if _, err := ss.sess.Deliver(img, route, stomp.EnqueueBlock, nil); err != nil {
+			if _, err := ss.sess.Deliver(img, route, stomp.EnqueueBlock); err != nil {
 				s.suppress(ss, clientSubID, nil, err)
 				return
 			}

@@ -7,9 +7,7 @@ import "safeweb/internal/event"
 // mid-stream.
 func (c *Client) AbruptClose() {
 	_ = c.conn.Close()
-	if c.win != nil {
-		_ = c.win.conn.Close()
-	}
+	_ = c.pub.Close()
 }
 
 // KillSessionAndDeliver severs the transport of the given server session

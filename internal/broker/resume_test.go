@@ -35,7 +35,7 @@ type resumeCase struct {
 // replay frames.
 func TestDurableResumeExactSuffix(t *testing.T) {
 	seed := int64(0)
-	for _, overflow := range []OverflowPolicy{OverflowBlock, OverflowDropNewest, OverflowDropOldest, OverflowDisconnect} {
+	for _, overflow := range []OverflowPolicy{OverflowBlock, OverflowDropNewest, OverflowDisconnect} {
 		for _, credit := range []int{0, 2} {
 			for _, acks := range []string{"none", "each", "prefix", "stale"} {
 				for _, point := range []string{"start", "mid", "end"} {

@@ -17,31 +17,27 @@ import (
 )
 
 // OverflowPolicy selects what the network front does when a matched
-// delivery meets a session whose write queue is full — the slow-consumer
-// decision point. The policy is fixed at server construction, so the
-// per-delivery check is a plain field read on the fan-out fast path.
+// delivery meets a session whose write queue, or a credited
+// subscription's pending ring, is full — the slow-consumer decision
+// point. The policy is fixed at server construction, so the per-delivery
+// check is a plain field read on the fan-out fast path. A queued delivery
+// is never dropped on its own: every policy decides only the incoming one.
 type OverflowPolicy int
 
 const (
 	// OverflowBlock blocks the publishing goroutine until the session's
-	// writer drains (the seed behaviour): lossless back-pressure, but a
-	// peer that stopped reading head-of-line-blocks every delivery routed
-	// through that goroutine. Pair it with ServerConfig.WriteTimeout so
-	// the stall is bounded by the peer failing its write deadline; leave
-	// it unbounded only for trusted in-process tests.
+	// writer drains, or a credit grant frees a ring slot (the seed
+	// behaviour): lossless back-pressure, but a peer that stopped reading
+	// or granting head-of-line-blocks every delivery routed through that
+	// goroutine. Pair it with ServerConfig.WriteTimeout, which bounds both
+	// waits and evicts the peer when one passes; leave it unbounded only
+	// for trusted in-process tests. Server.Close ends every wait.
 	OverflowBlock OverflowPolicy = iota
 	// OverflowDropNewest drops the incoming delivery, counts it in
 	// Stats().OverflowDrops and reports it through OnDeliveryError with
 	// ErrSlowConsumer. Oldest queued deliveries survive — the backlog
 	// keeps its history and loses the present.
 	OverflowDropNewest
-	// OverflowDropOldest evicts the oldest queued live deliveries to make
-	// room for the incoming one; each eviction is counted and reported
-	// like a drop. The backlog tracks the present and loses history — the
-	// usual choice for live feeds. Control frames and a durable feed's
-	// replay frames are never evicted: while a replay frame is queued,
-	// the incoming live delivery is dropped instead.
-	OverflowDropOldest
 	// OverflowDisconnect drops the incoming delivery like
 	// OverflowDropNewest and evicts the whole session once
 	// overflowEvictAfter consecutive deliveries have overflowed: a
@@ -57,8 +53,6 @@ func (p OverflowPolicy) String() string {
 		return "block"
 	case OverflowDropNewest:
 		return "drop-newest"
-	case OverflowDropOldest:
-		return "drop-oldest"
 	case OverflowDisconnect:
 		return "disconnect"
 	}
@@ -66,24 +60,24 @@ func (p OverflowPolicy) String() string {
 }
 
 // ParseOverflowPolicy parses the flag-friendly policy names accepted by
-// the deployment binaries: block, drop-newest, drop-oldest, disconnect.
+// the deployment binaries: block, drop-newest, disconnect.
 func ParseOverflowPolicy(s string) (OverflowPolicy, error) {
 	switch s {
 	case "", "block":
 		return OverflowBlock, nil
 	case "drop-newest":
 		return OverflowDropNewest, nil
-	case "drop-oldest":
-		return OverflowDropOldest, nil
 	case "disconnect":
 		return OverflowDisconnect, nil
 	}
-	return 0, fmt.Errorf("broker: unknown overflow policy %q (want block, drop-newest, drop-oldest or disconnect)", s)
+	return 0, fmt.Errorf("broker: unknown overflow policy %q (want block, drop-newest or disconnect)", s)
 }
 
 // ErrSlowConsumer marks a delivery suppressed by the overflow policy: the
-// session's write queue was full and the policy chose to drop rather than
-// block. It reaches OnDeliveryError so no suppressed flow is silent.
+// session's write queue or the subscription's credit ring was full and
+// the policy chose to drop rather than block, or a blocked wait for ring
+// space outlived WriteTimeout. It reaches OnDeliveryError so no
+// suppressed flow is silent.
 var ErrSlowConsumer = errors.New("broker: delivery dropped: slow consumer write queue overflow")
 
 // overflowEvictAfter is the number of consecutive overflows after which
@@ -111,18 +105,22 @@ type ServerConfig struct {
 	// WriteTimeout bounds every write and flush to a session: a peer that
 	// stops reading fails its connection with a sticky deadline error
 	// instead of wedging the session's writer (and, under OverflowBlock,
-	// the publishing goroutine) forever. Zero disables the deadline.
+	// the publishing goroutine) forever. Under OverflowBlock it also bounds
+	// a publisher's wait for space in a credited subscription's full
+	// pending ring: a consumer that stops granting for that long is
+	// evicted (SlowConsumerEvictions) and the delivery is counted in
+	// OverflowDrops. Zero disables both bounds; Server.Close still ends
+	// every wait.
 	WriteTimeout time.Duration
 	// OnDeliveryError observes deliveries the network front had to drop —
 	// an event that matched a subscription but could not be marshalled
 	// for the wire, could not be written to a closed or write-failed
 	// session, or was suppressed by the overflow policy (err is then
-	// ErrSlowConsumer, for drop-oldest evictions too). ev is the event
-	// not delivered; it is nil only for a journal record a durable replay
-	// could not read or write. A mediating broker must leave an audit
-	// trail for any suppressed flow, so nil falls back to Logf; every drop
-	// is also counted in Stats(). The hook runs on the delivering goroutine
-	// and must not block.
+	// ErrSlowConsumer). ev is the event not delivered; it is nil only for
+	// a journal record a durable replay could not read or write. A
+	// mediating broker must leave an audit trail for any suppressed flow,
+	// so nil falls back to Logf; every drop is also counted in Stats().
+	// The hook runs on the delivering goroutine and must not block.
 	OnDeliveryError func(sessionID uint64, subscription string, ev *event.Event, err error)
 	// Durable lists topic patterns (same grammar as SUBSCRIBE
 	// destinations: exact, trailing "/*", or "*") whose publishes are
@@ -166,10 +164,11 @@ type ServerStats struct {
 	// the session (closed or write-failed connection).
 	DroppedDeliveries uint64
 	// OverflowDrops counts matched deliveries suppressed by the overflow
-	// policy: drop-newest/disconnect drops and drop-oldest evictions.
+	// policy: drop-newest and disconnect drops, and deliveries whose
+	// OverflowBlock wait for credit ring space outlived WriteTimeout.
 	OverflowDrops uint64
 	// SlowConsumerEvictions counts sessions disconnected by
-	// OverflowDisconnect.
+	// OverflowDisconnect or by a credit ring wait outliving WriteTimeout.
 	SlowConsumerEvictions uint64
 	// QueueHighWater is the deepest per-session delivery-queue occupancy
 	// observed on any session, live or since departed.
@@ -250,6 +249,11 @@ type Server struct {
 	journals   *journalStore
 	tapRemoves []func()
 
+	// closing is closed when Close begins, before it waits for session
+	// read loops: a read loop waiting for credit ring space gives up.
+	closing   chan struct{}
+	closeOnce sync.Once
+
 	droppedDeliveries   atomic.Uint64
 	overflowDrops       atomic.Uint64
 	slowEvictions       atomic.Uint64
@@ -285,8 +289,9 @@ type serverSession struct {
 	// overflowDrops counts deliveries to this session suppressed by the
 	// overflow policy; consecOverflows tracks the current run of
 	// overflowing deliveries for OverflowDisconnect; evicted latches the
-	// eviction so it fires exactly once; creditStalls counts stall runs on
-	// this session's credited subscriptions.
+	// eviction so it fires exactly once, for either reason evict names;
+	// creditStalls counts stall runs on this session's credited
+	// subscriptions.
 	overflowDrops   atomic.Uint64
 	consecOverflows atomic.Uint32
 	evicted         atomic.Bool
@@ -309,8 +314,6 @@ func NewServer(addr string, b *Broker, cfg ServerConfig) (*Server, error) {
 		enqueue = stomp.EnqueueBlock
 	case OverflowDropNewest, OverflowDisconnect:
 		enqueue = stomp.EnqueueTry
-	case OverflowDropOldest:
-		enqueue = stomp.EnqueueEvict
 	default:
 		return nil, fmt.Errorf("broker: unknown overflow policy %d", cfg.Overflow)
 	}
@@ -330,6 +333,7 @@ func NewServer(addr string, b *Broker, cfg ServerConfig) (*Server, error) {
 		broker:   b,
 		cfg:      cfg,
 		enqueue:  enqueue,
+		closing:  make(chan struct{}),
 		sessions: make(map[uint64]*serverSession),
 	}
 	if cfg.JournalDir != "" {
@@ -357,18 +361,14 @@ func NewServer(addr string, b *Broker, cfg ServerConfig) (*Server, error) {
 			srv.tapRemoves = append(srv.tapRemoves, rm)
 		}
 	}
-	scfg := stomp.ServerConfig{
+	st, err := stomp.NewServer(addr, stomp.ServerConfig{
 		Handler:       srv,
 		Authenticate:  cfg.Authenticate,
 		TLS:           cfg.TLS,
 		Logf:          cfg.Logf,
 		WriteQueueLen: cfg.WriteQueueLen,
 		WriteTimeout:  cfg.WriteTimeout,
-	}
-	if cfg.Overflow == OverflowDropOldest {
-		scfg.OnQueueEvict = srv.queueEvict
-	}
-	st, err := stomp.NewServer(addr, scfg)
+	})
 	if err != nil {
 		for _, rm := range srv.tapRemoves {
 			rm()
@@ -385,11 +385,13 @@ func NewServer(addr string, b *Broker, cfg ServerConfig) (*Server, error) {
 // Addr returns the listen address.
 func (s *Server) Addr() string { return s.stomp.Addr() }
 
-// Close shuts down the network front (the broker itself stays open): the
-// publish taps are removed first so no append can race the journal
-// teardown, then the stomp server drains its sessions (whose disconnect
-// path stops every replay feed), and only then are the journals closed.
+// Close shuts down the network front (the broker itself stays open): every
+// wait for credit ring space ends, the publish taps are removed so no
+// append can race the journal teardown, then the stomp server drains its
+// sessions (whose disconnect path stops every replay feed), and only then
+// are the journals closed.
 func (s *Server) Close() error {
+	s.closeOnce.Do(func() { close(s.closing) })
 	for _, rm := range s.tapRemoves {
 		rm()
 	}
@@ -691,16 +693,14 @@ func (s *Server) deliver(ss *serverSession, ws *wireSub, clientSubID string, ev 
 // sendDelivery puts one matched delivery on the session's wire. The
 // overflow policy, resolved to an enqueue mode at construction, decides
 // whether a session whose delivery queue is full may block the publisher
-// (OverflowBlock), loses the incoming delivery (drop-newest, disconnect:
-// not queued) or loses its oldest queued ones (drop-oldest: each reported
-// through queueEvict on this goroutine, as is the incoming one when a
-// replay frame is queued). Whatever is not queued goes to suppress.
+// (OverflowBlock) or loses the incoming delivery (drop-newest,
+// disconnect: not queued). Whatever is not queued goes to suppress.
 func (s *Server) sendDelivery(ss *serverSession, clientSubID string, ev *event.Event) {
 	img, err := ev.WireImage()
 	if err == nil {
 		route := stomp.Route{Subscription: clientSubID, IDPrefix: ss.idPrefix, Seq: ss.msgSeq.Add(1)}
 		var queued bool
-		if queued, err = ss.sess.Deliver(img, route, s.enqueue, ev); err == nil && !queued {
+		if queued, err = ss.sess.Deliver(img, route, s.enqueue); err == nil && !queued {
 			err = ErrSlowConsumer
 		}
 	}
@@ -714,21 +714,17 @@ func (s *Server) sendDelivery(ss *serverSession, clientSubID string, ev *event.E
 
 // suppress is the one account of a matched delivery the network front
 // does not put on the wire, so none is lost silently. ErrSlowConsumer — an
-// overflow drop, or a drop-oldest eviction from the write queue or the
-// credit ring — counts in OverflowDrops for the server and the session;
-// anything else (a marshal failure, a closed or failed session) counts in
-// DroppedDeliveries. Each is then reported through OnDeliveryError, or
-// Logf when that is nil. Under OverflowDisconnect a run of
-// overflowEvictAfter consecutive overflows then evicts the session: Kill
-// severs the transport without waiting for the backlog (the peer has
-// stopped reading), so this is safe on the publishing goroutine, and the
-// session's read loop runs the ordinary disconnect teardown.
+// overflow drop from the write queue or the credit ring — counts in
+// OverflowDrops for the server and the session; anything else (a marshal
+// failure, a closed or failed session) counts in DroppedDeliveries. Each
+// is then reported through OnDeliveryError, or Logf when that is nil.
+// Under OverflowDisconnect a run of overflowEvictAfter consecutive
+// overflows then evicts the session.
 func (s *Server) suppress(ss *serverSession, subscription string, ev *event.Event, err error) {
 	var evict bool
-	var drops uint64
 	if errors.Is(err, ErrSlowConsumer) {
 		s.overflowDrops.Add(1)
-		drops = ss.overflowDrops.Add(1)
+		ss.overflowDrops.Add(1)
 		evict = s.cfg.Overflow == OverflowDisconnect && ss.consecOverflows.Add(1) >= overflowEvictAfter
 	} else {
 		s.droppedDeliveries.Add(1)
@@ -738,24 +734,23 @@ func (s *Server) suppress(ss *serverSession, subscription string, ev *event.Even
 	} else {
 		s.cfg.Logf("broker: dropped delivery to session %d sub %s: %v", ss.sess.ID(), subscription, err) //lint:ignore hotpathlock drop reporting runs only after a delivery already failed
 	}
-	if evict && !ss.evicted.Swap(true) {
-		s.slowEvictions.Add(1)
-		s.cfg.Logf("broker: evicting slow consumer session %d (%s): %d deliveries dropped",
-			ss.sess.ID(), ss.sess.Login(), drops) //lint:ignore hotpathlock eviction is terminal for the session; the formatting cost is irrelevant
-		_ = ss.sess.Kill()
+	if evict {
+		s.evict(ss)
 	}
 }
 
-// queueEvict is the stomp-layer callback for deliveries OverflowDropOldest
-// drops: evicted from a session's queue, or the incoming one. The payload is the delivered
-// event. A session that has already departed still counts server-side.
-func (s *Server) queueEvict(sess *stomp.Session, subscription string, payload any) {
-	s.mu.Lock()
-	ss := s.sessions[sess.ID()]
-	s.mu.Unlock()
-	if ss == nil {
-		ss = &serverSession{sess: sess}
+// evict disconnects a slow consumer once: one that overflowed
+// overflowEvictAfter times in a row under OverflowDisconnect, or whose
+// credit ring kept a publisher waiting for WriteTimeout. Kill severs the
+// transport without waiting for the backlog (the peer has stopped reading
+// or granting), so this is safe on the publishing goroutine, and the
+// session's read loop runs the ordinary disconnect teardown.
+func (s *Server) evict(ss *serverSession) {
+	if ss.evicted.Swap(true) {
+		return
 	}
-	ev, _ := payload.(*event.Event)
-	s.suppress(ss, subscription, ev, ErrSlowConsumer)
+	s.slowEvictions.Add(1)
+	s.cfg.Logf("broker: evicting slow consumer session %d (%s): %d deliveries dropped",
+		ss.sess.ID(), ss.sess.Login(), ss.overflowDrops.Load()) //lint:ignore hotpathlock eviction is terminal for the session; the formatting cost is irrelevant
+	_ = ss.sess.Kill()
 }

@@ -20,8 +20,7 @@ import (
 
 func TestOverflowPolicyParseAndString(t *testing.T) {
 	for _, p := range []broker.OverflowPolicy{
-		broker.OverflowBlock, broker.OverflowDropNewest,
-		broker.OverflowDropOldest, broker.OverflowDisconnect,
+		broker.OverflowBlock, broker.OverflowDropNewest, broker.OverflowDisconnect,
 	} {
 		got, err := broker.ParseOverflowPolicy(p.String())
 		if err != nil || got != p {
@@ -31,8 +30,17 @@ func TestOverflowPolicyParseAndString(t *testing.T) {
 	if got, err := broker.ParseOverflowPolicy(""); err != nil || got != broker.OverflowBlock {
 		t.Errorf("ParseOverflowPolicy(\"\") = %v, %v; want block, nil", got, err)
 	}
-	if _, err := broker.ParseOverflowPolicy("drop-everything"); err == nil {
-		t.Error("ParseOverflowPolicy accepted an unknown policy")
+	for _, bad := range []string{"drop-everything", "drop-oldest"} {
+		_, err := broker.ParseOverflowPolicy(bad)
+		if err == nil {
+			t.Errorf("ParseOverflowPolicy accepted %q", bad)
+			continue
+		}
+		for _, name := range []string{"block", "drop-newest", "disconnect"} {
+			if !containsStr(err.Error(), name) {
+				t.Errorf("ParseOverflowPolicy(%q) error %q does not name %s", bad, err, name)
+			}
+		}
 	}
 }
 
@@ -165,11 +173,11 @@ func dialStalled(t testing.TB, addr, login, topic, subID string) net.Conn {
 // The invariants: healthy subscriptions receive every published event
 // exactly once (the stalled session absorbs its own loss); publishes stay
 // bounded (never wedged behind the dead peer); the policy acts on the
-// stalled session — drop-oldest keeps evicting its queue, disconnect
-// evicts the whole session — and every suppressed delivery is counted in
-// OverflowDrops and reported through OnDeliveryError with ErrSlowConsumer.
-// Under -race it doubles as the data-race check for the overflow paths
-// (trySend, sendDropOldest, eviction racing concurrent publishers).
+// stalled session — drop-newest keeps dropping its incoming deliveries,
+// disconnect evicts the whole session — and every suppressed delivery is
+// counted in OverflowDrops and reported through OnDeliveryError with
+// ErrSlowConsumer. Under -race it doubles as the data-race check for the
+// overflow paths (EnqueueTry, eviction racing concurrent publishers).
 func TestChaosSlowConsumers(t *testing.T) {
 	const (
 		healthySubs = 3
@@ -412,8 +420,8 @@ func TestChaosSlowConsumers(t *testing.T) {
 		}
 	}
 
-	t.Run("drop-oldest", func(t *testing.T) {
-		run(t, broker.OverflowDropOldest, func(st broker.ServerStats) bool {
+	t.Run("drop-newest", func(t *testing.T) {
+		run(t, broker.OverflowDropNewest, func(st broker.ServerStats) bool {
 			return st.OverflowDrops >= 20
 		})
 	})

@@ -13,6 +13,9 @@
 // after the call: an operation already blocked inside the underlying
 // connection is released only by Close/Reset, exactly as with a plain
 // net.Conn.
+//
+// The package also holds Quiescent, the check a test binary's TestMain
+// runs after its tests: no goroutine of the project may outlive them.
 package faultnet
 
 import (

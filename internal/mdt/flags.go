@@ -18,11 +18,11 @@ func BindBrokerFlags(fs *flag.FlagSet, cfg *DeployConfig) (resolve func() error)
 	fs.IntVar(&cfg.Client.PublishWindow, "publish-window", 0,
 		"receipt-confirmed publishes in flight per unit (with -network-broker; 0 = fire-and-forget)")
 	overflow := fs.String("overflow", "block",
-		"slow-consumer overflow policy for broker sessions (with -network-broker): block, drop-newest, drop-oldest or disconnect")
+		"slow-consumer overflow policy for broker sessions (with -network-broker): block, drop-newest or disconnect")
 	fs.IntVar(&cfg.Server.WriteQueueLen, "write-queue", 0,
 		"per-session delivery queue length in frames (with -network-broker; 0 = default 128)")
 	fs.DurationVar(&cfg.Server.WriteTimeout, "write-timeout", 0,
-		"per-flush write deadline for broker sessions (with -network-broker; 0 = unbounded)")
+		"per-flush write deadline for broker sessions, which also bounds a publish waiting for credit (with -network-broker; 0 = unbounded)")
 	fs.IntVar(&cfg.Client.SubscribeCredit, "subscribe-credit", 0,
 		"per-subscription delivery window in messages, replenished as units complete callbacks (with -network-broker; 0 = no credit flow control)")
 	durable := fs.String("durable", "",

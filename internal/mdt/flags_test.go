@@ -54,7 +54,7 @@ func TestBindBrokerFlagsCompat(t *testing.T) {
 
 	fs, cfg, resolve = bind()
 	err := fs.Parse([]string{
-		"-network-broker", "-publish-window", "16", "-overflow", "drop-oldest",
+		"-network-broker", "-publish-window", "16", "-overflow", "drop-newest",
 		"-write-queue", "64", "-write-timeout", "2s", "-subscribe-credit", "8",
 		"-durable", "/a,/b/*", "-journal-dir", "/j", "-journal-retention-age", "1h",
 		"-journal-retention-bytes", "4096", "-journal-sync", "batch",
@@ -68,7 +68,7 @@ func TestBindBrokerFlagsCompat(t *testing.T) {
 	wantCfg := DeployConfig{
 		NetworkBroker: true,
 		Server: broker.ServerConfig{
-			Overflow:              broker.OverflowDropOldest,
+			Overflow:              broker.OverflowDropNewest,
 			WriteQueueLen:         64,
 			WriteTimeout:          2 * time.Second,
 			Durable:               []string{"/a", "/b/*"},

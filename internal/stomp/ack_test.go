@@ -131,7 +131,7 @@ func TestDurableAcksCoalesce(t *testing.T) {
 
 	// Wedge the writer in the write of a first delivery, larger than its
 	// buffer: nobody reads the pipe yet.
-	if err := fw.send(wedge(nil)); err != nil {
+	if err := fw.send(wedge()); err != nil {
 		t.Fatalf("send: %v", err)
 	}
 	for deadline := time.Now().Add(5 * time.Second); len(fw.ch) != 0; time.Sleep(time.Millisecond) {

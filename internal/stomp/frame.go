@@ -70,13 +70,9 @@
 // A session has two enqueue entry points: Session.Send for control
 // frames, and Session.Deliver for routed MESSAGE images, whose
 // EnqueueMode picks what a full queue does — EnqueueBlock waits (lossless
-// back-pressure), EnqueueTry fails fast and leaves the overflow decision
-// to the caller, and EnqueueEvict evicts the oldest queued deliveries
-// that were themselves enqueued with EnqueueEvict — never control frames,
-// and never a delivery enqueued otherwise, such as a durable feed's replay
-// frame: while one of those is queued, the incoming delivery is dropped
-// instead — reporting each drop through ServerConfig.OnQueueEvict.
-// ServerConfig.WriteTimeout arms a per-write deadline on each session,
+// back-pressure) and EnqueueTry fails fast and leaves the overflow
+// decision to the caller. A queued frame is never dropped on its own: it
+// is written, or lost with its whole connection. ServerConfig.WriteTimeout arms a per-write deadline on each session,
 // re-armed before every encode and flush, so a peer making progress is
 // never penalised for batch size while a stalled one fails its connection
 // with a sticky error instead of wedging the writer; and Session.Kill

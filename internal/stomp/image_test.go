@@ -148,12 +148,12 @@ func TestEncodeImageConformanceCorpus(t *testing.T) {
 	}
 }
 
-// TestSessionDeliverWireBytes drives the one delivery call over every
-// enqueue mode and a few routes through a real session writer: whatever
+// TestSessionDeliverWireBytes drives the one delivery call over both
+// enqueue modes and a few routes through a real session writer: whatever
 // the mode, the bytes that reach the peer are the reference encoding of
 // the equivalent materialised frame.
 func TestSessionDeliverWireBytes(t *testing.T) {
-	modes := map[string]EnqueueMode{"block": EnqueueBlock, "try": EnqueueTry, "evict": EnqueueEvict}
+	modes := map[string]EnqueueMode{"block": EnqueueBlock, "try": EnqueueTry}
 	routes := map[string]Route{
 		"escaped": {Subscription: "sub:7", IDPrefix: "m-3-", Seq: 42},
 		"plain":   {Subscription: "sub-9", IDPrefix: "m-3-", Seq: 1 << 40},
@@ -165,7 +165,7 @@ func TestSessionDeliverWireBytes(t *testing.T) {
 				name := fname + "/" + mname + "/" + rname
 				server, peer := net.Pipe()
 				sess := &Session{conn: server, fw: newFrameWriter(server, 4, 0, nil)}
-				queued, err := sess.Deliver(img, r, mode, nil)
+				queued, err := sess.Deliver(img, r, mode)
 				if err != nil || !queued {
 					t.Fatalf("%s: Deliver = %v, %v; want queued", name, queued, err)
 				}
@@ -176,7 +176,7 @@ func TestSessionDeliverWireBytes(t *testing.T) {
 				checkRouted(t, name, wire, f, r)
 				_ = sess.Close()
 				_ = peer.Close()
-				if queued, err := sess.Deliver(img, r, mode, nil); queued || !errors.Is(err, net.ErrClosed) {
+				if queued, err := sess.Deliver(img, r, mode); queued || !errors.Is(err, net.ErrClosed) {
 					t.Errorf("%s: Deliver on a closed session = %v, %v; want false, net.ErrClosed", name, queued, err)
 				}
 			}

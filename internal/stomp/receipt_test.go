@@ -77,41 +77,6 @@ func TestReceiptBytesMatchEncoder(t *testing.T) {
 	}
 }
 
-// TestReceiptIsControlFrame: an id-only RECEIPT names no subscription, so
-// the drop-oldest overflow policy treats it as the control frame it is —
-// re-queued, never evicted — exactly as it treated the Frame.
-func TestReceiptIsControlFrame(t *testing.T) {
-	const queueLen = 2
-	fw, _ := stalledWriter(t, queueLen)
-	evicted := 0
-	fw.onEvict = func(outFrame) { evicted++ }
-	fillQueue(t, fw, 0) // wedge the writer on a first delivery
-	if err := fw.send(outFrame{receipt: "r1"}); err != nil {
-		t.Fatalf("send receipt: %v", err)
-	}
-	if _, err := fw.enqueue(delivery("b", "B"), EnqueueEvict); err != nil {
-		t.Fatalf("send B: %v", err)
-	}
-	if ok, err := fw.enqueue(delivery("c", "C"), EnqueueEvict); !ok || err != nil {
-		t.Fatalf("EnqueueEvict = %v, %v", ok, err)
-	}
-	if evicted != 1 {
-		t.Errorf("%d deliveries evicted, want 1", evicted)
-	}
-	kept := map[string]bool{}
-	for len(fw.ch) > 0 {
-		of := <-fw.ch
-		if of.f == nil && of.img == nil {
-			kept["receipt "+of.receipt] = true
-		} else if s, ok := of.payload.(string); ok {
-			kept[s] = true
-		}
-	}
-	if !kept["receipt r1"] || !kept["C"] || kept["B"] {
-		t.Errorf("queue after drop-oldest holds %v, want the receipt and C", kept)
-	}
-}
-
 // receiptView decodes a SEND asking for the given receipt, as the server's
 // read loop would see it.
 func receiptView(t *testing.T, receipt string) *FrameView {

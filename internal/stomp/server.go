@@ -72,22 +72,15 @@ func (s *Session) Send(f *Frame) error {
 // marshal instead of S.
 //
 // mode says what a full queue does: EnqueueBlock waits for the writer to
-// drain (back-pressure), EnqueueTry returns (false, nil) immediately and
-// leaves the overflow decision to the caller, and EnqueueEvict makes room
-// by evicting the oldest queued deliveries that were enqueued with
-// EnqueueEvict, or drops this one while a delivery enqueued otherwise is
-// queued — each drop reported synchronously through
-// ServerConfig.OnQueueEvict with the subscription and payload it was
-// enqueued with; control frames are never evicted (see
-// frameWriter.putEvicting for the ordering contract). payload is that
-// opaque report handle — the broker passes the delivered event. The
-// result is true when the delivery was taken: queued, or, under
-// EnqueueEvict, dropped and reported.
-func (s *Session) Deliver(img *WireImage, r Route, mode EnqueueMode, payload any) (bool, error) {
+// drain (back-pressure), and EnqueueTry returns (false, nil) immediately
+// and leaves the overflow decision to the caller. The result is true when
+// the delivery was queued; a queued delivery is never dropped except with
+// the whole session.
+func (s *Session) Deliver(img *WireImage, r Route, mode EnqueueMode) (bool, error) {
 	if s.closed.Load() {
 		return false, net.ErrClosed
 	}
-	return s.fw.enqueue(outFrame{img: img, route: r, payload: payload}, mode)
+	return s.fw.enqueue(outFrame{img: img, route: r}, mode)
 }
 
 // QueueDepth returns the number of frames currently queued for the
@@ -163,14 +156,6 @@ type ServerConfig struct {
 	// blocked behind its queue) forever. Zero disables the deadline; the
 	// close-time drain stays bounded by its own deadline either way.
 	WriteTimeout time.Duration
-	// OnQueueEvict observes deliveries an EnqueueEvict Session.Deliver
-	// drops: evicted from a session's write queue, or the incoming one
-	// itself. subscription and payload are the values the delivery was
-	// enqueued with. A mediating broker
-	// must account for every suppressed flow, so callers using that mode
-	// should set this. Runs on the goroutine performing the evicting
-	// enqueue and must not block.
-	OnQueueEvict func(sess *Session, subscription string, payload any)
 }
 
 // Server is a STOMP server: it owns the listener, performs the CONNECT
@@ -267,10 +252,6 @@ func (s *Server) acceptLoop() {
 		// unblocks; the writer goroutine must not wait on Session.Close
 		// (which waits on it in turn).
 		sess.fw = newFrameWriter(conn, s.queueLen, s.cfg.WriteTimeout, func(error) { _ = conn.Close() })
-		if s.cfg.OnQueueEvict != nil {
-			onEvict := s.cfg.OnQueueEvict
-			sess.fw.onEvict = func(of outFrame) { onEvict(sess, of.route.Subscription, of.payload) }
-		}
 		s.sessions[sess.id] = sess
 		s.mu.Unlock()
 

@@ -17,8 +17,8 @@ const closeFlushTimeout = 2 * time.Second
 // defaultWriteQueueLen is the per-connection send queue length when the
 // configuration does not override it. A full queue blocks senders,
 // propagating back-pressure to the goroutines producing frames (typically
-// a peer connection's read loop) — unless the sender chose one of the
-// non-blocking enqueue modes (EnqueueTry, EnqueueEvict).
+// a peer connection's read loop) — unless the sender chose the
+// non-blocking EnqueueTry.
 const defaultWriteQueueLen = 128
 
 // resolveWriteQueueLen maps a configured queue length to the effective
@@ -45,14 +45,9 @@ const (
 	// EnqueueBlock waits for the writer to drain: lossless back-pressure.
 	EnqueueBlock EnqueueMode = iota
 	// EnqueueTry fails fast: a full queue reports "not queued" and leaves
-	// the overflow decision — drop, count, evict — to the caller.
+	// the overflow decision — drop, count, evict the session — to the
+	// caller. Nothing already queued is ever dropped.
 	EnqueueTry
-	// EnqueueEvict makes room by evicting the oldest queued deliveries
-	// that were themselves enqueued with EnqueueEvict — never control
-	// frames — or, while a delivery enqueued otherwise is queued, drops
-	// the incoming one. Each dropped delivery is reported through onEvict,
-	// and the enqueue reports it taken.
-	EnqueueEvict
 )
 
 // outFrame is one queued frame in exactly one of five kinds: a control
@@ -64,10 +59,6 @@ const (
 // slot's values when the writer reaches it; or a RECEIPT (none of f, img
 // and ack: receipt is the id being confirmed). ACK and RECEIPT are
 // control frames the encoder emits from its scratch buffer.
-// evictable is set by an EnqueueEvict enqueue, the only kind whose frame
-// may be evicted. payload is an opaque caller handle (the broker's event)
-// reported back if the delivery is evicted; it is never touched
-// otherwise.
 type outFrame struct {
 	f         *Frame
 	img       *WireImage
@@ -75,12 +66,7 @@ type outFrame struct {
 	route     Route
 	receipt   string
 	receiptNo uint64
-	payload   any
-	evictable bool
 }
-
-// pinned reports whether of is a delivery that may not be evicted.
-func (of *outFrame) pinned() bool { return !of.evictable && of.route.Subscription != "" }
 
 // frameWriter is the write-coalescing frame sink of one connection. Sends
 // enqueue frames; a single writer goroutine encodes them with a reused
@@ -111,16 +97,6 @@ type frameWriter struct {
 	quit chan struct{} // closed by close()/kill() under mu; run() drains and exits
 	done chan struct{} // closed when the writer goroutine exits
 
-	// onEvict observes deliveries an EnqueueEvict enqueue drops; set once
-	// before the first send, a no-op when unused.
-	onEvict func(of outFrame)
-
-	// pins counts queued deliveries that may not be evicted. Increments
-	// happen under evictMu, as does an evicting enqueue's look at the
-	// head, so an evicting enqueue that reads zero cannot pop one.
-	evictMu sync.Mutex
-	pins    atomic.Int64
-
 	// highWater tracks the deepest queue occupancy observed at enqueue
 	// time — the slow-consumer early-warning signal surfaced in stats.
 	highWater atomic.Int64
@@ -150,7 +126,6 @@ func newFrameWriter(conn net.Conn, queueLen int, writeTimeout time.Duration, onE
 		ch:           make(chan outFrame, queueLen),
 		quit:         make(chan struct{}),
 		done:         make(chan struct{}),
-		onEvict:      func(outFrame) {},
 		onError:      onError,
 	}
 	go fw.run()
@@ -167,8 +142,7 @@ func (fw *frameWriter) send(of outFrame) error {
 // whether it was queued; only EnqueueTry can report (false, nil) — a full
 // queue it declined to wait for. It fails fast after a write error or
 // close. Queued means accepted, not that the frame reached the peer;
-// callers needing confirmation use receipts. A frame enqueued under
-// EnqueueEvict is evictable; no other is.
+// callers needing confirmation use receipts.
 //
 // An enqueue blocked on a full queue holds fw.mu's read side, which
 // close() needs for its write side — that is safe, not a deadlock: the
@@ -184,73 +158,17 @@ func (fw *frameWriter) enqueue(of outFrame, mode EnqueueMode) (bool, error) {
 	if fw.closed {
 		return false, net.ErrClosed
 	}
-	of.evictable = mode == EnqueueEvict
-	if of.pinned() {
-		fw.evictMu.Lock()
-		fw.pins.Add(1)
-		fw.evictMu.Unlock()
-	}
-	switch mode {
-	case EnqueueTry:
+	if mode == EnqueueTry {
 		select {
 		case fw.ch <- of:
 		default:
-			if of.pinned() {
-				fw.pins.Add(-1)
-			}
 			return false, nil
 		}
-	case EnqueueEvict:
-		fw.putEvicting(of)
-	default:
+	} else {
 		fw.ch <- of
 	}
 	fw.noteDepth()
 	return true, nil
-}
-
-// putEvicting enqueues the evictable delivery of, evicting queued
-// evictable deliveries from the head of the queue while it is full — the
-// drop-oldest overflow policy. A control frame (receipts, errors,
-// handshake traffic) at the head is never dropped: it is re-enqueued at
-// the tail, which may reorder it relative to other control frames (each
-// carries its own correlation id). While a delivery that may not be
-// evicted is queued, nothing ahead of it can be popped without putting
-// it behind its own successors, so the incoming delivery is dropped
-// instead. Deliveries are only ever dropped, never reordered, and each
-// one dropped is reported through onEvict on the calling goroutine; the
-// enqueue itself never blocks on a stalled peer.
-func (fw *frameWriter) putEvicting(of outFrame) {
-	for {
-		select {
-		case fw.ch <- of:
-			return
-		default:
-		}
-		fw.evictMu.Lock()
-		if fw.pins.Load() > 0 {
-			fw.evictMu.Unlock()
-			fw.onEvict(of)
-			return
-		}
-		select {
-		case old := <-fw.ch:
-			fw.evictMu.Unlock()
-			if old.evictable {
-				fw.onEvict(old)
-				continue
-			}
-			// A control frame must reach the peer: put it back. The slot
-			// this pop just freed makes the re-enqueue all but certain to
-			// succeed immediately; losing the race to a concurrent sender
-			// degrades to a (briefly) blocking put, identical to a
-			// blocking enqueue.
-			fw.ch <- old
-		default:
-			// The writer drained the queue between attempts; retry.
-			fw.evictMu.Unlock()
-		}
-	}
 }
 
 // noteDepth folds the post-enqueue queue depth into the high-water mark.
@@ -333,9 +251,6 @@ func (fw *frameWriter) drainQueued() {
 }
 
 func (fw *frameWriter) write(of outFrame) {
-	if of.pinned() {
-		fw.pins.Add(-1)
-	}
 	if fw.err.Load() != nil {
 		return // connection is dead; discard
 	}
