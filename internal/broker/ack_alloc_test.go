@@ -8,6 +8,7 @@ package broker
 import (
 	"bufio"
 	"bytes"
+	"math/rand"
 	"net"
 	"runtime"
 	"strconv"
@@ -15,6 +16,7 @@ import (
 	"testing"
 
 	"safeweb/internal/event"
+	"safeweb/internal/label"
 	"safeweb/internal/stomp"
 )
 
@@ -27,6 +29,19 @@ import (
 // answers the handshake and the subscription, then only discards what the
 // client sends, so every allocation counted is the client's.
 func TestDurableDeliveryAllocs(t *testing.T) {
+	t.Run("unlabelled", func(t *testing.T) { testDurableDeliveryAllocs(t, nil) })
+	// A reader's label memo holds every header of a topic that draws on a
+	// few sets, so none is parsed twice.
+	headers := make([]string, 32)
+	for i := range headers {
+		headers[i] = label.NewSet(label.Conf("ecric.org.uk/mdt/"+strconv.Itoa(i)), label.Conf("ecric.org.uk/patient/"+strconv.Itoa(30000000+i))).String()
+	}
+	t.Run("32 rotating label headers", func(t *testing.T) { testDurableDeliveryAllocs(t, headers) })
+}
+
+// testDurableDeliveryAllocs runs TestDurableDeliveryAllocs with MESSAGEs
+// that carry the given label headers in turn, or none.
+func testDurableDeliveryAllocs(t *testing.T, headers []string) {
 	const (
 		warm  = 512
 		count = 4096
@@ -101,6 +116,9 @@ func TestDurableDeliveryAllocs(t *testing.T) {
 			f.SetHeader(stomp.HdrDestination, "/d/allocs")
 			f.SetHeader(stomp.HdrSubscription, sub)
 			f.SetHeader(stomp.HdrMessageID, "m-"+strconv.Itoa(off))
+			if len(headers) > 0 {
+				f.SetHeader(event.HeaderLabels, headers[off%len(headers)])
+			}
 			f.Body = []byte("payload")
 			if err := enc.Encode(&buf, f); err != nil {
 				t.Fatalf("Encode: %v", err)
@@ -124,5 +142,76 @@ func TestDurableDeliveryAllocs(t *testing.T) {
 	t.Logf("%.3f allocs per delivery", perDelivery)
 	if perDelivery > 2.05 {
 		t.Errorf("%.3f allocs per delivery, want 2 (the body and the NotifyRelease closure)", perDelivery)
+	}
+}
+
+// TestDurableReplayAllocs pins what a replay feed allocates on the server
+// per replayed record: the RawMessageImage it queues, and a share of the
+// buffer its run of records was read into. A feed parses each label header
+// once (its label memo holds every header of a topic that draws on a few
+// sets) and copies a header out of the run buffer only when the slot of
+// its run array held another one last run. In a cold replay every run
+// starts at a multiple of the feed's 64-record run, so 32 sets in rotation meet
+// every slot with the same header each run; drawn at random, nearly every
+// record costs one header string more. A raw consumer discards what it
+// reads, so every allocation counted is the server's.
+func TestDurableReplayAllocs(t *testing.T) {
+	sets := make([]label.Set, 32)
+	for i := range sets {
+		sets[i] = label.NewSet(label.Conf("ecric.org.uk/mdt/"+strconv.Itoa(i)), label.Conf("ecric.org.uk/patient/"+strconv.Itoa(30000000+i)))
+	}
+	t.Run("32 label sets in rotation", func(t *testing.T) {
+		testDurableReplayAllocs(t, func(i int) label.Set { return sets[i%len(sets)] }, 1.1)
+	})
+	rnd := rand.New(rand.NewSource(1))
+	t.Run("32 label sets drawn at random", func(t *testing.T) {
+		testDurableReplayAllocs(t, func(int) label.Set { return sets[rnd.Intn(len(sets))] }, 2.1)
+	})
+}
+
+func testDurableReplayAllocs(t *testing.T, setOf func(i int) label.Set, bound float64) {
+	const (
+		topic = "/d/replay-allocs"
+		warm  = 512
+		count = 8192
+	)
+	b, srv := startDurableBroker(t, testPolicy(), t.TempDir(), topic)
+	for i := 0; i < warm+count; i++ {
+		ev := event.New(topic, map[string]string{"seq": strconv.Itoa(i)})
+		ev.Labels = setOf(i)
+		if err := b.Publish("producer", ev); err != nil {
+			t.Fatalf("Publish %d: %v", i, err)
+		}
+	}
+	conn, rd := rawDurableConn(t, srv.Addr(), "wild")
+	rawSubscribe(t, conn, rd, topic, "d-0", map[string]string{
+		stomp.HdrCredit: strconv.Itoa(warm),
+		stomp.HdrOffset: "earliest",
+	})
+	go func() {
+		buf := make([]byte, 64<<10)
+		for {
+			if _, err := rd.Read(buf); err != nil {
+				return
+			}
+		}
+	}()
+	delivered := func(n uint64) func() bool {
+		return func() bool { return srv.Stats().ReplayDeliveries == n }
+	}
+	waitFor(t, "the warm-up deliveries", delivered(warm))
+	waitFor(t, "the feed to wait for credit", feedWaiting)
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	rawAck(t, conn, "d-0", strconv.Itoa(warm+count), "")
+	waitFor(t, "the replay", delivered(warm+count))
+	runtime.ReadMemStats(&after)
+	if st := srv.Stats(); st.ReplayFiltered != 0 {
+		t.Fatalf("ReplayFiltered = %d, want 0", st.ReplayFiltered)
+	}
+	perRecord := float64(after.Mallocs-before.Mallocs) / count
+	t.Logf("%.3f allocs per replayed record", perRecord)
+	if perRecord > bound {
+		t.Errorf("%.3f allocs per replayed record, want at most %.2f", perRecord, bound)
 	}
 }

@@ -230,9 +230,13 @@ func feedUnacked(srv *Server, sub string) (n int64, slots int) {
 
 // feedWaiting reports whether a replay feed is parked waiting for its
 // window.
-func feedWaiting() bool {
+func feedWaiting() bool { return goroutineIn("(*replayFeed).waitWindow") }
+
+// goroutineIn reports whether some goroutine's stack is in the named
+// function.
+func goroutineIn(fn string) bool {
 	buf := make([]byte, 1<<20)
-	return bytes.Contains(buf[:runtime.Stack(buf, true)], []byte("(*replayFeed).waitWindow"))
+	return bytes.Contains(buf[:runtime.Stack(buf, true)], []byte(fn))
 }
 
 // TestDurableAckCountNoOps: an ACK of zero deliveries, a stale count and a

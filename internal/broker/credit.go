@@ -149,7 +149,10 @@ func (c *creditState) wakeLocked() {
 // net. Runs on the publishing goroutine; under OverflowBlock a full ring
 // blocks it, as a full write queue does one layer down, until a grant
 // frees a slot, the subscription or the server closes, or WriteTimeout
-// passes.
+// passes. A delivery that waited is not yet decided: on every wake it
+// passes the clearance gate again, at the current policy generation, and
+// one the subscriber is no longer cleared for is dropped and counted in
+// RevokedDeliveries.
 func (s *Server) parkDelivery(ss *serverSession, ws *wireSub, clientSubID string, ev *event.Event) {
 	c := ws.credit
 	c.mu.Lock()
@@ -185,6 +188,12 @@ func (s *Server) parkDelivery(ss *serverSession, ws *wireSub, clientSubID string
 			if errors.Is(err, ErrSlowConsumer) {
 				s.evict(ss)
 			}
+			return
+		}
+		// The wait may have outlived the subscriber's clearance: decide
+		// the delivery again, as a grant's drain does a parked one.
+		if conf, p := ev.Labels.Confidentiality(), s.broker.policy; !conf.IsEmpty() && !ws.sub.clears(p, p.Generation(), conf) {
+			s.revokedDeliveries.Add(1)
 			return
 		}
 		c.mu.Lock()

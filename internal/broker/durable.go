@@ -11,7 +11,6 @@ import (
 
 	"safeweb/internal/event"
 	"safeweb/internal/journal"
-	"safeweb/internal/label"
 	"safeweb/internal/stomp"
 )
 
@@ -388,96 +387,90 @@ func (s *Server) subscribeDurable(ss *serverSession, clientID, topic, sel, offSt
 	return nil
 }
 
-// runReplay tails the journal from start, delivering each readable record
-// to the consumer and then blocking on the append signal for more — the
-// durable subscription's delivery loop. Clearance is enforced here, per
-// record, against the policy generation current at read time: the
-// persisted label header is re-parsed (memoised while consecutive records
-// share it) and a record the consumer no longer has clearance for is
-// skipped and counted, never delivered — so revoking a privilege after an
-// event was written is honoured on every later replay, fail closed (an
-// unparsable persisted header is treated as undeliverable, not as
-// unlabelled). A record that waited for its window is checked again if
-// the policy generation moved during the wait: it is not decided until it
-// is queued.
-func (s *Server) runReplay(ss *serverSession, f *replayFeed, clientSubID, topic string, start int64) {
+// runReplay tails the journal from offset next, delivering each readable
+// record to the consumer and then blocking on the append signal for more —
+// the durable subscription's delivery loop. It reads the journal a run of
+// up to 64 records (and 64 KiB) at a time, into one buffer the delivered
+// images alias; an idle feed keeps its last run's buffer until its next
+// read. Clearance is enforced here, per record as the feed reaches it,
+// against the policy generation current then: the persisted label header
+// is parsed through the feed's own label memo (event.LabelCache, which
+// memoises parses, never verdicts), and a record the consumer no longer
+// has clearance for is skipped and counted, never delivered — so revoking
+// a privilege after an event was written is honoured on every later
+// replay and for the rest of a run under way, fail closed (an unparsable
+// persisted header is treated as undeliverable, not as unlabelled, and
+// logged for each such record). A record that waited for its window is
+// checked again if the policy generation moved during the wait: it is not
+// decided until it is queued.
+func (s *Server) runReplay(ss *serverSession, f *replayFeed, clientSubID, topic string, next int64) {
 	policy := s.broker.Policy()
-	next := start
-
-	// Consecutive records of one topic usually share their label header;
-	// memoise the parse (an unlabelled record's header parses to the empty
-	// set). The feed's clearance gate caches the privileges.
-	lastHdr, lastConf, lastHdrOK := "", label.Set(nil), true
-
-	var rec journal.Record
+	var labels event.LabelCache
+	var run [64]journal.Record
 	for {
 		// Grab the signal before reading the bound: an append between the
 		// two closes this channel, so the wait below cannot miss it.
 		sig := f.j.AppendSignal()
-		end := f.j.NextOffset()
-		for next < end {
-			select {
-			case <-f.done:
-				return
-			default:
-			}
-			if err := f.j.Read(next, &rec); err != nil {
-				if errors.Is(err, journal.ErrOffsetCompacted) {
-					// The replay fell behind retention: the record at next
-					// (and possibly more) was compacted away under us.
-					// Clamp forward to the oldest surviving record —
-					// counted and logged, the same never-silent contract
-					// as a clamped subscribe.
-					if first := f.j.FirstOffset(); first > next {
-						s.clampedResumes.Add(1)
-						s.cfg.Logf("broker: replay %s sub %s: offset %d compacted away, resuming at %d", topic, clientSubID, next, first)
-						next = first
-						continue
-					}
+		for end := f.j.NextOffset(); next < end; {
+			n, err := f.j.ReadRun(next, run[:])
+			if err != nil {
+				// The replay fell behind retention: the record at next (and
+				// possibly more) was compacted away under us. Clamp forward
+				// to the oldest surviving record — counted and logged, the
+				// same never-silent contract as a clamped subscribe.
+				if first := f.j.FirstOffset(); errors.Is(err, journal.ErrOffsetCompacted) && first > next {
+					s.clampedResumes.Add(1)
+					s.cfg.Logf("broker: replay %s sub %s: offset %d compacted away, resuming at %d", topic, clientSubID, next, first)
+					next = first
+					continue
 				}
 				s.suppress(ss, clientSubID, nil, err)
 				return
 			}
-			if rec.Labels != lastHdr {
-				set, err := label.ParseSet(rec.Labels)
-				lastHdr = rec.Labels
-				lastHdrOK = err == nil
-				lastConf = set.Confidentiality()
+			for i := 0; i < n; i, next = i+1, next+1 {
+				rec := &run[i]
+				select {
+				case <-f.done:
+					return
+				default:
+				}
+				// Fail closed: an unreadable label header means the
+				// record's protection is unknown, so nobody gets it.
+				set, err := labels.Parse(rec.Labels)
 				if err != nil {
 					s.cfg.Logf("broker: replay %s offset %d: bad label header: %v", rec.Topic, next, err)
+					s.replayFiltered.Add(1)
+					continue
 				}
+				conf := set.Confidentiality()
+				gen := policy.Generation()
+				if !conf.IsEmpty() && !f.clears(policy, gen, conf) {
+					s.replayFiltered.Add(1)
+					continue
+				}
+				// Wait for the window (credit, unacked deliveries); it
+				// closes only at teardown. A record refused after the wait
+				// was never counted, so it takes no room in the window.
+				if !f.waitWindow() {
+					return
+				}
+				if g := policy.Generation(); g != gen && !conf.IsEmpty() && !f.clears(policy, g, conf) {
+					s.revokedDeliveries.Add(1)
+					continue
+				}
+				// The feed paces itself with its window, so the blocking
+				// enqueue is the back-pressure it wants. The delivery is
+				// recorded first, so no ack can name a delivery the feed
+				// does not know.
+				f.record(next)
+				img := stomp.RawMessageImage(rec.Image, rec.Split)
+				route := stomp.Route{Subscription: clientSubID, IDPrefix: ss.idPrefix, Seq: ss.msgSeq.Add(1)}
+				if _, err := ss.sess.Deliver(img, route, stomp.EnqueueBlock); err != nil {
+					s.suppress(ss, clientSubID, nil, err)
+					return
+				}
+				s.replayDeliveries.Add(1)
 			}
-			// Fail closed: an unreadable label header means the record's
-			// protection is unknown, so nobody gets it.
-			gen := policy.Generation()
-			if !lastHdrOK || (!lastConf.IsEmpty() && !f.clears(policy, gen, lastConf)) {
-				s.replayFiltered.Add(1)
-				next++
-				continue
-			}
-			// Wait for the window (credit, unacked deliveries); it closes
-			// only at teardown. A record refused after the wait was never
-			// counted, so it takes no room in the window.
-			if !f.waitWindow() {
-				return
-			}
-			if g := policy.Generation(); g != gen && !lastConf.IsEmpty() && !f.clears(policy, g, lastConf) {
-				s.revokedDeliveries.Add(1)
-				next++
-				continue
-			}
-			// The feed paces itself with its window, so the blocking enqueue
-			// is the back-pressure it wants. The delivery is recorded first,
-			// so no ack can name a delivery the feed does not know.
-			f.record(next)
-			img := stomp.RawMessageImage(rec.Image, rec.Split)
-			route := stomp.Route{Subscription: clientSubID, IDPrefix: ss.idPrefix, Seq: ss.msgSeq.Add(1)}
-			if _, err := ss.sess.Deliver(img, route, stomp.EnqueueBlock); err != nil {
-				s.suppress(ss, clientSubID, nil, err)
-				return
-			}
-			s.replayDeliveries.Add(1)
-			next++
 		}
 		select {
 		case <-f.done:

@@ -222,12 +222,13 @@ func TestDurableResumeAfterDisconnect(t *testing.T) {
 // TestDurableReplayClearanceRevoked pins the security contract: replay
 // enforces clearance at read time against the current policy, so a
 // privilege revoked after an event was journaled keeps the event from
-// every later replay.
+// every later replay — and from the rest of a replay under way, whose
+// label memo holds parses, never verdicts.
 func TestDurableReplayClearanceRevoked(t *testing.T) {
-	const topic = "/d/sec"
+	const topic, many = "/d/sec", "/d/sec-many"
 	dir := t.TempDir()
 	p := testPolicy()
-	_, srv := startDurableBroker(t, p, dir, topic)
+	b, srv := startDurableBroker(t, p, dir, topic, many)
 
 	producer := dialBus(t, srv.Addr(), "producer")
 	secret := event.New(topic, map[string]string{"seq": "0"},
@@ -267,6 +268,50 @@ func TestDurableReplayClearanceRevoked(t *testing.T) {
 		t.Fatalf("post-revoke deliveries = %v, want only the unlabelled [1]", got)
 	}
 	waitFor(t, "filter counted", func() bool { return srv.Stats().ReplayFiltered == 1 })
+
+	// A feed whose records carry more distinct label headers than its
+	// memo holds (300), then ten repeats of headers it memoised, then one
+	// unlabelled record. Its credit window stops it mid-run, after 280
+	// deliveries; a revoke then stops every labelled record it has yet to
+	// decide: the one it waited with, the headers past the memo's bound
+	// and the memoised ones alike.
+	const distinct, window = 300, 280
+	for seq := 0; seq <= distinct+10; seq++ {
+		var labels []label.Label
+		if seq < distinct+10 {
+			labels = append(labels, label.Conf("ecric.org.uk/p/"+strconv.Itoa(seq%distinct)))
+		}
+		if err := b.Publish("producer", event.New(many, map[string]string{"seq": strconv.Itoa(seq)}, labels...)); err != nil {
+			t.Fatalf("Publish seq %d: %v", seq, err)
+		}
+	}
+	base := srv.Stats()
+	conn, rd := rawDurableConn(t, srv.Addr(), "wild")
+	rawSubscribe(t, conn, rd, many, "m-0", map[string]string{
+		stomp.HdrCredit: strconv.Itoa(window),
+		stomp.HdrOffset: "earliest",
+	})
+	for want := 0; want < window; want++ {
+		if seq, _ := rawReadOffsetMessage(t, conn, rd); seq != want {
+			t.Fatalf("delivery %d: seq %d", want, seq)
+		}
+	}
+	waitFor(t, "the feed to wait for credit", feedWaiting)
+	if !p.Revoke("wild", label.Clearance, label.MustParsePattern("label:conf:ecric.org.uk/*")) {
+		t.Fatal("Revoke did not find the grant")
+	}
+	rawAck(t, conn, "m-0", strconv.Itoa(2*window), "")
+	if seq, _ := rawReadOffsetMessage(t, conn, rd); seq != distinct+10 {
+		t.Fatalf("after the revoke: seq %d, want only the unlabelled %d", seq, distinct+10)
+	}
+	rawExpectSilence(t, conn, rd, 100*time.Millisecond)
+	st := srv.Stats()
+	if got, want := st.RevokedDeliveries-base.RevokedDeliveries, uint64(1); got != want {
+		t.Errorf("RevokedDeliveries rose by %d, want %d (the record the feed waited with)", got, want)
+	}
+	if got, want := st.ReplayFiltered-base.ReplayFiltered, uint64(distinct+10-window-1); got != want {
+		t.Errorf("ReplayFiltered rose by %d, want %d", got, want)
+	}
 }
 
 // TestDurableReplayAcrossRestartZeroRemarshal restarts the server on an
@@ -399,8 +444,17 @@ func rawDurableConn(t *testing.T, addr, login string) (net.Conn, *bufio.Reader) 
 	return conn, rd
 }
 
+// rawEarly holds, per raw connection, the MESSAGE frames rawSubscribe read
+// before its receipt: a durable feed starts before the receipt is queued,
+// so its first deliveries can arrive first. rawReadOffsetMessage returns
+// them before it reads the connection again.
+var (
+	rawEarlyMu sync.Mutex
+	rawEarly   = map[*bufio.Reader][]*stomp.Frame{}
+)
+
 // rawSubscribe sends a SUBSCRIBE with the given extra headers and waits
-// for its receipt.
+// for its receipt, keeping any MESSAGE that arrives first.
 func rawSubscribe(t *testing.T, conn net.Conn, rd *bufio.Reader, topic, subID string, extra map[string]string) {
 	t.Helper()
 	sub := stomp.NewFrame(stomp.CmdSubscribe)
@@ -418,10 +472,30 @@ func rawSubscribe(t *testing.T, conn net.Conn, rd *bufio.Reader, topic, subID st
 		if err != nil {
 			t.Fatalf("raw SUBSCRIBE receipt: %v", err)
 		}
-		if f.Command == stomp.CmdReceipt {
+		switch f.Command {
+		case stomp.CmdReceipt:
 			return
+		case stomp.CmdMessage:
+			rawEarlyMu.Lock()
+			rawEarly[rd] = append(rawEarly[rd], f)
+			rawEarlyMu.Unlock()
 		}
 	}
+}
+
+// rawNextFrame returns the connection's oldest early MESSAGE, if any, and
+// otherwise decodes the next frame.
+func rawNextFrame(rd *bufio.Reader) (*stomp.Frame, error) {
+	rawEarlyMu.Lock()
+	early := rawEarly[rd]
+	if len(early) > 0 {
+		rawEarly[rd] = early[1:]
+	}
+	rawEarlyMu.Unlock()
+	if len(early) > 0 {
+		return early[0], nil
+	}
+	return stomp.NewDecoder(rd).Decode()
 }
 
 // rawReadOffsetMessage reads the next MESSAGE and returns its seq
@@ -432,7 +506,7 @@ func rawReadOffsetMessage(t *testing.T, conn net.Conn, rd *bufio.Reader) (seq in
 	t.Helper()
 	_ = conn.SetReadDeadline(time.Now().Add(10 * time.Second))
 	defer conn.SetReadDeadline(time.Time{})
-	f, err := stomp.NewDecoder(rd).Decode()
+	f, err := rawNextFrame(rd)
 	if err != nil {
 		t.Fatalf("read MESSAGE: %v", err)
 	}
@@ -457,7 +531,7 @@ func rawExpectSilence(t *testing.T, conn net.Conn, rd *bufio.Reader, d time.Dura
 	t.Helper()
 	_ = conn.SetReadDeadline(time.Now().Add(d))
 	defer conn.SetReadDeadline(time.Time{})
-	if f, err := stomp.NewDecoder(rd).Decode(); err == nil {
+	if f, err := rawNextFrame(rd); err == nil {
 		t.Fatalf("expected no frame, read %v", f)
 	} else if !errors.Is(err, os.ErrDeadlineExceeded) {
 		t.Fatalf("expected read deadline, got %v", err)
@@ -672,6 +746,79 @@ func TestDurableRetentionClampedResume(t *testing.T) {
 	}
 	if got := srv.Stats().ClampedResumes; got == 0 {
 		t.Error("ClampedResumes = 0, want >= 1 (clamp must be counted, not silent)")
+	}
+}
+
+// TestDurableReplayClampBetweenRuns compacts a journal under a feed that
+// has read a run and waits for credit inside it: the feed delivers the
+// rest of the run it holds, then finds its next record compacted away and
+// clamps forward to the oldest surviving one — counted in ClampedResumes,
+// never silent.
+func TestDurableReplayClampBetweenRuns(t *testing.T) {
+	const topic, n = "/d/clamp-run", 40
+	b := New(testPolicy())
+	srv, err := NewServer("127.0.0.1:0", b, ServerConfig{
+		Logf:               t.Logf,
+		Durable:            []string{topic},
+		JournalDir:         t.TempDir(),
+		JournalSegmentSize: 1024, // runs never cross a segment: several short runs
+	})
+	if err != nil {
+		t.Fatalf("NewServer: %v", err)
+	}
+	t.Cleanup(func() {
+		_ = srv.Close()
+		b.Close()
+	})
+	publishRecords(t, b, topic, 0, n)
+
+	conn, rd := rawDurableConn(t, srv.Addr(), "consumer")
+	rawSubscribe(t, conn, rd, topic, "d-0", map[string]string{
+		stomp.HdrCredit: "2",
+		stomp.HdrOffset: "earliest",
+	})
+	for want := 0; want < 2; want++ {
+		if seq, _ := rawReadOffsetMessage(t, conn, rd); seq != want {
+			t.Fatalf("delivery %d: seq %d", want, seq)
+		}
+	}
+	waitFor(t, "the feed to wait for credit", feedWaiting)
+	j, err := srv.journals.open(topic)
+	if err != nil {
+		t.Fatalf("journal: %v", err)
+	}
+	if err := j.Ack("g", n); err != nil {
+		t.Fatalf("Ack: %v", err)
+	}
+	if err := srv.CompactJournals(); err != nil {
+		t.Fatalf("CompactJournals: %v", err)
+	}
+	first := int(j.FirstOffset())
+	if first <= 2 {
+		t.Fatalf("FirstOffset = %d after compaction, want past the first run", first)
+	}
+
+	rawAck(t, conn, "d-0", strconv.Itoa(2*n), "")
+	var seqs []int
+	for len(seqs) == 0 || seqs[len(seqs)-1] != n-1 {
+		seq, _ := rawReadOffsetMessage(t, conn, rd)
+		seqs = append(seqs, seq)
+	}
+	// The run held seq 0..k-1: 2..k-1 follow, then first..n-1.
+	k := 2
+	for len(seqs) > 0 && seqs[0] == k && k < first {
+		seqs, k = seqs[1:], k+1
+	}
+	for i, seq := range seqs {
+		if seq != first+i {
+			t.Fatalf("after the run's %d records: seq %d at %d, want %d..%d", k, seq, i, first, n-1)
+		}
+	}
+	if k == 2 || len(seqs) != n-first {
+		t.Fatalf("delivered the run's first %d records and %d of the %d after the clamp", k, len(seqs), n-first)
+	}
+	if got := srv.Stats().ClampedResumes; got != 1 {
+		t.Errorf("ClampedResumes = %d, want 1", got)
 	}
 }
 

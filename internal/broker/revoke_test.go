@@ -18,8 +18,18 @@ var mdt7 = label.MustParsePattern("label:conf:ecric.org.uk/mdt/7")
 // the ring after the subscriber's clearance was revoked delivers none of
 // it. Each refusal is counted in RevokedDeliveries (not FilteredByLabel,
 // which counts fan-out decisions), the ring empties, and the credit the
-// refused deliveries never claimed is still there for the next one.
+// refused deliveries never claimed is still there for the next one. Nor is
+// a delivery whose publisher was waiting for space in the full ring: the
+// grant's wakeup decides it again.
 func TestCreditRevokeStopsParkedDeliveries(t *testing.T) {
+	t.Run("parked", func(t *testing.T) { testCreditRevoke(t, 5, false) })
+	t.Run("waiting for ring space", func(t *testing.T) { testCreditRevoke(t, creditPending, true) })
+}
+
+// testCreditRevoke parks the given number of labelled deliveries behind a
+// credit window of one, plus one more whose publisher waits for ring space
+// when waiting is set, then revokes and grants.
+func testCreditRevoke(t *testing.T, parkedN int, waiting bool) {
 	const topic = "/c/revoke"
 	p := testPolicy()
 	b := New(p)
@@ -42,11 +52,11 @@ func TestCreditRevokeStopsParkedDeliveries(t *testing.T) {
 	publish := func(seq int, labels ...label.Label) {
 		t.Helper()
 		if err := b.Publish("producer", event.New(topic, map[string]string{"seq": strconv.Itoa(seq)}, labels...)); err != nil {
-			t.Fatalf("Publish seq %d: %v", seq, err)
+			t.Errorf("Publish seq %d: %v", seq, err)
 		}
 	}
-	// Window 1: seq 0 goes out, seq 1..5 park.
-	for seq := 0; seq < 6; seq++ {
+	// Window 1: seq 0 goes out, the next parkedN park.
+	for seq := 0; seq <= parkedN; seq++ {
 		publish(seq, label.Conf("ecric.org.uk/mdt/7"))
 	}
 	if seq, _ := rawReadOffsetMessage(t, conn, rd); seq != 0 {
@@ -59,15 +69,29 @@ func TestCreditRevokeStopsParkedDeliveries(t *testing.T) {
 		}
 		return ss[0].CreditParked
 	}
-	if got := parked(); got != 5 {
-		t.Fatalf("CreditParked = %d, want 5", got)
+	if got := parked(); got != parkedN {
+		t.Fatalf("CreditParked = %d, want %d", got, parkedN)
+	}
+	refused, next := parkedN, parkedN+1
+	published := make(chan struct{})
+	if waiting {
+		// The ring is full: this publisher waits for space.
+		go func(seq int) {
+			defer close(published)
+			publish(seq, label.Conf("ecric.org.uk/mdt/7"))
+		}(next)
+		waitFor(t, "publisher waiting for ring space", func() bool { return goroutineIn("(*Server).awaitSpace") })
+		refused, next = refused+1, next+1
+	} else {
+		close(published)
 	}
 
 	if !p.Revoke("cleared", label.Clearance, mdt7) {
 		t.Fatal("Revoke did not find the grant")
 	}
 	rawAck(t, conn, "c-0", "100", "")
-	waitFor(t, "parked deliveries refused", func() bool { return srv.Stats().RevokedDeliveries == 5 })
+	<-published
+	waitFor(t, "deliveries refused", func() bool { return srv.Stats().RevokedDeliveries == uint64(refused) })
 	if got := parked(); got != 0 {
 		t.Errorf("CreditParked = %d after the drain, want 0", got)
 	}
@@ -75,14 +99,14 @@ func TestCreditRevokeStopsParkedDeliveries(t *testing.T) {
 
 	// The subscription lives on with its credit unspent: an event the
 	// subscriber may still read goes straight out.
-	publish(6)
-	if seq, _ := rawReadOffsetMessage(t, conn, rd); seq != 6 {
-		t.Fatalf("after the refused drain: seq %d, want 6", seq)
+	publish(next)
+	if seq, _ := rawReadOffsetMessage(t, conn, rd); seq != next {
+		t.Fatalf("after the refused drain: seq %d, want %d", seq, next)
 	}
 	st := srv.Stats()
-	if st.RevokedDeliveries != 5 || st.DroppedDeliveries != 0 || st.OverflowDrops != 0 {
-		t.Errorf("RevokedDeliveries %d, DroppedDeliveries %d, OverflowDrops %d; want 5, 0, 0",
-			st.RevokedDeliveries, st.DroppedDeliveries, st.OverflowDrops)
+	if st.RevokedDeliveries != uint64(refused) || st.DroppedDeliveries != 0 || st.OverflowDrops != 0 {
+		t.Errorf("RevokedDeliveries %d, DroppedDeliveries %d, OverflowDrops %d; want %d, 0, 0",
+			st.RevokedDeliveries, st.DroppedDeliveries, st.OverflowDrops, refused)
 	}
 	if got := b.Stats().FilteredByLabel; got != 0 {
 		t.Errorf("FilteredByLabel = %d, want 0 (fan-out cleared every publish)", got)

@@ -297,9 +297,9 @@ type serverSession struct {
 	evicted         atomic.Bool
 	creditStalls    atomic.Uint64
 
-	// decCache memoises label-header parses and the destination string
-	// for this session's inbound SENDs; OnFrameView runs on the session
-	// read goroutine only.
+	// decCache memoises label-header parses and interns attribute keys
+	// and destinations for this session's inbound SENDs; OnFrameView runs
+	// on the session read goroutine only.
 	decCache event.DecodeCache
 }
 

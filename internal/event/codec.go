@@ -108,61 +108,104 @@ var skippedHeaders = map[string]struct{}{
 	"selector": {}, "transaction": {},
 }
 
-// skippedHeader reports whether a STOMP header is transport metadata
-// rather than an event attribute.
-func skippedHeader(k string) bool {
-	_, ok := skippedHeaders[k]
-	return ok
-}
-
-// skippedHeaderBytes is skippedHeader for keys still in wire-byte form
-// (the map index elides the string conversion).
-func skippedHeaderBytes(k []byte) bool {
+// skippedHeader reports whether a STOMP header, given as a string or in
+// wire-byte form (the map index elides the string conversion), is transport
+// metadata rather than an event attribute.
+func skippedHeader[K string | []byte](k K) bool {
 	_, ok := skippedHeaders[string(k)]
 	return ok
 }
 
-// LabelCache memoises the most recent label-header parse. Wire traffic
-// between two units typically repeats one label set for long runs of
-// messages, and parsed label sets are immutable, so a one-entry memo
-// keyed on the raw header string removes the per-message parse from the
-// connection read loop. A LabelCache must be confined to one goroutine
-// (each connection read loop owns one, inside its DecodeCache).
+// LabelCache memoises label-header parses: header → the set it denotes,
+// and whether the header is that set's canonical rendering
+// (label.ParseCanonical), so an event may carry it as its label header.
+// Parsed label sets are immutable, so a hit is shared. Wire traffic
+// repeats one header for long runs, and a topic's events draw on a few
+// sets, so the memo holds up to maxCachedAttrKeys headers behind a
+// last-hit compare: a run of one header costs one string compare, and a
+// reader whose traffic carries no more distinct headers than that parses
+// each once. A header met once the memo is full is parsed on every miss, as
+// with no memo. Only parses are memoised: a clearance verdict depends on
+// the policy generation, and a header that fails to parse fails again each
+// time it is met. A LabelCache must be confined to one goroutine: each
+// connection read loop owns one inside its DecodeCache, and each replay
+// feed owns one.
 type LabelCache struct {
-	hdr string
-	set label.Set
-	// canonical records that hdr is set's canonical rendering
-	// (label.ParseCanonical), so an event may carry hdr as its label header.
+	last labelParse
+	m    map[string]labelParse
+}
+
+// labelParse is one memoised parse.
+type labelParse struct {
+	hdr       string
+	set       label.Set
 	canonical bool
 }
 
+// Parse returns the label set hdr denotes, through the memo.
+func (c *LabelCache) Parse(hdr string) (label.Set, error) {
+	p, err := parseLabelHeader(c, hdr)
+	return p.set, err
+}
+
+// parseLabelHeader looks hdr up in the memo (a nil c is an empty one) and
+// parses it on a miss. A header given as wire bytes is copied only on a
+// miss, into the string the memo keeps.
+func parseLabelHeader[H string | []byte](c *LabelCache, hdr H) (labelParse, error) {
+	if c != nil {
+		if string(hdr) == c.last.hdr {
+			return c.last, nil
+		}
+		if p, ok := c.m[string(hdr)]; ok {
+			c.last = p
+			return p, nil
+		}
+	}
+	p := labelParse{hdr: string(hdr)}
+	var err error
+	if p.set, p.canonical, err = label.ParseCanonical(p.hdr); err == nil && c != nil {
+		c.last = p
+		memoAdd(&c.m, p.hdr, p)
+	}
+	return p, err
+}
+
 // DecodeCache memoises per-read-loop decode state for the map-free view
-// path: the most recent label-header parse (label sets are immutable and
-// wire traffic repeats one set for long runs) and the most recent topic
-// string (fan-out consumers see the same destination on every frame). A
-// label header that is the canonical rendering of its set — what every
-// SafeWeb publisher sends — is handed to the decoded event as its label
-// header, so re-publishing the event forwards the bytes it arrived with
-// instead of sorting and rendering the set again; any other header is
-// only ever parsed, and the event renders its own. Like
+// path: label-header parses (a LabelCache) and an intern table of the
+// attribute keys and destinations a connection repeats on essentially
+// every frame. A label header that is the canonical rendering of its set —
+// what every SafeWeb publisher sends — is handed to the decoded event as
+// its label header, so re-publishing the event forwards the bytes it
+// arrived with instead of sorting and rendering the set again; any other
+// header is only ever parsed, and the event renders its own. Like
 // LabelCache, a DecodeCache must be confined to one goroutine — each
 // connection read loop owns one. A nil *DecodeCache is valid and simply
 // never hits.
 type DecodeCache struct {
 	labels LabelCache
-	topic  string
 	keys   map[string]string
 }
 
-// maxCachedAttrKeys bounds the attribute-key intern table: a peer
-// streaming unbounded distinct keys must not grow the cache forever.
-// Beyond the cap, unseen keys simply allocate per frame again.
+// maxCachedAttrKeys bounds each memo table — the intern table and the
+// label memo: a peer streaming unbounded distinct keys or headers must not
+// grow the cache forever. Beyond the cap, unseen keys simply allocate per
+// frame again, and unseen headers are parsed again.
 const maxCachedAttrKeys = 256
 
-// attrKey returns an owned string for an attribute key given as wire
-// bytes. Connections repeat the same few attribute keys on essentially
-// every frame, so the interned copy makes the steady-state key cost zero.
-func (c *DecodeCache) attrKey(b []byte) string {
+// memoAdd stores v under k in the memo table *m, made on first use, while
+// the table holds fewer than maxCachedAttrKeys entries.
+func memoAdd[V any](m *map[string]V, k string, v V) {
+	if len(*m) < maxCachedAttrKeys {
+		if *m == nil {
+			*m = make(map[string]V)
+		}
+		(*m)[k] = v
+	}
+}
+
+// intern returns an owned string for an attribute key or destination
+// given as wire bytes: the interned copy makes the steady-state cost zero.
+func (c *DecodeCache) intern(b []byte) string {
 	if c == nil {
 		return string(b)
 	}
@@ -170,52 +213,28 @@ func (c *DecodeCache) attrKey(b []byte) string {
 		return k
 	}
 	k := string(b)
-	if len(c.keys) < maxCachedAttrKeys {
-		if c.keys == nil {
-			c.keys = make(map[string]string)
-		}
-		c.keys[k] = k
-	}
+	memoAdd(&c.keys, k, k)
 	return k
 }
 
 // parseLabels parses a label header given as wire bytes into e's label
-// set, consulting and updating the memo. The bytes are not retained. A
-// canonical header becomes e's label-header memo: it has been proved equal
-// to Labels.String(), and its string is already allocated as the memo key.
+// set, through the memo. The bytes are not retained. A canonical header
+// becomes e's label-header memo: it has been proved equal to
+// Labels.String(), and its string is already allocated as the memo key.
 func (c *DecodeCache) parseLabels(e *Event, hdr []byte) error {
-	var parsed LabelCache
-	if c != nil && c.labels.set != nil && string(hdr) == c.labels.hdr {
-		parsed = c.labels
-	} else {
-		var err error
-		parsed.hdr = string(hdr)
-		parsed.set, parsed.canonical, err = label.ParseCanonical(parsed.hdr)
-		if err != nil {
-			return err
-		}
-		if c != nil && parsed.set != nil {
-			c.labels = parsed
-		}
+	var labels *LabelCache
+	if c != nil {
+		labels = &c.labels
 	}
-	e.Labels = parsed.set
-	if parsed.canonical {
-		e.labelHeader, e.labelHeaderOf = parsed.hdr, parsed.set
+	p, err := parseLabelHeader(labels, hdr)
+	if err != nil {
+		return err
+	}
+	e.Labels = p.set
+	if p.canonical {
+		e.labelHeader, e.labelHeaderOf = p.hdr, p.set
 	}
 	return nil
-}
-
-// topicString returns an owned string for a destination header given as
-// wire bytes, reusing the memoised copy when the topic repeats.
-func (c *DecodeCache) topicString(b []byte) string {
-	if c != nil && string(b) == c.topic && c.topic != "" {
-		return c.topic
-	}
-	t := string(b)
-	if c != nil {
-		c.topic = t
-	}
-	return t
 }
 
 // addWireAttr records one attribute decoded off the wire: the map is
@@ -273,17 +292,17 @@ func unmarshalView(e *Event, hv *stomp.HeaderView, body []byte, cache *DecodeCac
 		k := hv.InternedKey(i)
 		if k == "" {
 			kb := hv.KeyBytes(i)
-			if skippedHeaderBytes(kb) {
+			if skippedHeader(kb) {
 				continue
 			}
-			e.addWireAttr(cache.attrKey(kb), hv.ValueBytes(i), n-i)
+			e.addWireAttr(cache.intern(kb), hv.ValueBytes(i), n-i)
 			continue
 		}
 		switch k {
 		case HeaderDestination:
 			if !seenTopic {
 				seenTopic = true
-				e.Topic = cache.topicString(hv.ValueBytes(i))
+				e.Topic = cache.intern(hv.ValueBytes(i))
 			}
 		case HeaderLabels:
 			if !seenLabels {

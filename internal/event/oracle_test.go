@@ -6,7 +6,6 @@ import (
 	"strconv"
 	"testing"
 
-	"safeweb/internal/label"
 	"safeweb/internal/stomp"
 )
 
@@ -81,20 +80,6 @@ func deliveryWire(t testing.TB, e *Event, sub, idPrefix string, seq uint64) []by
 // production code calls it any more and the tests keep it as the decode
 // oracle.
 
-func (c *LabelCache) parse(hdr string) (label.Set, error) {
-	if c != nil && c.hdr == hdr {
-		return c.set, nil
-	}
-	set, err := label.ParseSet(hdr)
-	if err != nil {
-		return nil, err
-	}
-	if c != nil {
-		c.hdr, c.set = hdr, set
-	}
-	return set, nil
-}
-
 // UnmarshalHeaders reconstructs an event from STOMP headers and a body.
 // Standard STOMP headers that are not event attributes (subscription,
 // message-id, content-length, receipt) are skipped; the attribute map is
@@ -123,7 +108,7 @@ func UnmarshalHeadersCached(headers map[string]string, body []byte, cache *Label
 	}
 	for k, v := range headers {
 		if k == HeaderLabels {
-			labels, err := cache.parse(v)
+			labels, err := cache.Parse(v)
 			if err != nil {
 				return nil, fmt.Errorf("event: bad label header: %w", err)
 			}

@@ -5,10 +5,12 @@ import (
 	"encoding/binary"
 	"hash/crc32"
 	"testing"
+	"unsafe"
 )
 
 // FuzzJournalRecord drives the record codec both ways: structured inputs
-// round-trip byte-exactly, a corrupted CRC is rejected, and arbitrary or
+// round-trip byte-exactly (the image aliasing the frame, and a reused
+// Record keeping its equal strings), a corrupted CRC is rejected, and arbitrary or
 // truncated bytes never panic the decoder — recovery feeds it whatever a
 // crash left on disk, so "no panic, fail closed" is the contract.
 func FuzzJournalRecord(f *testing.F) {
@@ -57,6 +59,28 @@ func FuzzJournalRecord(f *testing.F) {
 			if got.Time != rec.Time || got.Topic != rec.Topic || got.Labels != rec.Labels ||
 				got.Split != rec.Split || !bytes.Equal(got.Image, rec.Image) {
 				t.Fatalf("round-trip mismatch: got %+v, want %+v", got, rec)
+			}
+			if cap(got.Image) != len(got.Image) || len(got.Image) > 0 && &got.Image[0] != &encoded[len(encoded)-len(image)] {
+				t.Fatal("decoded image does not alias its frame, capped at its own length")
+			}
+
+			// Decoding into the same Record again keeps the strings it
+			// holds when they are equal, and replaces them when not.
+			kept := got
+			if _, err := decodeRecord(encoded, &got); err != nil {
+				t.Fatalf("second decode: %v", err)
+			}
+			if !sameString(got.Topic, kept.Topic) || !sameString(got.Labels, kept.Labels) {
+				t.Fatal("second decode replaced equal strings")
+			}
+			other, err := appendRecord(nil, &Record{Time: tm, Topic: topic + "/x", Labels: labels, Split: split, Image: image})
+			if err == nil {
+				if _, err := decodeRecord(other, &got); err != nil {
+					t.Fatalf("decode of the other topic: %v", err)
+				}
+				if got.Topic != topic+"/x" || !sameString(got.Labels, kept.Labels) {
+					t.Fatalf("decode of the other topic: got topic %q, labels kept %v", got.Topic, sameString(got.Labels, kept.Labels))
+				}
 			}
 
 			// Corrupt the CRC: the decode must reject, never accept.
@@ -109,4 +133,10 @@ func FuzzJournalAckRecord(f *testing.F) {
 			t.Fatalf("ack round-trip: got (%q,%d,%d), want (%q,%d,%d)", g, off, n, group, offset, len(encoded))
 		}
 	})
+}
+
+// sameString reports whether a and b are the same string: equal, and
+// backed by the same bytes.
+func sameString(a, b string) bool {
+	return a == b && (a == "" || unsafe.StringData(a) == unsafe.StringData(b))
 }

@@ -645,54 +645,88 @@ func (j *Journal) newSegmentLocked(base int64) (*segment, error) {
 	return seg, nil
 }
 
-// Read decodes the record at the given offset into rec. The record's
-// Image is freshly allocated per call: readers hand it to the wire (or
-// hold it arbitrarily long) without aliasing journal state. Offsets at or
-// past NextOffset return ErrOffsetOutOfRange; offsets below FirstOffset
-// return ErrOffsetCompacted — the record is gone, and the caller decides
-// (loudly) whether to resume from FirstOffset.
+// maxRunBytes bounds the file read behind one ReadRun: a run ends before
+// the record that would take it past this many bytes, unless that record
+// is the run's first.
+const maxRunBytes = 64 << 10
+
+// Read decodes the record at the given offset into rec: ReadRun of one
+// record. Offsets at or past NextOffset return ErrOffsetOutOfRange; offsets
+// below FirstOffset return ErrOffsetCompacted — the record is gone, and the
+// caller decides (loudly) whether to resume from FirstOffset.
 func (j *Journal) Read(offset int64, rec *Record) error {
+	run := [1]Record{*rec}
+	_, err := j.ReadRun(offset, run[:])
+	*rec = run[0]
+	return err
+}
+
+// ReadRun decodes up to len(recs) consecutive records, starting at offset,
+// into recs and returns how many it decoded: at least one, unless it fails
+// as Read does for the record at offset. A run is the records of one
+// segment published when it is called — it never waits for more — and is
+// read with one ReadAt of at most maxRunBytes (or of its first record,
+// when that alone is larger). Each call reads into a fresh buffer that the
+// run's Images alias and that is never reused, so readers hand an Image to
+// the wire (or hold it arbitrarily long) without aliasing journal state.
+// Topic and Labels strings recs already hold are kept when equal (see
+// decodeRecord). An empty recs reads nothing.
+func (j *Journal) ReadRun(offset int64, recs []Record) (int, error) {
 	j.mu.Lock()
-	if j.closed {
-		j.mu.Unlock()
-		return errClosed
+	next, first := j.next.Load(), j.first.Load()
+	var err error
+	switch {
+	case j.closed:
+		err = errClosed
+	case offset < 0 || offset >= next:
+		err = fmt.Errorf("%w: %d (journal holds [%d,%d))", ErrOffsetOutOfRange, offset, first, next)
+	case offset < first:
+		err = fmt.Errorf("%w: %d (journal holds [%d,%d))", ErrOffsetCompacted, offset, first, next)
 	}
-	if offset < 0 || offset >= j.next.Load() {
+	if err != nil || len(recs) == 0 {
 		j.mu.Unlock()
-		return fmt.Errorf("%w: %d (journal holds [%d,%d))", ErrOffsetOutOfRange, offset, j.first.Load(), j.next.Load())
+		return 0, err
 	}
-	if offset < j.first.Load() {
-		j.mu.Unlock()
-		return fmt.Errorf("%w: %d (journal holds [%d,%d))", ErrOffsetCompacted, offset, j.first.Load(), j.next.Load())
-	}
-	// Locate the owning segment: the last one whose base is <= offset.
+	// Locate the owning segment: the last one whose base is <= offset. A
+	// run of n records ends where record rel+n begins, or at the segment's
+	// size; shrink the longest run the bounds allow until it fits.
 	i := sort.Search(len(j.segs), func(i int) bool { return j.segs[i].base > offset }) - 1
 	seg := j.segs[i]
-	rel := offset - seg.base
-	start := seg.pos[rel]
-	end := seg.size
-	if int(rel+1) < len(seg.pos) {
-		end = seg.pos[rel+1]
+	rel := int(offset - seg.base)
+	start, end := seg.pos[rel], seg.size
+	n := int(min(int64(len(recs)), int64(len(seg.pos)-rel), next-offset))
+	for ; ; n-- {
+		if rel+n < len(seg.pos) {
+			end = seg.pos[rel+n]
+		}
+		if n == 1 || end-start <= maxRunBytes {
+			break
+		}
 	}
 	f := seg.f
 	j.mu.Unlock()
 
-	// The byte range [start,end) is committed and immutable; the ReadAt
-	// runs outside the lock so replay never stalls appends. A concurrent
-	// compaction can close the file under us — re-check the floor on
-	// failure so the caller sees the compaction, not a bare I/O error.
+	// The byte range is committed and immutable; the ReadAt runs outside
+	// the lock so replay never stalls appends. A concurrent compaction can
+	// close the file under us — re-check the floor on failure so the caller
+	// sees the compaction, not a bare I/O error. A record past the first
+	// that fails to decode ends the run; the next call reports it.
 	buf := make([]byte, end-start)
-	_, err := f.ReadAt(buf, start)
-	if err == nil {
-		_, err = decodeRecord(buf, rec)
-	}
-	if err != nil {
-		if offset < j.first.Load() {
-			return fmt.Errorf("%w: %d", ErrOffsetCompacted, offset)
+	_, err = f.ReadAt(buf, start)
+	k := 0
+	for err == nil && k < n {
+		var m int
+		if m, err = decodeRecord(buf, &recs[k]); err == nil {
+			buf, k = buf[m:], k+1
 		}
-		return fmt.Errorf("journal: read offset %d: %w", offset, err)
 	}
-	return nil
+	if k > 0 {
+		return k, nil
+	}
+	if offset < j.first.Load() {
+		return 0, fmt.Errorf("%w: %d", ErrOffsetCompacted, offset)
+	}
+	return 0, fmt.Errorf("journal: read offset %d: %w", offset, err)
 }
 
 // NextOffset returns the offset the next append will publish — the

@@ -139,7 +139,11 @@ func appendRecord(dst []byte, rec *Record) ([]byte, error) {
 // returns the framed length consumed. Truncated input, a failed CRC, an
 // unknown version or any structural mismatch returns ErrCorruptRecord;
 // recovery treats every such failure as the torn tail of the log. The
-// decoded Topic, Labels and Image are copied out of b.
+// decoded Image aliases b, so b must be a buffer nobody writes again (every
+// read allocates a fresh one). Topic and Labels are copied out of b, unless
+// rec already holds strings equal to the bytes: those are kept, so a reader
+// that decodes into the same Records again copies a repeated topic or label
+// header only once.
 func decodeRecord(b []byte, rec *Record) (int, error) {
 	payload, n, err := openFrame(b)
 	if err != nil {
@@ -160,10 +164,10 @@ func decodeRecord(b []byte, rec *Record) (int, error) {
 	if len(p) < topicLen {
 		return 0, fmt.Errorf("%w: truncated topic", ErrCorruptRecord)
 	}
-	rec.Topic = string(p[:topicLen])
+	rec.Topic = keepString(rec.Topic, p[:topicLen])
 	p = p[topicLen:]
 
-	rec.Labels = ""
+	labels := p[:0]
 	if payload[1]&flagHasLabels != 0 {
 		if len(p) < 2 {
 			return 0, fmt.Errorf("%w: truncated label length", ErrCorruptRecord)
@@ -173,9 +177,9 @@ func decodeRecord(b []byte, rec *Record) (int, error) {
 		if len(p) < labelLen {
 			return 0, fmt.Errorf("%w: truncated labels", ErrCorruptRecord)
 		}
-		rec.Labels = string(p[:labelLen])
-		p = p[labelLen:]
+		labels, p = p[:labelLen], p[labelLen:]
 	}
+	rec.Labels = keepString(rec.Labels, labels)
 
 	if len(p) < 4 {
 		return 0, fmt.Errorf("%w: truncated image length", ErrCorruptRecord)
@@ -189,8 +193,16 @@ func decodeRecord(b []byte, rec *Record) (int, error) {
 		return 0, fmt.Errorf("%w: split %d beyond image length %d", ErrCorruptRecord, split, imageLen)
 	}
 	rec.Split = split
-	rec.Image = append([]byte(nil), p...)
+	rec.Image = p[:imageLen:imageLen]
 	return n, nil
+}
+
+// keepString returns s when it equals b, and b as a new string otherwise.
+func keepString(s string, b []byte) string {
+	if s == string(b) {
+		return s
+	}
+	return string(b)
 }
 
 // Ack records are framed identically; their payload is
