@@ -77,11 +77,10 @@
 // queues lie after that point and are not re-checked). A policy mutation
 // stops every delivery not yet decided. Fan-out checks clearance at the
 // publish's policy generation; a credited subscription's parked
-// deliveries pass the same gate again when a grant drains them, and so
-// does a delivery whose publisher waited for space in a full credit ring,
-// when it wakes; and a replay feed that waited for its window (credit, or
-// unacked deliveries) re-checks its record when the generation moved
-// during the wait. Each late refusal counts in
+// deliveries pass the same gate again when they leave the pending ring;
+// and a replay feed that waited for its window (credit, or unacked
+// deliveries) re-checks its record when the generation moved during the
+// wait. Each late refusal counts in
 // ServerStats.RevokedDeliveries. What a revoke cannot reach is what was
 // already decided: frames in a writer queue and in kernel buffers, which
 // ServerConfig.WriteTimeout, when set, bounds in time.

@@ -31,7 +31,9 @@ import (
 // reordered grant can only be a no-op. The fan-out fast path takes no
 // lock: a delivery claims credit with a load (is anything parked?) and a
 // CAS on sent. The per-subscription mutex guards only the slow path — the
-// pending ring a delivery parks in once credit is exhausted.
+// pending ring a delivery parks in once credit is exhausted — and one
+// drain, drainLocked, decides every parked delivery: a grant runs it, and
+// so does each park, so a delivery leaves the ring only from its head.
 
 // creditPending is the per-subscription pending ring capacity: how many
 // matched deliveries may park broker-side once a credit window is
@@ -54,39 +56,40 @@ type wireSub struct {
 //
 // The atomics are the fast path: tryClaim runs on the publishing goroutine
 // for every matched delivery and takes no lock. mu guards the pending
-// ring, its wake channel and the stall/closed flags; lock order is
+// ring, its wake channel and the closed flag; lock order is
 // creditState.mu before Server.mu (drain paths call into delivery
 // accounting, which may take the server lock) — never acquire
 // creditState.mu while holding Server.mu.
 type creditState struct {
+	// clearance gates parked deliveries. The credit state carries its own
+	// because a delivery may park before SubscribeWire has returned ws.sub.
+	clearance
 	// granted is the consumer's cumulative delivery allowance; sent counts
 	// deliveries claimed against it. Remaining credit is granted-sent.
 	granted atomic.Int64
 	sent    atomic.Int64
 	// parked mirrors the ring occupancy for the lock-free fast path: any
 	// nonzero value forces new deliveries to park behind the ring so
-	// per-publisher order survives a stall.
+	// per-publisher order survives a stall. The drain pops a delivery only
+	// once it is in the writer queue, so parked stays nonzero until then.
 	parked atomic.Int32
 
 	mu sync.Mutex
 	// wake, when set, is what publishers blocked on a full ring under
-	// OverflowBlock wait on; wakeLocked closes and clears it once a grant
+	// OverflowBlock wait on; wakeLocked closes and clears it once a drain
 	// frees a slot or the subscription closes.
 	wake chan struct{}
 	// ring is the bounded pending buffer, a circular queue of n events
 	// starting at head.
 	ring    []*event.Event
 	head, n int
-	// stalled marks an in-progress stall run (set on the first park,
-	// cleared when a grant drains the ring empty); closed marks
-	// subscription teardown — parked and incoming deliveries are dropped
-	// as to a closed session.
-	stalled bool
-	closed  bool
+	// closed marks subscription teardown: parked and incoming deliveries
+	// are dropped as to a closed session.
+	closed bool
 }
 
-func newCreditState(window int64) *creditState {
-	c := &creditState{ring: make([]*event.Event, creditPending)}
+func newCreditState(principal string, window int64) *creditState {
+	c := &creditState{clearance: clearance{principal: principal}, ring: make([]*event.Event, creditPending)}
 	c.granted.Store(window)
 	return c
 }
@@ -144,35 +147,18 @@ func (c *creditState) wakeLocked() {
 }
 
 // parkDelivery handles a matched delivery that could not claim credit: it
-// parks in the subscription's pending ring, and a full ring falls through
-// to the server's overflow policy — the PR 6 machinery acting as safety
-// net. Runs on the publishing goroutine; under OverflowBlock a full ring
-// blocks it, as a full write queue does one layer down, until a grant
-// frees a slot, the subscription or the server closes, or WriteTimeout
-// passes. A delivery that waited is not yet decided: on every wake it
-// passes the clearance gate again, at the current policy generation, and
-// one the subscriber is no longer cleared for is dropped and counted in
-// RevokedDeliveries.
+// joins the subscription's pending ring and drainLocked decides it, so it
+// leaves the ring in park order, behind every delivery parked before it.
+// A full ring falls through to the server's overflow policy — the write
+// queue's machinery acting as safety net. Runs on the publishing goroutine; under
+// OverflowBlock a full ring blocks it, as a full write queue does one
+// layer down, until a drain frees a slot, the subscription or the server
+// closes, or WriteTimeout passes. A stall run starts when a delivery
+// finds the ring empty and stays parked after the drain.
 func (s *Server) parkDelivery(ss *serverSession, ws *wireSub, clientSubID string, ev *event.Event) {
 	c := ws.credit
 	c.mu.Lock()
-	for {
-		if c.closed {
-			c.mu.Unlock()
-			s.suppress(ss, clientSubID, ev, net.ErrClosed)
-			return
-		}
-		// Re-check under the lock: a grant may have drained the ring since
-		// the fast path failed. Order matters — only an empty ring lets a
-		// fresh claim jump the queue.
-		if c.n == 0 && c.claim() {
-			c.mu.Unlock()
-			s.sendDelivery(ss, clientSubID, ev)
-			return
-		}
-		if c.n < len(c.ring) {
-			break
-		}
+	for c.n == len(c.ring) {
 		if s.cfg.Overflow != OverflowBlock {
 			c.mu.Unlock()
 			s.suppress(ss, clientSubID, ev, ErrSlowConsumer)
@@ -190,19 +176,19 @@ func (s *Server) parkDelivery(ss *serverSession, ws *wireSub, clientSubID string
 			}
 			return
 		}
-		// The wait may have outlived the subscriber's clearance: decide
-		// the delivery again, as a grant's drain does a parked one.
-		if conf, p := ev.Labels.Confidentiality(), s.broker.policy; !conf.IsEmpty() && !ws.sub.clears(p, p.Generation(), conf) {
-			s.revokedDeliveries.Add(1)
-			return
-		}
 		c.mu.Lock()
 	}
+	if c.closed {
+		c.mu.Unlock()
+		s.suppress(ss, clientSubID, ev, net.ErrClosed)
+		return
+	}
+	wasEmpty := c.n == 0
 	c.pushLocked(ev)
-	firstStall := !c.stalled
-	c.stalled = true
+	s.drainLocked(ss, clientSubID, ws)
+	stalled := wasEmpty && c.n > 0
 	c.mu.Unlock()
-	if firstStall {
+	if stalled {
 		s.creditStalls.Add(1)
 		ss.creditStalls.Add(1)
 	}
@@ -232,16 +218,9 @@ func (s *Server) awaitSpace(wake <-chan struct{}) error {
 }
 
 // creditGrant applies a cumulative replenishment grant and drains as much
-// of the pending ring as the new window covers, in park order. A stale or
-// duplicate grant (no larger than the current allowance) is an idempotent
-// no-op. Runs on the granting session's read goroutine; the ring lock is
-// held across the drain so parked order is preserved against concurrent
-// publishers.
-//
-// A parked delivery is not yet decided, so each one passes the clearance
-// gate again, at the current policy generation, before it claims credit:
-// one the subscriber is no longer cleared for is dropped and counted in
-// RevokedDeliveries.
+// of the pending ring as the new window covers. A stale or duplicate grant
+// (no larger than the current allowance) is an idempotent no-op. Runs on
+// the granting session's read goroutine.
 func (s *Server) creditGrant(ss *serverSession, clientSubID string, ws *wireSub, grant int64) {
 	c := ws.credit
 	for {
@@ -253,27 +232,38 @@ func (s *Server) creditGrant(ss *serverSession, clientSubID string, ws *wireSub,
 			break
 		}
 	}
-	policy := s.broker.Policy()
 	c.mu.Lock()
-	defer c.mu.Unlock()
-	defer c.wakeLocked()
-	for c.n > 0 && !c.closed {
-		conf := c.ring[c.head].Labels.Confidentiality()
-		cleared := conf.IsEmpty() || ws.sub.clears(policy, policy.Generation(), conf)
-		if cleared && !c.claim() {
-			return
-		}
-		ev := c.popLocked()
-		if !cleared {
-			s.revokedDeliveries.Add(1)
-			continue
-		}
-		s.sendDelivery(ss, clientSubID, ev)
+	if !c.closed {
+		s.drainLocked(ss, clientSubID, ws)
 	}
-	if c.n == 0 {
-		// Ring drained: the stall run is over; the next park starts a new
-		// one.
-		c.stalled = false
+	c.mu.Unlock()
+}
+
+// drainLocked decides parked deliveries from the head of the ring, in park
+// order, until the ring is empty or the window is spent; c.mu is held
+// across it. A parked delivery is not yet decided, so each passes the
+// clearance gate again, at the current policy generation: one the
+// subscriber is no longer cleared for is dropped and counted in
+// RevokedDeliveries, and claims no credit. A delivery leaves the ring only
+// once it is in the writer queue, so parked stays nonzero until then and
+// no fresh delivery's tryClaim can overtake it. Publishers waiting for
+// ring space are woken once there is some.
+func (s *Server) drainLocked(ss *serverSession, clientSubID string, ws *wireSub) {
+	c := ws.credit
+	policy := s.broker.Policy()
+	for c.n > 0 {
+		ev := c.ring[c.head]
+		if conf := ev.Labels.Confidentiality(); !conf.IsEmpty() && !c.clears(policy, policy.Generation(), conf) {
+			s.revokedDeliveries.Add(1)
+		} else if c.claim() {
+			s.sendDelivery(ss, clientSubID, ev)
+		} else {
+			break
+		}
+		c.popLocked()
+	}
+	if c.n < len(c.ring) {
+		c.wakeLocked()
 	}
 }
 
@@ -292,7 +282,6 @@ func (s *Server) closeSub(ss *serverSession, clientSubID string, ws *wireSub) {
 	}
 	c.mu.Lock()
 	c.closed = true
-	c.stalled = false
 	var dropped []*event.Event
 	for c.n > 0 {
 		dropped = append(dropped, c.popLocked())

@@ -4,6 +4,7 @@ import (
 	"bufio"
 	"bytes"
 	"errors"
+	"fmt"
 	"net"
 	"os"
 	"runtime"
@@ -828,4 +829,88 @@ func runCreditedPublishers(t *testing.T, n int) {
 		t.Fatal("credited clients did not receive every event within 10 s")
 	}
 	closeWithin(t, srv, 5*time.Second)
+}
+
+// TestCreditPublisherOrder pins per-publisher order on credited
+// subscriptions: one publisher's events reach every credited subscriber
+// in publish order, however they split between the fast path and the
+// pending ring. Each consumer grants two past its window every two
+// messages, so a grant that drains the ring leaves spare credit for the
+// publisher's next event, which must still queue behind the drained ones.
+func TestCreditPublisherOrder(t *testing.T) {
+	const consumers, events, window = 4, 50000, 4
+	br := broker.New(label.NewPolicy())
+	defer br.Close()
+	srv, err := broker.NewServer("127.0.0.1:0", br, broker.ServerConfig{
+		Logf: t.Logf,
+		OnDeliveryError: func(_ uint64, _ string, _ *event.Event, err error) {
+			t.Errorf("unexpected delivery drop: %v", err)
+		},
+	})
+	if err != nil {
+		t.Fatalf("NewServer: %v", err)
+	}
+	defer srv.Close()
+
+	conns := make([]net.Conn, consumers)
+	readers := make([]*bufio.Reader, consumers)
+	for i := range conns {
+		conns[i], readers[i] = dialCredited(t, srv.Addr(), "consumer", "/r", "c-"+strconv.Itoa(i), window)
+	}
+	published := make(chan error, 1)
+	go func() {
+		for seq := 0; seq < events; seq++ {
+			if err := br.Publish("producer", event.New("/r", map[string]string{"seq": strconv.Itoa(seq)})); err != nil {
+				published <- err
+				return
+			}
+		}
+		published <- nil
+	}()
+
+	var wg sync.WaitGroup
+	for i := range conns {
+		wg.Add(1)
+		go func(conn net.Conn, dec *stomp.Decoder, subID string) {
+			defer wg.Done()
+			_ = conn.SetReadDeadline(time.Now().Add(30 * time.Second))
+			next, breaks, first := 0, 0, ""
+			for got := 1; got <= events; got++ {
+				f, err := dec.Decode()
+				if err != nil {
+					t.Errorf("%s: after %d messages: %v", subID, got-1, err)
+					return
+				}
+				seq, err := strconv.Atoi(f.Header("seq"))
+				if f.Command != stomp.CmdMessage || err != nil {
+					t.Errorf("%s: read %v, want a MESSAGE with a numeric seq", subID, f)
+					return
+				}
+				if seq != next {
+					if breaks++; breaks == 1 {
+						first = fmt.Sprintf("delivery %d carries seq %d, want %d", got, seq, next)
+					}
+				}
+				next = seq + 1
+				if got%2 == 0 {
+					sendGrant(t, conn, subID, strconv.Itoa(got+window))
+				}
+			}
+			if breaks > 0 {
+				t.Errorf("%s: %d order breaks; first: %s", subID, breaks, first)
+			}
+		}(conns[i], stomp.NewDecoder(readers[i]), "c-"+strconv.Itoa(i))
+	}
+	wg.Wait()
+	if t.Failed() {
+		_ = srv.Close()
+	}
+	select {
+	case err := <-published:
+		if err != nil {
+			t.Fatalf("Publish: %v", err)
+		}
+	case <-time.After(10 * time.Second):
+		t.Fatal("publisher did not finish within 10 s")
+	}
 }

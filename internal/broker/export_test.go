@@ -23,7 +23,7 @@ func (s *Server) KillSessionAndDeliver(sessionID uint64, clientSubID string, ev 
 		return false
 	}
 	_ = ss.sess.Kill()
-	s.deliver(ss, nil, clientSubID, ev)
+	s.deliver(ss, &wireSub{}, clientSubID, ev)
 	return true
 }
 

@@ -84,7 +84,7 @@ func TestDeliveryDropAccounted(t *testing.T) {
 	}
 	bad.Freeze()
 	ss := &serverSession{sess: &stomp.Session{}}
-	srv.deliver(ss, nil, "sub-9", bad)
+	srv.deliver(ss, &wireSub{}, "sub-9", bad)
 
 	select {
 	case d := <-drops:

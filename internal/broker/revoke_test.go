@@ -2,6 +2,8 @@ package broker
 
 import (
 	"strconv"
+	"sync"
+	"sync/atomic"
 	"testing"
 	"time"
 
@@ -111,6 +113,49 @@ func testCreditRevoke(t *testing.T, parkedN int, waiting bool) {
 	if got := b.Stats().FilteredByLabel; got != 0 {
 		t.Errorf("FilteredByLabel = %d, want 0 (fan-out cleared every publish)", got)
 	}
+}
+
+// TestCreditParkDuringSubscribe: a credited subscription's deliveries can
+// park, and be drained through the clearance gate, before SubscribeWire
+// has returned the Subscription to the SUBSCRIBE handler, so the drain
+// must decide with a gate it owns from the start. Labelled publishes race
+// 300 credit-1 SUBSCRIBEs; under -race a gate read from ws.sub is a data
+// race here.
+func TestCreditParkDuringSubscribe(t *testing.T) {
+	b := New(testPolicy())
+	srv, err := NewServer("127.0.0.1:0", b, ServerConfig{
+		Logf:            t.Logf,
+		Overflow:        OverflowDropNewest,
+		OnDeliveryError: func(uint64, string, *event.Event, error) {},
+	})
+	if err != nil {
+		t.Fatalf("NewServer: %v", err)
+	}
+	t.Cleanup(func() {
+		_ = srv.Close()
+		b.Close()
+	})
+	var stop atomic.Bool
+	var wg sync.WaitGroup
+	for range 2 {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			for seq := 0; !stop.Load(); seq++ {
+				if err := b.Publish("producer", event.New("/c/subscribe", map[string]string{"seq": strconv.Itoa(seq)}, label.Conf("ecric.org.uk/mdt/7"))); err != nil {
+					t.Errorf("Publish seq %d: %v", seq, err)
+					return
+				}
+			}
+		}()
+	}
+	for range 300 {
+		conn, rd := rawDurableConn(t, srv.Addr(), "cleared")
+		rawSubscribe(t, conn, rd, "/c/subscribe", "c-0", map[string]string{stomp.HdrCredit: "1"})
+		conn.Close()
+	}
+	stop.Store(true)
+	wg.Wait()
 }
 
 // TestCreditRevokeDuringReplayWait pins the same rule on the durable path:

@@ -174,8 +174,8 @@ type ServerStats struct {
 	// observed on any session, live or since departed.
 	QueueHighWater int
 	// CreditStalls counts stall runs on credited subscriptions: each time
-	// a subscription's delivery window ran dry and a matched delivery had
-	// to park in its pending ring.
+	// a matched delivery found a subscription's pending ring empty and
+	// stayed parked there, its delivery window spent.
 	CreditStalls uint64
 	// UnhandledFrames counts client frames the server rejected with an
 	// ERROR because it does not implement the command (NACK, transactions,
@@ -197,8 +197,9 @@ type ServerStats struct {
 	ReplayFiltered   uint64
 	// RevokedDeliveries counts deliveries a policy change stopped after
 	// they were matched but before they were decided: parked deliveries
-	// a credit grant found no longer cleared, and journal records a replay
-	// feed found no longer cleared after waiting for its window.
+	// found no longer cleared when they left the pending ring, and
+	// journal records a replay feed found no longer cleared after waiting
+	// for its window.
 	RevokedDeliveries uint64
 	// CompactedSegments counts journal segments deleted because every
 	// consumer group's ack covered them; RetentionDeletes counts segments
@@ -558,7 +559,7 @@ func (s *Server) OnFrameView(sess *stomp.Session, v *stomp.FrameView) error {
 		}
 		ws := &wireSub{}
 		if window > 0 {
-			ws.credit = newCreditState(window)
+			ws.credit = newCreditState(sess.Login(), window)
 		}
 		// A wire subscription: delivery only serialises the event, so the
 		// broker hands over the frozen original — every session
@@ -678,11 +679,11 @@ func (s *Server) unhandledFrame(msg string) error {
 // claims credit on a lock-free fast path — one atomic load and one CAS —
 // and deliveries that cannot claim (window exhausted, or earlier
 // deliveries already parked) divert to the pending ring. Uncredited
-// subscriptions (ws nil or no credit header) skip the gate entirely.
+// subscriptions (no credit header) skip the gate entirely.
 //
 //safeweb:hotpath
 func (s *Server) deliver(ss *serverSession, ws *wireSub, clientSubID string, ev *event.Event) {
-	if ws != nil && ws.credit != nil && !ws.credit.tryClaim() {
+	if ws.credit != nil && !ws.credit.tryClaim() {
 		//lint:ignore hotpathlock parking is the declared slow path once the credit window is exhausted
 		s.parkDelivery(ss, ws, clientSubID, ev)
 		return

@@ -23,11 +23,13 @@ import (
 	"safeweb/internal/docstore"
 	"safeweb/internal/engine"
 	"safeweb/internal/event"
-	"safeweb/internal/jail"
 	"safeweb/internal/label"
 	"safeweb/internal/webdb"
 	"safeweb/internal/webfront"
 )
+
+// replicationInterval is the Intranet→DMZ push period.
+const replicationInterval = 50 * time.Millisecond
 
 // Config configures a Middleware.
 type Config struct {
@@ -47,9 +49,6 @@ type Config struct {
 	// connection (PublishWindow, SubscribeCredit, ...; see
 	// broker.ClientConfig). Login and OnError are filled in per unit.
 	Client broker.ClientConfig
-	// ReplicationInterval is the Intranet→DMZ push period; zero means
-	// 50ms.
-	ReplicationInterval time.Duration
 	// DisableTracking turns off frontend taint tracking (baseline mode).
 	DisableTracking bool
 	// AuthWork is the frontend credential-hashing work factor.
@@ -94,9 +93,6 @@ func New(cfg Config) (*Middleware, error) {
 	if cfg.Logf == nil {
 		cfg.Logf = func(string, ...any) {}
 	}
-	if cfg.ReplicationInterval <= 0 {
-		cfg.ReplicationInterval = 50 * time.Millisecond
-	}
 
 	m := &Middleware{cfg: cfg}
 	m.Broker = broker.New(cfg.Policy)
@@ -126,7 +122,6 @@ func New(cfg Config) (*Middleware, error) {
 	eng, err := engine.New(engine.Config{
 		Policy: cfg.Policy,
 		Bus:    busFactory,
-		Audit:  &jail.Audit{},
 		Logf:   cfg.Logf,
 	})
 	if err != nil {
@@ -136,7 +131,7 @@ func New(cfg Config) (*Middleware, error) {
 
 	m.AppDB = docstore.New("app-intranet", docstore.Options{})
 	m.DMZDB = docstore.New("app-dmz", docstore.Options{ReadOnly: true})
-	m.Replicator = docstore.NewReplicator(m.AppDB, m.DMZDB, cfg.ReplicationInterval, cfg.Logf)
+	m.Replicator = docstore.NewReplicator(m.AppDB, m.DMZDB, replicationInterval, cfg.Logf)
 
 	m.WebDB = webdb.New()
 	front, err := webfront.New(webfront.Config{

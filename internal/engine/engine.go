@@ -75,8 +75,6 @@ type Config struct {
 	Policy *label.Policy
 	// Bus creates each unit's broker connection. Required.
 	Bus BusFactory
-	// Audit receives jail violations; nil allocates a shared audit.
-	Audit *jail.Audit
 	// OnCallbackError observes callback failures and panics; nil logs.
 	OnCallbackError func(unit string, ev *event.Event, err error)
 	// Logf logs engine events; nil uses log.Printf.
@@ -190,13 +188,9 @@ func New(cfg Config) (*Engine, error) {
 	if cfg.Logf == nil {
 		cfg.Logf = log.Printf
 	}
-	audit := cfg.Audit
-	if audit == nil {
-		audit = &jail.Audit{}
-	}
 	return &Engine{
 		cfg:   cfg,
-		audit: audit,
+		audit: &jail.Audit{},
 		units: make(map[string]*unitRuntime),
 	}, nil
 }
