@@ -50,6 +50,7 @@ var trustedPackages = map[string]bool{
 	"internal/core":       true,
 	"internal/labelmgr":   true, // edits the live policy: §5.2 "scripts that edit it must be audited"
 	"internal/federation": true, // asserts labels across instance boundaries
+	"internal/park":       true, // every backend wait: teardown and deadlines end them
 }
 
 // toolingPackages are the development-tooling trees (each entry covers

@@ -6,7 +6,6 @@ import (
 	"io"
 	"math/rand"
 	"net"
-	"runtime"
 	"strconv"
 	"sync"
 	"sync/atomic"
@@ -230,14 +229,7 @@ func feedUnacked(srv *Server, sub string) (n int64, slots int) {
 
 // feedWaiting reports whether a replay feed is parked waiting for its
 // window.
-func feedWaiting() bool { return goroutineIn("(*replayFeed).waitWindow") }
-
-// goroutineIn reports whether some goroutine's stack is in the named
-// function.
-func goroutineIn(fn string) bool {
-	buf := make([]byte, 1<<20)
-	return bytes.Contains(buf[:runtime.Stack(buf, true)], []byte(fn))
-}
+func feedWaiting() bool { return windowSite.Parked() > 0 }
 
 // TestDurableAckCountNoOps: an ACK of zero deliveries, a stale count and a
 // repeated one change nothing and are not errors.

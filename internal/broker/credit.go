@@ -5,9 +5,9 @@ import (
 	"net"
 	"sync"
 	"sync/atomic"
-	"time"
 
 	"safeweb/internal/event"
+	"safeweb/internal/park"
 )
 
 // Credit-based flow control: the proactive half of slow-consumer
@@ -40,6 +40,9 @@ import (
 // exhausted before the overflow policy takes over.
 const creditPending = 32
 
+// ringSite is where a publisher parks on a full credit ring.
+var ringSite = park.NewSite("broker.credit-ring")
+
 // wireSub is one wire subscription: a live one's broker registration and
 // optional credit window (credit is nil for a subscription that advertised
 // no window — infinite credit, the pre-credit wire behaviour), or a
@@ -56,7 +59,7 @@ type wireSub struct {
 //
 // The atomics are the fast path: tryClaim runs on the publishing goroutine
 // for every matched delivery and takes no lock. mu guards the pending
-// ring, its wake channel and the closed flag; lock order is
+// ring and the closed flag; lock order is
 // creditState.mu before Server.mu (drain paths call into delivery
 // accounting, which may take the server lock) — never acquire
 // creditState.mu while holding Server.mu.
@@ -74,11 +77,11 @@ type creditState struct {
 	// once it is in the writer queue, so parked stays nonzero until then.
 	parked atomic.Int32
 
+	// space is what publishers parked on a full ring under OverflowBlock
+	// wait on; a drain that frees a slot and closeSub wake it.
+	space park.Gate
+
 	mu sync.Mutex
-	// wake, when set, is what publishers blocked on a full ring under
-	// OverflowBlock wait on; wakeLocked closes and clears it once a drain
-	// frees a slot or the subscription closes.
-	wake chan struct{}
 	// ring is the bounded pending buffer, a circular queue of n events
 	// starting at head.
 	ring    []*event.Event
@@ -138,12 +141,11 @@ func (c *creditState) popLocked() *event.Event {
 	return ev
 }
 
-// wakeLocked releases every publisher waiting for ring space.
-func (c *creditState) wakeLocked() {
-	if c.wake != nil {
-		close(c.wake)
-		c.wake = nil
-	}
+// hasSpace reports whether the pending ring has a free slot.
+func (c *creditState) hasSpace() bool {
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	return c.n < len(c.ring)
 }
 
 // parkDelivery handles a matched delivery that could not claim credit: it
@@ -153,8 +155,12 @@ func (c *creditState) wakeLocked() {
 // queue's machinery acting as safety net. Runs on the publishing goroutine; under
 // OverflowBlock a full ring blocks it, as a full write queue does one
 // layer down, until a drain frees a slot, the subscription or the server
-// closes, or WriteTimeout passes. A stall run starts when a delivery
-// finds the ring empty and stays parked after the drain.
+// closes, or WriteTimeout passes: the consumer has stopped granting, as a
+// peer that fails its write deadline has stopped reading, and it is
+// evicted. The wait may be the consumer's own read loop publishing to its
+// own subscription, which no grant can then reach; the bound ends it. A
+// stall run starts when a delivery finds the ring empty and stays parked
+// after the drain.
 func (s *Server) parkDelivery(ss *serverSession, ws *wireSub, clientSubID string, ev *event.Event) {
 	c := ws.credit
 	c.mu.Lock()
@@ -164,16 +170,14 @@ func (s *Server) parkDelivery(ss *serverSession, ws *wireSub, clientSubID string
 			s.suppress(ss, clientSubID, ev, ErrSlowConsumer)
 			return
 		}
-		if c.wake == nil {
-			c.wake = make(chan struct{})
-		}
-		wake := c.wake
 		c.mu.Unlock()
-		if err := s.awaitSpace(wake); err != nil {
+		switch err := c.space.Wait(c.hasSpace, s.closing, s.cfg.WriteTimeout, ringSite); {
+		case errors.Is(err, park.ErrDeadline):
+			s.suppress(ss, clientSubID, ev, ErrSlowConsumer)
+			s.evict(ss)
+			return
+		case err != nil:
 			s.suppress(ss, clientSubID, ev, err)
-			if errors.Is(err, ErrSlowConsumer) {
-				s.evict(ss)
-			}
 			return
 		}
 		c.mu.Lock()
@@ -191,29 +195,6 @@ func (s *Server) parkDelivery(ss *serverSession, ws *wireSub, clientSubID string
 	if stalled {
 		s.creditStalls.Add(1)
 		ss.creditStalls.Add(1)
-	}
-}
-
-// awaitSpace waits until wake closes, and fails with net.ErrClosed when
-// the server closes first, or with ErrSlowConsumer when WriteTimeout
-// passes first: the consumer has stopped granting, as a peer that fails
-// its write deadline has stopped reading, and the caller evicts it. The
-// wait may be the consumer's own read loop publishing to its own
-// subscription, which no grant can then reach; the bound ends it.
-func (s *Server) awaitSpace(wake <-chan struct{}) error {
-	var timeout <-chan time.Time
-	if s.cfg.WriteTimeout > 0 {
-		t := time.NewTimer(s.cfg.WriteTimeout)
-		defer t.Stop()
-		timeout = t.C
-	}
-	select {
-	case <-wake:
-		return nil
-	case <-s.closing:
-		return net.ErrClosed
-	case <-timeout:
-		return ErrSlowConsumer
 	}
 }
 
@@ -263,7 +244,7 @@ func (s *Server) drainLocked(ss *serverSession, clientSubID string, ws *wireSub)
 		c.popLocked()
 	}
 	if c.n < len(c.ring) {
-		c.wakeLocked()
+		c.space.Wake()
 	}
 }
 
@@ -286,7 +267,7 @@ func (s *Server) closeSub(ss *serverSession, clientSubID string, ws *wireSub) {
 	for c.n > 0 {
 		dropped = append(dropped, c.popLocked())
 	}
-	c.wakeLocked()
+	c.space.Wake()
 	c.mu.Unlock()
 	for _, ev := range dropped {
 		s.suppress(ss, clientSubID, ev, net.ErrClosed)

@@ -2,12 +2,10 @@ package broker_test
 
 import (
 	"bufio"
-	"bytes"
 	"errors"
 	"fmt"
 	"net"
 	"os"
-	"runtime"
 	"strconv"
 	"sync"
 	"sync/atomic"
@@ -226,10 +224,7 @@ func waitFor(t testing.TB, what string, cond func() bool) {
 
 // ringWaiting reports whether some publisher is waiting for space in a
 // full credit ring.
-func ringWaiting() bool {
-	buf := make([]byte, 1<<20)
-	return bytes.Contains(buf[:runtime.Stack(buf, true)], []byte("(*Server).awaitSpace"))
-}
+func ringWaiting() bool { return broker.RingParked() > 0 }
 
 // closeWithin fails the test unless srv.Close returns within d.
 func closeWithin(t *testing.T, srv *broker.Server, d time.Duration) {

@@ -11,6 +11,7 @@ import (
 
 	"safeweb/internal/event"
 	"safeweb/internal/journal"
+	"safeweb/internal/park"
 	"safeweb/internal/stomp"
 )
 
@@ -47,7 +48,7 @@ import (
 //     Redelivery after a crash or resubscribe is exactly the unacked
 //     suffix: at-least-once delivery with idempotent acks.
 //
-//   - A replay feed paces itself in one place (replayFeed.waitWindow):
+//   - A replay feed paces itself in one place (replayFeed.window):
 //     before it queues a record it waits while the credit window, when
 //     the SUBSCRIBE advertised one, is used up, or while a grouped feed
 //     has maxUnackedReplay deliveries unacked. An ACK applies the count
@@ -236,6 +237,9 @@ func (s *Server) isDurableTopic(topic string) bool {
 // therefore stops receiving after maxUnackedReplay deliveries.
 const maxUnackedReplay = 4096
 
+// windowSite is where a replay feed parks while its window is shut.
+var windowSite = park.NewSite("broker.replay-window")
+
 // replayFeed is the per-durable-subscription tailing goroutine's handle:
 // the journal it reads, the consumer's clearance gate, the consumer group
 // whose acks it applies, its delivery window, and the stop signal
@@ -246,9 +250,9 @@ type replayFeed struct {
 	group    string
 	done     chan struct{}
 	stopOnce sync.Once
-	// wake is a one-slot doorbell: ack rings it, and a feed waiting for
-	// its window selects on it beside done.
-	wake chan struct{}
+	// window is what the feed parks on while its window is shut; ack
+	// wakes it.
+	window park.Gate
 
 	// mu guards the window: sent counts the deliveries queued, acked the
 	// count the consumer has acked, and granted its cumulative credit
@@ -260,23 +264,13 @@ type replayFeed struct {
 	offs                 []int64
 }
 
-// waitWindow blocks until the feed may queue one more delivery: its credit
-// window has room and, for a grouped feed, fewer than maxUnackedReplay
-// deliveries are unacked. It returns false at teardown.
-func (f *replayFeed) waitWindow() bool {
-	for {
-		f.mu.Lock()
-		open := (f.granted == 0 || f.sent < f.granted) && (f.group == "" || f.sent-f.acked < maxUnackedReplay)
-		f.mu.Unlock()
-		if open {
-			return true
-		}
-		select {
-		case <-f.done:
-			return false
-		case <-f.wake:
-		}
-	}
+// windowOpen reports whether the feed may queue one more delivery: its
+// credit window has room and, for a grouped feed, fewer than
+// maxUnackedReplay deliveries are unacked.
+func (f *replayFeed) windowOpen() bool {
+	f.mu.Lock()
+	defer f.mu.Unlock()
+	return (f.granted == 0 || f.sent < f.granted) && (f.group == "" || f.sent-f.acked < maxUnackedReplay)
 }
 
 // record counts the delivery the feed is about to queue and, for a
@@ -317,10 +311,7 @@ func (f *replayFeed) ack(k, grant int64) (int64, error) {
 		}
 	}
 	f.granted = max(f.granted, grant)
-	select {
-	case f.wake <- struct{}{}:
-	default:
-	}
+	f.window.Wake()
 	return mark, nil
 }
 
@@ -379,7 +370,7 @@ func (s *Server) subscribeDurable(ss *serverSession, clientID, topic, sel, offSt
 	}
 
 	f := &replayFeed{clearance: clearance{principal: ss.sess.Login()}, j: j, group: group,
-		done: make(chan struct{}), wake: make(chan struct{}, 1), granted: window}
+		done: make(chan struct{}), granted: window}
 	s.mu.Lock()
 	ss.subs[clientID] = &wireSub{replay: f}
 	s.mu.Unlock()
@@ -388,7 +379,7 @@ func (s *Server) subscribeDurable(ss *serverSession, clientID, topic, sel, offSt
 }
 
 // runReplay tails the journal from offset next, delivering each readable
-// record to the consumer and then blocking on the append signal for more —
+// record to the consumer and then waiting for the journal to publish more —
 // the durable subscription's delivery loop. It reads the journal a run of
 // up to 64 records (and 64 KiB) at a time, into one buffer the delivered
 // images alias; an idle feed keeps its last run's buffer until its next
@@ -408,9 +399,6 @@ func (s *Server) runReplay(ss *serverSession, f *replayFeed, clientSubID, topic 
 	var labels event.LabelCache
 	var run [64]journal.Record
 	for {
-		// Grab the signal before reading the bound: an append between the
-		// two closes this channel, so the wait below cannot miss it.
-		sig := f.j.AppendSignal()
 		for end := f.j.NextOffset(); next < end; {
 			n, err := f.j.ReadRun(next, run[:])
 			if err != nil {
@@ -448,10 +436,11 @@ func (s *Server) runReplay(ss *serverSession, f *replayFeed, clientSubID, topic 
 					s.replayFiltered.Add(1)
 					continue
 				}
-				// Wait for the window (credit, unacked deliveries); it
-				// closes only at teardown. A record refused after the wait
-				// was never counted, so it takes no room in the window.
-				if !f.waitWindow() {
+				// Wait for the window (credit, unacked deliveries); the
+				// wait ends without it only at teardown. A record refused
+				// after the wait was never counted, so it takes no room in
+				// the window.
+				if f.window.Wait(f.windowOpen, f.done, 0, windowSite) != nil {
 					return
 				}
 				if g := policy.Generation(); g != gen && !conf.IsEmpty() && !f.clears(policy, g, conf) {
@@ -472,10 +461,8 @@ func (s *Server) runReplay(ss *serverSession, f *replayFeed, clientSubID, topic 
 				s.replayDeliveries.Add(1)
 			}
 		}
-		select {
-		case <-f.done:
+		if !f.j.WaitAppend(next, f.done) {
 			return
-		case <-sig:
 		}
 	}
 }

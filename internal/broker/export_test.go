@@ -27,6 +27,10 @@ func (s *Server) KillSessionAndDeliver(sessionID uint64, clientSubID string, ev 
 	return true
 }
 
+// RingParked reports how many publishers, process-wide, are parked on a
+// full credit ring.
+func RingParked() int { return ringSite.Parked() }
+
 // subsSnapshot exposes the current subscription list for tests.
 func (b *Broker) subsSnapshot() []*Subscription {
 	b.mu.RLock()

@@ -82,7 +82,7 @@ func testCreditRevoke(t *testing.T, parkedN int, waiting bool) {
 			defer close(published)
 			publish(seq, label.Conf("ecric.org.uk/mdt/7"))
 		}(next)
-		waitFor(t, "publisher waiting for ring space", func() bool { return goroutineIn("(*Server).awaitSpace") })
+		waitFor(t, "publisher waiting for ring space", func() bool { return ringSite.Parked() > 0 })
 		refused, next = refused+1, next+1
 	} else {
 		close(published)

@@ -109,8 +109,13 @@ type ServerConfig struct {
 	// a publisher's wait for space in a credited subscription's full
 	// pending ring: a consumer that stops granting for that long is
 	// evicted (SlowConsumerEvictions) and the delivery is counted in
-	// OverflowDrops. Zero disables both bounds; Server.Close still ends
-	// every wait.
+	// OverflowDrops. Zero disables both bounds. Whatever the peers do,
+	// Server.Close returns within closeFlushTimeout (2 s: the sessions'
+	// close drains, armed together) plus one callback (OnDeliveryError):
+	// it ends every wait on a session's writer queue or credit ring and
+	// counts the delivery a wait held in DroppedDeliveries. A nonzero
+	// WriteTimeout re-arms each write of a drain, so a peer still reading,
+	// slowly, can stretch it.
 	WriteTimeout time.Duration
 	// OnDeliveryError observes deliveries the network front had to drop —
 	// an event that matched a subscription but could not be marshalled

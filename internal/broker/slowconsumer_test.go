@@ -15,6 +15,7 @@ import (
 	"safeweb/internal/engine"
 	"safeweb/internal/event"
 	"safeweb/internal/label"
+	"safeweb/internal/park"
 	"safeweb/internal/stomp"
 )
 
@@ -122,6 +123,78 @@ func TestDeadSessionDeliveryAccounted(t *testing.T) {
 	if got := srv.Stats().OverflowDrops; got != 0 {
 		t.Errorf("OverflowDrops = %d, want 0 (transport failure is not an overflow)", got)
 	}
+}
+
+// TestServerCloseStalledConsumer: under the default ServerConfig (no
+// WriteTimeout), a consumer that subscribes and never reads fills its
+// session's writer queue until a delivery parks on it, holding the
+// publisher's read loop. Server.Close must still return, and the parked
+// delivery is counted in DroppedDeliveries.
+func TestServerCloseStalledConsumer(t *testing.T) {
+	br := broker.New(label.NewPolicy())
+	defer br.Close()
+	srv, err := broker.NewServer("127.0.0.1:0", br, broker.ServerConfig{Logf: t.Logf})
+	if err != nil {
+		t.Fatalf("NewServer: %v", err)
+	}
+	defer srv.Close()
+	stalled := dialStalled(t, srv.Addr(), "stalled", "/stall", "s-0")
+	defer stalled.Close()
+
+	pub, err := net.Dial("tcp", srv.Addr())
+	if err != nil {
+		t.Fatalf("dial publisher: %v", err)
+	}
+	defer pub.Close()
+	var enc stomp.Encoder
+	dec := stomp.NewDecoder(bufio.NewReader(pub))
+	connect := stomp.NewFrame(stomp.CmdConnect)
+	connect.SetHeader(stomp.HdrLogin, "publisher")
+	if err := enc.Encode(pub, connect); err != nil {
+		t.Fatalf("publisher CONNECT: %v", err)
+	}
+	if f, err := dec.Decode(); err != nil || f.Command != stomp.CmdConnected {
+		t.Fatalf("publisher handshake: frame %v, err %v", f, err)
+	}
+	// Publish 16 KiB events one receipt at a time. The first whose
+	// delivery parks on the stalled queue gets no RECEIPT until Close, and
+	// is the last.
+	var halt atomic.Bool
+	published := make(chan struct{})
+	go func() {
+		defer close(published)
+		body := make([]byte, 16<<10)
+		for i := 1; !halt.Load(); i++ {
+			send := stomp.NewFrame(stomp.CmdSend)
+			send.SetHeader(stomp.HdrDestination, "/stall")
+			send.SetHeader(stomp.HdrReceipt, strconv.Itoa(i))
+			send.Body = body
+			if enc.Encode(pub, send) != nil {
+				return
+			}
+			if f, err := dec.Decode(); err != nil || f.Command != stomp.CmdReceipt {
+				return
+			}
+		}
+	}()
+	waitFor(t, "a delivery parked on the stalled consumer's writer queue", func() bool { return parkedAt("stomp.enqueue") > 0 })
+	halt.Store(true)
+	closeWithin(t, srv, 5*time.Second)
+	<-published
+	if got := srv.Stats().DroppedDeliveries; got != 1 {
+		t.Errorf("DroppedDeliveries = %d, want 1 (the parked delivery)", got)
+	}
+}
+
+// parkedAt reads how many goroutines, process-wide, are parked at the
+// named park site.
+func parkedAt(name string) int {
+	for _, s := range park.Sites() {
+		if s.Name() == name {
+			return s.Parked()
+		}
+	}
+	return 0
 }
 
 // dialStalled connects a raw STOMP subscriber that completes the CONNECT

@@ -31,6 +31,7 @@ import (
 	"safeweb/internal/event"
 	"safeweb/internal/jail"
 	"safeweb/internal/label"
+	"safeweb/internal/park"
 )
 
 // Unit is an event processing unit: one application component realised "as
@@ -67,6 +68,9 @@ type BusFactory func(principal string) (broker.Bus, error)
 // callbacks on fresh threads); a bounded queue gives back-pressure instead
 // of unbounded memory growth.
 const queueSize = 256
+
+// pushSite is where a delivery parks on a full subscription queue.
+var pushSite = park.NewSite("engine.push")
 
 // Config configures an Engine.
 type Config struct {
@@ -132,24 +136,22 @@ type subQueue struct {
 	mu     sync.RWMutex
 	closed bool
 	ch     chan queuedEvent
+	stop   chan struct{} // closed by close before it takes mu
 }
 
 // push enqueues qe unless the queue is closed, reporting whether it was
-// accepted. It may block while the queue is full; close waits for blocked
-// pushes, whose events the still-running worker drains first.
+// accepted. While the queue is full it parks, until the worker makes room
+// or close refuses it.
 func (q *subQueue) push(qe queuedEvent) bool {
 	q.mu.RLock()
 	defer q.mu.RUnlock()
-	if q.closed {
-		return false
-	}
-	q.ch <- qe
-	return true
+	return !q.closed && park.Send(q.ch, qe, q.stop, pushSite) == nil
 }
 
-// close marks the queue closed and closes the channel, ending its worker
-// once the backlog is drained.
+// close refuses every parked push, marks the queue closed and closes the
+// channel, ending its worker once the backlog is drained.
 func (q *subQueue) close() {
+	close(q.stop)
 	q.mu.Lock()
 	q.closed = true
 	q.mu.Unlock()
@@ -166,15 +168,22 @@ type queuedEvent struct {
 	cb Callback
 }
 
-// shutdown closes the unit's queues and waits for its workers. Callers
-// must have closed the unit's bus first (no further deliveries) and hold
-// a queues snapshot taken under the engine lock, or own the runtime
-// exclusively (AddUnit before registration).
-func (rt *unitRuntime) shutdown() {
-	for _, q := range rt.queues {
-		q.close()
+// shutdown closes the queues of units, then waits for their workers,
+// which exit once they have run the backlog. Every queue is closed before
+// any worker is waited for: a worker parked pushing to another unit's full
+// queue is released by that queue's close. Callers must have closed the
+// units' buses first (no further deliveries) and hold a queues snapshot
+// taken under the engine lock, or own the runtime exclusively (AddUnit
+// before registration).
+func shutdown(units ...*unitRuntime) {
+	for _, rt := range units {
+		for _, q := range rt.queues {
+			q.close()
+		}
 	}
-	rt.wg.Wait()
+	for _, rt := range units {
+		rt.wg.Wait()
+	}
 }
 
 // New creates an engine.
@@ -249,7 +258,7 @@ func (e *Engine) AddUnit(u Unit) error {
 	if err := u.Init(ictx); err != nil {
 		ictx.engine = nil // invalidate retained contexts
 		_ = bus.Close()
-		rt.shutdown()
+		shutdown(rt)
 		return fmt.Errorf("engine: init unit %q: %w", name, err)
 	}
 	ictx.engine = nil // invalidate retained contexts
@@ -261,7 +270,7 @@ func (e *Engine) AddUnit(u Unit) error {
 		// of leaking.
 		e.mu.Unlock()
 		_ = bus.Close()
-		rt.shutdown()
+		shutdown(rt)
 		return errors.New("engine: closed")
 	}
 	e.units[name] = rt
@@ -320,7 +329,14 @@ func (e *Engine) Drain() {
 	}
 }
 
-// Stop drains in-flight work, closes unit buses and stops queue workers.
+// Stop closes unit buses, then every unit's queues, and waits for the
+// queue workers to run what was queued. A delivery parked on a full queue
+// is refused and released, never waited for. So whatever the peers do,
+// Stop returns within the buses' close drains (the stomp writer's
+// closeFlushTimeout, 2 s, for each networked bus whose broker stopped
+// reading; nothing in process) plus the callbacks already queued, whose
+// publishes fail fast on a closed bus or are dropped at a closed queue. A
+// callback that never returns is outside the bound.
 func (e *Engine) Stop() {
 	e.mu.Lock()
 	if e.closed {
@@ -331,16 +347,13 @@ func (e *Engine) Stop() {
 	units := slices.Collect(maps.Values(e.units))
 	e.mu.Unlock()
 
-	// Stop inflow first, then drain: shutdown closes each queue and waits
-	// for its worker, which runs the backlog first. rt.queues is frozen
-	// once e.closed is set (Subscribe rejects under the engine lock), so
-	// the snapshot read in shutdown is race-free.
+	// Stop inflow first, then drain. rt.queues is frozen once e.closed is
+	// set (Subscribe rejects under the engine lock), so the snapshot read
+	// in shutdown is race-free.
 	for _, rt := range units {
 		_ = rt.bus.Close()
 	}
-	for _, rt := range units {
-		rt.shutdown()
-	}
+	shutdown(units...)
 }
 
 // runCallback executes one callback invocation with label tracking and
@@ -419,7 +432,7 @@ func (c *InitContext) Subscribe(topic, sel string, cb Callback) error {
 	}
 	e, rt := c.engine, c.rt
 
-	queue := &subQueue{ch: make(chan queuedEvent, queueSize)}
+	queue := &subQueue{ch: make(chan queuedEvent, queueSize), stop: make(chan struct{})}
 	e.mu.Lock()
 	if e.closed {
 		e.mu.Unlock()

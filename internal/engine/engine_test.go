@@ -569,7 +569,7 @@ func TestContextInvalidAfterCallback(t *testing.T) {
 // teardown (publisher routed through a pre-unsubscribe route-table
 // snapshot) is dropped, not a send on a closed channel.
 func TestSubQueuePushAfterClose(t *testing.T) {
-	q := &subQueue{ch: make(chan queuedEvent, 1)}
+	q := &subQueue{ch: make(chan queuedEvent, 1), stop: make(chan struct{})}
 	if !q.push(queuedEvent{}) {
 		t.Fatal("push on open queue rejected")
 	}
@@ -580,6 +580,66 @@ func TestSubQueuePushAfterClose(t *testing.T) {
 	q.close()
 	if q.push(queuedEvent{}) {
 		t.Error("push on closed queue accepted")
+	}
+}
+
+// TestEngineStopBlockedPublish: two units relay /ping ↔ /pong with no hop
+// limit while a producer injects more events than both queues hold, so
+// both workers and the producer end parked, each pushing to a full queue.
+// Stop must still return: closing a queue refuses the pushes parked on
+// it.
+func TestEngineStopBlockedPublish(t *testing.T) {
+	policy := label.NewPolicy()
+	b := broker.New(policy)
+	defer b.Close()
+	e, err := New(Config{
+		Policy: policy,
+		Bus:    func(principal string) (broker.Bus, error) { return b.Endpoint(principal), nil },
+		Logf:   t.Logf,
+	})
+	if err != nil {
+		t.Fatalf("New: %v", err)
+	}
+	relay := func(name, in, out string) Unit {
+		return &FuncUnit{UnitName: name, InitFunc: func(ctx *InitContext) error {
+			return ctx.Subscribe(in, "", func(ctx *Context, ev *event.Event) error {
+				return ctx.Publish(out, nil, nil)
+			})
+		}}
+	}
+	for _, u := range []Unit{relay("a", "/ping", "/pong"), relay("b", "/pong", "/ping")} {
+		if err := e.AddUnit(u); err != nil {
+			t.Fatalf("AddUnit: %v", err)
+		}
+	}
+	produced := make(chan struct{})
+	go func() {
+		defer close(produced)
+		for range 2*queueSize + 64 {
+			_ = b.Publish("producer", event.New("/ping", nil))
+		}
+	}()
+	deadline := time.Now().Add(10 * time.Second)
+	for pushSite.Parked() < 3 {
+		if time.Now().After(deadline) {
+			t.Fatalf("%d pushes parked, want both workers and the producer", pushSite.Parked())
+		}
+		time.Sleep(time.Millisecond)
+	}
+
+	stopped := make(chan struct{})
+	go func() {
+		e.Stop()
+		close(stopped)
+	}()
+	select {
+	case <-stopped:
+	case <-time.After(5 * time.Second):
+		t.Fatal("Stop did not return within 5s of two workers parked on each other's full queues")
+	}
+	<-produced
+	if n := pushSite.Parked(); n != 0 {
+		t.Fatalf("%d pushes still parked after Stop, want 0", n)
 	}
 }
 

@@ -63,6 +63,8 @@ import (
 	"sync"
 	"sync/atomic"
 	"time"
+
+	"safeweb/internal/park"
 )
 
 // SyncPolicy selects when appends reach stable storage.
@@ -179,6 +181,9 @@ var ErrOffsetCompacted = errors.New("journal: offset compacted away")
 // errClosed reports use of a closed journal.
 var errClosed = errors.New("journal: closed")
 
+// tailSite is where a tailing reader parks in WaitAppend.
+var tailSite = park.NewSite("journal.tail")
+
 // segment is one log file holding records [base, base+len(pos)).
 type segment struct {
 	*logFile
@@ -226,10 +231,8 @@ type Journal struct {
 	// ErrOffsetCompacted.
 	first atomic.Int64
 
-	// signal is closed (and replaced) after every committed append — the
-	// tailing-replay wakeup. Grab AppendSignal before reading NextOffset
-	// and no append can slip between the check and the wait.
-	signal atomic.Pointer[chan struct{}]
+	// tail wakes the readers parked in WaitAppend after every commit.
+	tail park.Gate
 
 	mu     sync.Mutex // guards segs, scratch and append/roll/compact
 	segs   []*segment
@@ -290,8 +293,6 @@ func Open(dir string, opts Options) (*Journal, error) {
 		onCompact:   opts.OnCompact,
 		now:         func() int64 { return time.Now().UnixNano() },
 	}
-	ch := make(chan struct{})
-	j.signal.Store(&ch)
 	if err := j.openFiles(); err != nil {
 		j.closeLocked()
 		return nil, err
@@ -364,7 +365,7 @@ func segmentNames(dir string) ([]string, error) {
 
 // Append writes one record and returns its offset. The record is framed,
 // written with a single write call and committed (made visible to
-// NextOffset and the append signal) only afterwards — under SyncBatch
+// NextOffset and WaitAppend) only afterwards — under SyncBatch
 // only once the syncer's next fsync returns, which Append does not wait
 // for — so a crash can tear at most the records not yet published,
 // exactly what Open's tail truncation repairs.
@@ -416,14 +417,10 @@ func (j *Journal) Append(rec *Record) (int64, error) {
 }
 
 // commitLocked publishes every record below upTo: advance the readable
-// bound, then wake tailing readers. A reader that grabbed the signal
-// before this commit sees the close; a reader that grabs it after sees the
-// advanced NextOffset.
+// bound, then wake tailing readers.
 func (j *Journal) commitLocked(upTo int64) {
 	j.next.Store(upTo)
-	ch := make(chan struct{})
-	old := j.signal.Swap(&ch)
-	close(*old)
+	j.tail.Wake()
 }
 
 // kickSyncer wakes the SyncBatch syncer without blocking: a wakeup already
@@ -737,11 +734,13 @@ func (j *Journal) NextOffset() int64 { return j.next.Load() }
 // bound of readable offsets, advanced by compaction and retention.
 func (j *Journal) FirstOffset() int64 { return j.first.Load() }
 
-// AppendSignal returns a channel closed when a record is published after
-// this call. Tailing readers must grab the signal before checking
-// NextOffset: an append between the two closes the already-grabbed
-// channel, so the wait cannot miss it.
-func (j *Journal) AppendSignal() <-chan struct{} { return *j.signal.Load() }
+// WaitAppend blocks until the record at off is published (NextOffset
+// passes it) or done closes, and reports whether the record was
+// published. A tailing reader parks here once it has read everything
+// below NextOffset.
+func (j *Journal) WaitAppend(off int64, done <-chan struct{}) bool {
+	return j.tail.Wait(func() bool { return j.next.Load() > off }, done, 0, tailSite) == nil
+}
 
 // Close closes the journal's files, syncing any pending SyncBatch batch
 // first, and returns once the syncer has exited. Appends, acks and reads

@@ -173,52 +173,52 @@ func TestJournalAckMaxWins(t *testing.T) {
 	}
 }
 
-// TestJournalAppendSignal checks the missed-wakeup-free tailing protocol:
-// grab the signal, then read the bound; an append between the two closes
-// the grabbed channel.
-func TestJournalAppendSignal(t *testing.T) {
+// TestJournalWaitAppend checks the tailing wait: a published record wins
+// over done, an unpublished one does not, and a reader parked before an
+// append is woken by it.
+func TestJournalWaitAppend(t *testing.T) {
 	j, err := Open(t.TempDir(), Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
 	defer j.Close()
 
-	sig := j.AppendSignal()
-	select {
-	case <-sig:
-		t.Fatal("signal closed before any append")
-	default:
+	closed := make(chan struct{})
+	close(closed)
+	if j.WaitAppend(0, closed) {
+		t.Fatal("WaitAppend(0) reported a record before any append")
 	}
 	mustAppend(t, j, testRecord(0))
-	select {
-	case <-sig:
-	case <-time.After(2 * time.Second):
-		t.Fatal("signal not closed by append")
+	if !j.WaitAppend(0, closed) {
+		t.Fatal("WaitAppend(0) after its append lost to a closed done")
 	}
 
 	// A tailing reader sees records appended after it started waiting.
-	got := make(chan int64, 1)
-	ready := make(chan struct{})
-	go func() {
-		for {
-			sig := j.AppendSignal()
-			if end := j.NextOffset(); end >= 2 {
-				got <- end
-				return
-			}
-			close(ready)
-			<-sig
-		}
-	}()
-	<-ready
+	stop := make(chan struct{})
+	defer close(stop)
+	got := make(chan bool, 1)
+	go func() { got <- j.WaitAppend(1, stop) }()
+	waitTailParked(t, 1)
 	mustAppend(t, j, testRecord(1))
 	select {
-	case end := <-got:
-		if end != 2 {
-			t.Fatalf("tailing reader saw bound %d, want 2", end)
+	case ok := <-got:
+		if !ok {
+			t.Fatal("tailing reader's wait ended without the record")
 		}
 	case <-time.After(2 * time.Second):
 		t.Fatal("tailing reader never woke")
+	}
+}
+
+// waitTailParked waits until n readers are parked in WaitAppend.
+func waitTailParked(t *testing.T, n int) {
+	t.Helper()
+	deadline := time.Now().Add(5 * time.Second)
+	for tailSite.Parked() != n {
+		if time.Now().After(deadline) {
+			t.Fatalf("%d readers parked in WaitAppend, want %d", tailSite.Parked(), n)
+		}
+		time.Sleep(time.Millisecond)
 	}
 }
 
@@ -240,7 +240,6 @@ func TestJournalConcurrentReadersAndAppends(t *testing.T) {
 			var rec Record
 			next := int64(0)
 			for next < n {
-				sig := j.AppendSignal()
 				end := j.NextOffset()
 				for next < end {
 					if err := j.Read(next, &rec); err != nil {
@@ -250,7 +249,7 @@ func TestJournalConcurrentReadersAndAppends(t *testing.T) {
 					next++
 				}
 				if next < n {
-					<-sig
+					j.WaitAppend(next, nil)
 				}
 			}
 		}()

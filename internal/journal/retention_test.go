@@ -391,19 +391,14 @@ func (g *syncGate) waitHeld(t *testing.T) string {
 	}
 }
 
-// waitPublished waits, on the append signal, until NextOffset reaches n.
+// waitPublished waits, in WaitAppend, until NextOffset reaches n.
 func waitPublished(t *testing.T, j *Journal, n int64) {
 	t.Helper()
-	for {
-		sig := j.AppendSignal()
-		if j.NextOffset() >= n {
-			return
-		}
-		select {
-		case <-sig:
-		case <-time.After(5 * time.Second):
-			t.Fatalf("NextOffset stuck at %d, want %d", j.NextOffset(), n)
-		}
+	stop := make(chan struct{})
+	timer := time.AfterFunc(5*time.Second, func() { close(stop) })
+	defer timer.Stop()
+	if !j.WaitAppend(n-1, stop) {
+		t.Fatalf("NextOffset stuck at %d, want %d", j.NextOffset(), n)
 	}
 }
 
@@ -413,7 +408,13 @@ func TestSyncBatchPublishesOnlyAfterFlush(t *testing.T) {
 
 	release := g.hold()
 	defer release(nil)
-	sig := j.AppendSignal()
+	// A tailing reader parked before the append must be woken by its
+	// publication, and not before.
+	stop := make(chan struct{})
+	defer close(stop)
+	woken := make(chan bool, 1)
+	go func() { woken <- j.WaitAppend(0, stop) }()
+	waitTailParked(t, 1)
 	off, err := j.Append(testRecord(0))
 	if err != nil {
 		t.Fatal(err)
@@ -423,13 +424,13 @@ func TestSyncBatchPublishesOnlyAfterFlush(t *testing.T) {
 	}
 	g.waitHeld(t)
 	// The record is written and the fsync covering it has begun but not
-	// returned: it must not be published — not readable, no signal.
+	// returned: it must not be published — not readable, no wake-up.
 	if got := j.NextOffset(); got != 0 {
 		t.Fatalf("NextOffset = %d during the fsync, want 0", got)
 	}
 	select {
-	case <-sig:
-		t.Fatal("append signal fired before the fsync returned")
+	case <-woken:
+		t.Fatal("tailing reader woke before the fsync returned")
 	default:
 	}
 	var rec Record
@@ -439,9 +440,12 @@ func TestSyncBatchPublishesOnlyAfterFlush(t *testing.T) {
 
 	release(nil)
 	select {
-	case <-sig:
+	case ok := <-woken:
+		if !ok {
+			t.Fatal("tailing reader's wait ended without the record")
+		}
 	case <-time.After(5 * time.Second):
-		t.Fatal("append signal did not fire once the fsync returned")
+		t.Fatal("tailing reader not woken once the fsync returned")
 	}
 	if got := j.NextOffset(); got != 1 {
 		t.Fatalf("NextOffset = %d after the fsync, want 1", got)
@@ -621,13 +625,11 @@ func TestSyncBatchHeldFsyncRace(t *testing.T) {
 	go func() {
 		defer close(watched)
 		for {
-			sig := j.AppendSignal()
-			if first, next := j.FirstOffset(), j.NextOffset(); first > next {
+			first, next := j.FirstOffset(), j.NextOffset()
+			if first > next {
 				t.Errorf("FirstOffset %d passed NextOffset %d", first, next)
 			}
-			select {
-			case <-sig:
-			case <-stop:
+			if !j.WaitAppend(next, stop) {
 				return
 			}
 		}

@@ -9,6 +9,8 @@ import (
 	"sync"
 	"sync/atomic"
 	"time"
+
+	"safeweb/internal/park"
 )
 
 // MessageViewHandler consumes the MESSAGE frames delivered to one
@@ -22,6 +24,9 @@ type MessageViewHandler func(v *FrameView)
 
 // connectTimeout bounds dialing and the CONNECT handshake.
 const connectTimeout = 10 * time.Second
+
+// receiptSite is where WaitReceipt parks.
+var receiptSite = park.NewSite("stomp.receipt")
 
 // ClientConfig configures a Client.
 type ClientConfig struct {
@@ -62,12 +67,11 @@ type Client struct {
 
 	// numberMu orders taking a receipt number with enqueueing its frame;
 	// last is the newest number taken. confirmed moves only on the read
-	// loop, which closes and clears wake, under wakeMu, when it does.
+	// loop, which wakes receipts when it does.
 	numberMu  sync.Mutex
 	last      atomic.Uint64
 	confirmed atomic.Uint64
-	wakeMu    sync.Mutex
-	wake      chan struct{}
+	receipts  park.Gate
 
 	// inHandler is set while the read loop runs a subscription handler. A
 	// SubscribeView issued from inside a handler cannot wait for its RECEIPT
@@ -240,12 +244,7 @@ func (c *Client) confirm(id []byte) {
 		return
 	}
 	c.confirmed.Store(n)
-	c.wakeMu.Lock()
-	if c.wake != nil {
-		close(c.wake)
-		c.wake = nil
-	}
-	c.wakeMu.Unlock()
+	c.receipts.Wake()
 }
 
 // WaitReceipt blocks until receipt n is confirmed — by RECEIPT n or any
@@ -256,34 +255,11 @@ func (c *Client) WaitReceipt(n uint64, timeout time.Duration) error {
 	if timeout == 0 {
 		timeout = 10 * time.Second
 	}
-	var timer *time.Timer
-	for {
-		c.wakeMu.Lock()
-		if c.confirmed.Load() >= n {
-			c.wakeMu.Unlock()
-			return nil
-		}
-		if c.wake == nil {
-			c.wake = make(chan struct{})
-		}
-		wake := c.wake
-		c.wakeMu.Unlock()
-		if timer == nil {
-			timer = time.NewTimer(timeout)
-			defer timer.Stop()
-		}
-		select {
-		case <-wake:
-		case <-c.readDone:
-			// The read loop may have confirmed n just before dying.
-			if c.confirmed.Load() >= n {
-				return nil
-			}
-			return net.ErrClosed
-		case <-timer.C:
-			return fmt.Errorf("stomp: receipt %d timed out after %v", n, timeout)
-		}
+	err := c.receipts.Wait(func() bool { return c.confirmed.Load() >= n }, c.readDone, timeout, receiptSite)
+	if errors.Is(err, park.ErrDeadline) {
+		return fmt.Errorf("stomp: receipt %d timed out after %v", n, timeout)
 	}
+	return err
 }
 
 // SubscribeView registers a subscription on a destination with an

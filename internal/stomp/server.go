@@ -226,6 +226,11 @@ func (s *Server) Close() error {
 	s.mu.Unlock()
 
 	err := s.listener.Close()
+	// Every close drain's deadline is armed before any is waited for, so
+	// peers that stopped reading cost one closeFlushTimeout, not one each.
+	for _, sess := range sessions {
+		sess.fw.shut(true)
+	}
 	for _, sess := range sessions {
 		_ = sess.Close()
 	}

@@ -7,6 +7,8 @@ import (
 	"sync"
 	"sync/atomic"
 	"time"
+
+	"safeweb/internal/park"
 )
 
 // closeFlushTimeout bounds the final drain of a connection's write queue
@@ -20,6 +22,9 @@ const closeFlushTimeout = 2 * time.Second
 // a peer connection's read loop) — unless the sender chose the
 // non-blocking EnqueueTry.
 const defaultWriteQueueLen = 128
+
+// enqueueSite is where a sender parks on a full write queue.
+var enqueueSite = park.NewSite("stomp.enqueue")
 
 // resolveWriteQueueLen maps a configured queue length to the effective
 // one: zero selects the default, negative values are rejected so a
@@ -93,9 +98,14 @@ type frameWriter struct {
 	enc          Encoder
 	writeTimeout time.Duration
 
-	ch   chan outFrame
-	quit chan struct{} // closed by close()/kill() under mu; run() drains and exits
-	done chan struct{} // closed when the writer goroutine exits
+	ch chan outFrame
+	// stop is closed by shut() before it takes mu: a sender parked on the
+	// full queue gives up with net.ErrClosed, so it never holds mu's read
+	// side across a peer that stopped reading.
+	stop     chan struct{}
+	stopOnce sync.Once
+	quit     chan struct{} // closed by shut() under mu; run() drains and exits
+	done     chan struct{} // closed when the writer goroutine exits
 
 	// highWater tracks the deepest queue occupancy observed at enqueue
 	// time — the slow-consumer early-warning signal surfaced in stats.
@@ -124,6 +134,7 @@ func newFrameWriter(conn net.Conn, queueLen int, writeTimeout time.Duration, onE
 		bw:           bufio.NewWriterSize(conn, 32*1024),
 		writeTimeout: writeTimeout,
 		ch:           make(chan outFrame, queueLen),
+		stop:         make(chan struct{}),
 		quit:         make(chan struct{}),
 		done:         make(chan struct{}),
 		onError:      onError,
@@ -144,11 +155,9 @@ func (fw *frameWriter) send(of outFrame) error {
 // close. Queued means accepted, not that the frame reached the peer;
 // callers needing confirmation use receipts.
 //
-// An enqueue blocked on a full queue holds fw.mu's read side, which
-// close() needs for its write side — that is safe, not a deadlock: the
-// writer goroutine keeps draining until quit is closed, which close() can
-// only do after this enqueue completes. (A writer wedged mid-flush on a
-// dead peer stalls that drain; arm writeTimeout to bound it.)
+// An enqueue parked on a full queue holds fw.mu's read side, which
+// close() needs for its write side. close() closes stop first, which
+// ends the park with net.ErrClosed, so teardown never waits on the peer.
 func (fw *frameWriter) enqueue(of outFrame, mode EnqueueMode) (bool, error) {
 	if ep := fw.err.Load(); ep != nil {
 		return false, *ep
@@ -164,8 +173,8 @@ func (fw *frameWriter) enqueue(of outFrame, mode EnqueueMode) (bool, error) {
 		default:
 			return false, nil
 		}
-	} else {
-		fw.ch <- of
+	} else if err := park.Send(fw.ch, of, fw.stop, enqueueSite); err != nil {
+		return false, err
 	}
 	fw.noteDepth()
 	return true, nil
@@ -190,13 +199,7 @@ func (fw *frameWriter) noteDepth() {
 // reading cannot wedge teardown. Idempotent and safe from any goroutine
 // except the writer's own.
 func (fw *frameWriter) close() error {
-	fw.mu.Lock()
-	if !fw.closed {
-		fw.closed = true
-		_ = fw.conn.SetWriteDeadline(time.Now().Add(closeFlushTimeout))
-		close(fw.quit)
-	}
-	fw.mu.Unlock()
+	fw.shut(true)
 	<-fw.done
 	if ep := fw.err.Load(); ep != nil {
 		return *ep
@@ -210,13 +213,22 @@ func (fw *frameWriter) close() error {
 // The caller must close the connection first so a flush wedged on the
 // dead peer unblocks with an error; the writer goroutine then drains the
 // queue into the sticky error and exits on its own.
-func (fw *frameWriter) kill() {
-	fw.mu.Lock()
-	if !fw.closed {
+func (fw *frameWriter) kill() { fw.shut(false) }
+
+// shut ends every parked enqueue, arming the close drain's write deadline
+// first when flushDeadline is set, and only then takes mu to mark the
+// writer closed and tell run to drain and exit.
+func (fw *frameWriter) shut(flushDeadline bool) {
+	fw.stopOnce.Do(func() {
+		if flushDeadline {
+			_ = fw.conn.SetWriteDeadline(time.Now().Add(closeFlushTimeout))
+		}
+		close(fw.stop)
+		fw.mu.Lock()
 		fw.closed = true
 		close(fw.quit)
-	}
-	fw.mu.Unlock()
+		fw.mu.Unlock()
+	})
 }
 
 func (fw *frameWriter) run() {
