@@ -179,7 +179,7 @@ func TestCountLOC(t *testing.T) {
 // trustedCeiling is the most trusted-codebase lines (E7) the tree may
 // hold. Lowering it belongs to the change that earns it; raising it needs
 // a sentence in CHANGES.md.
-const trustedCeiling = 8982
+const trustedCeiling = 8930
 
 // TestTrustedBaseRatchet holds the trusted codebase at or below
 // trustedCeiling.

@@ -102,6 +102,7 @@ package broker
 import (
 	"errors"
 	"fmt"
+	"slices"
 	"sort"
 	"strconv"
 	"strings"
@@ -168,22 +169,17 @@ func (c *clearance) clears(policy *label.Policy, gen uint64, conf label.Set) boo
 	return cs.privs.HasAll(label.Clearance, conf)
 }
 
-// Subscription is a registered subscription. Its topic pattern is compiled
-// once at Subscribe time into one of three route classes (exact topic,
-// "/*" prefix, "*" catch-all). The embedded clearance gate holds the
-// principal.
+// Subscription is a registered subscription. The route table files it
+// under its topic pattern's route class (exact topic, "/*" prefix, "*"
+// catch-all). The embedded clearance gate holds the principal.
 type Subscription struct {
 	clearance
-	id    uint64
-	idStr string
-	topic string
-	// matchAll is set for the "*" pattern; prefix is non-empty for
-	// trailing-"/*" patterns and holds the prefix including the slash.
-	matchAll bool
-	prefix   string
-	sel      *selector.Selector
-	hasSel   bool
-	handler  Handler
+	id      uint64
+	idStr   string
+	topic   string
+	sel     *selector.Selector
+	hasSel  bool
+	handler Handler
 	// wire marks a wire subscription (SubscribeWire): the handler gets
 	// the frozen published event itself instead of a per-subscriber
 	// Delivery copy.
@@ -248,6 +244,7 @@ func New(policy *label.Policy) *Broker {
 		subs:   make(map[uint64]*Subscription),
 	}
 	b.routes.Store(&routeTable{})
+	b.taps.Store(&[]*tap{})
 	return b
 }
 
@@ -257,7 +254,7 @@ func (b *Broker) Policy() *label.Policy { return b.policy }
 // classifyTopic compiles a topic pattern into its route class: the "*"
 // catch-all, a trailing-"/*" prefix (returned including the slash), or an
 // exact topic. It is the single source of pattern semantics, shared by
-// Subscribe's route compilation and TopicMatches.
+// the route table's rebuild and TopicMatches, which publish taps use.
 func classifyTopic(pattern string) (matchAll bool, prefix string) {
 	switch {
 	case pattern == "*":
@@ -331,22 +328,18 @@ func (b *Broker) subscribe(principal, topic, sel string, handler Handler, wire b
 		handler:   handler,
 		wire:      wire,
 	}
-	sub.matchAll, sub.prefix = classifyTopic(topic)
 	b.subs[sub.id] = sub
 	b.rebuildRoutesLocked()
 	return sub, nil
 }
 
-// tap is a publish observer registered with SubscribeTap: a compiled
-// topic pattern and a handler invoked for every accepted publish the
+// tap is a publish observer registered with SubscribeTap: a topic
+// pattern and a handler invoked for every accepted publish the
 // pattern covers, before any subscriber delivery and with no clearance or
 // selector filtering.
 type tap struct {
-	id       uint64
-	matchAll bool
-	prefix   string
-	topic    string
-	fn       Handler
+	pattern string
+	fn      Handler
 }
 
 // SubscribeTap registers a publish tap: fn observes every accepted
@@ -370,32 +363,14 @@ func (b *Broker) SubscribeTap(pattern string, fn Handler) (remove func(), err er
 	if b.closed {
 		return nil, ErrClosed
 	}
-	b.nextID++
-	t := &tap{id: b.nextID, topic: pattern, fn: fn}
-	t.matchAll, t.prefix = classifyTopic(pattern)
-
-	old := b.taps.Load()
-	var taps []*tap
-	if old != nil {
-		taps = append(taps, *old...)
-	}
-	taps = append(taps, t)
+	t := &tap{pattern: pattern, fn: fn}
+	taps := append(slices.Clone(*b.taps.Load()), t)
 	b.taps.Store(&taps)
-
 	return func() {
 		b.mu.Lock()
 		defer b.mu.Unlock()
-		cur := b.taps.Load()
-		if cur == nil {
-			return
-		}
-		next := make([]*tap, 0, len(*cur))
-		for _, x := range *cur {
-			if x.id != t.id {
-				next = append(next, x)
-			}
-		}
-		b.taps.Store(&next)
+		taps := slices.DeleteFunc(slices.Clone(*b.taps.Load()), func(x *tap) bool { return x == t })
+		b.taps.Store(&taps)
 	}, nil
 }
 
@@ -403,23 +378,10 @@ func (b *Broker) SubscribeTap(pattern string, fn Handler) (remove func(), err er
 // publishing goroutine after Freeze, before subscriber delivery, so a
 // durable append is sequenced ahead of the fan-out that announces it.
 func (b *Broker) runTaps(ev *event.Event) {
-	tp := b.taps.Load()
-	if tp == nil {
-		return
-	}
-	for _, t := range *tp {
-		switch {
-		case t.matchAll:
-		case t.prefix != "":
-			if !strings.HasPrefix(ev.Topic, t.prefix) {
-				continue
-			}
-		default:
-			if t.topic != ev.Topic {
-				continue
-			}
+	for _, t := range *b.taps.Load() {
+		if TopicMatches(t.pattern, ev.Topic) {
+			t.fn(ev)
 		}
-		t.fn(ev)
 	}
 }
 
@@ -446,11 +408,11 @@ func (b *Broker) rebuildRoutesLocked() {
 	rt := &routeTable{exact: make(map[string][]*Subscription)}
 	prefixes := make(map[string][]*Subscription)
 	for _, sub := range b.subs {
-		switch {
-		case sub.matchAll:
+		switch matchAll, prefix := classifyTopic(sub.topic); {
+		case matchAll:
 			rt.global = append(rt.global, sub)
-		case sub.prefix != "":
-			prefixes[sub.prefix] = append(prefixes[sub.prefix], sub)
+		case prefix != "":
+			prefixes[prefix] = append(prefixes[prefix], sub)
 		default:
 			rt.exact[sub.topic] = append(rt.exact[sub.topic], sub)
 		}

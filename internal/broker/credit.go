@@ -86,6 +86,10 @@ type creditState struct {
 	// starting at head.
 	ring    []*event.Event
 	head, n int
+	// frees counts the drains that left a slot free, and closeSub: a
+	// parked publisher's wait ends at the next one, so each re-arms its
+	// WriteTimeout.
+	frees uint64
 	// closed marks subscription teardown: parked and incoming deliveries
 	// are dropped as to a closed session.
 	closed bool
@@ -141,11 +145,12 @@ func (c *creditState) popLocked() *event.Event {
 	return ev
 }
 
-// hasSpace reports whether the pending ring has a free slot.
-func (c *creditState) hasSpace() bool {
+// freedSince reports whether a drain has freed a slot, or the
+// subscription closed, since frees read seen.
+func (c *creditState) freedSince(seen uint64) bool {
 	c.mu.Lock()
 	defer c.mu.Unlock()
-	return c.n < len(c.ring)
+	return c.frees != seen
 }
 
 // parkDelivery handles a matched delivery that could not claim credit: it
@@ -155,12 +160,13 @@ func (c *creditState) hasSpace() bool {
 // queue's machinery acting as safety net. Runs on the publishing goroutine; under
 // OverflowBlock a full ring blocks it, as a full write queue does one
 // layer down, until a drain frees a slot, the subscription or the server
-// closes, or WriteTimeout passes: the consumer has stopped granting, as a
-// peer that fails its write deadline has stopped reading, and it is
-// evicted. The wait may be the consumer's own read loop publishing to its
-// own subscription, which no grant can then reach; the bound ends it. A
-// stall run starts when a delivery finds the ring empty and stays parked
-// after the drain.
+// closes, or WriteTimeout passes with no drain freeing a slot: the
+// consumer has stopped granting, as a peer that fails its write deadline
+// has stopped reading, and it is evicted. Each such drain re-arms the
+// bound, though another publisher may take the slot first. The wait may
+// be the consumer's own read loop publishing to its own subscription,
+// which no grant can then reach; the bound ends it. A stall run starts
+// when a delivery finds the ring empty and stays parked after the drain.
 func (s *Server) parkDelivery(ss *serverSession, ws *wireSub, clientSubID string, ev *event.Event) {
 	c := ws.credit
 	c.mu.Lock()
@@ -170,8 +176,9 @@ func (s *Server) parkDelivery(ss *serverSession, ws *wireSub, clientSubID string
 			s.suppress(ss, clientSubID, ev, ErrSlowConsumer)
 			return
 		}
+		seen := c.frees
 		c.mu.Unlock()
-		switch err := c.space.Wait(c.hasSpace, s.closing, s.cfg.WriteTimeout, ringSite); {
+		switch err := c.space.Wait(func() bool { return c.freedSince(seen) }, s.closing, s.cfg.WriteTimeout, ringSite); {
 		case errors.Is(err, park.ErrDeadline):
 			s.suppress(ss, clientSubID, ev, ErrSlowConsumer)
 			s.evict(ss)
@@ -244,6 +251,7 @@ func (s *Server) drainLocked(ss *serverSession, clientSubID string, ws *wireSub)
 		c.popLocked()
 	}
 	if c.n < len(c.ring) {
+		c.frees++
 		c.space.Wake()
 	}
 }
@@ -267,6 +275,7 @@ func (s *Server) closeSub(ss *serverSession, clientSubID string, ws *wireSub) {
 	for c.n > 0 {
 		dropped = append(dropped, c.popLocked())
 	}
+	c.frees++
 	c.space.Wake()
 	c.mu.Unlock()
 	for _, ev := range dropped {

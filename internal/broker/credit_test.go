@@ -404,6 +404,47 @@ func TestCreditRingOverflowPolicies(t *testing.T) {
 		})
 	})
 
+	t.Run("block/write-timeout/contended", func(t *testing.T) {
+		// Eight publishers wait on one full ring while the consumer keeps
+		// granting, one slot every 10ms, far inside WriteTimeout. Each
+		// drain that frees a slot re-arms every waiter's bound, though only
+		// one waiter gets the slot: a publisher that keeps losing that race
+		// waits on a consumer that is granting, which is not evicted.
+		const publishers, each = 8, 8
+		br, srv, conn, rd, slowDrops := setup(t, broker.OverflowBlock, 200*time.Millisecond)
+		publishSeqs(t, br, 0, ring+1)
+		errs := make(chan error, publishers)
+		for p := range publishers {
+			go func() {
+				var err error
+				for i := 0; i < each && err == nil; i++ {
+					seq := strconv.Itoa(ring + 1 + p*each + i)
+					err = br.Publish("producer", event.New("/credit/ring", map[string]string{"seq": seq}))
+				}
+				errs <- err
+			}()
+		}
+		total := ring + 1 + publishers*each
+		for granted := 1; granted < total; granted++ {
+			readSeq(t, conn, rd)
+			if st := srv.Stats(); st.SlowConsumerEvictions != 0 {
+				t.Fatalf("consumer evicted after %d grants while granting every 10ms (OverflowDrops %d)", granted, st.OverflowDrops)
+			}
+			time.Sleep(10 * time.Millisecond)
+			sendGrant(t, conn, "c-0", strconv.Itoa(granted+1))
+		}
+		readSeq(t, conn, rd)
+		for range publishers {
+			if err := <-errs; err != nil {
+				t.Fatalf("Publish: %v", err)
+			}
+		}
+		if st := srv.Stats(); st.SlowConsumerEvictions != 0 || st.OverflowDrops != 0 || slowDrops.Load() != 0 {
+			t.Errorf("evictions %d, OverflowDrops %d, ErrSlowConsumer reports %d; want 0, 0, 0",
+				st.SlowConsumerEvictions, st.OverflowDrops, slowDrops.Load())
+		}
+	})
+
 	t.Run("block/close", func(t *testing.T) {
 		// One connection is the consumer and the publisher, with no
 		// WriteTimeout: its read loop waits for ring space that only its

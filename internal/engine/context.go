@@ -69,6 +69,17 @@ func (c *Context) AddLabels(labels ...label.Label) error {
 	if c.engine == nil {
 		return ErrContextInvalid
 	}
+	if err := c.endorse(labels); err != nil {
+		return err
+	}
+	c.labels = c.labels.With(labels...)
+	return nil
+}
+
+// endorse checks that the unit holds the endorsement privilege for every
+// integrity label in labels, counting a flow violation at the first it
+// lacks.
+func (c *Context) endorse(labels []label.Label) error {
 	for _, l := range labels {
 		if l.Kind() == label.Integrity && !c.hasPrivilege(label.Endorse, l) {
 			c.engine.flowViolations.Add(1)
@@ -78,7 +89,6 @@ func (c *Context) AddLabels(labels ...label.Label) error {
 			}
 		}
 	}
-	c.labels = c.labels.With(labels...)
 	return nil
 }
 
@@ -122,60 +132,33 @@ func WithRemoveAll() PublishOption {
 // resolveLabels computes the effective label set for an output operation:
 // tracked ∪ add − remove, with privilege checks on removal and integrity
 // addition.
-func (c *Context) resolveLabels(opts []publishOpts) (label.Set, error) {
-	var o publishOpts
-	for i := range opts {
-		o.add = append(o.add, opts[i].add...)
-		o.remove = append(o.remove, opts[i].remove...)
-		o.removeAll = o.removeAll || opts[i].removeAll
+func (c *Context) resolveLabels(opts []PublishOption) (label.Set, error) {
+	if len(opts) == 0 {
+		return c.labels, nil
 	}
-
+	o := new(publishOpts)
+	for _, opt := range opts {
+		opt(o)
+	}
 	out := c.labels
 	if o.removeAll {
 		o.remove = append(o.remove, out.Sorted()...)
 	}
 	for _, l := range o.remove {
-		if !out.Contains(l) {
-			continue
-		}
-		switch l.Kind() {
-		case label.Confidentiality:
-			if !c.hasPrivilege(label.Declassify, l) {
-				c.engine.flowViolations.Add(1)
-				return nil, &label.FlowError{
-					Op: "declassify", Label: l, Principal: c.rt.name,
-					Reason: "removing a confidentiality label requires the declassification privilege",
-				}
-			}
-		case label.Integrity:
-			// Dropping an integrity label weakens only the data itself;
-			// it needs no privilege.
-		}
-	}
-	out = out.Without(o.remove...)
-
-	for _, l := range o.add {
-		if l.Kind() == label.Integrity && !c.hasPrivilege(label.Endorse, l) {
+		// Dropping an integrity label weakens only the data itself; it
+		// needs no privilege.
+		if l.Kind() == label.Confidentiality && out.Contains(l) && !c.hasPrivilege(label.Declassify, l) {
 			c.engine.flowViolations.Add(1)
 			return nil, &label.FlowError{
-				Op: "endorse", Label: l, Principal: c.rt.name,
-				Reason: "adding an integrity label requires the endorsement privilege",
+				Op: "declassify", Label: l, Principal: c.rt.name,
+				Reason: "removing a confidentiality label requires the declassification privilege",
 			}
 		}
 	}
-	out = out.With(o.add...)
-	return out, nil
-}
-
-func collectOpts(opts []PublishOption) []publishOpts {
-	if len(opts) == 0 {
-		return nil
+	if err := c.endorse(o.add); err != nil {
+		return nil, err
 	}
-	var o publishOpts
-	for _, opt := range opts {
-		opt(&o)
-	}
-	return []publishOpts{o}
+	return out.Without(o.remove...).With(o.add...), nil
 }
 
 // Publish publishes an event. The engine "attaches all labels in
@@ -185,7 +168,7 @@ func (c *Context) Publish(topic string, attrs map[string]string, body []byte, op
 	if c.engine == nil {
 		return ErrContextInvalid
 	}
-	labels, err := c.resolveLabels(collectOpts(opts))
+	labels, err := c.resolveLabels(opts)
 	if err != nil {
 		return err
 	}
@@ -222,7 +205,7 @@ func (c *Context) Set(key, value string, opts ...PublishOption) error {
 	if c.engine == nil {
 		return ErrContextInvalid
 	}
-	labels, err := c.resolveLabels(collectOpts(opts))
+	labels, err := c.resolveLabels(opts)
 	if err != nil {
 		return err
 	}

@@ -331,12 +331,12 @@ func (e *Engine) Drain() {
 
 // Stop closes unit buses, then every unit's queues, and waits for the
 // queue workers to run what was queued. A delivery parked on a full queue
-// is refused and released, never waited for. So whatever the peers do,
-// Stop returns within the buses' close drains (the stomp writer's
-// closeFlushTimeout, 2 s, for each networked bus whose broker stopped
-// reading; nothing in process) plus the callbacks already queued, whose
-// publishes fail fast on a closed bus or are dropped at a closed queue. A
-// callback that never returns is outside the bound.
+// is refused, logged through Logf and released, never waited for. So
+// whatever the peers do, Stop returns within the buses' close drains (the
+// stomp writer's closeFlushTimeout, 2 s, for each networked bus whose
+// broker stopped reading; nothing in process) plus the callbacks already
+// queued, whose publishes fail fast on a closed bus or are dropped at a
+// closed queue. A callback that never returns is outside the bound.
 func (e *Engine) Stop() {
 	e.mu.Lock()
 	if e.closed {
@@ -458,7 +458,8 @@ func (c *InitContext) Subscribe(topic, sel string, cb Callback) error {
 
 	_, err := rt.bus.Subscribe(topic, sel, func(ev *event.Event) {
 		if !queue.push(queuedEvent{ev: ev, cb: cb}) {
-			ev.Release() // engine stopping; late delivery dropped
+			e.cfg.Logf("engine: unit %q stopped: delivery on %q dropped", rt.name, ev.Topic)
+			ev.Release()
 		}
 	})
 	if err != nil {

@@ -6,6 +6,7 @@ import (
 	"runtime"
 	"strings"
 	"sync"
+	"sync/atomic"
 	"testing"
 	"time"
 
@@ -592,10 +593,16 @@ func TestEngineStopBlockedPublish(t *testing.T) {
 	policy := label.NewPolicy()
 	b := broker.New(policy)
 	defer b.Close()
+	var dropped atomic.Int64
 	e, err := New(Config{
 		Policy: policy,
 		Bus:    func(principal string) (broker.Bus, error) { return b.Endpoint(principal), nil },
-		Logf:   t.Logf,
+		Logf: func(format string, args ...any) {
+			if strings.Contains(format, "dropped") {
+				dropped.Add(1)
+			}
+			t.Logf(format, args...)
+		},
 	})
 	if err != nil {
 		t.Fatalf("New: %v", err)
@@ -640,6 +647,12 @@ func TestEngineStopBlockedPublish(t *testing.T) {
 	<-produced
 	if n := pushSite.Parked(); n != 0 {
 		t.Fatalf("%d pushes still parked after Stop, want 0", n)
+	}
+	// A parked push either found room before its queue closed or was
+	// refused: every delivery ran or was logged, none was lost silently.
+	delivered, ran := b.Stats().Delivered, e.Stats().EventsProcessed
+	if n := uint64(dropped.Load()); delivered != ran+n {
+		t.Fatalf("%d deliveries, %d callbacks run and %d drops logged; want every delivery run or logged", delivered, ran, n)
 	}
 }
 

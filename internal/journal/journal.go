@@ -202,12 +202,8 @@ type segment struct {
 //
 // Lock order: syncMu before mu before acks.mu.
 type Journal struct {
-	dir         string
-	segSize     int64
-	sync        SyncPolicy
-	retainAge   time.Duration
-	retainBytes int64
-	onCompact   func(CompactStats)
+	dir  string
+	opts Options // as passed to Open, SegmentSize defaulted
 
 	// syncMu serialises group commits: the syncer's, and the ones Sync,
 	// Compact and Close run themselves. Holding it means no group-commit
@@ -285,19 +281,15 @@ func Open(dir string, opts Options) (*Journal, error) {
 	// authoritative.
 	_ = os.Remove(filepath.Join(dir, ackTmpName))
 	j := &Journal{
-		dir:         dir,
-		segSize:     opts.SegmentSize,
-		sync:        opts.Sync,
-		retainAge:   opts.RetentionAge,
-		retainBytes: opts.RetentionBytes,
-		onCompact:   opts.OnCompact,
-		now:         func() int64 { return time.Now().UnixNano() },
+		dir:  dir,
+		opts: opts,
+		now:  func() int64 { return time.Now().UnixNano() },
 	}
 	if err := j.openFiles(); err != nil {
 		j.closeLocked()
 		return nil, err
 	}
-	if j.sync == SyncBatch {
+	if j.opts.Sync == SyncBatch {
 		j.kick, j.syncerDone = make(chan struct{}, 1), make(chan struct{})
 		go j.syncer()
 	}
@@ -397,7 +389,7 @@ func (j *Journal) Append(rec *Record) (int64, error) {
 		// ack log, which fsyncs the staged file unless SyncNever: under
 		// SyncBatch the one fsync an append can wait for, once per such
 		// roll.
-		if j.retainAge > 0 || j.retainBytes > 0 {
+		if j.opts.RetentionAge > 0 || j.opts.RetentionBytes > 0 {
 			_, _ = j.compactLocked()
 		}
 	}
@@ -408,7 +400,7 @@ func (j *Journal) Append(rec *Record) (int64, error) {
 	seg.pos = append(seg.pos, at)
 	seg.lastTime = rec.Time
 	j.written = offset + 1
-	if j.sync == SyncBatch {
+	if j.opts.Sync == SyncBatch {
 		j.kickSyncer()
 	} else {
 		j.commitLocked(j.written)
@@ -546,20 +538,20 @@ func (j *Journal) compactLocked() (CompactStats, error) {
 		acked++
 	}
 	del := acked
-	if j.retainAge > 0 {
-		cutoff := j.now() - int64(j.retainAge)
+	if j.opts.RetentionAge > 0 {
+		cutoff := j.now() - int64(j.opts.RetentionAge)
 		for del < len(j.segs)-1 && j.segs[del].lastTime < cutoff {
 			del++
 		}
 	}
-	if j.retainBytes > 0 {
+	if j.opts.RetentionBytes > 0 {
 		// Count the active segment at its full roll threshold so the
 		// budget keeps holding as it fills between rolls.
-		total := max(j.segSize-j.segs[len(j.segs)-1].size, 0) // 0: an oversized single-record segment
+		total := max(j.opts.SegmentSize-j.segs[len(j.segs)-1].size, 0) // 0: an oversized single-record segment
 		for _, seg := range j.segs {
 			total += seg.size
 		}
-		for del < len(j.segs)-1 && total > j.retainBytes {
+		for del < len(j.segs)-1 && total > j.opts.RetentionBytes {
 			total -= j.segs[del].size
 			del++
 		}
@@ -604,8 +596,8 @@ func (j *Journal) compactLocked() (CompactStats, error) {
 			err = aerr
 		}
 	}
-	if j.onCompact != nil {
-		j.onCompact(st)
+	if j.opts.OnCompact != nil {
+		j.opts.OnCompact(st)
 	}
 	return st, err
 }
@@ -619,7 +611,7 @@ func (j *Journal) activeSegmentLocked(recLen int64) *segment {
 		return nil
 	}
 	seg := j.segs[len(j.segs)-1]
-	if len(seg.pos) > 0 && seg.size+recLen > j.segSize {
+	if len(seg.pos) > 0 && seg.size+recLen > j.opts.SegmentSize {
 		return nil
 	}
 	return seg

@@ -93,7 +93,7 @@ func (j *Journal) fsync(f *os.File) error {
 // file's later appends until a reopen repairs the tail.
 func (j *Journal) appendLog(l *logFile, b []byte, sticky *error) error {
 	_, err := j.write(l.f, b)
-	if err == nil && j.sync == SyncAlways {
+	if err == nil && j.opts.Sync == SyncAlways {
 		err = j.fsync(l.f)
 	}
 	if err != nil {
@@ -105,6 +105,6 @@ func (j *Journal) appendLog(l *logFile, b []byte, sticky *error) error {
 		return err
 	}
 	l.size += int64(len(b))
-	l.dirty = l.dirty || j.sync == SyncBatch
+	l.dirty = l.dirty || j.opts.Sync == SyncBatch
 	return nil
 }

@@ -140,17 +140,21 @@ func (g *Gate) Wait(ready func() bool, teardown <-chan struct{}, timeout time.Du
 		if ready() {
 			return nil
 		}
-		err := ErrDeadline
+		var err error
 		select {
 		case <-wake:
-			continue
 		case <-teardown:
 			err = net.ErrClosed
 		case <-expired:
+			err = ErrDeadline
 		}
+		// Checked before re-arming: a waiter a Wake satisfied leaves the
+		// gate without a channel, so the next Wake is one atomic load.
 		if ready() {
 			return nil
 		}
-		return err
+		if err != nil {
+			return err
+		}
 	}
 }

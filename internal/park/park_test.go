@@ -140,6 +140,25 @@ func TestGateReadyWins(t *testing.T) {
 	}
 }
 
+// TestGateWakeEmptiesGate: a waiter that a Wake satisfies returns without
+// arming the gate again, so the next Wake finds no channel to close.
+func TestGateWakeEmptiesGate(t *testing.T) {
+	site := NewSite("test.wake-empties")
+	var g Gate
+	var met atomic.Bool
+	done := make(chan error, 1)
+	go func() { done <- g.Wait(met.Load, nil, 0, site) }()
+	waitParked(t, site, 1)
+	met.Store(true)
+	g.Wake()
+	if err := <-done; err != nil {
+		t.Fatalf("Wait = %v, want nil", err)
+	}
+	if ch, _ := g.ch.Load().(chan struct{}); ch != nil {
+		t.Fatal("the gate holds a channel after its only waiter was satisfied")
+	}
+}
+
 // TestSendParksUntilRoomOrTeardown: Send on a full channel parks until a
 // receive makes room, or until teardown, which it reports as
 // net.ErrClosed without sending.
