@@ -205,9 +205,9 @@ type ackTracker struct {
 	slot    *stomp.AckSlot
 	window  int64 // credit window; zero when uncredited
 	onError func(error)
-	// doneFn releases a delivery without a number; bound once, so its
+	// release is the method value t.released, bound once, so a
 	// NotifyRelease costs no allocation.
-	doneFn   func()
+	release  func(int64)
 	consumed atomic.Int64
 	// arrived numbers the deliveries; only the read goroutine touches it.
 	arrived int64
@@ -362,7 +362,7 @@ func (c *Client) Subscribe(topic, sel string, handler Handler) (string, error) {
 	var t *ackTracker
 	if c.cfg.SubscribeCredit > 0 || c.cfg.DurableGroup != "" {
 		t = &ackTracker{window: int64(c.cfg.SubscribeCredit), onError: c.cfg.OnError, settled: make(map[int64]bool)}
-		t.doneFn = func() { t.released(0) }
+		t.release = t.released
 	}
 	return c.conn.SubscribeView(topic, sel, extra, func(v *stomp.FrameView) {
 		var n int64
@@ -392,11 +392,8 @@ func (c *Client) Subscribe(topic, sel string, handler Handler) (string, error) {
 			}
 			return
 		}
-		switch {
-		case n > 0:
-			ev.NotifyRelease(func() { t.released(n) })
-		case t != nil:
-			ev.NotifyRelease(t.doneFn)
+		if t != nil {
+			ev.NotifyRelease(t.release, n)
 		}
 		handler(ev)
 	})

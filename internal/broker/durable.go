@@ -381,12 +381,14 @@ func (s *Server) subscribeDurable(ss *serverSession, clientID, topic, sel, offSt
 // runReplay tails the journal from offset next, delivering each readable
 // record to the consumer and then waiting for the journal to publish more —
 // the durable subscription's delivery loop. It reads the journal a run of
-// up to 64 records (and 64 KiB) at a time, into one buffer the delivered
-// images alias; an idle feed keeps its last run's buffer until its next
+// up to 64 records (and 64 KiB) at a time, into one fresh buffer, and
+// queues the run's deliveries as images in one fresh slab that aliases
+// that buffer; an idle feed keeps its last run's buffer until its next
 // read. Clearance is enforced here, per record as the feed reaches it,
 // against the policy generation current then: the persisted label header
 // is parsed through the feed's own label memo (event.LabelCache, which
-// memoises parses, never verdicts), and a record the consumer no longer
+// memoises parses, never verdicts, and owns the header strings the run
+// hands back for the headers it holds), and a record the consumer no longer
 // has clearance for is skipped and counted, never delivered — so revoking
 // a privilege after an event was written is honoured on every later
 // replay and for the rest of a run under way, fail closed (an unparsable
@@ -400,7 +402,7 @@ func (s *Server) runReplay(ss *serverSession, f *replayFeed, clientSubID, topic 
 	var run [64]journal.Record
 	for {
 		for end := f.j.NextOffset(); next < end; {
-			n, err := f.j.ReadRun(next, run[:])
+			n, err := f.j.ReadRun(next, run[:], &labels)
 			if err != nil {
 				// The replay fell behind retention: the record at next (and
 				// possibly more) was compacted away under us. Clamp forward
@@ -415,6 +417,7 @@ func (s *Server) runReplay(ss *serverSession, f *replayFeed, clientSubID, topic 
 				s.suppress(ss, clientSubID, nil, err)
 				return
 			}
+			imgs := make([]stomp.WireImage, n)
 			for i := 0; i < n; i, next = i+1, next+1 {
 				rec := &run[i]
 				select {
@@ -452,9 +455,9 @@ func (s *Server) runReplay(ss *serverSession, f *replayFeed, clientSubID, topic 
 				// recorded first, so no ack can name a delivery the feed
 				// does not know.
 				f.record(next)
-				img := stomp.RawMessageImage(rec.Image, rec.Split)
+				stomp.RawMessageImage(&imgs[i], rec.Image, rec.Split)
 				route := stomp.Route{Subscription: clientSubID, IDPrefix: ss.idPrefix, Seq: ss.msgSeq.Add(1)}
-				if _, err := ss.sess.Deliver(img, route, stomp.EnqueueBlock); err != nil {
+				if _, err := ss.sess.Deliver(&imgs[i], route, stomp.EnqueueBlock); err != nil {
 					s.suppress(ss, clientSubID, nil, err)
 					return
 				}

@@ -148,6 +148,18 @@ func (c *LabelCache) Parse(hdr string) (label.Set, error) {
 	return p.set, err
 }
 
+// Header returns the label header hdr as a string: the memo's own string
+// when the memo holds hdr, a new copy otherwise. A reader that parses the
+// headers it keeps through the same memo copies each one it memoises once.
+func (c *LabelCache) Header(hdr []byte) string {
+	if c != nil {
+		if p, ok := c.m[string(hdr)]; ok {
+			return p.hdr
+		}
+	}
+	return string(hdr)
+}
+
 // parseLabelHeader looks hdr up in the memo (a nil c is an empty one) and
 // parses it on a miss. A header given as wire bytes is copied only on a
 // miss, into the string the memo keeps.

@@ -111,10 +111,12 @@ type Event struct {
 	// recycles pooled events; on everything else it is a no-op.
 	pooled bool
 
-	// onRelease, when set on a pooled delivery event, runs exactly once
-	// when Release retires the event — the delivery-consumed signal the
-	// networked client's credit replenishment rides (NotifyRelease).
-	onRelease func()
+	// onRelease, when set on a pooled delivery event, runs exactly once,
+	// with releaseN, when Release retires the event — the
+	// delivery-consumed signal the networked client's credit replenishment
+	// rides (NotifyRelease).
+	onRelease func(int64)
+	releaseN  int64
 
 	// gen is the pooled-lifecycle generation stamp enforcing the
 	// non-retention contract fail closed: even while the event is live,
@@ -320,7 +322,7 @@ func (e *Event) Release() {
 		// frozen-escapee check: an event that escapes recycling was still
 		// processed, so credit replenishment must still see it.
 		e.onRelease = nil
-		fn()
+		fn(e.releaseN)
 	}
 	if e.frozen {
 		// The delivered event escaped its lifecycle: a callback
@@ -350,18 +352,20 @@ func (e *Event) Release() {
 	deliveryPool.Put(e)
 }
 
-// NotifyRelease arranges for fn to run exactly once when Release retires
-// this pooled delivery event — the moment the consumer has finished with
-// the delivery. The networked client uses it to count consumed deliveries
-// for credit replenishment without wrapping the handler. It is a no-op on
-// non-pooled events (which are never Released) and overwrites any earlier
-// notification; the caller must set it before handing the event to its
-// consumer.
-func (e *Event) NotifyRelease(fn func()) {
+// NotifyRelease arranges for fn(n) to run exactly once when Release
+// retires this pooled delivery event — the moment the consumer has
+// finished with the delivery. The networked client uses it to count
+// consumed deliveries for credit replenishment without wrapping the
+// handler: n is the delivery's number (0 for none), kept in the event, so
+// a caller that binds fn once allocates nothing per delivery. It is a
+// no-op on non-pooled events (which are never Released) and overwrites any
+// earlier notification; the caller must set it before handing the event
+// to its consumer.
+func (e *Event) NotifyRelease(fn func(int64), n int64) {
 	if e == nil || !e.pooled {
 		return
 	}
-	e.onRelease = fn
+	e.onRelease, e.releaseN = fn, n
 }
 
 // Freeze marks the event as published: it settles the label header (see

@@ -49,7 +49,7 @@ func FuzzJournalRecord(f *testing.F) {
 		encoded, err := appendRecord(nil, rec)
 		if err == nil {
 			var got Record
-			n, err := decodeRecord(encoded, &got)
+			n, err := decodeRecord(encoded, &got, nil)
 			if err != nil {
 				t.Fatalf("decode of own encoding failed: %v", err)
 			}
@@ -67,7 +67,7 @@ func FuzzJournalRecord(f *testing.F) {
 			// Decoding into the same Record again keeps the strings it
 			// holds when they are equal, and replaces them when not.
 			kept := got
-			if _, err := decodeRecord(encoded, &got); err != nil {
+			if _, err := decodeRecord(encoded, &got, nil); err != nil {
 				t.Fatalf("second decode: %v", err)
 			}
 			if !sameString(got.Topic, kept.Topic) || !sameString(got.Labels, kept.Labels) {
@@ -75,7 +75,7 @@ func FuzzJournalRecord(f *testing.F) {
 			}
 			other, err := appendRecord(nil, &Record{Time: tm, Topic: topic + "/x", Labels: labels, Split: split, Image: image})
 			if err == nil {
-				if _, err := decodeRecord(other, &got); err != nil {
+				if _, err := decodeRecord(other, &got, nil); err != nil {
 					t.Fatalf("decode of the other topic: %v", err)
 				}
 				if got.Topic != topic+"/x" || !sameString(got.Labels, kept.Labels) {
@@ -86,13 +86,13 @@ func FuzzJournalRecord(f *testing.F) {
 			// Corrupt the CRC: the decode must reject, never accept.
 			bad := append([]byte(nil), encoded...)
 			bad[4] ^= 0x01
-			if _, err := decodeRecord(bad, &got); err == nil {
+			if _, err := decodeRecord(bad, &got, nil); err == nil {
 				t.Fatal("corrupt CRC accepted")
 			}
 
 			// Every truncation of a valid frame is rejected without panic.
 			for cut := 0; cut < len(encoded); cut += 1 + len(encoded)/16 {
-				if _, err := decodeRecord(encoded[:cut], &got); err == nil {
+				if _, err := decodeRecord(encoded[:cut], &got, nil); err == nil {
 					t.Fatalf("truncated frame (%d/%d bytes) accepted", cut, len(encoded))
 				}
 			}
@@ -101,7 +101,7 @@ func FuzzJournalRecord(f *testing.F) {
 		// Arbitrary bytes: decode must not panic, and anything it does
 		// accept must carry a valid CRC by construction.
 		var got Record
-		if n, err := decodeRecord(raw, &got); err == nil {
+		if n, err := decodeRecord(raw, &got, nil); err == nil {
 			payload := raw[frameHeaderLen:n]
 			if crc32.Checksum(payload, castagnoli) != binary.BigEndian.Uint32(raw[4:]) {
 				t.Fatal("decoder accepted a frame whose CRC does not verify")

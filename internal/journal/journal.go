@@ -64,6 +64,7 @@ import (
 	"sync/atomic"
 	"time"
 
+	"safeweb/internal/event"
 	"safeweb/internal/park"
 )
 
@@ -322,7 +323,7 @@ func (j *Journal) openFiles() error {
 		seg := &segment{base: base}
 		var rec Record
 		seg.logFile, err = openLog(filepath.Join(j.dir, name), i < len(names)-1, func(at int64, b []byte) (int, error) {
-			n, err := decodeRecord(b, &rec)
+			n, err := decodeRecord(b, &rec, nil)
 			if err == nil {
 				seg.pos = append(seg.pos, at)
 				seg.lastTime = rec.Time
@@ -451,7 +452,10 @@ func (j *Journal) groupSync() error {
 	if j.appendErr != nil && upTo > j.next.Load() {
 		return j.appendErr // what a failed pass left unpublished stays so
 	}
-	var dirty []*logFile
+	// A commit rarely finds more than the active segment, one just
+	// rolled and the ack log dirty, so the list lives on the stack.
+	var files [4]*logFile
+	dirty := files[:0]
 	for _, seg := range j.segs {
 		if seg.dirty {
 			seg.dirty = false
@@ -640,12 +644,13 @@ func (j *Journal) newSegmentLocked(base int64) (*segment, error) {
 const maxRunBytes = 64 << 10
 
 // Read decodes the record at the given offset into rec: ReadRun of one
-// record. Offsets at or past NextOffset return ErrOffsetOutOfRange; offsets
-// below FirstOffset return ErrOffsetCompacted — the record is gone, and the
-// caller decides (loudly) whether to resume from FirstOffset.
+// record, with no label memo. Offsets at or past NextOffset return
+// ErrOffsetOutOfRange; offsets below FirstOffset return
+// ErrOffsetCompacted — the record is gone, and the caller decides
+// (loudly) whether to resume from FirstOffset.
 func (j *Journal) Read(offset int64, rec *Record) error {
 	run := [1]Record{*rec}
-	_, err := j.ReadRun(offset, run[:])
+	_, err := j.ReadRun(offset, run[:], nil)
 	*rec = run[0]
 	return err
 }
@@ -658,9 +663,12 @@ func (j *Journal) Read(offset int64, rec *Record) error {
 // when that alone is larger). Each call reads into a fresh buffer that the
 // run's Images alias and that is never reused, so readers hand an Image to
 // the wire (or hold it arbitrarily long) without aliasing journal state.
-// Topic and Labels strings recs already hold are kept when equal (see
-// decodeRecord). An empty recs reads nothing.
-func (j *Journal) ReadRun(offset int64, recs []Record) (int, error) {
+// No string aliases the buffer, so a kept Topic or Labels never pins a
+// run: a string recs already holds is kept when equal, any other label
+// header that labels (the reader's memo, or nil) holds is the memo's own
+// string, and the rest are copied (see decodeRecord). An empty recs reads
+// nothing.
+func (j *Journal) ReadRun(offset int64, recs []Record, labels *event.LabelCache) (int, error) {
 	j.mu.Lock()
 	next, first := j.next.Load(), j.first.Load()
 	var err error
@@ -705,7 +713,7 @@ func (j *Journal) ReadRun(offset int64, recs []Record) (int, error) {
 	k := 0
 	for err == nil && k < n {
 		var m int
-		if m, err = decodeRecord(buf, &recs[k]); err == nil {
+		if m, err = decodeRecord(buf, &recs[k], labels); err == nil {
 			buf, k = buf[m:], k+1
 		}
 	}

@@ -6,6 +6,9 @@ import (
 	"fmt"
 	"sort"
 	"testing"
+	"unsafe"
+
+	"safeweb/internal/event"
 )
 
 // readOracle is Read as it was before run reads: one ReadAt of one record.
@@ -38,7 +41,7 @@ func readOracle(j *Journal, offset int64, rec *Record) error {
 	buf := make([]byte, end-start)
 	_, err := f.ReadAt(buf, start)
 	if err == nil {
-		_, err = decodeRecord(buf, rec)
+		_, err = decodeRecord(buf, rec, nil)
 	}
 	if err != nil {
 		if offset < j.first.Load() {
@@ -90,7 +93,7 @@ func checkRuns(t *testing.T, j *Journal, lengths ...int) {
 	for off := min(first, 0) - 2; off <= next+1; off++ {
 		for _, length := range lengths {
 			recs := make([]Record, length)
-			n, err := j.ReadRun(off, recs)
+			n, err := j.ReadRun(off, recs, nil)
 			var want Record
 			werr := readOracle(j, off, &want)
 			if werr != nil {
@@ -188,7 +191,7 @@ func TestReadRunMatchesRead(t *testing.T) {
 			mustAppend(t, j, testRecord(i))
 		}
 		recs := make([]Record, 64)
-		n, err := j.ReadRun(0, recs)
+		n, err := j.ReadRun(0, recs, nil)
 		if err != nil || n < 1 {
 			t.Fatalf("ReadRun(0) = %d, %v", n, err)
 		}
@@ -201,7 +204,7 @@ func TestReadRunMatchesRead(t *testing.T) {
 		if j.FirstOffset() <= int64(n) {
 			t.Fatalf("FirstOffset = %d after compaction, want past the first run's %d records", j.FirstOffset(), n)
 		}
-		if _, err := j.ReadRun(int64(n), recs); !errors.Is(err, ErrOffsetCompacted) {
+		if _, err := j.ReadRun(int64(n), recs, nil); !errors.Is(err, ErrOffsetCompacted) {
 			t.Fatalf("ReadRun past the compacted run: %v, want ErrOffsetCompacted", err)
 		}
 		checkRuns(t, j, lengths...)
@@ -218,9 +221,54 @@ func TestReadRunMatchesRead(t *testing.T) {
 		if err := j.Close(); err != nil {
 			t.Fatal(err)
 		}
-		if _, err := j.ReadRun(0, make([]Record, 4)); !errors.Is(err, errClosed) {
+		if _, err := j.ReadRun(0, make([]Record, 4), nil); !errors.Is(err, errClosed) {
 			t.Fatalf("ReadRun on a closed journal: %v, want errClosed", err)
 		}
 		checkRuns(t, j, lengths...)
 	})
+}
+
+// TestReadRunLabelsFromMemo: a run hands back the reader's memo's own
+// string for every label header the memo holds, and an equal copy of any
+// other; a header the reader has since parsed through the memo comes back
+// as the memo's string on the next run.
+func TestReadRunLabelsFromMemo(t *testing.T) {
+	j, err := Open(t.TempDir(), Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer j.Close()
+	headers := []string{"label:conf:ward-a", "label:conf:ward-b", ""}
+	for i := 0; i < 9; i++ {
+		rec := testRecord(i)
+		rec.Labels = headers[i%len(headers)]
+		mustAppend(t, j, rec)
+	}
+	var memo event.LabelCache
+	owned := func(hdr string) bool {
+		return unsafe.StringData(memo.Header([]byte(hdr))) == unsafe.StringData(hdr)
+	}
+	check := func(held map[string]bool) {
+		t.Helper()
+		recs := make([]Record, 9)
+		if n, err := j.ReadRun(0, recs, &memo); n != len(recs) || err != nil {
+			t.Fatalf("ReadRun = %d, %v; want %d records", n, err, len(recs))
+		}
+		for i, rec := range recs {
+			if want := headers[i%len(headers)]; rec.Labels != want {
+				t.Fatalf("record %d labels %q, want %q", i, rec.Labels, want)
+			}
+			if rec.Labels != "" && owned(rec.Labels) != held[rec.Labels] {
+				t.Errorf("record %d: header %q memo-owned %v, want %v", i, rec.Labels, !held[rec.Labels], held[rec.Labels])
+			}
+		}
+	}
+	if _, err := memo.Parse(headers[0]); err != nil {
+		t.Fatal(err)
+	}
+	check(map[string]bool{headers[0]: true})
+	if _, err := memo.Parse(string([]byte(headers[1]))); err != nil {
+		t.Fatal(err)
+	}
+	check(map[string]bool{headers[0]: true, headers[1]: true})
 }

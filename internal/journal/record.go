@@ -5,6 +5,8 @@ import (
 	"errors"
 	"fmt"
 	"hash/crc32"
+
+	"safeweb/internal/event"
 )
 
 // On-disk record framing. Every record — event records in segment files
@@ -140,11 +142,13 @@ func appendRecord(dst []byte, rec *Record) ([]byte, error) {
 // unknown version or any structural mismatch returns ErrCorruptRecord;
 // recovery treats every such failure as the torn tail of the log. The
 // decoded Image aliases b, so b must be a buffer nobody writes again (every
-// read allocates a fresh one). Topic and Labels are copied out of b, unless
-// rec already holds strings equal to the bytes: those are kept, so a reader
-// that decodes into the same Records again copies a repeated topic or label
-// header only once.
-func decodeRecord(b []byte, rec *Record) (int, error) {
+// read allocates a fresh one). Topic and Labels never alias b: a string
+// rec already holds is kept when equal, so a reader that decodes into the
+// same Records again copies a repeated topic only once. Any other label
+// header is the memo's own string when labels holds it (see
+// event.LabelCache.Header), and a copy only on a miss, so a reader that
+// parses its headers through the same memo copies each one once.
+func decodeRecord(b []byte, rec *Record, labels *event.LabelCache) (int, error) {
 	payload, n, err := openFrame(b)
 	if err != nil {
 		return 0, err
@@ -167,7 +171,7 @@ func decodeRecord(b []byte, rec *Record) (int, error) {
 	rec.Topic = keepString(rec.Topic, p[:topicLen])
 	p = p[topicLen:]
 
-	labels := p[:0]
+	hdr := p[:0]
 	if payload[1]&flagHasLabels != 0 {
 		if len(p) < 2 {
 			return 0, fmt.Errorf("%w: truncated label length", ErrCorruptRecord)
@@ -177,9 +181,11 @@ func decodeRecord(b []byte, rec *Record) (int, error) {
 		if len(p) < labelLen {
 			return 0, fmt.Errorf("%w: truncated labels", ErrCorruptRecord)
 		}
-		labels, p = p[:labelLen], p[labelLen:]
+		hdr, p = p[:labelLen], p[labelLen:]
 	}
-	rec.Labels = keepString(rec.Labels, labels)
+	if rec.Labels != string(hdr) {
+		rec.Labels = labels.Header(hdr)
+	}
 
 	if len(p) < 4 {
 		return 0, fmt.Errorf("%w: truncated image length", ErrCorruptRecord)

@@ -236,11 +236,8 @@ func (c *Client) sendNumbered(of outFrame) (uint64, error) {
 // wakes the waiters. An id that is not a number this connection sent, or
 // not above the count, changes nothing.
 func (c *Client) confirm(id []byte) {
-	if len(id) == 0 || id[0] == '0' {
-		return
-	}
-	n, err := strconv.ParseUint(string(id), 10, 64)
-	if err != nil || n > c.last.Load() || n <= c.confirmed.Load() {
+	n := receiptNumber(id)
+	if n == 0 || n > c.last.Load() || n <= c.confirmed.Load() {
 		return
 	}
 	c.confirmed.Store(n)

@@ -33,15 +33,16 @@ type WireImage struct {
 	rsplit int
 }
 
-// RawMessageImage wraps already-encoded MESSAGE image bytes — typically
-// read back from a durable journal — without copying or re-marshalling.
-// buf must be a full image as produced by package event's builder
-// (command line, header block, content-length, body, NUL), and split its
-// routing-header splice offset; both come verbatim
-// from Bytes and Split of the image that was persisted. The caller hands
-// over ownership: buf must not be mutated afterwards.
-func RawMessageImage(buf []byte, split int) *WireImage {
-	return &WireImage{buf: buf, split: split, rsplit: split}
+// RawMessageImage makes *dst the image of already-encoded MESSAGE bytes —
+// typically read back from a durable journal — without copying or
+// re-marshalling: a reader fills one slot of a slab it allocates per batch
+// of images. buf must be a full image as produced by package event's
+// builder (command line, header block, content-length, body, NUL), and
+// split its routing-header splice offset; both come verbatim from Bytes
+// and Split of the image that was persisted. The caller hands over
+// ownership: neither buf nor *dst may be mutated afterwards.
+func RawMessageImage(dst *WireImage, buf []byte, split int) {
+	*dst = WireImage{buf: buf, split: split, rsplit: split}
 }
 
 // Bytes returns the full encoded image. The returned slice aliases the
@@ -184,31 +185,21 @@ func (e *Encoder) encodeRouted(w io.Writer, img *WireImage, r Route) error {
 //
 //safeweb:hotpath
 func (e *Encoder) EncodeSendImage(w io.Writer, img *WireImage, receipt string) error {
-	if receipt == "" {
-		_, err := w.Write(img.buf)
-		return err
-	}
-	return e.spliceReceipt(w, img, appendEscapedHeader(append(e.buf[:0], HdrReceipt+":"...), receipt))
+	return e.encodeSend(w, img, receipt, 0)
 }
 
-// encodeSendNumbered is EncodeSendImage for receipt number n, formatted
-// straight into the scratch buffer: the bytes are those of receipt
-// strconv.FormatUint(n, 10), with no string built. Zero asks for no
-// receipt.
+// encodeSend is EncodeSendImage for receipt id, or for receipt number n
+// when n is non-zero, formatted straight into the scratch buffer: the
+// bytes are those of receipt strconv.FormatUint(n, 10), with no string
+// built. Neither id nor n asks for no receipt.
 //
 //safeweb:hotpath
-func (e *Encoder) encodeSendNumbered(w io.Writer, img *WireImage, n uint64) error {
-	if n == 0 {
+func (e *Encoder) encodeSend(w io.Writer, img *WireImage, id string, n uint64) error {
+	if id == "" && n == 0 {
 		_, err := w.Write(img.buf)
 		return err
 	}
-	return e.spliceReceipt(w, img, strconv.AppendUint(append(e.buf[:0], HdrReceipt+":"...), n, 10))
-}
-
-// spliceReceipt writes img with the receipt header line b, built in the
-// scratch buffer without its newline, at the image's receipt position.
-func (e *Encoder) spliceReceipt(w io.Writer, img *WireImage, b []byte) error {
-	b = append(b, '\n')
+	b := append(appendReceiptID(append(e.buf[:0], HdrReceipt+":"...), id, n), '\n')
 	if cap(b) <= maxRetainedEncodeBuf {
 		e.buf = b[:0]
 	}
@@ -222,12 +213,22 @@ func (e *Encoder) spliceReceipt(w io.Writer, img *WireImage, b []byte) error {
 	return err
 }
 
-// encodeReceipt writes the RECEIPT frame confirming receipt id straight
-// from the scratch buffer — no Frame, no header map. The wire bytes are
-// Encoder.Encode's for a RECEIPT frame whose one header is receipt-id.
-func (e *Encoder) encodeReceipt(w io.Writer, id string) error {
-	b := append(e.buf[:0], CmdReceipt+"\n"+HdrReceiptID+":"...)
-	b = appendEscapedHeader(b, id)
+// appendReceiptID appends a receipt id to b, escaped: the decimal n when n
+// is non-zero, id otherwise.
+func appendReceiptID(b []byte, id string, n uint64) []byte {
+	if n != 0 {
+		return strconv.AppendUint(b, n, 10)
+	}
+	return appendEscapedHeader(b, id)
+}
+
+// encodeReceipt writes the RECEIPT frame confirming receipt id — the
+// decimal n when n is non-zero, id otherwise — straight from the scratch
+// buffer: no Frame, no header map, and no string for a numbered id. The
+// wire bytes are Encoder.Encode's for a RECEIPT frame whose one header is
+// receipt-id.
+func (e *Encoder) encodeReceipt(w io.Writer, id string, n uint64) error {
+	b := appendReceiptID(append(e.buf[:0], CmdReceipt+"\n"+HdrReceiptID+":"...), id, n)
 	b = append(b, "\n"+HdrContentLength+":0\n\n\x00"...)
 	if cap(b) <= maxRetainedEncodeBuf {
 		e.buf = b[:0]

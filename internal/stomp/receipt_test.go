@@ -29,20 +29,30 @@ func receiptOracle(t *testing.T, id string) []byte {
 }
 
 // receiptIDs are receipt ids a client may choose, the ones needing header
-// escaping included.
+// escaping included. The canonical decimals (1 to 19 digits, no leading
+// zero) are queued as numbers, every other id as its string.
 var receiptIDs = []string{
 	"rcpt-1", "rcpt-18446744073709551615", "a:b", "line\nbreak", `back\slash`, "cr\rlf\n", "::", "é", "x",
+	"1", "42", "9999999999999999999", "18446744073709551615", "0", "007", "-1", "abc",
 }
 
-// TestReceiptBytesMatchEncoder: a RECEIPT queued as its bare id reaches
-// the wire, through the connection writer, as the bytes Encoder.Encode
-// gives for the frame it replaced — and reaches it at once: the writer
-// flushes when it has drained its queue.
+// TestReceiptBytesMatchEncoder: a RECEIPT that Server.ack queues — as its
+// number or as its bare id — reaches the wire, through the connection
+// writer, as the bytes Encoder.Encode gives for the frame it replaced, and
+// reaches it at once: the writer flushes when it has drained its queue.
 func TestReceiptBytesMatchEncoder(t *testing.T) {
+	var srv Server
+	queue, _ := stalledWriter(t, 1)
+	fillQueue(t, queue, 0)
 	for _, id := range receiptIDs {
+		srv.ack(&Session{fw: queue}, receiptView(t, id))
+		of := <-queue.ch
+		if numbered := strings.Trim(id, "0123456789") == "" && id[0] != '0' && len(id) <= 19; numbered != (of.receiptNo != 0) {
+			t.Errorf("receipt %q queued as %+v, want numbered %v", id, of, numbered)
+		}
 		var direct bytes.Buffer
 		var enc Encoder
-		if err := enc.encodeReceipt(&direct, id); err != nil {
+		if err := enc.encodeReceipt(&direct, of.receipt, of.receiptNo); err != nil {
 			t.Fatalf("encodeReceipt(%q): %v", id, err)
 		}
 		want := receiptOracle(t, id)
@@ -52,7 +62,7 @@ func TestReceiptBytesMatchEncoder(t *testing.T) {
 
 		server, client := net.Pipe()
 		fw := newFrameWriter(server, 4, 0, nil)
-		if err := fw.send(outFrame{receipt: id}); err != nil {
+		if err := fw.send(of); err != nil {
 			t.Fatalf("send receipt %q: %v", id, err)
 		}
 		got := make([]byte, len(want))
@@ -72,7 +82,7 @@ func TestReceiptBytesMatchEncoder(t *testing.T) {
 		_ = server.Close()
 	}
 	var enc Encoder
-	if got := testing.AllocsPerRun(100, func() { _ = enc.encodeReceipt(io.Discard, "rcpt-123456") }); got != 0 {
+	if got := testing.AllocsPerRun(100, func() { _ = enc.encodeReceipt(io.Discard, "rcpt-123456", 0) }); got != 0 {
 		t.Errorf("encodeReceipt allocs/op = %v, want 0", got)
 	}
 }
@@ -206,8 +216,8 @@ func TestSendNumberedBytesMatchEncoder(t *testing.T) {
 			img := sendImage("/t", headers, f.Body)
 			f.SetHeader(HdrReceipt, strconv.FormatUint(n, 10))
 			var got bytes.Buffer
-			if err := new(Encoder).encodeSendNumbered(&got, img, n); err != nil {
-				t.Fatalf("encodeSendNumbered: %v", err)
+			if err := new(Encoder).encodeSend(&got, img, "", n); err != nil {
+				t.Fatalf("encodeSend: %v", err)
 			}
 			if want := encodeFrame(t, f); !bytes.Equal(got.Bytes(), want) {
 				t.Errorf("receipt %d, headers %v:\n got %q\nwant %q", n, headers, got.Bytes(), want)

@@ -335,13 +335,35 @@ func (s *Server) serveSession(sess *Session) {
 // ack sends a RECEIPT if the frame asked for one: the id itself is queued
 // (a control frame, flushed with the writer's batch) and the writer's
 // encoder emits the frame, so a receipt-tracked publish costs no Frame
-// and no header map, and a burst of RECEIPTs leaves in one write.
+// and no header map, and a burst of RECEIPTs leaves in one write. An id
+// that is a canonical decimal — what every SafeWeb client sends — is
+// queued as its number, so it costs no string either.
 func (s *Server) ack(sess *Session, v *FrameView) {
-	receipt := v.Headers.Header(HdrReceipt)
-	if receipt == "" || sess.closed.Load() {
+	id, _ := v.Headers.GetBytes(HdrReceipt)
+	if len(id) == 0 || sess.closed.Load() {
 		return
 	}
-	_ = sess.fw.send(outFrame{receipt: receipt}) // best effort; client may already be gone
+	of := outFrame{receiptNo: receiptNumber(id)}
+	if of.receiptNo == 0 {
+		of.receipt = string(id)
+	}
+	_ = sess.fw.send(of) // best effort; client may already be gone
+}
+
+// receiptNumber returns the value of a receipt id that is a canonical
+// decimal — 1 to 19 digits, no leading zero, so exactly
+// strconv.FormatUint of its value — and 0 for any other id.
+func receiptNumber(id []byte) (n uint64) {
+	if len(id) == 0 || len(id) > 19 || id[0] == '0' {
+		return 0
+	}
+	for _, c := range id {
+		if c < '0' || c > '9' {
+			return 0
+		}
+		n = n*10 + uint64(c-'0')
+	}
+	return n
 }
 
 func isClosedConn(err error) bool {

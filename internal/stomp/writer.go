@@ -62,8 +62,10 @@ const (
 // SEND image (img set, no subscription) with receiptNo, when non-zero,
 // spliced in as its receipt header; an ACK (ack set), encoded from the
 // slot's values when the writer reaches it; or a RECEIPT (none of f, img
-// and ack: receipt is the id being confirmed). ACK and RECEIPT are
-// control frames the encoder emits from its scratch buffer.
+// and ack), confirming the id receiptNo when it is non-zero — a canonical
+// decimal id travels as its number — and the id string receipt
+// otherwise. ACK and RECEIPT are control frames the encoder emits from
+// its scratch buffer.
 type outFrame struct {
 	f         *Frame
 	img       *WireImage
@@ -272,13 +274,13 @@ func (fw *frameWriter) write(of outFrame) {
 	case of.ack != nil:
 		err = fw.enc.encodeAck(fw.bw, of.ack)
 	case of.img == nil && of.f == nil:
-		err = fw.enc.encodeReceipt(fw.bw, of.receipt)
+		err = fw.enc.encodeReceipt(fw.bw, of.receipt, of.receiptNo)
 	case of.img == nil:
 		err = fw.enc.Encode(fw.bw, of.f)
 	case of.route.Subscription != "":
 		err = fw.enc.encodeRouted(fw.bw, of.img, of.route)
 	default:
-		err = fw.enc.encodeSendNumbered(fw.bw, of.img, of.receiptNo)
+		err = fw.enc.encodeSend(fw.bw, of.img, of.receipt, of.receiptNo)
 	}
 	if err != nil {
 		fw.fail(err)
